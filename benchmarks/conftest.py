@@ -14,10 +14,16 @@ Environment knobs:
 """
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.study.runner import run_study
+# The solver benchmarks time against the test suite's reference oracle
+# (tests/reference_sweep.py), imported as ``tests.reference_sweep``.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from repro.study.runner import run_study  # noqa: E402
 
 INSTRUCTIONS = int(os.environ.get("REPRO_BENCH_INSTRUCTIONS", "60000"))
 SOURCE = os.environ.get("REPRO_BENCH_SOURCE", "paper")

@@ -5,9 +5,10 @@ time, max repeater delay -- on a 4 MB SRAM array and shows the controlled
 exploration of the area/delay/energy space the paper describes, including
 the repeater-derating energy savings.
 
-Also times the optimizer fast path (structural pre-filter + cross-candidate
-memoization + persistent solve cache) against the naive
-construct-every-candidate sweep and records the results in
+Also times the optimizer (vectorized pre-filter and kernels +
+cross-candidate memoization + persistent solve cache) against the test
+suite's reference oracle, which builds every pre-filter survivor as
+objects without caches, and records the results in
 ``BENCH_optimizer.json`` at the repository root.
 """
 
@@ -22,6 +23,7 @@ from repro.core.config import MemorySpec, OptimizationTarget
 from repro.core.optimizer import SweepStats, feasible_designs, optimize
 from repro.core.solvecache import SolveCache
 from repro.tech.nodes import technology
+from tests.reference_sweep import reference_feasible
 
 SPEC = MemorySpec(capacity_bytes=4 << 20, block_bytes=64, associativity=8,
                   node_nm=32.0)
@@ -88,28 +90,28 @@ BENCH_JSON = os.path.join(os.path.dirname(__file__), "..",
 
 
 def test_fast_path_speedup(tmp_path, benchmark):
-    """Time the naive sweep against the fast path on a 2 MB SRAM solve
-    and write the observability record to BENCH_optimizer.json."""
+    """Time the reference oracle against the optimizer on a 2 MB SRAM
+    solve and write the observability record to BENCH_optimizer.json."""
     spec = MemorySpec(capacity_bytes=2 << 20, block_bytes=64,
                       associativity=8, node_nm=32.0)
     data_spec, tag_spec = data_array_spec(spec), tag_array_spec(spec)
 
-    def naive():
-        # The seed code path: build every enumerated candidate of both
-        # arrays with no pre-filter and no shared circuit designs.  The
-        # module-level wire/cell caches are cleared so earlier tests in
-        # the session don't pre-warm the baseline.
+    def oracle():
+        # Build every pre-filter survivor of both arrays with no shared
+        # circuit designs.  The module-level wire/cell caches are
+        # cleared so earlier tests in the session don't pre-warm the
+        # baseline.
         from repro.circuits import repeaters
         from repro.tech import cells
 
         repeaters._WIRE_CACHE.clear()
         cells.cell.cache_clear()
-        feasible_designs(TECH, data_spec, prefilter=False, cache=None)
-        feasible_designs(TECH, tag_spec, prefilter=False, cache=None)
+        reference_feasible(TECH, data_spec)
+        reference_feasible(TECH, tag_spec)
 
     t0 = time.perf_counter()
-    naive()
-    naive_s = time.perf_counter() - t0
+    oracle()
+    oracle_s = time.perf_counter() - t0
 
     stats = SweepStats()
 
@@ -127,10 +129,10 @@ def test_fast_path_speedup(tmp_path, benchmark):
     warm_s = time.perf_counter() - t0
 
     assert warm.access_time == cold.access_time
-    speedup = naive_s / fast_s
+    speedup = oracle_s / fast_s
     record = {
         "spec": "2MB SRAM cache, 64B blocks, 8-way, 32nm (data+tag)",
-        "naive_s": round(naive_s, 4),
+        "oracle_s": round(oracle_s, 4),
         "fast_s": round(fast_s, 4),
         "warm_cache_s": round(warm_s, 6),
         "speedup": round(speedup, 2),
@@ -144,18 +146,18 @@ def test_fast_path_speedup(tmp_path, benchmark):
         "Optimizer fast path (2 MB SRAM solve, 32 nm)",
         ["path", "wall s", "speedup"],
         [
-            ["naive sweep", f"{naive_s:.3f}", "1.0x"],
-            ["pre-filter + memoized", f"{fast_s:.3f}", f"{speedup:.1f}x"],
+            ["reference oracle", f"{oracle_s:.3f}", "1.0x"],
+            ["kernels + memoized", f"{fast_s:.3f}", f"{speedup:.1f}x"],
             ["warm solve cache", f"{warm_s:.5f}",
-             f"{naive_s / warm_s:.0f}x"],
+             f"{oracle_s / warm_s:.0f}x"],
         ],
     )
     print(f"candidates: {stats.enumerated} enumerated, "
           f"{stats.prefiltered} pre-filtered "
           f"({stats.prefilter_rate * 100:.1f}%), {stats.built} built")
 
-    # The fast path must actually be fast; 3x is a conservative floor
-    # (typical machines see >5x) that tolerates noisy CI boxes.
+    # The optimizer must actually be fast; 3x is a conservative floor
+    # that tolerates noisy CI boxes.
     assert speedup > 3.0
     assert warm_s < fast_s / 10
     assert stats.enumerated == stats.prefiltered + stats.built

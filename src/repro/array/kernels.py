@@ -22,33 +22,29 @@ only for the winner(s) the caller materializes afterwards -- see
 
 Determinism / bit-identity contract
 -----------------------------------
-Per-candidate arithmetic in the scalar path uses only ``+ * / max`` on
-float64 (plus exact int-to-float conversions), and numpy performs the
+Per-candidate arithmetic in ``organization._Builder`` uses only
+``+ * / max`` on float64 (plus exact int-to-float conversions), and
+numpy performs the
 identical IEEE-754 operation elementwise, so every kernel here mirrors
 the scalar expression *operation for operation, in the same
 left-associative order*.  Quantities whose formulas involve logs or
 iterative sizing (decoder chains, sense timing, bitline RC) are never
 recomputed: they are gathered from the same frozen
-:class:`~repro.array.subarray.Subarray` objects the scalar path builds,
+:class:`~repro.array.subarray.Subarray` objects ``_Builder`` uses,
 one per *unique* ``(rows, cols)`` -- via the shared
 :class:`~repro.array.organization.EvalCache` -- and broadcast by
 gather.  H-tree levels use an exact integer ``frexp`` ceil-log2.  The
-result: ranking picks the same winner index the scalar sweep picks, and
-the materialized winner is bit-identical.  ``REPRO_KERNELS=0`` (or the
-:func:`disabled` context manager) forces the scalar path for
-equivalence testing and benchmarking.
+result: ranking picks the same winner a per-candidate sweep picks, and
+the materialized winner is bit-identical.  The test suite's reference
+sweep (enumerate, pre-filter and build every candidate one object at a
+time) checks this for every registered technology.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 
-try:  # optional, as in repro.array.organization
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the scalar fallback
-    _np = None
+import numpy as _np
 
 from repro.array.htree import BRANCH_BUFFER_FO4
 from repro.array.organization import (
@@ -68,40 +64,15 @@ from repro.array.subarray import InfeasibleSubarray
 from repro.circuits.repeaters import repeated_wire
 from repro.tech.nodes import Technology
 
-#: Module switch; the environment variable is read once at import.
-_ENABLED = os.environ.get("REPRO_KERNELS", "1").lower() not in ("0", "off")
-
-
-def enabled() -> bool:
-    """Whether the vectorized kernels are active (and numpy is present)."""
-    return _ENABLED and _np is not None
-
-
-def set_enabled(flag: bool) -> None:
-    """Force the kernels on or off process-wide (tests, benchmarks)."""
-    global _ENABLED
-    _ENABLED = bool(flag)
-
-
-@contextmanager
-def disabled():
-    """Context manager forcing the scalar build path (for comparison)."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = previous
-
 
 @dataclass
 class SurvivorBatch:
     """All prefilter survivors of one spec, as aligned arrays.
 
-    Column-for-column the same data ``prefilter_grid`` returns as
-    ``(OrgParams, OrgGeometry)`` tuples, in the same enumeration order,
-    without the per-candidate objects.
+    Column-for-column the ``(OrgParams, OrgGeometry)`` pairs that
+    :func:`~repro.array.organization.prefilter_org` accepts from
+    :func:`~repro.array.organization.enumerate_orgs`, in the same
+    enumeration order, without the per-candidate objects.
     """
 
     spec: ArraySpec
@@ -121,7 +92,7 @@ class SurvivorBatch:
         return int(self.ndwl.shape[0])
 
     def org_at(self, i: int) -> tuple[OrgParams, OrgGeometry]:
-        """Materialize candidate ``i`` as the scalar path's objects."""
+        """Candidate ``i`` as ``(OrgParams, OrgGeometry)`` objects."""
         return (
             OrgParams(
                 int(self.ndwl[i]),
@@ -140,7 +111,7 @@ class SurvivorBatch:
         )
 
     def candidates(self) -> list[tuple[OrgParams, OrgGeometry]]:
-        """The full ``prefilter_grid``-shaped candidate list."""
+        """Every survivor as an ``(OrgParams, OrgGeometry)`` pair."""
         return [self.org_at(i) for i in range(self.size)]
 
     def take(self, idx) -> "SurvivorBatch":
@@ -166,12 +137,12 @@ def survivor_batch(
     max_ndbl: int = 64,
     nspd_values: tuple[float, ...] | None = None,
     max_mux: int | None = None,
-) -> SurvivorBatch | None:
-    """The spec's prefilter survivors as arrays; None without numpy."""
-    arrays = survivor_arrays(spec, max_ndwl, max_ndbl, nspd_values, max_mux)
-    if arrays is None:
-        return None
-    return SurvivorBatch(spec, *arrays)
+) -> SurvivorBatch:
+    """The spec's prefilter survivors as arrays."""
+    return SurvivorBatch(
+        spec,
+        *survivor_arrays(spec, max_ndwl, max_ndbl, nspd_values, max_mux),
+    )
 
 
 @dataclass
@@ -231,9 +202,10 @@ def evaluate_batch(
 
     Mirrors ``organization._Builder.metrics()`` operation for
     operation; see the module docstring for the bit-identity argument.
-    ``cache`` receives exactly the subarray hit/miss counts the scalar
-    sweep would record (one lookup per candidate); H-tree designs are
-    replaced by closed-form array arithmetic over the one memoized
+    ``cache`` receives exactly the subarray hit/miss counts a
+    per-candidate sweep would record (one lookup per candidate); H-tree
+    designs are replaced by closed-form array arithmetic over the one
+    memoized
     :class:`~repro.circuits.repeaters.RepeatedWireDesign`, so tree
     counters advance only when winners are materialized afterwards.
     """
@@ -242,8 +214,8 @@ def evaluate_batch(
     traits = spec.cell_tech.traits
 
     # --- per-unique subarray table -----------------------------------
-    # Many candidates share one (rows, cols) subarray; the scalar sweep
-    # resolves each through the EvalCache.  Solve each unique once and
+    # Many candidates share one (rows, cols) subarray; a per-candidate
+    # sweep resolves each through the EvalCache.  Solve each unique once and
     # gather, replicating the cache counters the per-candidate lookups
     # would have produced.
     key = batch.rows * (MAX_COLS + 1) + batch.cols
@@ -349,7 +321,7 @@ def evaluate_batch(
     )
     # max(in-tree occupancy, out-tree occupancy, colmux); both trees
     # share one design and path, so their occupancies are one array.
-    t_interleave = _np.maximum(_np.maximum(occupancy, occupancy), t_colmux)
+    t_interleave = _np.maximum(occupancy, t_colmux)
 
     # --- energies -----------------------------------------------------
     e_wordlines = nact * g("e_wordline")

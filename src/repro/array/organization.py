@@ -25,10 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-try:  # numpy powers the vectorized grid pre-filter; optional at runtime.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the scalar fallback
-    _np = None
+import numpy as _np
 
 from repro.array.htree import HTree, design_htree
 from repro.array.mat import mats_in_bank
@@ -195,8 +192,10 @@ def derive_geometry(spec: ArraySpec, org: OrgParams) -> OrgGeometry:
     traits' bitline sensing limit, mux divisibility, active-subarray and
     way-select counts, and page-size matching -- and raises
     :class:`InfeasibleOrganization` on the first violation.  This is the
-    optimizer's cheap pre-filter: the vast majority of candidate tuples
-    are rejected here without building any circuit objects.
+    scalar statement of the optimizer's cheap pre-filter, which rejects
+    the vast majority of candidate tuples without building any circuit
+    objects; :func:`survivor_arrays` evaluates the same checks over the
+    whole grid at once.
     """
     traits = spec.cell_tech.traits
     if org.ndcm != 1 and not traits.column_mux_allowed:
@@ -632,9 +631,9 @@ def enumerate_orgs(
     """All structurally plausible partitioning tuples for ``spec``.
 
     Infeasible tuples are cheap to reject later; this enumeration only
-    enforces the power-of-two structure and mux applicability.  Prefer
-    :func:`enumerate_feasible_orgs` for sweeps: it fuses the structural
-    pre-filter into the loop nest.
+    enforces the power-of-two structure and mux applicability.  Sweeps
+    use :func:`survivor_arrays`, which applies the structural pre-filter
+    to the whole grid at once.
     """
     ndwls, ndbls, nspds, ndcms, ndsams = _org_grid(
         spec, max_ndwl, max_ndbl, nspd_values, max_mux
@@ -649,76 +648,6 @@ def enumerate_orgs(
                             OrgParams(ndwl, ndbl, nspd, ndcm, ndsam)
                         )
     return candidates
-
-
-def enumerate_feasible_orgs(
-    spec: ArraySpec,
-    max_ndwl: int = 64,
-    max_ndbl: int = 64,
-    nspd_values: tuple[float, ...] | None = None,
-    max_mux: int | None = None,
-):
-    """Yield ``(OrgParams, OrgGeometry)`` for structurally feasible tuples.
-
-    Exactly equivalent to filtering :func:`enumerate_orgs` through
-    :func:`prefilter_org` -- same candidates, same order (which matters:
-    ranking ties break by enumeration order) -- but the row/column checks
-    are hoisted out of the mux loops and :class:`OrgParams` objects are
-    only built for survivors, so the whole grid scan costs a few
-    milliseconds.  The feasibility expressions mirror
-    :func:`derive_geometry` line for line.
-    """
-    ndwls, ndbls, nspds, ndcms, ndsams = _org_grid(
-        spec, max_ndwl, max_ndbl, nspd_values, max_mux
-    )
-    traits = spec.cell_tech.traits
-    max_cells = traits.max_bitline_cells
-    paged = traits.supports_page_mode
-    sets_per_bank = spec.sets_per_bank
-    row_bits = spec.output_bits * spec.assoc
-    for ndwl in ndwls:
-        for ndbl in ndbls:
-            for nspd in nspds:
-                rows_f = sets_per_bank / (ndbl * nspd)
-                cols_f = row_bits * nspd / ndwl
-                if rows_f != int(rows_f) or cols_f != int(cols_f):
-                    continue
-                rows, cols = int(rows_f), int(cols_f)
-                if not MIN_ROWS <= rows <= MAX_ROWS:
-                    continue
-                if max_cells is not None and rows > max_cells:
-                    continue
-                if not MIN_COLS <= cols <= MAX_COLS:
-                    continue
-                for ndcm in ndcms:
-                    for ndsam in ndsams:
-                        mux = ndcm * ndsam
-                        if cols % mux:
-                            continue
-                        out_per_sub = cols // mux
-                        if out_per_sub == 0:
-                            continue
-                        nact = math.ceil(spec.output_bits / out_per_sub)
-                        if nact > ndwl:
-                            continue
-                        if spec.assoc > 1 and mux < spec.assoc:
-                            continue
-                        sensed_per_sub = cols // ndcm
-                        sensed_bits = nact * sensed_per_sub
-                        if spec.page_bits is not None and (
-                            not paged or sensed_bits != spec.page_bits
-                        ):
-                            continue
-                        yield (
-                            OrgParams(ndwl, ndbl, nspd, ndcm, ndsam),
-                            OrgGeometry(
-                                rows=rows,
-                                cols=cols,
-                                nact=nact,
-                                sensed_bits=sensed_bits,
-                                sense_amps_per_sub=sensed_per_sub,
-                            ),
-                        )
 
 
 def survivor_arrays(
@@ -738,19 +667,17 @@ def survivor_arrays(
     Python calls, and returns the surviving candidates as ten aligned
     arrays ``(ndwl, ndbl, nspd, ndcm, ndsam, rows, cols, nact,
     sensed_bits, sense_amps_per_sub)`` in enumeration order (the order
-    ranking ties break by).  Returns ``None`` when numpy is unavailable;
-    callers fall back to :func:`enumerate_feasible_orgs`.
+    ranking ties break by).
 
-    The arithmetic is float64/int64, the same IEEE-754 operations the
-    scalar path performs, so the integrality tests agree bit for bit.
+    The arithmetic is float64/int64, the same IEEE-754 operations
+    :func:`derive_geometry` performs, so the integrality tests agree bit
+    for bit.
     """
-    if _np is None:
-        return None
     axes = _org_grid(spec, max_ndwl, max_ndbl, nspd_values, max_mux)
     ndwls, ndbls, nspds, ndcms, ndsams = axes
     traits = spec.cell_tech.traits
     # C-order ravel of an 'ij' meshgrid iterates the last axis fastest,
-    # matching the nested loop order of enumerate_feasible_orgs.
+    # matching the nested loop order of enumerate_orgs.
     w, b, s, c, m = (
         g.ravel()
         for g in _np.meshgrid(
@@ -801,44 +728,6 @@ def survivor_arrays(
         sensed_bits[idx],
         sensed_per_sub[idx],
     )
-
-
-def prefilter_grid(
-    spec: ArraySpec,
-    max_ndwl: int = 64,
-    max_ndbl: int = 64,
-    nspd_values: tuple[float, ...] | None = None,
-    max_mux: int | None = None,
-) -> list[tuple[OrgParams, OrgGeometry]]:
-    """Vectorized structural pre-filter over the entire candidate grid.
-
-    Thin object-materializing wrapper over :func:`survivor_arrays`:
-    returns exactly what ``list(enumerate_feasible_orgs(spec, ...))``
-    returns -- the same survivors, in the same enumeration order, with
-    the same geometries -- but computed as one numpy batch.  Falls back
-    to the scalar enumeration when numpy is unavailable.
-    """
-    arrays = survivor_arrays(spec, max_ndwl, max_ndbl, nspd_values, max_mux)
-    if arrays is None:
-        return list(
-            enumerate_feasible_orgs(
-                spec, max_ndwl, max_ndbl, nspd_values, max_mux
-            )
-        )
-    w, b, s, c, m, rows, cols, nact, sensed_bits, sensed_per_sub = arrays
-    return [
-        (
-            OrgParams(int(w[i]), int(b[i]), float(s[i]), int(c[i]), int(m[i])),
-            OrgGeometry(
-                rows=int(rows[i]),
-                cols=int(cols[i]),
-                nact=int(nact[i]),
-                sensed_bits=int(sensed_bits[i]),
-                sense_amps_per_sub=int(sensed_per_sub[i]),
-            ),
-        )
-        for i in range(len(w))
-    ]
 
 
 def _powers_up_to(limit: int) -> tuple[int, ...]:

@@ -19,9 +19,11 @@ Usage::
     python -m repro cachedb query db.json --capacity 96K --node 38
     python -m repro cachedb info db.json
 
-Sizes accept K/M/G suffixes (powers of two).  Long runs take
-``--on-error {raise,skip,retry}``, ``--retries``, ``--task-timeout``,
-and ``--resume PATH`` (checkpoint journal) fault-tolerance knobs.
+Sizes accept K/M/G suffixes (powers of two).  The multi-task runs
+(``study``, ``sweep``, ``cachedb build``) take ``--jobs N`` and the
+``--on-error {raise,skip,retry}``, ``--retries``, ``--task-timeout``
+and ``--resume PATH`` (checkpoint journal) fault-tolerance knobs;
+``table3`` takes ``--resume``.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ def _jobs_arg(text: str) -> int | str:
 
     ``auto`` defers the worker-count decision to
     :func:`repro.core.parallel.effective_jobs`, which weighs the
-    machine and the workload (serial on one core or small sweeps,
+    machine and the task count (serial on one core or a single task,
     where process fan-out costs more than it saves).
     """
     if text.strip().lower() == "auto":
@@ -286,13 +288,6 @@ def _build_parser() -> argparse.ArgumentParser:
                  "cache hit rates, wall time)",
         )
         solver.add_argument(
-            "--jobs", type=_jobs_arg, default="auto", metavar="N",
-            help="worker processes for the candidate sweep (1 = serial, "
-                 "0 = all cores, 'auto' = serial or all cores by machine "
-                 "and workload; default auto); results are bit-identical "
-                 "at any setting",
-        )
-        solver.add_argument(
             "--trace", metavar="FILE", default=None,
             help="write a Chrome trace-event JSON of the run "
                  "(open in chrome://tracing or Perfetto)",
@@ -302,9 +297,16 @@ def _build_parser() -> argparse.ArgumentParser:
             help="write a JSON metrics snapshot of the run (counters, "
                  "gauges, latency histograms, cache hit rates)",
         )
-    # Fault-tolerance knobs (the validate command solves a fixed small
-    # set serially, so it keeps the plain fail-fast path).
-    for solver in (cache, mm, table3, study, sweep, cdb_build):
+    # Worker processes and fault tolerance pay off only where a run is
+    # many independent tasks; a single solve runs in-process.
+    for solver in (study, sweep, cdb_build):
+        solver.add_argument(
+            "--jobs", type=_jobs_arg, default="auto", metavar="N",
+            help="worker processes for the run's tasks (1 = serial, "
+                 "0 = all cores, 'auto' = serial or all cores by machine "
+                 "and task count; default auto); results are "
+                 "bit-identical at any setting",
+        )
         solver.add_argument(
             "--on-error", default="raise", choices=ON_ERROR_POLICIES,
             dest="on_error",
@@ -321,6 +323,8 @@ def _build_parser() -> argparse.ArgumentParser:
             help="per-task wall-clock budget; overdue tasks are "
                  "cancelled (parallel runs only)",
         )
+    # table3 checkpoints at row granularity.
+    for solver in (table3, study, sweep, cdb_build):
         solver.add_argument(
             "--resume", metavar="PATH", default=None,
             help="checkpoint journal: completed work is recorded here "
@@ -330,14 +334,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _solver_knobs(args: argparse.Namespace) -> tuple:
-    """The optional solve cache, stats accumulator, tracer, and
-    resilience policy for a run."""
+    """The optional solve cache, stats accumulator, and tracer for a
+    run."""
     solve_cache = (
         SolveCache(args.cache_path) if args.cache_path is not None else None
     )
     stats = SweepStats() if args.stats else None
     obs = Obs() if (args.trace or args.metrics) else None
-    return solve_cache, stats, obs, _resilience_policy(args)
+    return solve_cache, stats, obs
 
 
 def _resilience_policy(args: argparse.Namespace) -> ResiliencePolicy | None:
@@ -423,7 +427,7 @@ def _run_cache(args: argparse.Namespace) -> int:
             CellTech(args.tag_tech) if args.tag_tech is not None else None
         ),
     )
-    solve_cache, stats, obs, resilience = _solver_knobs(args)
+    solve_cache, stats, obs = _solver_knobs(args)
     cachedb = None
     if args.cachedb is not None:
         from repro.cachedb import CacheDB
@@ -434,9 +438,7 @@ def _run_cache(args: argparse.Namespace) -> int:
         _PRESETS[args.optimize],
         solve_cache=solve_cache,
         stats=stats,
-        jobs=args.jobs,
         obs=obs,
-        resilience=resilience,
         cachedb=cachedb,
     )
     print(solution.summary())
@@ -453,15 +455,13 @@ def _run_main_memory(args: argparse.Namespace) -> int:
         burst_length=args.burst,
         page_bits=args.page,
     )
-    solve_cache, stats, obs, resilience = _solver_knobs(args)
+    solve_cache, stats, obs = _solver_knobs(args)
     solution = solve_main_memory(
         spec,
         node_nm=args.node,
         solve_cache=solve_cache,
         stats=stats,
-        jobs=args.jobs,
         obs=obs,
-        resilience=resilience,
     )
     print(solution.summary())
     _print_stats(stats)
@@ -472,10 +472,8 @@ def _run_main_memory(args: argparse.Namespace) -> int:
 def _run_validate(args: argparse.Namespace) -> int:
     from repro.validation.compare import validate_ddr3
 
-    solve_cache, stats, obs, _unused = _solver_knobs(args)
-    validation = validate_ddr3(
-        solve_cache=solve_cache, stats=stats, jobs=args.jobs, obs=obs
-    )
+    solve_cache, stats, obs = _solver_knobs(args)
+    validation = validate_ddr3(solve_cache=solve_cache, stats=stats, obs=obs)
     print(validation.report())
     _print_stats(stats)
     _write_obs(args, obs)
@@ -485,7 +483,8 @@ def _run_validate(args: argparse.Namespace) -> int:
 def _run_table3(args: argparse.Namespace) -> int:
     from repro.study.table3 import solve_table3
 
-    solve_cache, stats, obs, resilience = _solver_knobs(args)
+    solve_cache, stats, obs = _solver_knobs(args)
+    resilience = _resilience_policy(args)
     # Pass only the live knobs: a knob-free call keeps table3's memo of
     # already-solved rows (and a second `repro table3` stays fast).
     knobs = {}
@@ -495,11 +494,6 @@ def _run_table3(args: argparse.Namespace) -> int:
         knobs["stats"] = stats
     if obs is not None:
         knobs["obs"] = obs
-    # "auto" resolves per-sweep and almost always to serial at table3's
-    # sizes, so it stays out of the knobs too -- the default invocation
-    # remains knob-free and keeps table3's memo of solved rows.
-    if args.jobs not in (1, "auto"):
-        knobs["jobs"] = args.jobs
     if resilience is not None:
         knobs["resilience"] = resilience
     for name, row in solve_table3(**knobs).items():
@@ -549,7 +543,7 @@ def _run_study(args: argparse.Namespace) -> int:
                 f"unknown configuration(s) {unknown}; "
                 f"choose from {list(CONFIG_NAMES)}"
             )
-    _solve_cache, stats, obs, resilience = _solver_knobs(args)
+    _solve_cache, stats, obs = _solver_knobs(args)
     result = run_study(
         profiles=profiles,
         configs=configs,
@@ -559,7 +553,7 @@ def _run_study(args: argparse.Namespace) -> int:
         seed=args.seed,
         jobs=args.jobs,
         obs=obs,
-        resilience=resilience,
+        resilience=_resilience_policy(args),
         stats=stats,
         cachedb=args.cachedb,
     )
@@ -617,7 +611,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
         node_nm=args.node,
         cell_tech=CellTech(args.tech),
     )
-    solve_cache, stats, obs, resilience = _solver_knobs(args)
+    solve_cache, stats, obs = _solver_knobs(args)
     result = sweep(
         base,
         args.parameter,
@@ -627,7 +621,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
         stats=stats,
         jobs=args.jobs,
         obs=obs,
-        resilience=resilience,
+        resilience=_resilience_policy(args),
     )
     for point in result.points:
         # Numeric sweep values print as numbers; categorical ones
@@ -676,13 +670,13 @@ def _run_cachedb(args: argparse.Namespace) -> int:
                 else ()
             ),
         )
-        solve_cache, stats, obs, resilience = _solver_knobs(args)
+        solve_cache, stats, obs = _solver_knobs(args)
         report = build_cachedb(
             args.path,
             grid,
             target=_PRESETS[args.optimize],
             jobs=args.jobs,
-            resilience=resilience,
+            resilience=_resilience_policy(args),
             solve_cache=solve_cache,
             stats=stats,
             obs=obs,

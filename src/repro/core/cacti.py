@@ -13,12 +13,13 @@ Entry points:
 * :class:`CactiD` -- a small facade caching the technology object across
   solves at one node.
 
-Every entry point takes ``jobs``: ``1`` (the default) is the plain
-serial path, ``N > 1`` fans work out over ``N`` worker processes,
-``<= 0`` means all available cores, and ``"auto"`` picks serial or all
-cores from the machine and the workload size (worker processes cost
-more than they save on one core or tiny batches).  Results are
-bit-identical at any job count -- parallelism only changes wall time.
+One solve runs in-process: its candidate sweep is vectorized and takes
+milliseconds.  Parallelism lives at the batch level: :func:`solve_batch`
+takes ``jobs`` -- ``1`` (the default) is the plain serial path, ``N >
+1`` fans specs out over ``N`` worker processes, ``<= 0`` means all
+available cores, and ``"auto"`` picks serial or all cores from the
+machine and the batch size.  Results are bit-identical at any job
+count -- parallelism only changes wall time.
 """
 
 from __future__ import annotations
@@ -101,9 +102,7 @@ def solve(
     eval_cache: EvalCache | None = None,
     solve_cache: SolveCache | None = None,
     stats: SweepStats | None = None,
-    jobs: int | str = 1,
     obs: Obs | None = None,
-    resilience: ResiliencePolicy | None = None,
     cachedb=None,
 ) -> Solution:
     """Solve ``spec``, returning the optimizer's best design point.
@@ -112,14 +111,12 @@ def solve(
     (a fresh one spanning the data and tag sweeps is created when
     omitted); ``solve_cache`` short-circuits whole repeated solves from
     disk (flushed once at the solve boundary); ``stats`` accumulates
-    :class:`~repro.core.optimizer.SweepStats` counters; ``jobs``
-    parallelizes candidate construction inside each array sweep;
-    ``obs`` records a ``solve`` span with nested data/tag array sweeps;
-    ``resilience`` governs worker-chunk failures inside parallel
-    sweeps.  ``cachedb`` (a :class:`~repro.cachedb.CacheDB`) is
-    consulted first: an exact precomputed hit -- bit-identical to
-    solving live -- returns in microseconds, anything else falls
-    through to the solver.  None of them changes the returned numbers.
+    :class:`~repro.core.optimizer.SweepStats` counters; ``obs`` records
+    a ``solve`` span with nested data/tag array sweeps.  ``cachedb`` (a
+    :class:`~repro.cachedb.CacheDB`) is consulted first: an exact
+    precomputed hit -- bit-identical to solving live -- returns in
+    microseconds, anything else falls through to the solver.  None of
+    them changes the returned numbers.
     """
     target = target or OptimizationTarget()
     if cachedb is not None:
@@ -148,9 +145,7 @@ def solve(
                     eval_cache=eval_cache,
                     solve_cache=solve_cache,
                     stats=stats,
-                    jobs=jobs,
                     obs=obs,
-                    resilience=resilience,
                 )
             tag = None
             if spec.is_cache:
@@ -162,9 +157,7 @@ def solve(
                         eval_cache=eval_cache,
                         solve_cache=solve_cache,
                         stats=stats,
-                        jobs=jobs,
                         obs=obs,
-                        resilience=resilience,
                     )
         # The boundary flush just ran (unless an enclosing batch defers
         # it further); drain its store events into the run's sinks.
@@ -256,7 +249,7 @@ def solve_batch(
             )
     # Spec-level parallelism is coarse, so ``auto`` only needs two
     # specs (and more than one core) to be worth a pool.
-    jobs = parallel.effective_jobs(jobs, len(specs), min_tasks=2)
+    jobs = parallel.effective_jobs(jobs, len(specs))
     t0 = time.perf_counter()
     if resilience is not None:
         return _solve_batch_resilient(
@@ -479,9 +472,7 @@ def solve_main_memory(
     eval_cache: EvalCache | None = None,
     solve_cache: SolveCache | None = None,
     stats: SweepStats | None = None,
-    jobs: int | str = 1,
     obs: Obs | None = None,
-    resilience: ResiliencePolicy | None = None,
 ) -> MainMemorySolution:
     """Solve a main-memory DRAM chip at ``node_nm``.
 
@@ -504,9 +495,7 @@ def solve_main_memory(
             eval_cache=eval_cache,
             solve_cache=solve_cache,
             stats=stats,
-            jobs=jobs,
             obs=obs,
-            resilience=resilience,
         )
         with maybe_span(obs, "derive_interface"):
             timing = derive_timing(spec, metrics, clock_period)
@@ -534,7 +523,9 @@ class CactiD:
     ``cachedb`` -- a :class:`~repro.cachedb.CacheDB` or an artifact
     path -- puts a precomputed design-space database in front of the
     solver: every solve issued through the facade checks it for an
-    exact (bit-identical) hit first.
+    exact (bit-identical) hit first.  ``resilience`` -- a
+    :class:`~repro.core.resilience.ResiliencePolicy` -- governs the
+    facade's :meth:`solve_batch` calls.
     """
 
     def __init__(
@@ -568,7 +559,6 @@ class CactiD:
         self,
         spec: MemorySpec,
         target: OptimizationTarget | None = None,
-        jobs: int | str = 1,
     ) -> Solution:
         self._check_node(spec)
         return solve(
@@ -577,9 +567,7 @@ class CactiD:
             eval_cache=self.eval_cache,
             solve_cache=self.solve_cache,
             stats=self.stats,
-            jobs=jobs,
             obs=self.obs,
-            resilience=self.resilience,
             cachedb=self.cachedb,
         )
 
@@ -615,7 +603,6 @@ class CactiD:
         spec: MainMemorySpec,
         target: OptimizationTarget | None = None,
         clock_period: float = 0.0,
-        jobs: int | str = 1,
     ) -> MainMemorySolution:
         return solve_main_memory(
             spec,
@@ -625,9 +612,7 @@ class CactiD:
             eval_cache=self.eval_cache,
             solve_cache=self.solve_cache,
             stats=self.stats,
-            jobs=jobs,
             obs=self.obs,
-            resilience=self.resilience,
         )
 
     def _check_node(self, spec: MemorySpec) -> None:

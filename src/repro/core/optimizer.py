@@ -9,11 +9,14 @@ access time constraint), and finally ranks that subset by a normalized,
 weighted combination of dynamic energy, leakage power, random cycle time,
 and multisubbank interleave cycle time.
 
-The sweep has a fast path that changes none of the numbers:
+The sweep runs as one pipeline that changes none of those numbers:
 
-* a cheap structural pre-filter (:func:`~repro.array.organization.
-  prefilter_org`) rejects most candidate tuples from spec arithmetic
-  alone, before any circuit object is built;
+* a structural pre-filter (:func:`~repro.array.kernels.survivor_batch`)
+  rejects most candidate tuples from spec arithmetic alone, as one
+  vectorized batch over the whole grid;
+* the survivors are evaluated, constrained and ranked as arrays
+  (:mod:`repro.array.kernels`), and full circuit objects are built only
+  for the winners;
 * an :class:`~repro.array.organization.EvalCache` shares subarray and
   H-tree designs across candidates (and, via the
   :class:`~repro.core.cacti.CactiD` facade, across solves);
@@ -27,7 +30,6 @@ measurable.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -38,13 +40,9 @@ from repro.array.organization import (
     InfeasibleOrganization,
     InfeasibleSubarray,
     build_organization,
-    enumerate_orgs,
     org_grid_size,
-    prefilter_grid,
-    prefilter_org,
 )
 from repro.array import kernels
-from repro.core import parallel
 from repro.core.config import OptimizationTarget
 from repro.core.solvecache import account_store as _account_store
 from repro.obs import Obs, maybe_span
@@ -87,11 +85,10 @@ class SweepStats:
     phase_times: dict = field(default_factory=dict)  #: named phase timers
     #: Phase timers absorbed from worker payloads.  Kept separate from
     #: ``phase_times`` so the parent's phase report stays wall-clock
-    #: true: at jobs=N a build phase runs its workers concurrently, and
-    #: summing their per-phase CPU into the parent's timers used to
-    #: report build=1.73 s against 0.66 s of actual wall time.
+    #: true: at jobs=N a batch runs its workers concurrently, and
+    #: summing their per-phase CPU into the parent's timers would
+    #: report more build time than the run's actual wall time.
     worker_phase_times: dict = field(default_factory=dict)
-    _eval_marks: dict = field(default_factory=dict, repr=False)
 
     #: Counter fields summable across worker payloads.
     _ABSORBABLE = (
@@ -226,9 +223,9 @@ class SweepStats:
     def absorb_worker(self, payload: dict) -> None:
         """Merge a stats payload shipped back from a worker process.
 
-        Accepts either a per-chunk delta dict (from the parallel build
-        loop) or a full ``as_dict()`` snapshot of a worker-side
-        SweepStats (from batch solves).  Unknown keys -- derived rates,
+        Accepts a full ``as_dict()`` snapshot of a worker-side
+        SweepStats (from batch solves and sweeps) or any dict of counter
+        deltas.  Unknown keys -- derived rates,
         pids -- are ignored; worker wall time lands in
         ``worker_time_s``, never ``wall_time_s``, and worker phase
         timers land in ``worker_phase_times``, never ``phase_times``,
@@ -253,196 +250,94 @@ class SweepStats:
             self.add_worker_phase_time(name, seconds)
         self.workers_absorbed += 1 + payload.get("workers_absorbed", 0)
 
-    def _mark_eval_cache(self, cache: EvalCache) -> None:
-        """Remember the cache's counters so deltas can be accumulated."""
-        self._eval_marks[id(cache)] = (
-            cache.subarray_hits,
-            cache.subarray_misses,
-            cache.htree_hits,
-            cache.htree_misses,
-        )
 
-    def _absorb_eval_cache(self, cache: EvalCache) -> None:
-        """Add the cache's counter deltas since the matching mark."""
-        sh0, sm0, hh0, hm0 = self._eval_marks.pop(id(cache), (0, 0, 0, 0))
-        self.subarray_hits += cache.subarray_hits - sh0
-        self.subarray_misses += cache.subarray_misses - sm0
-        self.htree_hits += cache.htree_hits - hh0
-        self.htree_misses += cache.htree_misses - hm0
+#: Obs metric names of the EvalCache counters; every other sweep counter
+#: is published as ``optimizer.<field>``.
+_EVAL_CACHE_METRICS = {
+    "subarray_hits": "eval_cache.subarray.hits",
+    "subarray_misses": "eval_cache.subarray.misses",
+    "htree_hits": "eval_cache.htree.hits",
+    "htree_misses": "eval_cache.htree.misses",
+}
+
+
+def _count(stats: SweepStats | None, obs: Obs | None, **deltas: int) -> None:
+    """Add counter deltas to the ``stats`` fields and ``obs`` metrics."""
+    for name, delta in deltas.items():
+        if stats is not None:
+            setattr(stats, name, getattr(stats, name) + delta)
+        if obs is not None:
+            obs.inc(_EVAL_CACHE_METRICS.get(name, f"optimizer.{name}"), delta)
+
+
+def _eval_cache_marks(cache: EvalCache) -> dict:
+    return {name: getattr(cache, name) for name in _EVAL_CACHE_METRICS}
+
+
+def _eval_cache_deltas(cache: EvalCache, since: dict, *kinds: str) -> dict:
+    """How far ``cache``'s counters of each kind (subarray/htree) moved
+    since the :func:`_eval_cache_marks` snapshot ``since``."""
+    return {
+        name: getattr(cache, name) - since[name]
+        for kind in kinds
+        for name in (f"{kind}_hits", f"{kind}_misses")
+    }
+
+
+def _no_solution_message(spec: ArraySpec) -> str:
+    return (
+        f"no feasible organization for {spec.capacity_bits} bits of "
+        f"{spec.cell_tech.value} in {spec.nbanks} bank(s)"
+    )
 
 
 def feasible_designs(
     tech: Technology,
     spec: ArraySpec,
-    orgs: Iterable | None = None,
     *,
     cache: EvalCache | None = None,
     stats: SweepStats | None = None,
-    prefilter: bool = True,
-    jobs: int | str = 1,
     obs: Obs | None = None,
-    resilience=None,
-    candidates: list | None = None,
 ) -> list[ArrayMetrics]:
-    """Evaluate every feasible partitioning of ``spec``.
+    """Build every feasible design of ``spec``, in enumeration order.
 
-    ``prefilter=False`` disables the cheap structural pre-filter and
-    forces full construction of every candidate (the naive path, kept for
-    equivalence testing); ``cache`` shares circuit designs across
-    candidates; ``jobs > 1`` shards the surviving candidates across
-    worker processes (worker-local caches, candidate-order-preserving
-    merge) with ``jobs=1`` the plain serial path and ``jobs="auto"``
-    choosing serial or all-cores from the machine and survivor count
-    (:func:`~repro.core.parallel.effective_jobs`); ``obs`` records
-    prefilter/build spans and candidate/cache metrics.  None of them
-    affects the returned metrics: the design list is bit-identical in
-    every mode, including its order.
-
-    ``candidates`` lets a caller that already ran the vectorized
-    pre-filter inject the surviving ``(OrgParams, OrgGeometry)`` list
-    (it must be exactly what ``prefilter_grid(spec)`` returns); the
-    prefilter phase is then neither re-run nor re-timed here, but the
-    grid-level enumerated/prefiltered accounting still happens.
-
-    ``resilience`` (a :class:`~repro.core.resilience.ResiliencePolicy`)
-    applies to the parallel build only: crashed or hung candidate
-    chunks are retried per the policy (a retried chunk rebuilds the
-    same designs, so the sweep stays bit-identical), and in skip mode a
-    terminally failed chunk's candidates are dropped from the feasible
-    set -- narrowing the search space, never corrupting it.
+    The full solution cloud the paper's Figure 1 bubbles plot.  The
+    optimizer itself never builds it: it ranks the survivors as arrays
+    and builds only the winners (see :func:`optimize`).  Here every
+    pre-filter survivor of :func:`~repro.array.kernels.survivor_batch`
+    is built with :func:`build_organization`; ``cache`` shares circuit
+    designs across candidates, and ``stats``/``obs`` count candidates,
+    cache lookups and the prefilter/build phases.  None of them changes
+    the returned designs.
     """
-    if stats is not None and cache is not None:
-        stats._mark_eval_cache(cache)
-    eval_before = None
-    if obs is not None and cache is not None:
-        eval_before = (
-            cache.subarray_hits,
-            cache.subarray_misses,
-            cache.htree_hits,
-            cache.htree_misses,
-        )
+    if cache is None:
+        cache = EvalCache()
+    with obs_phase("prefilter", obs, stats):
+        batch = kernels.survivor_batch(spec)
+    since = _eval_cache_marks(cache)
     designs = []
-    if orgs is None and prefilter:
-        # The structural pre-filter runs as one vectorized batch over
-        # the grid (scalar fused enumeration when numpy is missing), so
-        # rejected tuples cost a few arithmetic ops and no objects.
-        # The worker count is decided *after* it, so ``jobs="auto"``
-        # can weigh the actual survivor count.
-        if candidates is None:
-            with obs_phase("prefilter", obs, stats):
-                candidates = prefilter_grid(spec)
-        njobs = parallel.effective_jobs(jobs, len(candidates))
-        grid = org_grid_size(spec)
-        if stats is not None:
-            stats.enumerated += grid
-            stats.prefiltered += grid - len(candidates)
-        if obs is not None:
-            obs.inc("optimizer.enumerated", grid)
-            obs.inc("optimizer.prefiltered", grid - len(candidates))
-        if njobs != 1:
-            # Parallel path: shard the survivors into contiguous
-            # chunks, merge in candidate order.
-            with obs_phase(
-                "build", obs, stats, candidates=len(candidates), jobs=njobs
-            ) as build_span:
-                designs, worker_stats = parallel.build_designs_parallel(
-                    tech.node_nm, spec, candidates, njobs,
-                    with_obs=obs is not None,
-                    resilience=resilience, stats=stats, obs=obs,
-                )
-            if stats is not None:
-                for payload in worker_stats:
-                    stats.absorb_worker(payload)
-            if obs is not None:
-                obs.inc("parallel.chunks", len(worker_stats))
-                for payload in worker_stats:
-                    obs.absorb_worker(payload.get("obs"))
-                worker_wall = sum(
-                    p.get("worker_wall_time_s", 0.0) for p in worker_stats
-                )
-                if build_span is not None and build_span.duration_s > 0:
-                    obs.gauge(
-                        "parallel.worker_utilization",
-                        worker_wall / (build_span.duration_s * njobs),
+    with obs_phase("build", obs, stats, candidates=batch.size):
+        for org, geometry in batch.candidates():
+            try:
+                designs.append(
+                    build_organization(
+                        tech, spec, org, cache=cache, geometry=geometry
                     )
-        else:
-            infeasible = 0
-            with obs_phase("build", obs, stats, candidates=len(candidates)):
-                for org, geometry in candidates:
-                    try:
-                        designs.append(
-                            build_organization(
-                                tech, spec, org, cache=cache,
-                                geometry=geometry,
-                            )
-                        )
-                    except (InfeasibleOrganization, InfeasibleSubarray):
-                        infeasible += 1
-                        continue
-            if stats is not None:
-                stats.built += len(candidates)
-                stats.infeasible_at_build += infeasible
-            if obs is not None:
-                obs.inc("optimizer.built", len(candidates))
-                obs.inc("optimizer.infeasible_at_build", infeasible)
-    else:
-        enumerated = prefiltered = built = infeasible = 0
-        with obs_phase("build", obs, stats):
-            for org in orgs if orgs is not None else enumerate_orgs(spec):
-                enumerated += 1
-                geometry = None
-                if prefilter:
-                    geometry = prefilter_org(spec, org)
-                    if geometry is None:
-                        prefiltered += 1
-                        continue
-                built += 1
-                try:
-                    designs.append(
-                        build_organization(
-                            tech, spec, org, cache=cache, geometry=geometry
-                        )
-                    )
-                except (InfeasibleOrganization, InfeasibleSubarray):
-                    infeasible += 1
-                    continue
-        if stats is not None:
-            stats.enumerated += enumerated
-            stats.prefiltered += prefiltered
-            stats.built += built
-            stats.infeasible_at_build += infeasible
-        if obs is not None:
-            obs.inc("optimizer.enumerated", enumerated)
-            obs.inc("optimizer.prefiltered", prefiltered)
-            obs.inc("optimizer.built", built)
-            obs.inc("optimizer.infeasible_at_build", infeasible)
-    if stats is not None:
-        stats.feasible += len(designs)
-        if cache is not None:
-            stats._absorb_eval_cache(cache)
-    if obs is not None:
-        obs.inc("optimizer.feasible", len(designs))
-        if eval_before is not None:
-            obs.inc(
-                "eval_cache.subarray.hits",
-                cache.subarray_hits - eval_before[0],
-            )
-            obs.inc(
-                "eval_cache.subarray.misses",
-                cache.subarray_misses - eval_before[1],
-            )
-            obs.inc(
-                "eval_cache.htree.hits", cache.htree_hits - eval_before[2]
-            )
-            obs.inc(
-                "eval_cache.htree.misses",
-                cache.htree_misses - eval_before[3],
-            )
+                )
+            except (InfeasibleOrganization, InfeasibleSubarray):
+                continue
+    grid = org_grid_size(spec)
+    _count(
+        stats, obs,
+        enumerated=grid,
+        prefiltered=grid - batch.size,
+        built=batch.size,
+        infeasible_at_build=batch.size - len(designs),
+        feasible=len(designs),
+        **_eval_cache_deltas(cache, since, "subarray", "htree"),
+    )
     if not designs:
-        raise NoFeasibleSolution(
-            f"no feasible organization for {spec.capacity_bits} bits of "
-            f"{spec.cell_tech.value} in {spec.nbanks} bank(s)"
-        )
+        raise NoFeasibleSolution(_no_solution_message(spec))
     return designs
 
 
@@ -473,10 +368,7 @@ def rank_floors(
 
     Returns ``(min_dynamic, min_leakage, min_cycle, min_interleave)``
     with non-positive minima clamped to ``1e-30`` (the paper's guard
-    against degenerate zero-energy normalizers).  :func:`rank` used to
-    re-derive these with four separate scans on every call; computing
-    them once here lets callers that rank the same constrained set
-    repeatedly (or that already hold the metric arrays) reuse them.
+    against degenerate zero-energy normalizers).
     """
     if not designs:
         raise NoFeasibleSolution(
@@ -506,23 +398,10 @@ def rank_floors(
 
 
 def rank(
-    designs: list[ArrayMetrics],
-    target: OptimizationTarget,
-    *,
-    floors: tuple[float, float, float, float] | None = None,
+    designs: list[ArrayMetrics], target: OptimizationTarget
 ) -> list[ArrayMetrics]:
-    """Sort candidates by the normalized weighted objective, best first.
-
-    ``floors`` optionally supplies precomputed :func:`rank_floors` for
-    this design set, skipping the normalization pass.
-    """
-    if not designs:
-        raise NoFeasibleSolution(
-            "no designs to rank: the constrained set is empty"
-        )
-    if floors is None:
-        floors = rank_floors(designs)
-    min_dyn, min_leak, min_cycle, min_interleave = floors
+    """Sort candidates by the normalized weighted objective, best first."""
+    min_dyn, min_leak, min_cycle, min_interleave = rank_floors(designs)
 
     def score(d: ArrayMetrics) -> float:
         return (
@@ -535,90 +414,6 @@ def rank(
     return sorted(designs, key=score)
 
 
-def _rank_vectorized(
-    tech: Technology,
-    spec: ArraySpec,
-    target: OptimizationTarget,
-    batch,
-    *,
-    eval_cache: EvalCache,
-    stats: SweepStats | None,
-    obs: Obs | None,
-    limit: int | None,
-) -> list[ArrayMetrics]:
-    """Array-kernel sweep: evaluate, constrain, rank, then materialize.
-
-    Runs :func:`~repro.array.kernels.evaluate_batch` /
-    :func:`~repro.array.kernels.rank_batch` over the whole survivor
-    ``batch`` and constructs full :class:`ArrayMetrics` objects only
-    for the top ``limit`` ranked candidates (all of them when ``limit``
-    is None).  Counter accounting matches the scalar sweep: eval-cache
-    deltas are absorbed *before* winner materialization, so
-    ``subarray_hits + subarray_misses == built`` holds; H-tree cache
-    counters advance only for the materialized winners (the batch path
-    replaces per-candidate tree objects with closed-form arithmetic).
-    """
-    grid = org_grid_size(spec)
-    if stats is not None:
-        stats.enumerated += grid
-        stats.prefiltered += grid - batch.size
-        stats._mark_eval_cache(eval_cache)
-    if obs is not None:
-        obs.inc("optimizer.enumerated", grid)
-        obs.inc("optimizer.prefiltered", grid - batch.size)
-        eval_before = (
-            eval_cache.subarray_hits,
-            eval_cache.subarray_misses,
-            eval_cache.htree_hits,
-            eval_cache.htree_misses,
-        )
-    with obs_phase("build", obs, stats, candidates=batch.size):
-        ev = kernels.evaluate_batch(tech, spec, batch, eval_cache)
-    if stats is not None:
-        stats.built += batch.size
-        stats.infeasible_at_build += ev.n_infeasible
-        stats.feasible += ev.size
-        stats._absorb_eval_cache(eval_cache)
-    if obs is not None:
-        obs.inc("optimizer.built", batch.size)
-        obs.inc("optimizer.infeasible_at_build", ev.n_infeasible)
-        obs.inc("optimizer.feasible", ev.size)
-        obs.inc(
-            "eval_cache.subarray.hits",
-            eval_cache.subarray_hits - eval_before[0],
-        )
-        obs.inc(
-            "eval_cache.subarray.misses",
-            eval_cache.subarray_misses - eval_before[1],
-        )
-        obs.inc(
-            "eval_cache.htree.hits",
-            eval_cache.htree_hits - eval_before[2],
-        )
-        obs.inc(
-            "eval_cache.htree.misses",
-            eval_cache.htree_misses - eval_before[3],
-        )
-    if ev.size == 0:
-        raise NoFeasibleSolution(
-            f"no feasible organization for {spec.capacity_bits} bits of "
-            f"{spec.cell_tech.value} in {spec.nbanks} bank(s)"
-        )
-    with obs_phase("rank", obs, stats, designs=ev.size):
-        order = kernels.rank_batch(ev, target)
-        if limit is not None:
-            order = order[:limit]
-        ranked = []
-        for i in order:
-            org, geometry = ev.batch.org_at(int(i))
-            ranked.append(
-                build_organization(
-                    tech, spec, org, cache=eval_cache, geometry=geometry
-                )
-            )
-    return ranked
-
-
 def _ranked_designs(
     tech: Technology,
     spec: ArraySpec,
@@ -626,42 +421,51 @@ def _ranked_designs(
     *,
     eval_cache: EvalCache,
     stats: SweepStats | None,
-    jobs: int | str,
     obs: Obs | None,
-    resilience=None,
     limit: int | None = None,
 ) -> list[ArrayMetrics]:
-    """Shared enumerate → filter → rank pipeline behind :func:`optimize`
-    and :func:`pareto_solutions`.
+    """The sweep behind :func:`optimize` and :func:`pareto_solutions`.
 
-    When the vectorized kernels are active and the sweep would run
-    serially anyway (``jobs`` resolves to 1 for this survivor count),
-    the whole per-candidate composition collapses into
-    :func:`_rank_vectorized`.  Otherwise the scalar/parallel
-    :func:`feasible_designs` path runs, reusing the batch's already
-    pre-filtered candidate list so the grid is never scanned twice.
-    ``limit`` bounds how many ranked designs are materialized on the
-    vectorized path only; the scalar path always returns the full
-    ranked list (the objects already exist).
+    Pre-filters the grid into a survivor batch, evaluates every
+    survivor as arrays (:func:`~repro.array.kernels.evaluate_batch`),
+    constrains and ranks the arrays
+    (:func:`~repro.array.kernels.rank_batch`), and builds full
+    :class:`ArrayMetrics` objects only for the top ``limit`` ranked
+    candidates (all of them when ``limit`` is None).  The batch
+    consults the subarray cache once per candidate, so its deltas are
+    counted before the winners are built and
+    ``subarray_hits + subarray_misses == built`` holds; the H-tree
+    cache is consulted only when winners are built, so its deltas are
+    counted after.
     """
-    candidates = None
-    if kernels.enabled():
-        with obs_phase("prefilter", obs, stats):
-            batch = kernels.survivor_batch(spec)
-        if batch is not None:
-            if parallel.effective_jobs(jobs, batch.size) == 1:
-                return _rank_vectorized(
-                    tech, spec, target, batch,
-                    eval_cache=eval_cache, stats=stats, obs=obs,
-                    limit=limit,
-                )
-            candidates = batch.candidates()
-    designs = feasible_designs(
-        tech, spec, cache=eval_cache, stats=stats, jobs=jobs, obs=obs,
-        resilience=resilience, candidates=candidates,
+    with obs_phase("prefilter", obs, stats):
+        batch = kernels.survivor_batch(spec)
+    since = _eval_cache_marks(eval_cache)
+    with obs_phase("build", obs, stats, candidates=batch.size):
+        ev = kernels.evaluate_batch(tech, spec, batch, eval_cache)
+    grid = org_grid_size(spec)
+    _count(
+        stats, obs,
+        enumerated=grid,
+        prefiltered=grid - batch.size,
+        built=batch.size,
+        infeasible_at_build=ev.n_infeasible,
+        feasible=ev.size,
+        **_eval_cache_deltas(eval_cache, since, "subarray"),
     )
-    with obs_phase("rank", obs, stats, designs=len(designs)):
-        return rank(filter_constraints(designs, target), target)
+    if ev.size == 0:
+        raise NoFeasibleSolution(_no_solution_message(spec))
+    with obs_phase("rank", obs, stats, designs=ev.size):
+        ranked = []
+        for i in kernels.rank_batch(ev, target)[:limit]:
+            org, geometry = ev.batch.org_at(int(i))
+            ranked.append(
+                build_organization(
+                    tech, spec, org, cache=eval_cache, geometry=geometry
+                )
+            )
+    _count(stats, obs, **_eval_cache_deltas(eval_cache, since, "htree"))
+    return ranked
 
 
 def optimize(
@@ -672,9 +476,7 @@ def optimize(
     eval_cache: EvalCache | None = None,
     solve_cache=None,
     stats: SweepStats | None = None,
-    jobs: int | str = 1,
     obs: Obs | None = None,
-    resilience=None,
 ) -> ArrayMetrics:
     """Full pipeline: enumerate, filter, rank; return the best design.
 
@@ -682,18 +484,12 @@ def optimize(
     is created per call when omitted); ``solve_cache`` is an optional
     :class:`~repro.core.solvecache.SolveCache` consulted before -- and
     flushed after -- the sweep; ``stats`` accumulates
-    :class:`SweepStats` counters in place; ``jobs`` spreads candidate
-    construction over worker processes (``1`` = serial, ``<= 0`` = all
-    cores, ``"auto"`` = serial or all cores by machine and survivor
-    count); ``obs`` records an ``optimize`` span with nested
-    prefilter/build/rank children plus cache-hit metrics.  None of them
-    changes any returned number.  ``resilience`` makes the parallel
-    candidate build fault tolerant (see :func:`feasible_designs`).
+    :class:`SweepStats` counters in place; ``obs`` records an
+    ``optimize`` span with nested prefilter/build/rank children plus
+    cache-hit metrics.  None of them changes any returned number.
 
-    When the sweep runs serially and numpy is available, candidate
-    evaluation goes through the vectorized kernels
-    (:mod:`repro.array.kernels`) -- bit-identical, order-of-magnitude
-    faster; ``REPRO_KERNELS=0`` forces the scalar object path.
+    Candidates are evaluated and ranked as arrays
+    (:mod:`repro.array.kernels`); only the winner is built as objects.
     """
     t0 = time.perf_counter()
     with maybe_span(
@@ -730,7 +526,7 @@ def optimize(
         swept = _with_repeater_penalty(spec, target)
         best = _ranked_designs(
             tech, swept, target, eval_cache=eval_cache, stats=stats,
-            jobs=jobs, obs=obs, resilience=resilience, limit=1,
+            obs=obs, limit=1,
         )[0]
         if solve_cache is not None:
             solve_cache.put(spec, target, tech.node_nm, best)
@@ -752,7 +548,6 @@ def pareto_solutions(
     *,
     eval_cache: EvalCache | None = None,
     stats: SweepStats | None = None,
-    jobs: int | str = 1,
     obs: Obs | None = None,
 ) -> list[ArrayMetrics]:
     """All constraint-satisfying designs, ranked -- the solution cloud the
@@ -769,8 +564,7 @@ def pareto_solutions(
             eval_cache = EvalCache()
         spec = _with_repeater_penalty(spec, target)
         ranked = _ranked_designs(
-            tech, spec, target, eval_cache=eval_cache, stats=stats,
-            jobs=jobs, obs=obs,
+            tech, spec, target, eval_cache=eval_cache, stats=stats, obs=obs
         )
         if stats is not None:
             stats.wall_time_s += time.perf_counter() - t0

@@ -1,25 +1,17 @@
 """Multi-process batch execution engine for design-space sweeps.
 
-CACTI-D's value is sweeping *many* configurations: the full
-(ndwl, ndbl, nspd, ndcm, ndsam) grid inside one solve, batches of
-independent solves across a study matrix, and sensitivity sweeps around
-a base point.  All three are embarrassingly parallel, and this module
-gives them one engine:
+CACTI-D's value is sweeping *many* configurations: batches of
+independent solves across a study matrix, sensitivity sweeps around a
+base point, and precomputed design-space grids.  Each task is a whole
+solve or simulation -- big enough to pay for a worker process -- and
+they all share one engine: :func:`parallel_map`, an order-preserving
+``ProcessPoolExecutor`` map with a worker initializer that installs a
+worker-local :class:`~repro.array.organization.EvalCache`.  (One
+solve's candidate sweep is not split across workers: the vectorized
+kernels finish even the largest sweeps in milliseconds.)
 
-* :func:`parallel_map` -- an order-preserving ``ProcessPoolExecutor``
-  map with a worker initializer that installs a worker-local
-  :class:`~repro.array.organization.EvalCache`;
-* :func:`chunk_evenly` -- deterministic, contiguous, order-preserving
-  sharding of a candidate list;
-* :func:`build_designs_parallel` -- the optimizer's inner loop: shards
-  surviving candidates into chunks, evaluates each chunk in a worker
-  with that worker's cache, and merges results in candidate order.
-
-Determinism is the contract.  Chunks are contiguous slices merged back
-in submission order, so the concatenated design list is *identical* --
-same designs, same order -- to the serial sweep, and ranking tie-breaks
-(which resolve by enumeration order) are bit-identical.  Worker-local
-eval caches cannot change numbers either: cached and uncached
+Determinism is the contract.  Results come back in payload order, and
+worker-local eval caches cannot change numbers: cached and uncached
 construction produce the same frozen objects performing the same
 computations.
 
@@ -61,12 +53,8 @@ from repro.core.resilience import (
 )
 from repro.obs import maybe_span
 
-#: Target chunks per worker: smaller chunks load-balance across workers,
-#: larger chunks amortize task pickling overhead.
-OVERSUBSCRIBE = 4
-
 #: Worker-local cross-candidate cache, created by the pool initializer
-#: (one per worker process, reused across every chunk that worker runs).
+#: (one per worker process, reused across every task that worker runs).
 _WORKER_EVAL_CACHE = None
 
 #: Worker-local persistent solve caches, keyed by cache-file path.  A
@@ -79,13 +67,6 @@ _WORKER_SOLVE_CACHES: dict = {}
 #: Sentinel worker-count request: let the engine decide (see
 #: :func:`effective_jobs`).  The CLI default.
 AUTO_JOBS = "auto"
-
-#: Under ``jobs="auto"``, parallelize a candidate sweep only when at
-#: least this many post-prefilter survivors are on the table.  Below
-#: it, per-candidate work is too small to amortize worker forks and
-#: payload pickling (BENCH_parallel.json: jobs=2 regressed to 0.68x on
-#: a small grid), so auto falls back to the serial path.
-AUTO_MIN_TASKS = 4096
 
 
 def resolve_jobs(jobs: int | str | None) -> int:
@@ -107,47 +88,25 @@ def resolve_jobs(jobs: int | str | None) -> int:
     return int(jobs)
 
 
-def effective_jobs(
-    jobs: int | str | None,
-    n_tasks: int | None = None,
-    *,
-    min_tasks: int = AUTO_MIN_TASKS,
-) -> int:
+def effective_jobs(jobs: int | str | None, n_tasks: int | None = None) -> int:
     """Resolve a jobs request, giving ``"auto"`` its heuristic.
 
     Explicit requests are honored as :func:`resolve_jobs` always has
     (``1`` serial, ``N`` literal, ``None``/``<= 0`` all cores).
     ``"auto"`` picks all cores only when that can plausibly win: it
     falls back to serial when the machine has a single usable core
-    (workers would just add fork and pickling overhead) or when the
-    workload -- ``n_tasks``, if the caller knows it -- is below
-    ``min_tasks``.
+    (workers would just add fork and pickling overhead) or when there
+    are fewer than two tasks -- ``n_tasks``, if the caller knows it --
+    to spread.
     """
     if jobs != AUTO_JOBS:
         return resolve_jobs(jobs)
     cores = resolve_jobs(None)
     if cores <= 1:
         return 1
-    if n_tasks is not None and n_tasks < min_tasks:
+    if n_tasks is not None and n_tasks < 2:
         return 1
     return cores
-
-
-def chunk_evenly(
-    items: Sequence, jobs: int, oversubscribe: int = OVERSUBSCRIBE
-) -> list[list]:
-    """Shard ``items`` into contiguous, order-preserving chunks.
-
-    Produces about ``jobs * oversubscribe`` equal slices (never empty
-    ones), so stragglers rebalance while concatenating the per-chunk
-    results in chunk order reproduces the input order exactly.
-    """
-    items = list(items)
-    if not items:
-        return []
-    nchunks = min(len(items), max(1, jobs * oversubscribe))
-    size = -(-len(items) // nchunks)
-    return [items[i : i + size] for i in range(0, len(items), size)]
 
 
 def _init_worker() -> None:
@@ -537,143 +496,3 @@ class _ResilientMap:
         inflight.clear()
         pool.shutdown(wait=False, cancel_futures=True)
         return None
-
-
-# --------------------------------------------------------------------- #
-# The optimizer's parallel inner loop.
-
-
-def _eval_chunk(payload: tuple) -> tuple[list, dict]:
-    """Worker task: build every candidate of one chunk.
-
-    Returns the feasible :class:`~repro.array.organization.ArrayMetrics`
-    in candidate order plus a stats payload (counter deltas of this
-    chunk only, so the parent can sum payloads without double counting).
-    When the parent traces, the payload also carries an ``"obs"`` entry
-    -- this worker's local spans and metrics, recorded against its own
-    clock -- which the parent stitches into its trace with this
-    worker's pid at the correct time offset.
-    """
-    from repro.array.organization import (
-        InfeasibleOrganization,
-        InfeasibleSubarray,
-        build_organization,
-    )
-    from repro.tech.nodes import technology
-
-    node_nm, spec, chunk, with_obs = payload
-    t0 = time.perf_counter()
-    obs = None
-    if with_obs:
-        from repro.obs import Obs
-
-        obs = Obs()
-    cache = worker_eval_cache()
-    tech = technology(node_nm)
-    before = (
-        cache.subarray_hits,
-        cache.subarray_misses,
-        cache.htree_hits,
-        cache.htree_misses,
-    )
-    designs = []
-    infeasible = 0
-    with maybe_span(obs, "chunk", candidates=len(chunk), pid=os.getpid()):
-        for org, geometry in chunk:
-            try:
-                designs.append(
-                    build_organization(
-                        tech, spec, org, cache=cache, geometry=geometry
-                    )
-                )
-            except (InfeasibleOrganization, InfeasibleSubarray):
-                infeasible += 1
-    after = (
-        cache.subarray_hits,
-        cache.subarray_misses,
-        cache.htree_hits,
-        cache.htree_misses,
-    )
-    deltas = [now - then for now, then in zip(after, before)]
-    worker_wall = time.perf_counter() - t0
-    stats = {
-        "built": len(chunk),
-        "infeasible_at_build": infeasible,
-        "subarray_hits": deltas[0],
-        "subarray_misses": deltas[1],
-        "htree_hits": deltas[2],
-        "htree_misses": deltas[3],
-        "worker_wall_time_s": worker_wall,
-        "pid": os.getpid(),
-    }
-    if obs is not None:
-        obs.inc("optimizer.built", len(chunk))
-        obs.inc("optimizer.infeasible_at_build", infeasible)
-        obs.inc("eval_cache.subarray.hits", deltas[0])
-        obs.inc("eval_cache.subarray.misses", deltas[1])
-        obs.inc("eval_cache.htree.hits", deltas[2])
-        obs.inc("eval_cache.htree.misses", deltas[3])
-        obs.observe("parallel.chunk_s", worker_wall)
-        stats["obs"] = obs.export_payload()
-    return designs, stats
-
-
-def build_designs_parallel(
-    node_nm: float,
-    spec,
-    candidates: Sequence,
-    jobs: int,
-    *,
-    with_obs: bool = False,
-    resilience: ResiliencePolicy | None = None,
-    stats=None,
-    obs=None,
-) -> tuple[list, list[dict]]:
-    """Evaluate pre-filtered ``(OrgParams, OrgGeometry)`` candidates
-    across worker processes.
-
-    Returns the feasible designs *in candidate order* (chunks are
-    contiguous and merged in submission order) and the per-chunk worker
-    stats payloads.  Workers rebuild the (lru-cached) technology object
-    from ``node_nm`` rather than unpickling it.  ``with_obs`` asks each
-    worker to record local spans/metrics into its payload (under
-    ``"obs"``) for the parent to stitch into its trace.
-
-    ``resilience`` runs the chunks under the fault-tolerant engine
-    (stage ``"optimizer.chunk"``): a retried chunk rebuilds the same
-    designs from the same candidates, so the merged list is still
-    bit-identical; in skip mode a terminally failed chunk's candidates
-    are dropped from the output (accounted in ``stats``/``obs``, never
-    silently mixed into the design list).
-    """
-    chunks = chunk_evenly(candidates, jobs)
-    keys = None
-    if resilience is not None and resilience.journal is not None:
-        from repro.core.resilience import task_key
-
-        keys = [
-            task_key(
-                "optimizer.chunk",
-                {"node_nm": node_nm, "spec": spec, "chunk": chunk},
-            )
-            for chunk in chunks
-        ]
-    out = parallel_map(
-        _eval_chunk,
-        [(node_nm, spec, chunk, with_obs) for chunk in chunks],
-        jobs,
-        span_name="optimizer.chunk" if resilience is not None else None,
-        resilience=resilience,
-        keys=keys,
-        stats=stats,
-        obs=obs if resilience is not None else None,
-    )
-    designs: list = []
-    stats_payloads: list[dict] = []
-    for outcome in out:
-        if isinstance(outcome, TaskFailure):
-            continue  # terminally failed chunk: candidates dropped
-        chunk_designs, chunk_stats = outcome
-        designs.extend(chunk_designs)
-        stats_payloads.append(chunk_stats)
-    return designs, stats_payloads

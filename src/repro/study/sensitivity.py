@@ -215,9 +215,7 @@ def sweep(
             specs.append(None)
     # Point-level parallelism is coarse: ``auto`` only needs two live
     # points (and more than one core) to be worth a pool.
-    jobs = parallel.effective_jobs(
-        jobs, sum(s is not None for s in specs), min_tasks=2
-    )
+    jobs = parallel.effective_jobs(jobs, sum(s is not None for s in specs))
     solutions: list[Solution | None]
     failures: list[TaskFailure] = []
     with maybe_span(

@@ -86,15 +86,14 @@ def validate_ddr3(
     *,
     solve_cache=None,
     stats=None,
-    jobs: int = 1,
     obs=None,
 ) -> Ddr3Validation:
     """Solve the Micron part and compute per-metric errors (Table 2).
 
     ``target`` defaults to the module's ``DDR3_TARGET`` resolved at call
     time (not bound at definition).  The keyword knobs (persistent
-    ``solve_cache``, ``stats`` accumulator, worker ``jobs``, ``obs``
-    tracer) pass straight through to
+    ``solve_cache``, ``stats`` accumulator, ``obs`` tracer) pass
+    straight through to
     :func:`~repro.core.cacti.solve_main_memory`, so the validation run is
     observable and cacheable exactly like any other solve.
     """
@@ -112,7 +111,6 @@ def validate_ddr3(
         node_nm=target.node_nm,
         solve_cache=solve_cache,
         stats=stats,
-        jobs=jobs,
         obs=obs,
     )
     errors = {

@@ -1,38 +1,40 @@
-"""Vectorized-kernel equivalence: arrays vs. the scalar object path.
+"""Vectorized-kernel equivalence: arrays vs. the reference oracle.
 
 The kernels in :mod:`repro.array.kernels` promise bit-identity with the
-per-candidate scalar composition in ``organization._Builder``.  These
-tests enforce the promise property-style: for every registered memory
+per-candidate composition in ``organization._Builder``.  These tests
+enforce the promise property-style: for every registered memory
 technology (SRAM, LP-DRAM, COMM-DRAM, STT-RAM), over data arrays, tag
 arrays, and a paged commodity-DRAM part, randomized survivor samples
 are rebuilt through ``build_organization`` and compared to the batch
-arrays field for field with exact ``==`` -- no tolerances anywhere.
+arrays field for field with exact ``==`` -- no tolerances anywhere --
+and the whole sweep is checked against the reference oracle in
+tests/reference_sweep.py at 32 and 78 nm.
 """
 
+import functools
 import random
 
 import pytest
 
 from repro.array import kernels
-from repro.array.organization import (
-    ArraySpec,
-    EvalCache,
-    prefilter_grid,
-)
+from repro.array.organization import ArraySpec, EvalCache
 from repro.core.cacti import data_array_spec, tag_array_spec
 from repro.core.config import MemorySpec, OptimizationTarget
 from repro.core.optimizer import (
     SweepStats,
-    feasible_designs,
     filter_constraints,
     optimize,
+    pareto_solutions,
     rank,
 )
 from repro.tech.cells import CellTech
 from repro.tech.nodes import technology
 from repro.tech.registry import registered_names
-
-numpy = pytest.importorskip("numpy")
+from tests.reference_sweep import (
+    reference_candidates,
+    reference_feasible,
+    reference_ranked,
+)
 
 TECH = technology(32.0)
 
@@ -82,8 +84,13 @@ def specs_for(name: str) -> list[ArraySpec]:
 
 def evaluated(spec: ArraySpec):
     batch = kernels.survivor_batch(spec)
-    assert batch is not None and batch.size > 0
+    assert batch.size > 0
     return kernels.evaluate_batch(TECH, spec, batch, EvalCache())
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_feasible(spec: ArraySpec):
+    return reference_feasible(TECH, spec)
 
 
 @pytest.mark.parametrize("name", registered_names())
@@ -91,7 +98,7 @@ class TestKernelScalarEquivalence:
     def test_batch_matches_prefilter_grid(self, name):
         for spec in specs_for(name):
             batch = kernels.survivor_batch(spec)
-            assert batch.candidates() == prefilter_grid(spec)
+            assert batch.candidates() == reference_candidates(spec)
 
     def test_random_survivors_match_scalar_build_exactly(self, name):
         from repro.array.organization import build_organization
@@ -114,34 +121,32 @@ class TestKernelScalarEquivalence:
     def test_feasibility_counts_match_scalar_sweep(self, name):
         for spec in specs_for(name):
             ev = evaluated(spec)
-            stats = SweepStats()
-            with kernels.disabled():
-                designs = feasible_designs(
-                    TECH, spec, cache=EvalCache(), stats=stats
-                )
-            assert stats.feasible == ev.size
-            assert stats.infeasible_at_build == ev.n_infeasible
-            assert len(designs) == ev.size
+            survivors = len(reference_candidates(spec))
+            feasible = len(oracle_feasible(spec))
+            assert ev.size == feasible
+            assert ev.n_infeasible == survivors - feasible
 
     def test_rank_batch_matches_scalar_rank_order(self, name):
         target = OptimizationTarget(weight_leakage=2.0)
         for spec in specs_for(name):
             ev = evaluated(spec)
             order = kernels.rank_batch(ev, target)
-            with kernels.disabled():
-                designs = feasible_designs(TECH, spec, cache=EvalCache())
+            designs = oracle_feasible(spec)
             ranked = rank(filter_constraints(designs, target), target)
             assert [ev.batch.org_at(int(i))[0] for i in order] == [
                 d.org for d in ranked
             ]
 
     def test_optimize_is_bit_identical_to_scalar_path(self, name):
+        """At 32 and 78 nm, optimize returns the oracle's top design and
+        pareto_solutions its full ranked list, in order, field for
+        field."""
         target = OptimizationTarget()
-        for spec in specs_for(name):
-            fast = optimize(TECH, spec, target)
-            with kernels.disabled():
-                slow = optimize(TECH, spec, target)
-            assert fast == slow
+        for tech in (TECH, technology(78.0)):
+            for spec in specs_for(name):
+                ranked = reference_ranked(tech, spec, target)
+                assert optimize(tech, spec, target) == ranked[0]
+                assert pareto_solutions(tech, spec, target) == ranked
 
 
 class TestStatsInvariantsOnKernelPath:
@@ -153,8 +158,17 @@ class TestStatsInvariantsOnKernelPath:
         assert stats.built == stats.feasible + stats.infeasible_at_build
         assert stats.subarray_hits + stats.subarray_misses == stats.built
 
-    def test_kernels_disabled_context_restores_state(self):
-        before = kernels.enabled()
-        with kernels.disabled():
-            assert not kernels.enabled()
-        assert kernels.enabled() == before
+    def test_winner_htree_lookups_are_counted(self):
+        """The winners' H-tree builds are the sweep's only tree lookups;
+        a fresh-cache solve must report them, identically in SweepStats
+        and in the obs metrics."""
+        from repro.core.cacti import solve
+        from repro.obs import Obs
+
+        stats, obs = SweepStats(), Obs()
+        solve(MemorySpec(capacity_bytes=2 << 20), stats=stats, obs=obs)
+        counters = obs.metrics.snapshot()["counters"]
+        assert stats.htree_misses > 0
+        assert counters["eval_cache.htree.misses"] == stats.htree_misses
+        assert counters["eval_cache.htree.hits"] == stats.htree_hits
+        assert stats.subarray_hits + stats.subarray_misses == stats.built

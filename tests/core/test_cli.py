@@ -167,8 +167,7 @@ class TestObservabilityFlags:
         import json
 
         trace = tmp_path / "t.json"
-        rc = main(["validate-ddr3", "--jobs", "2", "--stats",
-                   "--trace", str(trace)])
+        rc = main(["validate-ddr3", "--stats", "--trace", str(trace)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "mean |error|" in out
@@ -202,7 +201,7 @@ class TestObservabilityFlags:
         trace = tmp_path / "t.json"
         metrics = tmp_path / "m.json"
         rc = main([
-            "table3", "--stats", "--jobs", "2",
+            "table3", "--stats",
             "--cache", str(tmp_path / "solves.json"),
             "--trace", str(trace), "--metrics", str(metrics),
         ])
@@ -210,7 +209,7 @@ class TestObservabilityFlags:
         assert isinstance(seen["stats"], SweepStats)
         assert isinstance(seen["solve_cache"], SolveCache)
         assert isinstance(seen["obs"], Obs)
-        assert seen["jobs"] == 2
+        assert set(seen) == {"stats", "solve_cache", "obs"}
         assert "L1" in capsys.readouterr().out
         json.loads(trace.read_text())
         json.loads(metrics.read_text())
@@ -300,10 +299,60 @@ class TestResilienceFlags:
         assert "task(s) failed" in err
 
     def test_bad_on_error_value_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main([
-                "cache", "--capacity", "256K", "--on-error", "explode",
-            ])
+        with pytest.raises(SystemExit) as exc:
+            main(["study", "--on-error", "explode"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_table3_resume_restores_finished_rows(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.study.table3 as table3
+
+        built = []
+
+        def fake_row(name):
+            built.append(name)
+            return table3.paper_table3()[name]
+
+        monkeypatch.setattr(table3, "solve_l1", lambda **k: fake_row("L1"))
+        monkeypatch.setattr(table3, "solve_l2", lambda **k: fake_row("L2"))
+        monkeypatch.setattr(
+            table3, "solve_l3", lambda name, **k: fake_row(name)
+        )
+        monkeypatch.setattr(
+            table3, "main_memory_row", lambda **k: fake_row("main")
+        )
+        argv = ["table3", "--resume", str(tmp_path / "table3.journal")]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert len(built) == 8
+        built.clear()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert built == []  # every row came back from the journal
+
+
+class TestSingleSolveFlags:
+    """A single solve runs in-process: the worker-pool and per-task
+    fault-tolerance flags exist only on the multi-task subcommands."""
+
+    @pytest.mark.parametrize("argv", [
+        ["cache", "--capacity", "256K", "--jobs", "2"],
+        ["main-memory", "--capacity", "1G", "--jobs", "2"],
+        ["validate-ddr3", "--jobs", "2"],
+        ["table3", "--jobs", "2"],
+        ["cache", "--capacity", "256K", "--on-error", "skip"],
+        ["main-memory", "--capacity", "1G", "--retries", "3"],
+        ["table3", "--task-timeout", "5"],
+        ["cache", "--capacity", "256K", "--resume", "j.journal"],
+        ["main-memory", "--capacity", "1G", "--resume", "j.journal"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_flag_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestCacheStoreCli:

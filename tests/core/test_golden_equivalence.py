@@ -1,31 +1,28 @@
-"""Golden-equivalence regression: the optimizer fast path changes nothing.
+"""Golden-equivalence regression: the optimizer's layers change nothing.
 
-The fast path is three layers -- structural pre-filter fused into
-enumeration, cross-candidate EvalCache memoization, and the persistent
-solve cache -- and every one of them must be numerically invisible.
-These tests compare against the naive path (full construction of every
-enumerated candidate, no caches) field for field, for SRAM, LP-DRAM, and
-COMM-DRAM arrays at 32 and 78 nm.
+The production sweep is three layers -- the vectorized structural
+pre-filter and survivor kernels, cross-candidate EvalCache memoization,
+and the persistent solve cache -- and every one of them must be
+numerically invisible.  These tests compare against the reference
+oracle (tests/reference_sweep.py: every candidate pre-filtered and
+built one object at a time, no caches) field for field, for SRAM,
+LP-DRAM, and COMM-DRAM arrays at 32 and 78 nm.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.array.organization import (
-    ArraySpec,
-    EvalCache,
-    enumerate_feasible_orgs,
-    enumerate_orgs,
-    prefilter_grid,
-    prefilter_org,
-)
-from repro.core.config import DENSITY_OPTIMIZED, OptimizationTarget
+from repro.array.organization import ArraySpec, EvalCache, derive_geometry
+from repro.array.kernels import survivor_batch
+from repro.core.config import DENSITY_OPTIMIZED, MemorySpec, OptimizationTarget
 from repro.core.optimizer import SweepStats, feasible_designs, optimize
+from repro.core.parallel import parallel_map, worker_eval_cache
 from repro.core.solvecache import SolveCache
 from repro.obs import Obs
 from repro.tech.cells import CellTech
 from repro.tech.nodes import technology
+from tests.reference_sweep import reference_candidates, reference_feasible
 
 
 def sram_spec(capacity_kb: int = 128) -> ArraySpec:
@@ -80,8 +77,8 @@ def assert_metrics_identical(a, b):
 @pytest.mark.parametrize("spec,node,target", GRID)
 def test_fast_path_matches_naive(spec, node, target):
     tech = technology(node)
-    naive = feasible_designs(tech, spec, cache=None, prefilter=False)
-    fast = feasible_designs(tech, spec, cache=EvalCache(), prefilter=True)
+    naive = reference_feasible(tech, spec)
+    fast = feasible_designs(tech, spec, cache=EvalCache())
     assert len(naive) == len(fast)
     for a, b in zip(naive, fast):
         assert_metrics_identical(a, b)
@@ -89,33 +86,41 @@ def test_fast_path_matches_naive(spec, node, target):
 
 @pytest.mark.parametrize("spec,node,target", GRID)
 def test_fused_enumeration_matches_filtered_enumeration(spec, node, target):
-    """enumerate_feasible_orgs == prefilter_org over enumerate_orgs,
-    including candidate order (ranking ties break by that order)."""
-    fused = [org for org, _ in enumerate_feasible_orgs(spec)]
-    filtered = [
-        org for org in enumerate_orgs(spec)
-        if prefilter_org(spec, org) is not None
-    ]
-    assert fused == filtered
+    """The vectorized pre-filter keeps exactly the tuples prefilter_org
+    keeps from enumerate_orgs, in enumeration order (ranking ties break
+    by that order)."""
+    batch = survivor_batch(spec)
+    fused = [batch.org_at(i)[0] for i in range(batch.size)]
+    assert fused == [org for org, _ in reference_candidates(spec)]
 
 
 @pytest.mark.parametrize("spec,node,target", GRID)
 def test_vectorized_grid_matches_fused_enumeration(spec, node, target):
-    """The numpy batch pre-filter produces exactly the fused scalar
-    enumeration: same survivors, same geometries, same order."""
-    assert prefilter_grid(spec) == list(enumerate_feasible_orgs(spec))
+    """Every survivor's batch geometry is the one derive_geometry
+    computes for it, integer for integer."""
+    for org, geometry in survivor_batch(spec).candidates():
+        assert geometry == derive_geometry(spec, org)
+
+
+def _optimize_in_worker(payload):
+    node, spec, target = payload
+    return optimize(
+        technology(node), spec, target, eval_cache=worker_eval_cache()
+    )
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 4])
 @pytest.mark.parametrize("spec,node,target", GRID)
 def test_parallel_optimize_is_bit_identical(spec, node, target, jobs):
-    """optimize(jobs=N) returns field-for-field identical ArrayMetrics
-    to the serial path: sharded workers with worker-local caches change
-    wall time only, never numbers or ranking tie-breaks."""
-    tech = technology(node)
-    serial = optimize(tech, spec, target)
-    sharded = optimize(tech, spec, target, jobs=jobs)
-    assert_metrics_identical(serial, sharded)
+    """Sweeps run inside the coarse-task workers (solve_batch, studies,
+    sensitivity sweeps, cachedb builds) with worker-local eval caches
+    and come home pickled: ``jobs`` worker copies of one optimize return
+    field-for-field the in-process result."""
+    serial = optimize(technology(node), spec, target)
+    for remote in parallel_map(
+        _optimize_in_worker, [(node, spec, target)] * jobs, jobs
+    ):
+        assert_metrics_identical(serial, remote)
 
 
 def _store_spec(backend, tmp_path) -> str:
@@ -158,7 +163,6 @@ def test_solve_batch_bit_identical_on_both_backends(
     cache-free serial path, and a second batch is served entirely from
     the store -- still bit-identical."""
     from repro.core.cacti import solve_batch
-    from repro.core.config import MemorySpec
 
     specs = [
         MemorySpec(
@@ -231,49 +235,61 @@ def test_tracing_is_numerically_invisible(spec, node, target):
     assert len(obs.tracer) > 0  # the trace actually recorded the run
 
 
+def sram_batch() -> list[MemorySpec]:
+    return [
+        MemorySpec(capacity_bytes=capacity_kb << 10, node_nm=32.0)
+        for capacity_kb in (16, 32, 64, 128)
+    ]
+
+
+def assert_solutions_identical(expected, got):
+    assert len(expected) == len(got)
+    for a, b in zip(expected, got):
+        assert_metrics_identical(a.data, b.data)
+        assert_metrics_identical(a.tag, b.tag)
+
+
 @pytest.mark.parametrize("jobs", [1, 2, 4])
 def test_tracing_is_invisible_at_any_job_count(jobs):
     """Trace on/off x jobs {1,2,4}: same numbers every way, including
     the worker-span shipping path."""
-    spec, target = sram_spec(), OptimizationTarget()
-    tech = technology(32.0)
-    plain = optimize(tech, spec, target, jobs=jobs)
-    obs = Obs()
-    traced = optimize(tech, spec, target, jobs=jobs, obs=obs)
-    assert_metrics_identical(plain, traced)
+    from repro.core.cacti import solve_batch
+
+    plain = solve_batch(sram_batch(), jobs=jobs)
+    traced = solve_batch(sram_batch(), jobs=jobs, obs=Obs())
+    assert_solutions_identical(plain, traced)
 
 
-def test_faulted_retry_optimize_is_bit_identical():
-    """Fault tolerance's determinism contract: a sweep whose workers
-    crash mid-run under ``on_error="retry"`` -- one chunk raising, one
-    chunk hard-killing its worker process -- completes with
-    field-for-field identical metrics to the unfaulted serial run.  A
-    retried chunk rebuilds the same designs from the same candidates,
-    and the merge is still candidate-ordered."""
+def test_faulted_retry_solve_batch_is_bit_identical():
+    """Fault tolerance's determinism contract: a batch whose workers
+    crash mid-run under ``on_error="retry"`` -- one solve raising, one
+    hard-killing its worker process -- completes with field-for-field
+    the solutions of the unfaulted serial batch.  A retried task
+    re-solves the same spec, and results stay in spec order."""
+    from repro.core.cacti import solve_batch
     from repro.core.resilience import FaultPlan, FaultSpec, ResiliencePolicy
 
-    spec, target = sram_spec(), OptimizationTarget()
-    tech = technology(32.0)
-    serial = optimize(tech, spec, target)
+    serial = solve_batch(sram_batch(), jobs=1)
     plan = FaultPlan((
-        FaultSpec("optimizer.chunk", 0, "raise", trips=1),
-        FaultSpec("optimizer.chunk", 2, "kill", trips=1),
+        FaultSpec("batch.solve", 0, "raise", trips=1),
+        FaultSpec("batch.solve", 2, "kill", trips=1),
     ))
     stats = SweepStats()
     policy = ResiliencePolicy(
         on_error="retry", max_retries=2, backoff_s=0.01, fault_plan=plan
     )
-    faulted = optimize(
-        tech, spec, target, jobs=2, stats=stats, resilience=policy
+    faulted = solve_batch(
+        sram_batch(), jobs=2, stats=stats, resilience=policy
     )
-    assert_metrics_identical(serial, faulted)
+    assert_solutions_identical(serial, faulted)
+    assert not faulted.failed
     assert stats.retries >= 1  # the raise fault cost one retry
     assert stats.pool_rebuilds >= 1  # the kill fault broke a pool
-    assert stats.tasks_failed == 0  # every chunk eventually completed
+    assert stats.tasks_failed == 0  # every solve eventually completed
 
 
 def test_every_sink_together_is_invisible(tmp_path):
-    """obs + stats + solve cache + workers all at once, still golden."""
+    """obs + stats + solve cache all at once, still golden."""
     spec, target = sram_spec(), OptimizationTarget()
     tech = technology(32.0)
     direct = optimize(tech, spec, target)
@@ -283,7 +299,6 @@ def test_every_sink_together_is_invisible(tmp_path):
         target,
         solve_cache=SolveCache(tmp_path / "solves.json"),
         stats=SweepStats(),
-        jobs=2,
         obs=Obs(),
     )
     assert_metrics_identical(direct, kitchen_sink)

@@ -4,9 +4,10 @@
 the SRAM / LP-DRAM / COMM-DRAM triad -- representative cache solves,
 the paper's Table-3 rows, and the DDR3 validation part -- captured
 *before* the registry refactor (``tools/capture_golden.py``).  These
-tests re-solve the same inputs through the current code and assert
-field-for-field float equality, at several job counts: the registry is
-a pure re-plumbing of the technology axis and must change no numbers.
+tests re-solve the same inputs through the current code -- one solve
+per record, and batches at several job counts on and off the solve
+stores -- and assert field-for-field float equality: the registry is a
+pure re-plumbing of the technology axis and must change no numbers.
 
 JSON round-trips are exact (shortest-repr floats), so ``==`` on the
 re-encoded dicts is bit-identity, not approximation.
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.cacti import solve
+from repro.core.cacti import solve, solve_batch
 from repro.core.config import (
     DENSITY_OPTIMIZED,
     ENERGY_DELAY_OPTIMIZED,
@@ -44,19 +45,10 @@ def reencode(payload):
     return json.loads(json.dumps(payload))
 
 
-@pytest.mark.parametrize("jobs", [1, 2, 4])
-@pytest.mark.parametrize(
-    "record", GOLDEN["solves"], ids=[r["id"] for r in GOLDEN["solves"]]
-)
-def test_solves_match_golden(record, jobs):
-    """Every recorded solve reproduces bit-identically at any job count.
+RECORD_IDS = [r["id"] for r in GOLDEN["solves"]]
 
-    The spec kwargs in the golden file use registry *names* for the
-    technologies; MemorySpec resolves them, so this test exercises the
-    full name -> handle -> traits path.
-    """
-    spec = MemorySpec(**record["spec"])
-    solution = solve(spec, TARGETS[record["target"]], jobs=jobs)
+
+def assert_matches_record(solution, record):
     assert reencode(metrics_to_dict(solution.data)) == record["data"]
     tag = (
         reencode(metrics_to_dict(solution.tag))
@@ -65,13 +57,57 @@ def test_solves_match_golden(record, jobs):
     assert tag == record["tag"]
 
 
+def solve_records(**kwargs):
+    """Every golden record through one ``solve_batch``, in file order."""
+    return solve_batch(
+        [MemorySpec(**r["spec"]) for r in GOLDEN["solves"]],
+        [TARGETS[r["target"]] for r in GOLDEN["solves"]],
+        **kwargs,
+    )
+
+
+@pytest.mark.parametrize("record", GOLDEN["solves"], ids=RECORD_IDS)
+def test_solve_matches_golden(record):
+    """Every recorded solve reproduces bit-identically.
+
+    The spec kwargs in the golden file use registry *names* for the
+    technologies; MemorySpec resolves them, so this test exercises the
+    full name -> handle -> traits path.
+    """
+    spec = MemorySpec(**record["spec"])
+    assert_matches_record(solve(spec, TARGETS[record["target"]]), record)
+
+
+@pytest.fixture(scope="module")
+def batch_solutions():
+    """Batch solutions of the golden records, memoized per job count."""
+    memo = {}
+
+    def at(jobs):
+        if jobs not in memo:
+            memo[jobs] = solve_records(jobs=jobs)
+        return memo[jobs]
+
+    return at
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 4])
+@pytest.mark.parametrize("index", range(len(RECORD_IDS)), ids=RECORD_IDS)
+def test_solves_match_golden(index, jobs, batch_solutions):
+    """The golden records solved as one batch across ``jobs`` worker
+    processes reproduce bit-identically, each at its own slot."""
+    assert_matches_record(
+        batch_solutions(jobs)[index], GOLDEN["solves"][index]
+    )
+
+
 @pytest.mark.parametrize("jobs", [1, 2, 4])
 @pytest.mark.parametrize("backend", ["json", "sqlite"])
 def test_solves_match_golden_through_either_store(backend, jobs, tmp_path):
-    """A persistent solve store must be numerically invisible: solving
-    the golden triad through either backend (cold, then warm from the
-    store) reproduces the recorded numbers bit-identically at any job
-    count."""
+    """A persistent solve store must be numerically invisible: batches
+    of the golden records through either backend (cold, then warm from
+    the store) reproduce the recorded numbers bit-identically at any
+    job count."""
     from repro.core.solvecache import SolveCache
 
     store = (
@@ -80,18 +116,9 @@ def test_solves_match_golden_through_either_store(backend, jobs, tmp_path):
     )
     for _round in ("cold", "warm"):
         cache = SolveCache(store)
-        for record in GOLDEN["solves"]:
-            spec = MemorySpec(**record["spec"])
-            solution = solve(
-                spec, TARGETS[record["target"]], solve_cache=cache,
-                jobs=jobs,
-            )
-            assert reencode(metrics_to_dict(solution.data)) == record["data"]
-            tag = (
-                reencode(metrics_to_dict(solution.tag))
-                if solution.tag is not None else None
-            )
-            assert tag == record["tag"]
+        solutions = solve_records(solve_cache=cache, jobs=jobs)
+        for solution, record in zip(solutions, GOLDEN["solves"]):
+            assert_matches_record(solution, record)
         cache.close()
 
 

@@ -181,11 +181,23 @@ class TestRanking:
             rank_floors([])
 
     def test_precomputed_floors_leave_ranking_unchanged(self, designs):
-        """The hoisted-floors fast path must reproduce the recomputing
-        path's ordering exactly (same objects, same order)."""
+        """rank normalizes by rank_floors: scoring with the precomputed
+        floors reproduces its ordering exactly (same objects, same
+        order)."""
         target = OptimizationTarget(weight_leakage=3.0, weight_cycle=2.0)
+        min_dyn, min_leak, min_cyc, min_int = rank_floors(designs)
+
+        def score(d):
+            return (
+                target.weight_dynamic * d.e_read_access / min_dyn
+                + target.weight_leakage * (d.p_leakage + d.p_refresh)
+                / min_leak
+                + target.weight_cycle * d.t_random_cycle / min_cyc
+                + target.weight_interleave * d.t_interleave / min_int
+            )
+
+        hoisted = sorted(designs, key=score)
         baseline = rank(designs, target)
-        hoisted = rank(designs, target, floors=rank_floors(designs))
         assert [id(d) for d in hoisted] == [id(d) for d in baseline]
 
     def test_weights_steer_selection(self, designs):

@@ -10,7 +10,6 @@ import time
 
 import pytest
 
-from repro.array.organization import EvalCache
 from repro.core.optimizer import SweepStats
 
 
@@ -178,12 +177,3 @@ class TestAbsorbWorker:
         assert top.built == 3
         assert top.worker_time_s == 0.1
         assert top.workers_absorbed == 2  # mid itself + its sub-worker
-
-    def test_eval_cache_marks_unaffected_by_absorb(self):
-        stats = SweepStats()
-        cache = EvalCache()
-        stats._mark_eval_cache(cache)
-        stats.absorb_worker({"subarray_hits": 4})
-        cache.subarray_hits += 1
-        stats._absorb_eval_cache(cache)
-        assert stats.subarray_hits == 5
