@@ -3,6 +3,11 @@
 A functional cache with LRU replacement, used for every level of the
 simulated hierarchy.  Lines carry MESI states so the coherence protocol in
 :mod:`repro.sim.coherence` can track sharing across the private L2s.
+
+Each set is a ``dict`` from tag to :class:`MesiState` whose insertion
+order is the recency order: a hit or a fill moves its tag to the end
+(most recently used), and an eviction takes the first key.  No per-line
+object is allocated.
 """
 
 from __future__ import annotations
@@ -18,11 +23,8 @@ class MesiState(Enum):
     # INVALID lines are simply absent from the cache.
 
 
-@dataclass
-class Line:
-    tag: int
-    state: MesiState
-    last_use: int
+_MODIFIED = MesiState.MODIFIED
+_EXCLUSIVE = MesiState.EXCLUSIVE
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,18 @@ class CacheConfig:
     nbanks: int = 1
 
     def __post_init__(self) -> None:
-        if self.capacity_bytes % (self.block_bytes * self.associativity):
+        for name in ("capacity_bytes", "block_bytes", "associativity"):
+            if getattr(self, name) <= 0:
+                raise ValueError(
+                    f"cache {name} must be positive, got {getattr(self, name)}"
+                )
+        set_bytes = self.block_bytes * self.associativity
+        if self.capacity_bytes < set_bytes:
+            raise ValueError(
+                f"cache capacity {self.capacity_bytes} B holds no set of "
+                f"{set_bytes} B"
+            )
+        if self.capacity_bytes % set_bytes:
             raise ValueError("capacity must divide into full sets")
 
     @property
@@ -50,77 +63,75 @@ class Cache:
 
     def __init__(self, config: CacheConfig):
         self.config = config
-        self._sets: list[dict[int, Line]] = [
-            {} for _ in range(config.num_sets)
+        self._block = config.block_bytes
+        self._nsets = config.num_sets
+        self._assoc = config.associativity
+        self._sets: list[dict[int, MesiState]] = [
+            {} for _ in range(self._nsets)
         ]
-        self._tick = 0
         self.hits = 0
         self.misses = 0
 
     # ------------------------------------------------------------------ #
 
-    def _locate(self, address: int) -> tuple[dict[int, Line], int]:
-        block = address // self.config.block_bytes
-        index = block % self.config.num_sets
-        tag = block // self.config.num_sets
-        return self._sets[index], tag
+    def lookup(self, address: int) -> MesiState | None:
+        """The line's state, or None; never updates recency (for
+        coherence snoops)."""
+        block = address // self._block
+        return self._sets[block % self._nsets].get(block // self._nsets)
 
-    def lookup(self, address: int) -> Line | None:
-        """Probe without updating recency (for coherence snoops)."""
-        ways, tag = self._locate(address)
-        return ways.get(tag)
+    def access(self, address: int, is_write: bool) -> MesiState | None:
+        """Probe and update recency; returns the line's state on a hit,
+        else None.
 
-    def access(self, address: int, is_write: bool) -> Line | None:
-        """Probe and update recency; returns the line on a hit else None.
-
-        A write hit on a SHARED line does *not* silently upgrade -- the
-        coherence layer must invalidate other sharers first and then call
+        A write hit promotes EXCLUSIVE to MODIFIED.  A write hit on a
+        SHARED line does *not* silently upgrade -- the coherence layer
+        must invalidate other sharers first and then call
         :meth:`set_state`.
         """
-        self._tick += 1
-        ways, tag = self._locate(address)
-        line = ways.get(tag)
-        if line is None:
+        block = address // self._block
+        nsets = self._nsets
+        ways = self._sets[block % nsets]
+        tag = block // nsets
+        state = ways.pop(tag, None)
+        if state is None:
             self.misses += 1
             return None
         self.hits += 1
-        line.last_use = self._tick
-        if is_write and line.state is MesiState.EXCLUSIVE:
-            line.state = MesiState.MODIFIED
-        return line
+        if is_write and state is _EXCLUSIVE:
+            state = _MODIFIED
+        ways[tag] = state
+        return state
 
     def fill(self, address: int, state: MesiState) -> tuple[int, bool] | None:
-        """Install a line; returns (victim_address, was_dirty) if one was
-        evicted, else None."""
-        self._tick += 1
-        ways, tag = self._locate(address)
-        victim: tuple[int, bool] | None = None
-        if tag not in ways and len(ways) >= self.config.associativity:
-            lru_tag = min(ways, key=lambda t: ways[t].last_use)
-            old = ways.pop(lru_tag)
-            victim = (
-                self._rebuild_address(address, lru_tag),
-                old.state is MesiState.MODIFIED,
-            )
-        ways[tag] = Line(tag=tag, state=state, last_use=self._tick)
-        return victim
+        """Install a line as most recently used; returns
+        (victim_address, was_dirty) if one was evicted, else None."""
+        block = address // self._block
+        nsets = self._nsets
+        index = block % nsets
+        ways = self._sets[index]
+        tag = block // nsets
+        if ways.pop(tag, None) is None and len(ways) >= self._assoc:
+            lru_tag = next(iter(ways))
+            dirty = ways.pop(lru_tag) is _MODIFIED
+            ways[tag] = state
+            return (lru_tag * nsets + index) * self._block, dirty
+        ways[tag] = state
+        return None
 
     def invalidate(self, address: int) -> bool:
         """Drop a line (coherence); returns True if it was dirty."""
-        ways, tag = self._locate(address)
-        line = ways.pop(tag, None)
-        return line is not None and line.state is MesiState.MODIFIED
+        block = address // self._block
+        ways = self._sets[block % self._nsets]
+        return ways.pop(block // self._nsets, None) is _MODIFIED
 
     def set_state(self, address: int, state: MesiState) -> None:
-        line = self.lookup(address)
-        if line is not None:
-            line.state = state
-
-    def _rebuild_address(self, probe_address: int, victim_tag: int) -> int:
-        block = probe_address // self.config.block_bytes
-        index = block % self.config.num_sets
-        victim_block = victim_tag * self.config.num_sets + index
-        return victim_block * self.config.block_bytes
+        """Change a resident line's state without touching recency."""
+        block = address // self._block
+        ways = self._sets[block % self._nsets]
+        tag = block // self._nsets
+        if tag in ways:
+            ways[tag] = state
 
     # ------------------------------------------------------------------ #
 

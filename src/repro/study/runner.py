@@ -8,7 +8,7 @@ memory-hierarchy power breakdowns, and normalized system energy-delay.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 from repro.core import parallel
@@ -23,6 +23,7 @@ from repro.study.table3 import (
     CPU_HZ,
     build_energy_model,
     build_system_config,
+    check_scale,
 )
 from repro.workloads.npb import NPB_PROFILES
 from repro.workloads.synthetic import WorkloadProfile, event_stream
@@ -153,6 +154,18 @@ def run_one(
     )
 
 
+def publish_sim_counters(obs: Obs, stats: SimStats) -> None:
+    """Add one cell's simulator event counts to ``sim.*`` counters: every
+    :class:`~repro.sim.stats.AccessCounters` field, plus the barrier and
+    lock wait cycles.  Published from the finished ``SimStats``, so the
+    simulator's hot path carries no hooks and every job count reports
+    the same totals."""
+    for name, value in asdict(stats.counters).items():
+        obs.inc(f"sim.{name}", value)
+    obs.inc("sim.barrier_cycles", stats.breakdown.barrier)
+    obs.inc("sim.lock_cycles", stats.breakdown.lock)
+
+
 #: Per-process memo of built configurations and energy models, so a
 #: worker builds each configuration once no matter how many apps it
 #: simulates (the serial path gets the same reuse via the dicts below).
@@ -220,7 +233,9 @@ def run_study(
     app x config cells concurrently in worker processes; every cell's
     simulation is seeded, so the matrix is identical at any job count.
     ``obs`` traces the matrix (one ``study.cell`` span per cell when
-    serial, one enclosing span when parallel) and counts cells run.
+    serial, one enclosing span when parallel), counts cells run, and sums
+    every finished cell's simulator counters into ``sim.*`` counters
+    (:func:`publish_sim_counters`).
 
     ``resilience`` makes the matrix fault tolerant: failed cells are
     retried/skipped/raised per the policy, a journal checkpoints each
@@ -233,8 +248,10 @@ def run_study(
     ``source="cacti"`` solves from the precomputed database.
 
     Duplicate profile names or repeated configuration names would
-    silently overwrite each other's matrix cells, so both raise.
+    silently overwrite each other's matrix cells, so both raise, as does
+    a ``scale`` below 1 (before any cell runs, whatever the policy).
     """
+    check_scale(scale)
     if instructions_per_thread is not None:
         profiles = tuple(
             p.with_instructions(instructions_per_thread) for p in profiles
@@ -300,6 +317,8 @@ def run_study(
             failures.append(outcome)
             continue
         results[(profile.name, config_name)] = outcome
+        if obs is not None:
+            publish_sim_counters(obs, outcome.stats)
     return StudyResult(
         results=results,
         config_names=tuple(configs),

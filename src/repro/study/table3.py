@@ -338,6 +338,12 @@ def _memory_timing_cycles(source: str) -> MemoryTimingCycles:
     )
 
 
+def check_scale(scale: int) -> None:
+    """Reject a capacity-scaling factor that leaves no cache to model."""
+    if scale < 1:
+        raise ValueError(f"scale must be at least 1, got {scale}")
+
+
 def build_system_config(
     name: str, source: str = "paper", scale: int = 16, cachedb=None
 ) -> SystemConfig:
@@ -349,6 +355,7 @@ def build_system_config(
     :class:`~repro.cachedb.CacheDB`) lets the cacti path serve exact
     precomputed solves instead of solving live.
     """
+    check_scale(scale)
     if source == "paper":
         rows = paper_table3()
     elif cachedb is not None:

@@ -92,13 +92,27 @@ class WorkloadProfile:
         return replace(self, instructions_per_thread=count)
 
 
+#: Per-event decision bits of a drawn batch, one flag byte per event.
+_WARM = 1  #: region: warm if set, cold if _COLD is set, else hot
+_COLD = 2
+_RUN = 4  #: continue the sequential run from the previous line
+_WRITE = 8
+_LOCK = 16
+
+
 def event_stream(
     profile: WorkloadProfile,
     thread_id: int,
     num_threads: int,
     seed: int = 1234,
 ) -> Iterator[Event]:
-    """Yield the workload event stream for one hardware thread."""
+    """Yield the workload event stream for one hardware thread.
+
+    Each batch of ``_BATCH`` events is drawn as numpy arrays and at once
+    reduced to compact per-event data -- a flag byte, the instruction
+    gap, the uniform and the ids of the batch's locks -- so a suspended
+    generator holds about 70 KB, not every draw array.
+    """
     # crc32, not hash(): str hashes are salted by PYTHONHASHSEED, which
     # would make "fully seeded" runs differ across sessions and -- under
     # a spawn start method -- between parent and worker processes.
@@ -108,6 +122,12 @@ def event_stream(
     warm_lines = max(1, profile.warm_bytes // LINE_BYTES)
     cold_lines = max(1, profile.cold_bytes // LINE_BYTES)
     hot_base = _HOT_BASE + thread_id * (profile.hot_bytes + (1 << 24))
+    hot_line0 = hot_base // LINE_BYTES
+    warm_line0 = _WARM_BASE // LINE_BYTES
+    cold_line0 = _COLD_BASE // LINE_BYTES
+    warm_skew = profile.warm_skew
+    cpi = profile.cpi
+    lock_hold = profile.lock_hold_cycles
 
     # Streaming slice: each thread walks its own contiguous chunk.
     slice_lines = max(1, cold_lines // num_threads)
@@ -130,35 +150,50 @@ def event_stream(
         regions = rng.random(_BATCH)
         writes = rng.random(_BATCH) < profile.write_fraction
         runs = rng.random(_BATCH)
-        uniforms = rng.random(_BATCH)
+        # Kept as float64: the warm index needs the scalar ``u ** skew``
+        # of each element; a memoryview reads them as Python floats.
+        uniforms = memoryview(rng.random(_BATCH))
         locks = rng.random(_BATCH)
         lock_ids = rng.integers(0, profile.num_locks, _BATCH)
+        # The same float64 comparisons the per-event decisions make, done
+        # per batch; only the flag bytes, the gaps, the uniforms and the
+        # ids of the batch's locks outlive this block.
+        flags = np.where(
+            regions < profile.p_hot, 0,
+            np.where(regions < profile.p_hot + profile.p_warm, _WARM, _COLD),
+        ).astype(np.uint8)
+        flags[runs < run_continue] |= _RUN
+        flags[writes] |= _WRITE
+        lock_mask = locks < lock_prob * gaps
+        flags[lock_mask] |= _LOCK
+        flags = flags.tobytes()
+        batch_locks = iter(lock_ids[lock_mask].tolist())
+        gaps = gaps.tolist()
+        del regions, writes, runs, locks, lock_ids, lock_mask
 
         for i in range(_BATCH):
             if instr_done >= total_instr:
                 return
-            n = int(gaps[i])
+            n = gaps[i]
             instr_done += n
+            f = flags[i]
 
-            if prev_line is not None and runs[i] < run_continue:
+            if prev_line is not None and f & _RUN:
                 line = prev_line + 1
+            elif f & _WARM:
+                line = warm_line0 + int((uniforms[i] ** warm_skew)
+                                        * warm_lines)
+            elif f & _COLD:
+                cold_ptr = (cold_ptr + 1) % cold_lines
+                line = cold_line0 + cold_ptr
             else:
-                r = regions[i]
-                u = uniforms[i]
-                if r < profile.p_hot:
-                    line = hot_base // LINE_BYTES + int(u * hot_lines)
-                elif r < profile.p_hot + profile.p_warm:
-                    idx = int((u ** profile.warm_skew) * warm_lines)
-                    line = _WARM_BASE // LINE_BYTES + idx
-                else:
-                    cold_ptr = (cold_ptr + 1) % cold_lines
-                    line = _COLD_BASE // LINE_BYTES + cold_ptr
+                line = hot_line0 + int(uniforms[i] * hot_lines)
             prev_line = line
-            yield ("step", n, n * profile.cpi, line * LINE_BYTES,
-                   bool(writes[i]))
+            yield ("step", n, n * cpi, line * LINE_BYTES,
+                   (f & _WRITE) != 0)
 
-            if lock_prob and locks[i] < lock_prob * n:
-                yield ("lock", int(lock_ids[i]), profile.lock_hold_cycles)
+            if f & _LOCK:
+                yield ("lock", next(batch_locks), lock_hold)
             if next_barrier is not None and instr_done >= next_barrier:
                 next_barrier += barrier_every
                 yield ("barrier",)

@@ -250,6 +250,17 @@ class TestResilienceFlags:
         assert rc == 2
         assert "cannot sweep" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", ["0", "-4"])
+    def test_study_bad_scale_is_a_clean_error(self, capsys, scale):
+        rc = main([
+            "study", "--apps", "ua.C", "--configs", "nol3",
+            "--instructions", "1000", "--scale", scale,
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "scale must be at least 1" in err
+
     def test_study_command(self, capsys):
         rc = main([
             "study", "--apps", "ua.C", "--configs", "nol3,sram",

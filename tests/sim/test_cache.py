@@ -32,14 +32,42 @@ class TestBasics:
     def test_write_promotes_exclusive_to_modified(self):
         c = make()
         c.fill(0x40, MesiState.EXCLUSIVE)
-        line = c.access(0x40, True)
-        assert line.state is MesiState.MODIFIED
+        assert c.access(0x40, True) is MesiState.MODIFIED
+        assert c.lookup(0x40) is MesiState.MODIFIED
 
     def test_write_does_not_silently_upgrade_shared(self):
         c = make()
         c.fill(0x40, MesiState.SHARED)
-        line = c.access(0x40, True)
-        assert line.state is MesiState.SHARED  # coherence must intervene
+        # coherence must intervene
+        assert c.access(0x40, True) is MesiState.SHARED
+
+    def test_read_hit_returns_state_unchanged(self):
+        c = make()
+        c.fill(0x40, MesiState.EXCLUSIVE)
+        assert c.access(0x40, False) is MesiState.EXCLUSIVE
+
+    def test_set_state_only_changes_resident_lines(self):
+        c = make()
+        c.set_state(0x40, MesiState.MODIFIED)
+        assert c.lookup(0x40) is None
+        c.fill(0x40, MesiState.SHARED)
+        c.set_state(0x40, MesiState.MODIFIED)
+        assert c.lookup(0x40) is MesiState.MODIFIED
+
+    @pytest.mark.parametrize("field", ["capacity_bytes", "block_bytes",
+                                       "associativity"])
+    @pytest.mark.parametrize("value", [0, -4])
+    def test_non_positive_geometry_rejected(self, field, value):
+        geometry = dict(capacity_bytes=8192, block_bytes=64,
+                        associativity=4)
+        geometry[field] = value
+        with pytest.raises(ValueError, match=field):
+            CacheConfig(access_cycles=1, **geometry)
+
+    def test_capacity_below_one_set_rejected(self):
+        with pytest.raises(ValueError, match="no set"):
+            CacheConfig(capacity_bytes=128, block_bytes=64,
+                        associativity=4, access_cycles=1)
 
 
 class TestLru:
@@ -53,6 +81,22 @@ class TestLru:
         victim_addr, dirty = victim
         assert victim_addr == 1 * 64
         assert not dirty
+
+    def test_refill_of_resident_line_makes_it_mru(self):
+        c = make(capacity=2 * 64, block=64, assoc=2)
+        c.fill(0, MesiState.EXCLUSIVE)
+        c.fill(64, MesiState.EXCLUSIVE)
+        assert c.fill(0, MesiState.SHARED) is None  # no eviction
+        assert c.lookup(0) is MesiState.SHARED
+        assert c.fill(128, MesiState.EXCLUSIVE) == (64, False)
+
+    def test_lookup_and_set_state_keep_recency(self):
+        c = make(capacity=2 * 64, block=64, assoc=2)
+        c.fill(0, MesiState.EXCLUSIVE)
+        c.fill(64, MesiState.EXCLUSIVE)
+        c.lookup(0)
+        c.set_state(0, MesiState.MODIFIED)
+        assert c.fill(128, MesiState.EXCLUSIVE) == (0, True)
 
     def test_dirty_eviction_flagged(self):
         c = make(capacity=2 * 64, block=64, assoc=2)

@@ -24,7 +24,7 @@ class TestRead:
         l2s[0].fill(0x100, MesiState.EXCLUSIVE)
         outcome = d.read(1, 0x100)
         assert outcome.source_core == 0
-        assert l2s[0].lookup(0x100).state is MesiState.SHARED
+        assert l2s[0].lookup(0x100) is MesiState.SHARED
         assert not outcome.writeback
 
     def test_read_of_modified_forces_writeback(self):
@@ -34,7 +34,7 @@ class TestRead:
         outcome = d.read(1, 0x100)
         assert outcome.source_core == 0
         assert outcome.writeback
-        assert l2s[0].lookup(0x100).state is MesiState.SHARED
+        assert l2s[0].lookup(0x100) is MesiState.SHARED
 
 
 class TestWrite:
@@ -70,6 +70,33 @@ class TestEviction:
         l2s[0].fill(0x400, MesiState.EXCLUSIVE)
         d.evicted(0, 0x400)
         assert d.sharers(0x400) == []
+
+    def test_sharers_listed_lowest_core_first(self):
+        l2s, d = setup()
+        for core in (3, 0, 2):
+            d.read(core, 0x600)
+            l2s[core].fill(0x600, MesiState.SHARED)
+        assert d.sharers(0x600) == [0, 2, 3]
+        assert d.sharers(0x600, exclude=2) == [0, 3]
+
+    def test_read_sources_from_lowest_holding_peer(self):
+        l2s, d = setup()
+        d.read(1, 0x700)
+        l2s[1].fill(0x700, MesiState.EXCLUSIVE)
+        d.read(2, 0x700)
+        l2s[2].fill(0x700, MesiState.SHARED)
+        outcome = d.read(0, 0x700)
+        assert outcome.source_core == 1
+        assert l2s[1].lookup(0x700) is MesiState.SHARED
+        assert d.sharers(0x700) == [0, 1, 2]
+
+    def test_forget_drops_every_sharer(self):
+        l2s, d = setup()
+        for core in (0, 2):
+            d.read(core, 0x400)
+        d.forget(0x400)
+        assert d.sharers(0x400) == []
+        assert d.state_for_fill(1, 0x400, False) is MesiState.EXCLUSIVE
 
     def test_stale_directory_entry_self_heals(self):
         """If an L2 silently lost a line, the directory cleans up on the

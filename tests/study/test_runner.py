@@ -12,7 +12,10 @@ from repro.core.resilience import (
     ResiliencePolicy,
     TaskFailure,
 )
+from repro.obs import Obs
+from repro.sim.stats import AccessCounters
 from repro.study.runner import run_one, run_study
+from repro.study.table3 import build_system_config
 from repro.workloads.npb import CG_C, FT_B, UA_C
 
 INSTR = 30_000  # small but long enough to warm the scaled caches
@@ -197,3 +200,41 @@ class TestStudyResilience:
         again = run_study(resilience=restored_only, **kwargs)
         restored_only.journal.close()
         assert set(again.results) == set(result.results)
+
+
+class TestScaleValidation:
+    @pytest.mark.parametrize("scale", [0, -4])
+    def test_build_system_config_rejects(self, scale):
+        with pytest.raises(ValueError, match="scale must be at least 1"):
+            build_system_config("sram", scale=scale)
+
+    @pytest.mark.parametrize("scale", [0, -4])
+    def test_run_study_rejects_before_any_cell(self, scale):
+        # Under skip the bad scale must not turn into skipped cells.
+        with pytest.raises(ValueError, match="scale must be at least 1"):
+            run_study(
+                profiles=(UA_C,), configs=("nol3",), scale=scale,
+                instructions_per_thread=FAST_INSTR,
+                resilience=ResiliencePolicy(on_error="skip"),
+            )
+
+
+class TestSimCounters:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_counters_equal_result_sums(self, jobs):
+        obs = Obs()
+        result = run_study(
+            profiles=(UA_C,), configs=("nol3", "sram"),
+            instructions_per_thread=FAST_INSTR, jobs=jobs, obs=obs,
+        )
+        counters = obs.metrics.snapshot()["counters"]
+        runs = list(result.results.values())
+        for name in AccessCounters.__dataclass_fields__:
+            assert counters[f"sim.{name}"] == sum(
+                getattr(r.stats.counters, name) for r in runs
+            ), name
+        assert counters["sim.l1_reads"] > 0
+        assert counters["sim.barrier_cycles"] == sum(
+            r.stats.breakdown.barrier for r in runs)
+        assert counters["sim.lock_cycles"] == sum(
+            r.stats.breakdown.lock for r in runs)
