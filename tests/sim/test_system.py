@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim.cache import CacheConfig
+from repro.sim.cache import CacheConfig, MesiState
+from repro.sim.core import ThreadContext
 from repro.sim.dram_channel import MemoryTimingCycles
 from repro.sim.system import L3Config, System, SystemConfig, run_workload
 
@@ -127,3 +128,53 @@ class TestCoherenceTraffic:
     def test_ipc_definition(self):
         stats = run_workload(config(), lambda tid: iter([compute(100, 50.0)]))
         assert stats.ipc == pytest.approx(400 / 50.0)
+
+
+def thread_on(core):
+    return ThreadContext(thread_id=core, core_id=core, events=iter([]))
+
+
+class TestServiceMemoryRequest:
+    """The per-reference walk, driven one request at a time."""
+
+    def test_cold_read_walks_to_memory_then_hits_l1(self):
+        system = System(config(cores=1, threads=1))
+        thread = thread_on(0)
+        system.service_memory_request(thread, 0x40, False)
+        assert thread.breakdown.memory == thread.time > 0
+        c = system.counters
+        assert (c.l1_reads, c.l2_reads, c.l3_reads, c.crossbar_transfers) \
+            == (1, 1, 1, 1)
+        assert system.memory.stats.reads == 1
+        cold = thread.time
+        system.service_memory_request(thread, 0x40, False)
+        assert thread.time == cold  # an L1 hit stalls nothing
+        assert (c.l1_reads, c.l2_reads) == (2, 1)
+
+    def test_write_to_shared_line_upgrades_and_invalidates_peer(self):
+        system = System(config(cores=2, threads=1))
+        t0, t1 = thread_on(0), thread_on(1)
+        system.service_memory_request(t0, 0x80, False)
+        system.service_memory_request(t1, 0x80, False)  # peer supplies it
+        assert system.l2s[1].lookup(0x80) is MesiState.SHARED
+        before = t1.time
+        system.service_memory_request(t1, 0x80, True)
+        # L1 + L2 miss detection + the invalidation round.
+        assert t1.time - before == 2 + 3 + 8
+        assert system.counters.coherence_invalidations == 1
+        assert system.l2s[0].lookup(0x80) is None
+        assert system.l2s[1].lookup(0x80) is MesiState.MODIFIED
+
+    def test_run_calls_methods_replaced_after_construction(self):
+        system = System(config(cores=1, threads=1))
+        l1 = system.l1s[0]
+        calls = []
+        inner = l1.access
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        l1.access = counted
+        system.run([iter([("mem", 0x40, False), ("mem", 0x40, True)])])
+        assert calls == [(0x40, False), (0x40, True)]
