@@ -64,6 +64,8 @@ class MainMemorySpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cell_tech", CellTech(self.cell_tech))
+        if self.nbanks < 1:
+            raise ValueError(f"nbanks must be >= 1, got {self.nbanks}")
         if self.burst_length > self.prefetch:
             # One column command can only burst out what was prefetched.
             raise ValueError(

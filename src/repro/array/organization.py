@@ -30,6 +30,7 @@ import numpy as _np
 from repro.array.htree import HTree, design_htree
 from repro.array.mat import mats_in_bank
 from repro.array.subarray import InfeasibleSubarray, Subarray
+from repro.circuits.drivers import ChainMetrics
 from repro.tech.cells import CellTech
 from repro.tech.nodes import Technology
 
@@ -120,6 +121,8 @@ class ArraySpec:
         # Accept a registry name for cell_tech; unknown names raise a
         # ValueError listing the registered technologies.
         object.__setattr__(self, "cell_tech", CellTech(self.cell_tech))
+        if self.nbanks < 1:
+            raise ValueError(f"nbanks must be >= 1, got {self.nbanks}")
         if self.capacity_bits % (self.nbanks * self.output_bits * self.assoc):
             raise InfeasibleOrganization(
                 "capacity must divide evenly into banks x sets x output bits"
@@ -287,14 +290,23 @@ class EvalCache:
     Many partitioning tuples share the same ``(rows, cols)`` subarray and
     the same H-tree design inputs; caching those designs makes the sweep
     cost proportional to the number of *distinct* circuit problems rather
-    than the number of candidates.  Safe to share across every solve at
-    one node (keys carry cell technology, periphery, and node); results
-    are bit-identical to uncached construction because the same frozen
-    objects perform the same computations.
+    than the number of candidates.  Distinct subarrays in turn share
+    decoder driver chains: the wordline chain depends only on the
+    columns (through the wordline load) and the row-gate fan-in, the
+    predecode chain only on its load and wire.  ``chains`` memoizes
+    every chain the cache's subarrays size, keyed on the chain's full
+    input tuple (device, feature size, load, wire, fan-in; the
+    wordline load also carries pitch and swing), and lives exactly as
+    long as the cache.  Safe to share
+    across every solve at one node (keys carry cell technology,
+    periphery, and node); results are bit-identical to uncached
+    construction because the same frozen objects perform the same
+    computations.
     """
 
     def __init__(self) -> None:
         self._subarrays: dict[tuple, Subarray] = {}
+        self.chains: dict[tuple, ChainMetrics] = {}
         self._htrees: dict[tuple, HTree] = {}
         self.subarray_hits = 0
         self.subarray_misses = 0
@@ -322,6 +334,7 @@ class EvalCache:
             periph=tech.device(spec.periph_device_type),
             rows=rows,
             cols=cols,
+            chains=self.chains,
         )
         self._subarrays[key] = sub
         return sub

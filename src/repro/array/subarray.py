@@ -21,8 +21,7 @@ without modification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from repro.circuits.decoder import DecoderMetrics, WordlineLoad, design_decoder
 from repro.circuits.drivers import WireLoad
@@ -58,6 +57,32 @@ class InfeasibleSubarray(ValueError):
     """Raised when a candidate subarray violates an electrical constraint."""
 
 
+class cached_property:
+    """A derived term computed on first access and stored on the instance.
+
+    Like :class:`functools.cached_property` minus its lock: before
+    Python 3.12 that takes a class-wide RLock on every computation, a
+    measurable share of a sweep that derives ~20 terms for each of
+    thousands of subarrays.  Subarrays are never shared between threads
+    while their terms are derived, and a term computed twice would be
+    the same float anyway.  As a non-data descriptor it is consulted
+    only until the instance ``__dict__`` holds the value.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 @dataclass(frozen=True)
 class Subarray:
     """One subarray of ``rows x cols`` cells plus its edge circuitry."""
@@ -67,12 +92,17 @@ class Subarray:
     periph: DeviceParams
     rows: int
     cols: int
+    #: Driver-chain memo shared by every subarray of one
+    #: :class:`~repro.array.organization.EvalCache` (see
+    #: :func:`~repro.circuits.decoder.design_decoder`); None designs
+    #: every chain afresh.  Not part of the subarray's identity.
+    chains: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise InfeasibleSubarray("subarray must have >= 1 row and column")
 
-    @property
+    @cached_property
     def traits(self) -> CellTraits:
         """Declared behavior of this subarray's cell technology."""
         return self.cell.tech.traits
@@ -166,6 +196,7 @@ class Subarray:
             self.rows,
             self.wordline_load,
             predec_wire,
+            self.chains,
         )
 
     # ------------------------------------------------------------------ #

@@ -603,6 +603,10 @@ def _run_sweep(args: argparse.Namespace) -> int:
         values = [CellTech(v).value for v in raw]
     else:
         values = [int(v) for v in raw]
+    if args.parameter == "nbanks" and min(values) < 1:
+        # A bank count below one is a malformed request, not a design
+        # point the sweep could report as infeasible.
+        raise ValueError(f"nbanks must be >= 1, got {min(values)}")
     base = MemorySpec(
         capacity_bytes=args.capacity,
         block_bytes=args.block,

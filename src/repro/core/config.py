@@ -93,6 +93,8 @@ class MemorySpec:
             )
         if self.capacity_bytes <= 0 or self.block_bytes <= 0:
             raise ValueError("capacity and block size must be positive")
+        if self.nbanks < 1:
+            raise ValueError(f"nbanks must be >= 1, got {self.nbanks}")
         if self.capacity_bytes % (self.nbanks * self.block_bytes):
             raise ValueError("banks x blocks must divide capacity")
         if self.associativity is not None and self.associativity < 1:

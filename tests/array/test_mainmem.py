@@ -27,6 +27,11 @@ class TestSpec:
         with pytest.raises(ValueError, match="exceeds prefetch"):
             MainMemorySpec(capacity_bits=2**30, burst_length=16, prefetch=8)
 
+    @pytest.mark.parametrize("nbanks", [0, -2])
+    def test_bank_count_below_one_rejected(self, nbanks):
+        with pytest.raises(ValueError, match="nbanks must be >= 1"):
+            MainMemorySpec(capacity_bits=2**30, nbanks=nbanks)
+
     def test_array_spec_carries_page(self):
         spec = MainMemorySpec(capacity_bits=2**30, page_bits=8192)
         assert spec.array_spec().page_bits == 8192

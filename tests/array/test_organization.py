@@ -193,3 +193,8 @@ class TestEnumeration:
                 assoc=8,
                 cell_tech=CellTech.SRAM,
             )
+
+    @pytest.mark.parametrize("nbanks", [0, -2])
+    def test_bank_count_below_one_rejected(self, nbanks):
+        with pytest.raises(ValueError, match="nbanks must be >= 1"):
+            ArraySpec(capacity_bits=1 << 20, output_bits=512, nbanks=nbanks)

@@ -250,6 +250,21 @@ class TestResilienceFlags:
         assert rc == 2
         assert "cannot sweep" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("banks", ["0", "-2"])
+    @pytest.mark.parametrize("command", [
+        ["cache", "--capacity", "2M", "--banks"],
+        ["main-memory", "--capacity", "1G", "--banks"],
+        ["sweep", "--capacity", "256K", "--parameter", "nbanks",
+         "--values"],
+    ], ids=["cache", "main-memory", "sweep"])
+    def test_bank_count_below_one_is_a_clean_error(self, capsys, command,
+                                                   banks):
+        rc = main(command + [banks])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"nbanks must be >= 1, got {banks}" in err
+
     @pytest.mark.parametrize("scale", ["0", "-4"])
     def test_study_bad_scale_is_a_clean_error(self, capsys, scale):
         rc = main([

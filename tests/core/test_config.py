@@ -53,6 +53,11 @@ class TestMemorySpec:
         with pytest.raises(ValueError):
             MemorySpec(capacity_bytes=1 << 20, associativity=0)
 
+    @pytest.mark.parametrize("nbanks", [0, -2])
+    def test_bank_count_below_one_rejected(self, nbanks):
+        with pytest.raises(ValueError, match="nbanks must be >= 1"):
+            MemorySpec(capacity_bytes=2 << 20, nbanks=nbanks)
+
     def test_tag_technology_defaults_to_data(self):
         spec = MemorySpec(capacity_bytes=1 << 20,
                           cell_tech=CellTech.LP_DRAM)
