@@ -18,6 +18,7 @@ import time
 from repro.core.cacti import data_array_spec, solve_batch, tag_array_spec
 from repro.core.config import MemorySpec, OptimizationTarget
 from repro.core.optimizer import SweepStats
+from repro.obs import Obs
 from repro.tech.cells import CellTech
 from repro.tech.nodes import technology
 from tests.reference_sweep import reference_ranked
@@ -48,9 +49,10 @@ def oracle_solve(spec: MemorySpec) -> tuple:
 
 
 def test_bench_kernels_vs_reference_oracle():
-    stats = SweepStats()
+    obs = Obs(trace=False)
+    stats = SweepStats(obs.metrics)
     t0 = time.perf_counter()
-    fast = solve_batch(BATCH, stats=stats, jobs=1)
+    fast = solve_batch(BATCH, obs=obs, jobs=1)
     wall_fast = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -22,6 +22,7 @@ from repro.core.cacti import data_array_spec, solve, tag_array_spec
 from repro.core.config import MemorySpec, OptimizationTarget
 from repro.core.optimizer import SweepStats, feasible_designs, optimize
 from repro.core.solvecache import SolveCache
+from repro.obs import Obs
 from repro.tech.nodes import technology
 from tests.reference_sweep import reference_feasible
 
@@ -113,10 +114,11 @@ def test_fast_path_speedup(tmp_path, benchmark):
     oracle()
     oracle_s = time.perf_counter() - t0
 
-    stats = SweepStats()
+    obs = Obs(trace=False)
+    stats = SweepStats(obs.metrics)
 
     def fast():
-        return solve(spec, stats=stats)
+        return solve(spec, obs=obs)
 
     t0 = time.perf_counter()
     cold = benchmark.pedantic(fast, rounds=1, iterations=1)

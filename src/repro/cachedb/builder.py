@@ -80,7 +80,6 @@ def build_cachedb(
     resilience: ResiliencePolicy | None = None,
     journal_path: str | os.PathLike | None = None,
     solve_cache=None,
-    stats=None,
     obs=None,
 ) -> BuildReport:
     """Solve every cell of ``grid`` and write the artifact to ``path``.
@@ -138,7 +137,6 @@ def build_cachedb(
         specs,
         target,
         solve_cache=solve_cache,
-        stats=stats,
         jobs=jobs,
         obs=obs,
         resilience=resilience,

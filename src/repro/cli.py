@@ -334,14 +334,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _solver_knobs(args: argparse.Namespace) -> tuple:
-    """The optional solve cache, stats accumulator, and tracer for a
-    run."""
+    """The optional solve cache and telemetry sink for a run.
+
+    ``--stats``, ``--trace`` and ``--metrics`` all read the one sink;
+    it records spans only when ``--trace`` asks for them.
+    """
     solve_cache = (
         SolveCache(args.cache_path) if args.cache_path is not None else None
     )
-    stats = SweepStats() if args.stats else None
-    obs = Obs() if (args.trace or args.metrics) else None
-    return solve_cache, stats, obs
+    obs = None
+    if args.stats or args.trace or args.metrics:
+        obs = Obs(trace=args.trace is not None)
+    return solve_cache, obs
 
 
 def _resilience_policy(args: argparse.Namespace) -> ResiliencePolicy | None:
@@ -360,10 +364,10 @@ def _resilience_policy(args: argparse.Namespace) -> ResiliencePolicy | None:
     )
 
 
-def _print_stats(stats: SweepStats | None) -> None:
-    if stats is not None:
+def _print_stats(args: argparse.Namespace, obs: Obs | None) -> None:
+    if args.stats:
         print()
-        print(stats.summary())
+        print(SweepStats(obs.metrics).summary())
 
 
 def _write_obs(args: argparse.Namespace, obs: Obs | None) -> None:
@@ -427,7 +431,7 @@ def _run_cache(args: argparse.Namespace) -> int:
             CellTech(args.tag_tech) if args.tag_tech is not None else None
         ),
     )
-    solve_cache, stats, obs = _solver_knobs(args)
+    solve_cache, obs = _solver_knobs(args)
     cachedb = None
     if args.cachedb is not None:
         from repro.cachedb import CacheDB
@@ -437,12 +441,11 @@ def _run_cache(args: argparse.Namespace) -> int:
         spec,
         _PRESETS[args.optimize],
         solve_cache=solve_cache,
-        stats=stats,
         obs=obs,
         cachedb=cachedb,
     )
     print(solution.summary())
-    _print_stats(stats)
+    _print_stats(args, obs)
     _write_obs(args, obs)
     return 0
 
@@ -455,16 +458,15 @@ def _run_main_memory(args: argparse.Namespace) -> int:
         burst_length=args.burst,
         page_bits=args.page,
     )
-    solve_cache, stats, obs = _solver_knobs(args)
+    solve_cache, obs = _solver_knobs(args)
     solution = solve_main_memory(
         spec,
         node_nm=args.node,
         solve_cache=solve_cache,
-        stats=stats,
         obs=obs,
     )
     print(solution.summary())
-    _print_stats(stats)
+    _print_stats(args, obs)
     _write_obs(args, obs)
     return 0
 
@@ -472,10 +474,10 @@ def _run_main_memory(args: argparse.Namespace) -> int:
 def _run_validate(args: argparse.Namespace) -> int:
     from repro.validation.compare import validate_ddr3
 
-    solve_cache, stats, obs = _solver_knobs(args)
-    validation = validate_ddr3(solve_cache=solve_cache, stats=stats, obs=obs)
+    solve_cache, obs = _solver_knobs(args)
+    validation = validate_ddr3(solve_cache=solve_cache, obs=obs)
     print(validation.report())
-    _print_stats(stats)
+    _print_stats(args, obs)
     _write_obs(args, obs)
     return 0
 
@@ -483,15 +485,13 @@ def _run_validate(args: argparse.Namespace) -> int:
 def _run_table3(args: argparse.Namespace) -> int:
     from repro.study.table3 import solve_table3
 
-    solve_cache, stats, obs = _solver_knobs(args)
+    solve_cache, obs = _solver_knobs(args)
     resilience = _resilience_policy(args)
     # Pass only the live knobs: a knob-free call keeps table3's memo of
     # already-solved rows (and a second `repro table3` stays fast).
     knobs = {}
     if solve_cache is not None:
         knobs["solve_cache"] = solve_cache
-    if stats is not None:
-        knobs["stats"] = stats
     if obs is not None:
         knobs["obs"] = obs
     if resilience is not None:
@@ -505,7 +505,7 @@ def _run_table3(args: argparse.Namespace) -> int:
             f"leak={row.leakage_w:.3f} W  refresh={row.refresh_w:.4f} W  "
             f"E_rd={row.e_read_nj:.2f} nJ"
         )
-    _print_stats(stats)
+    _print_stats(args, obs)
     _write_obs(args, obs)
     return 0
 
@@ -543,7 +543,7 @@ def _run_study(args: argparse.Namespace) -> int:
                 f"unknown configuration(s) {unknown}; "
                 f"choose from {list(CONFIG_NAMES)}"
             )
-    _solve_cache, stats, obs = _solver_knobs(args)
+    _solve_cache, obs = _solver_knobs(args)
     result = run_study(
         profiles=profiles,
         configs=configs,
@@ -554,7 +554,6 @@ def _run_study(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         obs=obs,
         resilience=_resilience_policy(args),
-        stats=stats,
         cachedb=args.cachedb,
     )
     header = "app".ljust(10) + "".join(c.rjust(12) for c in configs)
@@ -577,7 +576,7 @@ def _run_study(args: argparse.Namespace) -> int:
                 f"{result.mean_energy_delay_improvement(config) * 100:+5.1f}%"
             )
     _print_failures(result.failed)
-    _print_stats(stats)
+    _print_stats(args, obs)
     _write_obs(args, obs)
     return 0
 
@@ -615,14 +614,13 @@ def _run_sweep(args: argparse.Namespace) -> int:
         node_nm=args.node,
         cell_tech=CellTech(args.tech),
     )
-    solve_cache, stats, obs = _solver_knobs(args)
+    solve_cache, obs = _solver_knobs(args)
     result = sweep(
         base,
         args.parameter,
         values,
         _PRESETS[args.optimize],
         solve_cache=solve_cache,
-        stats=stats,
         jobs=args.jobs,
         obs=obs,
         resilience=_resilience_policy(args),
@@ -644,7 +642,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
     print()
     print(result.report())
     _print_failures(result.failed)
-    _print_stats(stats)
+    _print_stats(args, obs)
     _write_obs(args, obs)
     return 0
 
@@ -674,7 +672,7 @@ def _run_cachedb(args: argparse.Namespace) -> int:
                 else ()
             ),
         )
-        solve_cache, stats, obs = _solver_knobs(args)
+        solve_cache, obs = _solver_knobs(args)
         report = build_cachedb(
             args.path,
             grid,
@@ -682,11 +680,10 @@ def _run_cachedb(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             resilience=_resilience_policy(args),
             solve_cache=solve_cache,
-            stats=stats,
             obs=obs,
         )
         print(report.summary())
-        _print_stats(stats)
+        _print_stats(args, obs)
         _write_obs(args, obs)
         return 0
 

@@ -20,6 +20,11 @@ takes ``jobs`` -- ``1`` (the default) is the plain serial path, ``N >
 available cores, and ``"auto"`` picks serial or all cores from the
 machine and the batch size.  Results are bit-identical at any job
 count -- parallelism only changes wall time.
+
+Telemetry has one sink: every entry point takes an optional ``obs``
+(:class:`~repro.obs.Obs`), worker payloads merge into it through
+:meth:`~repro.obs.Obs.absorb_worker`, and
+``SweepStats(obs.metrics)`` reads the sweep counters back.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from repro.core.resilience import ResiliencePolicy, TaskFailure, task_key
 from repro.core.results import Solution
 from repro.core.solvecache import SolveCache, account_store as _account_store
 from repro.obs import Obs, maybe_span
+from repro.obs import phase as obs_phase
 from repro.tech.nodes import Technology, technology
 
 
@@ -101,7 +107,6 @@ def solve(
     *,
     eval_cache: EvalCache | None = None,
     solve_cache: SolveCache | None = None,
-    stats: SweepStats | None = None,
     obs: Obs | None = None,
     cachedb=None,
 ) -> Solution:
@@ -110,9 +115,10 @@ def solve(
     ``eval_cache`` shares circuit designs across candidates and solves
     (a fresh one spanning the data and tag sweeps is created when
     omitted); ``solve_cache`` short-circuits whole repeated solves from
-    disk (flushed once at the solve boundary); ``stats`` accumulates
-    :class:`~repro.core.optimizer.SweepStats` counters; ``obs`` records
-    a ``solve`` span with nested data/tag array sweeps.  ``cachedb`` (a
+    disk (flushed once at the solve boundary); ``obs`` counts the sweep
+    (read it through :class:`~repro.core.optimizer.SweepStats`) and,
+    when it traces, records a ``solve`` span with nested data/tag array
+    sweeps.  ``cachedb`` (a
     :class:`~repro.cachedb.CacheDB`) is consulted first: an exact
     precomputed hit -- bit-identical to solving live -- returns in
     microseconds, anything else falls through to the solver.  None of
@@ -144,7 +150,6 @@ def solve(
                     target,
                     eval_cache=eval_cache,
                     solve_cache=solve_cache,
-                    stats=stats,
                     obs=obs,
                 )
             tag = None
@@ -156,12 +161,11 @@ def solve(
                         target,
                         eval_cache=eval_cache,
                         solve_cache=solve_cache,
-                        stats=stats,
                         obs=obs,
                     )
         # The boundary flush just ran (unless an enclosing batch defers
-        # it further); drain its store events into the run's sinks.
-        _account_store(solve_cache, stats, obs)
+        # it further); drain its store events into the run's sink.
+        _account_store(solve_cache, obs)
     return Solution(spec=spec, data=data, tag=tag)
 
 
@@ -181,32 +185,26 @@ class BatchOutcome(list):
         self.failed: tuple[TaskFailure, ...] = tuple(failed)
 
 
-def _solve_batch_task(payload: tuple) -> tuple[Solution, dict]:
+def _solve_batch_task(payload: tuple) -> tuple[Solution, dict | None]:
     """Worker task: one full spec solve with worker-local caches.
 
     The worker keeps one :class:`SolveCache` per shared path for its
     whole life (safe: saves are atomic and merge concurrently-written
     records; worker-local memoization means the JSON records parse once
-    per worker, not once per task) and ships its :class:`SweepStats`
-    home as a plain dict -- with its local spans/metrics under
-    ``"obs"`` when the parent traces.
+    per worker, not once per task).  It records into the same kind of
+    :class:`~repro.obs.Obs` as the parent holds and ships its
+    ``export_payload()`` home -- or None when the parent has no sink.
     """
-    spec, target, cache_path, with_obs = payload
-    stats = SweepStats()
-    obs = Obs() if with_obs else None
-    solve_cache = parallel.worker_solve_cache(cache_path)
+    spec, target, cache_path, kind = payload
+    obs = parallel.worker_obs(kind)
     solution = solve(
         spec,
         target,
         eval_cache=parallel.worker_eval_cache(),
-        solve_cache=solve_cache,
-        stats=stats,
+        solve_cache=parallel.worker_solve_cache(cache_path),
         obs=obs,
     )
-    stats_dict = stats.as_dict()
-    if obs is not None:
-        stats_dict["obs"] = obs.export_payload()
-    return solution, stats_dict
+    return solution, obs.export_payload() if obs is not None else None
 
 
 def solve_batch(
@@ -215,7 +213,6 @@ def solve_batch(
     *,
     eval_cache: EvalCache | None = None,
     solve_cache: SolveCache | None = None,
-    stats: SweepStats | None = None,
     jobs: int | str = 1,
     obs: Obs | None = None,
     resilience: ResiliencePolicy | None = None,
@@ -226,11 +223,11 @@ def solve_batch(
     ``specs``.  With ``jobs > 1`` the specs are solved concurrently in
     worker processes; each worker shares the persistent ``solve_cache``
     by path (atomic merge-on-save writes make concurrent writers safe)
-    and ships its sweep stats -- and spans/metrics when ``obs`` is
-    given -- back for absorption.  The serial path defers solve-cache
-    flushes to the batch boundary, so the cache file is rewritten once
-    per batch, not once per record.  The returned solutions are
-    bit-identical to the serial path at any job count.
+    and, when ``obs`` is given, ships its metrics -- and spans, when
+    ``obs`` traces -- back for absorption.  The serial path defers
+    solve-cache flushes to the batch boundary, so the cache file is
+    rewritten once per batch, not once per record.  The returned
+    solutions are bit-identical to the serial path at any job count.
 
     ``resilience`` makes the batch fault tolerant: failed solves are
     retried/skipped/raised per the policy, a journal checkpoints each
@@ -250,14 +247,11 @@ def solve_batch(
     # Spec-level parallelism is coarse, so ``auto`` only needs two
     # specs (and more than one core) to be worth a pool.
     jobs = parallel.effective_jobs(jobs, len(specs))
-    t0 = time.perf_counter()
-    if resilience is not None:
-        return _solve_batch_resilient(
-            specs, targets, solve_cache, stats, jobs, obs, resilience, t0
-        )
-    with maybe_span(
-        obs, "batch", specs=len(specs), jobs=jobs
-    ) as batch_span:
+    with obs_phase("batch", obs, specs=len(specs), jobs=jobs):
+        if resilience is not None:
+            return _solve_batch_resilient(
+                specs, targets, solve_cache, jobs, obs, resilience
+            )
         if jobs == 1 or len(specs) <= 1:
             # Serial: one EvalCache spans the whole batch, so repeated
             # subarray/H-tree problems are solved once across specs;
@@ -271,57 +265,48 @@ def solve_batch(
                         tgt,
                         eval_cache=eval_cache,
                         solve_cache=solve_cache,
-                        stats=stats,
                         obs=obs,
                     )
                     for spec, tgt in zip(specs, targets)
                 ]
             # Drain the batch-boundary flush that the context exit
             # above just performed.
-            _account_store(solve_cache, stats, obs)
-        else:
-            cache_path = (
-                solve_cache.url if solve_cache is not None else None
-            )
-            results = parallel.parallel_map(
-                _solve_batch_task,
-                [
-                    (spec, tgt, cache_path, obs is not None)
-                    for spec, tgt in zip(specs, targets)
-                ],
-                jobs,
-            )
-            solutions = []
-            worker_wall = 0.0
-            for solution, worker_stats in results:
-                solutions.append(solution)
-                worker_wall += worker_stats.get("wall_time_s", 0.0)
-                if stats is not None:
-                    stats.absorb_worker(worker_stats)
-                if obs is not None:
-                    obs.absorb_worker(worker_stats.get("obs"))
-            if solve_cache is not None:
-                # Pick up the records the workers just wrote to disk.
-                solve_cache.refresh()
-                # Counter deltas arrived inside the worker stats; this
-                # refreshes the parent-side records/bytes gauges.
-                _account_store(solve_cache, stats, obs)
-            if obs is not None and batch_span is not None:
-                elapsed = time.perf_counter() - t0
-                if elapsed > 0:
-                    obs.gauge(
-                        "parallel.worker_utilization",
-                        worker_wall / (elapsed * jobs),
-                    )
-    if stats is not None:
-        stats.add_phase_time("batch", time.perf_counter() - t0)
-    if obs is not None:
-        obs.observe("phase.batch_s", time.perf_counter() - t0)
-    return solutions
+            _account_store(solve_cache, obs)
+            return solutions
+        t0 = time.perf_counter()
+        cache_path = solve_cache.url if solve_cache is not None else None
+        results = parallel.parallel_map(
+            _solve_batch_task,
+            [
+                (spec, tgt, cache_path, parallel.obs_kind(obs))
+                for spec, tgt in zip(specs, targets)
+            ],
+            jobs,
+        )
+        solutions = [solution for solution, _ in results]
+        if solve_cache is not None:
+            # Pick up the records the workers just wrote to disk.
+            solve_cache.refresh()
+        if obs is not None:
+            stats = SweepStats(obs.metrics)
+            worker_wall = stats.worker_time_s
+            for _, payload in results:
+                obs.absorb_worker(payload)
+            worker_wall = stats.worker_time_s - worker_wall
+            # Counter deltas arrived inside the worker payloads; this
+            # refreshes the parent-side records/bytes gauges.
+            _account_store(solve_cache, obs)
+            elapsed = time.perf_counter() - t0
+            if elapsed > 0:
+                obs.gauge(
+                    "parallel.worker_utilization",
+                    worker_wall / (elapsed * jobs),
+                )
+        return solutions
 
 
 def _solve_batch_resilient(
-    specs, targets, solve_cache, stats, jobs, obs, resilience, t0
+    specs, targets, solve_cache, jobs, obs, resilience
 ) -> BatchOutcome:
     """The fault-tolerant batch path (any job count).
 
@@ -330,9 +315,7 @@ def _solve_batch_resilient(
     and vice versa; in-process execution reuses the process-local
     eval/solve caches exactly as a worker would.
     """
-    cache_path = (
-        solve_cache.url if solve_cache is not None else None
-    )
+    cache_path = solve_cache.url if solve_cache is not None else None
     keys = None
     if resilience.journal is not None:
         keys = [
@@ -342,20 +325,18 @@ def _solve_batch_resilient(
             )
             for spec, tgt in zip(specs, targets)
         ]
-    with maybe_span(obs, "batch", specs=len(specs), jobs=jobs):
-        outcomes = parallel.parallel_map(
-            _solve_batch_task,
-            [
-                (spec, tgt, cache_path, obs is not None)
-                for spec, tgt in zip(specs, targets)
-            ],
-            jobs,
-            obs=obs,
-            span_name="batch.solve",
-            resilience=resilience,
-            keys=keys,
-            stats=stats,
-        )
+    outcomes = parallel.parallel_map(
+        _solve_batch_task,
+        [
+            (spec, tgt, cache_path, parallel.obs_kind(obs))
+            for spec, tgt in zip(specs, targets)
+        ],
+        jobs,
+        obs=obs,
+        span_name="batch.solve",
+        resilience=resilience,
+        keys=keys,
+    )
     solutions = []
     failures = []
     for outcome in outcomes:
@@ -363,19 +344,13 @@ def _solve_batch_resilient(
             failures.append(outcome)
             solutions.append(None)
             continue
-        solution, worker_stats = outcome
+        solution, payload = outcome
         solutions.append(solution)
-        if stats is not None:
-            stats.absorb_worker(worker_stats)
         if obs is not None:
-            obs.absorb_worker(worker_stats.get("obs"))
+            obs.absorb_worker(payload)
     if solve_cache is not None:
         solve_cache.refresh()
-        _account_store(solve_cache, stats, obs)
-    if stats is not None:
-        stats.add_phase_time("batch", time.perf_counter() - t0)
-    if obs is not None:
-        obs.observe("phase.batch_s", time.perf_counter() - t0)
+        _account_store(solve_cache, obs)
     return BatchOutcome(solutions, failures)
 
 
@@ -471,7 +446,6 @@ def solve_main_memory(
     *,
     eval_cache: EvalCache | None = None,
     solve_cache: SolveCache | None = None,
-    stats: SweepStats | None = None,
     obs: Obs | None = None,
 ) -> MainMemorySolution:
     """Solve a main-memory DRAM chip at ``node_nm``.
@@ -494,7 +468,6 @@ def solve_main_memory(
             target,
             eval_cache=eval_cache,
             solve_cache=solve_cache,
-            stats=stats,
             obs=obs,
         )
         with maybe_span(obs, "derive_interface"):
@@ -515,10 +488,11 @@ class CactiD:
     designs (subarrays, H-trees, repeated wires) are shared across every
     solve issued through the facade, and -- when ``cache_path`` is given
     -- a persistent :class:`~repro.core.solvecache.SolveCache` so whole
-    repeated solves are served from disk across processes.  ``stats``
-    accumulates sweep observability counters over the facade's
-    lifetime; pass ``obs`` (an :class:`~repro.obs.Obs`) to also record
-    tracing spans and metrics across every solve issued through it.
+    repeated solves are served from disk across processes.  Every solve
+    issued through the facade counts into ``obs`` -- a metrics-only
+    ``Obs(trace=False)`` unless one is passed (pass ``Obs()`` to also
+    record tracing spans) -- and :attr:`stats` reads the sweep counters
+    back as a :class:`~repro.core.optimizer.SweepStats` view.
 
     ``cachedb`` -- a :class:`~repro.cachedb.CacheDB` or an artifact
     path -- puts a precomputed design-space database in front of the
@@ -541,8 +515,7 @@ class CactiD:
         self.solve_cache = (
             SolveCache(cache_path) if cache_path is not None else None
         )
-        self.stats = SweepStats()
-        self.obs = obs
+        self.obs = obs if obs is not None else Obs(trace=False)
         self.resilience = resilience
         if cachedb is not None and not hasattr(cachedb, "lookup_exact"):
             # A path: open it through the per-process reader memo.
@@ -550,6 +523,11 @@ class CactiD:
 
             cachedb = open_cachedb(cachedb)
         self.cachedb = cachedb
+
+    @property
+    def stats(self) -> SweepStats:
+        """The facade's sweep counters, read from ``obs``."""
+        return SweepStats(self.obs.metrics)
 
     @cached_property
     def technology(self) -> Technology:
@@ -566,7 +544,6 @@ class CactiD:
             target,
             eval_cache=self.eval_cache,
             solve_cache=self.solve_cache,
-            stats=self.stats,
             obs=self.obs,
             cachedb=self.cachedb,
         )
@@ -583,7 +560,8 @@ class CactiD:
 
         Serial batches reuse the facade's EvalCache; parallel batches
         share the facade's persistent solve cache by path, and every
-        worker's sweep counters land in ``self.stats``.
+        worker's sweep counters land in ``self.obs`` (read them through
+        ``self.stats``).
         """
         for spec in specs:
             self._check_node(spec)
@@ -592,7 +570,6 @@ class CactiD:
             target,
             eval_cache=self.eval_cache,
             solve_cache=self.solve_cache,
-            stats=self.stats,
             jobs=jobs,
             obs=self.obs,
             resilience=self.resilience,
@@ -611,7 +588,6 @@ class CactiD:
             clock_period,
             eval_cache=self.eval_cache,
             solve_cache=self.solve_cache,
-            stats=self.stats,
             obs=self.obs,
         )
 

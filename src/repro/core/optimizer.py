@@ -23,15 +23,13 @@ The sweep runs as one pipeline that changes none of those numbers:
 * an optional persistent :class:`~repro.core.solvecache.SolveCache`
   short-circuits whole repeated solves from disk.
 
-:class:`SweepStats` counts what each layer did so speedups are
-measurable.
+An optional :class:`~repro.obs.Obs` counts what each layer did so
+speedups are measurable; :class:`SweepStats` reads those counts back.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 from repro.array.organization import (
     ArrayMetrics,
@@ -45,7 +43,7 @@ from repro.array.organization import (
 from repro.array import kernels
 from repro.core.config import OptimizationTarget
 from repro.core.solvecache import account_store as _account_store
-from repro.obs import Obs, maybe_span
+from repro.obs import MetricsRegistry, Obs, maybe_span
 from repro.obs import phase as obs_phase
 from repro.tech.nodes import Technology
 
@@ -54,62 +52,82 @@ class NoFeasibleSolution(RuntimeError):
     """No partitioning tuple could realize the requested array."""
 
 
-@dataclass
-class SweepStats:
-    """Observability counters for one or more optimizer sweeps.
+#: Each counter field of :class:`SweepStats` and the registry name it
+#: reads.  ``wall_time_s`` is this process's optimizer wall time and
+#: ``worker_time_s`` the workers' summed; ``prefiltered`` counts the
+#: candidates the cheap structural pre-filter rejected.
+SWEEP_METRICS = {
+    "enumerated": "optimizer.enumerated",
+    "prefiltered": "optimizer.prefiltered",
+    "built": "optimizer.built",
+    "infeasible_at_build": "optimizer.infeasible_at_build",
+    "feasible": "optimizer.feasible",
+    "subarray_hits": "eval_cache.subarray.hits",
+    "subarray_misses": "eval_cache.subarray.misses",
+    "htree_hits": "eval_cache.htree.hits",
+    "htree_misses": "eval_cache.htree.misses",
+    "solve_cache_hits": "solve_cache.hits",
+    "solve_cache_misses": "solve_cache.misses",
+    "store_evictions": "store.evictions",
+    "store_flush_writes": "store.flush_writes",
+    "retries": "resilience.retries",
+    "pool_rebuilds": "resilience.pool_rebuilds",
+    "timeouts": "resilience.timeouts",
+    "tasks_failed": "resilience.tasks_failed",
+    "wall_time_s": "optimizer.wall_s",
+    "worker_time_s": "worker.optimizer.wall_s",
+    "workers_absorbed": "parallel.workers_absorbed",
+}
 
-    Accumulates in place: pass the same instance to several solves (as
-    the :class:`~repro.core.cacti.CactiD` facade does) to get totals.
+#: The order phases run in a solve, which is the order they print.
+_PHASE_ORDER = ("prefilter", "build", "rank", "batch")
+
+
+class SweepStats:
+    """Read-only view of the sweep counters in an Obs metrics registry.
+
+    Every field reads one registry name (:data:`SWEEP_METRICS`); the
+    phase timers read the ``phase.<name>_s`` histogram sums and the
+    worker phase timers the ``worker.phase.<name>_s`` ones, which
+    :meth:`repro.obs.Obs.absorb_worker` keeps apart so the parent's
+    phase report stays wall-clock true (concurrent workers sum to more
+    CPU than wall time).  The view never creates an instrument.
     """
 
-    enumerated: int = 0  #: candidate tuples enumerated
-    prefiltered: int = 0  #: rejected by the cheap structural pre-filter
-    built: int = 0  #: full circuit constructions attempted
-    infeasible_at_build: int = 0  #: rejected by electrical checks at build
-    feasible: int = 0  #: designs that survived to ranking
-    subarray_hits: int = 0  #: subarray designs reused from the eval cache
-    subarray_misses: int = 0
-    htree_hits: int = 0  #: H-tree designs reused from the eval cache
-    htree_misses: int = 0
-    solve_cache_hits: int = 0  #: whole solves served from the disk cache
-    solve_cache_misses: int = 0
-    store_evictions: int = 0  #: records LRU-evicted by a bounded store
-    store_flush_writes: int = 0  #: store saves actually written to disk
-    retries: int = 0  #: task attempts re-run under a resilience policy
-    pool_rebuilds: int = 0  #: worker pools torn down and rebuilt
-    timeouts: int = 0  #: tasks cancelled for exceeding their wall clock
-    tasks_failed: int = 0  #: tasks that failed terminally (skip/retry)
-    wall_time_s: float = 0.0  #: total optimizer wall time
-    worker_time_s: float = 0.0  #: wall time summed across worker processes
-    workers_absorbed: int = 0  #: worker stats payloads merged in
-    phase_times: dict = field(default_factory=dict)  #: named phase timers
-    #: Phase timers absorbed from worker payloads.  Kept separate from
-    #: ``phase_times`` so the parent's phase report stays wall-clock
-    #: true: at jobs=N a batch runs its workers concurrently, and
-    #: summing their per-phase CPU into the parent's timers would
-    #: report more build time than the run's actual wall time.
-    worker_phase_times: dict = field(default_factory=dict)
+    __slots__ = ("metrics",)
 
-    #: Counter fields summable across worker payloads.
-    _ABSORBABLE = (
-        "enumerated",
-        "prefiltered",
-        "built",
-        "infeasible_at_build",
-        "feasible",
-        "subarray_hits",
-        "subarray_misses",
-        "htree_hits",
-        "htree_misses",
-        "solve_cache_hits",
-        "solve_cache_misses",
-        "store_evictions",
-        "store_flush_writes",
-        "retries",
-        "pool_rebuilds",
-        "timeouts",
-        "tasks_failed",
-    )
+    def __init__(self, metrics: MetricsRegistry):
+        self.metrics = metrics
+
+    def __getattr__(self, field_name: str):
+        try:
+            name = SWEEP_METRICS[field_name]
+        except KeyError:
+            raise AttributeError(field_name) from None
+        counter = self.metrics.counters.get(name)
+        if counter is not None:
+            return counter.value
+        return 0.0 if name.endswith("_s") else 0
+
+    def _phases(self, prefix: str) -> dict:
+        found = {
+            name[len(prefix):-len("_s")]: h.total
+            for name, h in self.metrics.histograms.items()
+            if name.startswith(prefix) and name.endswith("_s")
+        }
+        ordered = {name: found.pop(name)
+                   for name in _PHASE_ORDER if name in found}
+        return {**ordered, **found}
+
+    @property
+    def phase_times(self) -> dict:
+        """Wall time per phase run in this process."""
+        return self._phases("phase.")
+
+    @property
+    def worker_phase_times(self) -> dict:
+        """CPU time per phase summed across absorbed worker payloads."""
+        return self._phases("worker.phase.")
 
     @property
     def prefilter_rate(self) -> float:
@@ -150,8 +168,8 @@ class SweepStats:
             "wall_time_s": self.wall_time_s,
             "worker_time_s": self.worker_time_s,
             "workers_absorbed": self.workers_absorbed,
-            "phase_times": dict(self.phase_times),
-            "worker_phase_times": dict(self.worker_phase_times),
+            "phase_times": self.phase_times,
+            "worker_phase_times": self.worker_phase_times,
         }
 
     def summary(self) -> str:
@@ -199,79 +217,20 @@ class SweepStats:
             )
         return "\n".join(lines)
 
-    # ------------------------------------------------------------------ #
 
-    def add_phase_time(self, name: str, seconds: float) -> None:
-        """Accumulate wall time into the named phase timer."""
-        self.phase_times[name] = self.phase_times.get(name, 0.0) + seconds
-
-    def add_worker_phase_time(self, name: str, seconds: float) -> None:
-        """Accumulate worker CPU time into the named worker phase timer."""
-        self.worker_phase_times[name] = (
-            self.worker_phase_times.get(name, 0.0) + seconds
-        )
-
-    @contextmanager
-    def phase(self, name: str):
-        """Context manager timing one phase of a sweep by wall clock."""
-        t0 = time.perf_counter()
-        try:
-            yield self
-        finally:
-            self.add_phase_time(name, time.perf_counter() - t0)
-
-    def absorb_worker(self, payload: dict) -> None:
-        """Merge a stats payload shipped back from a worker process.
-
-        Accepts a full ``as_dict()`` snapshot of a worker-side
-        SweepStats (from batch solves and sweeps) or any dict of counter
-        deltas.  Unknown keys -- derived rates,
-        pids -- are ignored; worker wall time lands in
-        ``worker_time_s``, never ``wall_time_s``, and worker phase
-        timers land in ``worker_phase_times``, never ``phase_times``,
-        so the parent's own wall-clock measurements stay meaningful
-        (concurrent workers sum to more CPU than wall time).
-        """
-        for name in self._ABSORBABLE:
-            value = payload.get(name, 0)
-            if value:
-                setattr(self, name, getattr(self, name) + value)
-        self.worker_time_s += payload.get(
-            "worker_wall_time_s", payload.get("wall_time_s", 0.0)
-        )
-        self.worker_time_s += payload.get("worker_time_s", 0.0)
-        for name, seconds in (payload.get("phase_times") or {}).items():
-            self.add_worker_phase_time(name, seconds)
-        # A worker that itself absorbed sub-workers forwards their
-        # phase CPU under this key; it stays worker-side here too.
-        for name, seconds in (
-            payload.get("worker_phase_times") or {}
-        ).items():
-            self.add_worker_phase_time(name, seconds)
-        self.workers_absorbed += 1 + payload.get("workers_absorbed", 0)
-
-
-#: Obs metric names of the EvalCache counters; every other sweep counter
-#: is published as ``optimizer.<field>``.
-_EVAL_CACHE_METRICS = {
-    "subarray_hits": "eval_cache.subarray.hits",
-    "subarray_misses": "eval_cache.subarray.misses",
-    "htree_hits": "eval_cache.htree.hits",
-    "htree_misses": "eval_cache.htree.misses",
-}
-
-
-def _count(stats: SweepStats | None, obs: Obs | None, **deltas: int) -> None:
-    """Add counter deltas to the ``stats`` fields and ``obs`` metrics."""
-    for name, delta in deltas.items():
-        if stats is not None:
-            setattr(stats, name, getattr(stats, name) + delta)
-        if obs is not None:
-            obs.inc(_EVAL_CACHE_METRICS.get(name, f"optimizer.{name}"), delta)
+def _count(obs: Obs | None, **deltas: int) -> None:
+    """Add counter deltas, named by :class:`SweepStats` field, to ``obs``."""
+    if obs is not None:
+        for field_name, delta in deltas.items():
+            obs.inc(SWEEP_METRICS[field_name], delta)
 
 
 def _eval_cache_marks(cache: EvalCache) -> dict:
-    return {name: getattr(cache, name) for name in _EVAL_CACHE_METRICS}
+    return {
+        name: getattr(cache, name)
+        for name in ("subarray_hits", "subarray_misses",
+                     "htree_hits", "htree_misses")
+    }
 
 
 def _eval_cache_deltas(cache: EvalCache, since: dict, *kinds: str) -> dict:
@@ -296,7 +255,6 @@ def feasible_designs(
     spec: ArraySpec,
     *,
     cache: EvalCache | None = None,
-    stats: SweepStats | None = None,
     obs: Obs | None = None,
 ) -> list[ArrayMetrics]:
     """Build every feasible design of ``spec``, in enumeration order.
@@ -306,17 +264,17 @@ def feasible_designs(
     and builds only the winners (see :func:`optimize`).  Here every
     pre-filter survivor of :func:`~repro.array.kernels.survivor_batch`
     is built with :func:`build_organization`; ``cache`` shares circuit
-    designs across candidates, and ``stats``/``obs`` count candidates,
-    cache lookups and the prefilter/build phases.  None of them changes
-    the returned designs.
+    designs across candidates, and ``obs`` counts candidates, cache
+    lookups and the prefilter/build phases.  Neither changes the
+    returned designs.
     """
     if cache is None:
         cache = EvalCache()
-    with obs_phase("prefilter", obs, stats):
+    with obs_phase("prefilter", obs):
         batch = kernels.survivor_batch(spec)
     since = _eval_cache_marks(cache)
     designs = []
-    with obs_phase("build", obs, stats, candidates=batch.size):
+    with obs_phase("build", obs, candidates=batch.size):
         for org, geometry in batch.candidates():
             try:
                 designs.append(
@@ -328,7 +286,7 @@ def feasible_designs(
                 continue
     grid = org_grid_size(spec)
     _count(
-        stats, obs,
+        obs,
         enumerated=grid,
         prefiltered=grid - batch.size,
         built=batch.size,
@@ -420,7 +378,6 @@ def _ranked_designs(
     target: OptimizationTarget,
     *,
     eval_cache: EvalCache,
-    stats: SweepStats | None,
     obs: Obs | None,
     limit: int | None = None,
 ) -> list[ArrayMetrics]:
@@ -438,14 +395,14 @@ def _ranked_designs(
     cache is consulted only when winners are built, so its deltas are
     counted after.
     """
-    with obs_phase("prefilter", obs, stats):
+    with obs_phase("prefilter", obs):
         batch = kernels.survivor_batch(spec)
     since = _eval_cache_marks(eval_cache)
-    with obs_phase("build", obs, stats, candidates=batch.size):
+    with obs_phase("build", obs, candidates=batch.size):
         ev = kernels.evaluate_batch(tech, spec, batch, eval_cache)
     grid = org_grid_size(spec)
     _count(
-        stats, obs,
+        obs,
         enumerated=grid,
         prefiltered=grid - batch.size,
         built=batch.size,
@@ -455,7 +412,7 @@ def _ranked_designs(
     )
     if ev.size == 0:
         raise NoFeasibleSolution(_no_solution_message(spec))
-    with obs_phase("rank", obs, stats, designs=ev.size):
+    with obs_phase("rank", obs, designs=ev.size):
         ranked = []
         for i in kernels.rank_batch(ev, target)[:limit]:
             org, geometry = ev.batch.org_at(int(i))
@@ -464,7 +421,7 @@ def _ranked_designs(
                     tech, spec, org, cache=eval_cache, geometry=geometry
                 )
             )
-    _count(stats, obs, **_eval_cache_deltas(eval_cache, since, "htree"))
+    _count(obs, **_eval_cache_deltas(eval_cache, since, "htree"))
     return ranked
 
 
@@ -475,7 +432,6 @@ def optimize(
     *,
     eval_cache: EvalCache | None = None,
     solve_cache=None,
-    stats: SweepStats | None = None,
     obs: Obs | None = None,
 ) -> ArrayMetrics:
     """Full pipeline: enumerate, filter, rank; return the best design.
@@ -483,15 +439,16 @@ def optimize(
     ``eval_cache`` shares circuit designs across candidates (a fresh one
     is created per call when omitted); ``solve_cache`` is an optional
     :class:`~repro.core.solvecache.SolveCache` consulted before -- and
-    flushed after -- the sweep; ``stats`` accumulates
-    :class:`SweepStats` counters in place; ``obs`` records an
-    ``optimize`` span with nested prefilter/build/rank children plus
-    cache-hit metrics.  None of them changes any returned number.
+    flushed after -- the sweep; ``obs`` counts candidates, cache hits,
+    phase times and ``optimizer.wall_s`` (read them through
+    :class:`SweepStats`) and, when it traces, records an ``optimize``
+    span with nested prefilter/build/rank children.  None of them
+    changes any returned number.
 
     Candidates are evaluated and ranked as arrays
     (:mod:`repro.array.kernels`); only the winner is built as objects.
     """
-    t0 = time.perf_counter()
+    t0 = time.perf_counter() if obs is not None else 0.0
     with maybe_span(
         obs,
         "optimize",
@@ -499,45 +456,35 @@ def optimize(
         cell_tech=spec.cell_tech.value,
         node_nm=tech.node_nm,
     ) as span:
+        best = None
         if solve_cache is not None:
+            best = solve_cache.get(spec, target, tech.node_nm)
             if obs is not None:
                 # Touch both counters so the snapshot always derives a
                 # solve_cache.hit_rate once a cache is in play, even on
                 # an all-miss (or all-hit) run.
-                obs.metrics.counter("solve_cache.hits")
-                obs.metrics.counter("solve_cache.misses")
-            hit = solve_cache.get(spec, target, tech.node_nm)
-            if hit is not None:
-                if stats is not None:
-                    stats.solve_cache_hits += 1
-                    stats.wall_time_s += time.perf_counter() - t0
+                obs.inc("solve_cache.hits", int(best is not None))
+                obs.inc("solve_cache.misses", int(best is None))
+            if best is not None and span is not None:
+                span.attrs["solve_cache"] = "hit"
+        if best is None:
+            if eval_cache is None:
+                eval_cache = EvalCache()
+            swept = _with_repeater_penalty(spec, target)
+            best = _ranked_designs(
+                tech, swept, target, eval_cache=eval_cache, obs=obs, limit=1
+            )[0]
+            if solve_cache is not None:
+                solve_cache.put(spec, target, tech.node_nm, best)
+                # Solve-boundary flush: deferred (one write per batch)
+                # when the caller holds the cache open as a context
+                # manager.
+                solve_cache.flush()
                 if obs is not None:
-                    obs.inc("solve_cache.hits")
-                if span is not None:
-                    span.attrs["solve_cache"] = "hit"
-                _account_store(solve_cache, stats, obs)
-                return hit
-            if stats is not None:
-                stats.solve_cache_misses += 1
-            if obs is not None:
-                obs.inc("solve_cache.misses")
-        if eval_cache is None:
-            eval_cache = EvalCache()
-        swept = _with_repeater_penalty(spec, target)
-        best = _ranked_designs(
-            tech, swept, target, eval_cache=eval_cache, stats=stats,
-            obs=obs, limit=1,
-        )[0]
-        if solve_cache is not None:
-            solve_cache.put(spec, target, tech.node_nm, best)
-            # Solve-boundary flush: deferred (one write per batch) when
-            # the caller holds the cache open as a context manager.
-            solve_cache.flush()
-            if obs is not None:
-                obs.gauge("solve_cache.records", len(solve_cache))
-            _account_store(solve_cache, stats, obs)
-        if stats is not None:
-            stats.wall_time_s += time.perf_counter() - t0
+                    obs.gauge("solve_cache.records", len(solve_cache))
+        _account_store(solve_cache, obs)
+        if obs is not None:
+            obs.inc("optimizer.wall_s", time.perf_counter() - t0)
         return best
 
 
@@ -547,12 +494,11 @@ def pareto_solutions(
     target: OptimizationTarget,
     *,
     eval_cache: EvalCache | None = None,
-    stats: SweepStats | None = None,
     obs: Obs | None = None,
 ) -> list[ArrayMetrics]:
     """All constraint-satisfying designs, ranked -- the solution cloud the
     paper plots in its Figure 1 validation bubbles."""
-    t0 = time.perf_counter()
+    t0 = time.perf_counter() if obs is not None else 0.0
     with maybe_span(
         obs,
         "pareto",
@@ -564,10 +510,10 @@ def pareto_solutions(
             eval_cache = EvalCache()
         spec = _with_repeater_penalty(spec, target)
         ranked = _ranked_designs(
-            tech, spec, target, eval_cache=eval_cache, stats=stats, obs=obs
+            tech, spec, target, eval_cache=eval_cache, obs=obs
         )
-        if stats is not None:
-            stats.wall_time_s += time.perf_counter() - t0
+        if obs is not None:
+            obs.inc("optimizer.wall_s", time.perf_counter() - t0)
         return ranked
 
 

@@ -15,9 +15,10 @@ worker-local eval caches cannot change numbers: cached and uncached
 construction produce the same frozen objects performing the same
 computations.
 
-Workers ship their counters home as plain dicts (picklable, no shared
-state), which the parent absorbs into its
-:class:`~repro.core.optimizer.SweepStats` via ``absorb_worker``.
+Worker tasks record into an :class:`~repro.obs.Obs` of the same kind as
+their parent's (:func:`worker_obs`) and ship its ``export_payload()``
+home with their result (picklable, no shared state); the parent merges
+it with :meth:`~repro.obs.Obs.absorb_worker`, the one worker merge.
 ``jobs=1`` everywhere falls back to the plain serial path with no
 executor, no forks, and no pickling.
 
@@ -51,7 +52,7 @@ from repro.core.resilience import (
     TaskFailure,
     TaskTimeout,
 )
-from repro.obs import maybe_span
+from repro.obs import Obs, maybe_span
 
 #: Worker-local cross-candidate cache, created by the pool initializer
 #: (one per worker process, reused across every task that worker runs).
@@ -149,16 +150,28 @@ def worker_solve_cache(spec):
     return cache
 
 
+def obs_kind(obs: Obs | None) -> bool | None:
+    """What a worker task needs to build an Obs like ``obs``: None when
+    the parent has no sink, else whether it traces (see
+    :func:`worker_obs`)."""
+    return None if obs is None else obs.tracer is not None
+
+
+def worker_obs(kind: bool | None) -> Obs | None:
+    """The worker-side Obs for an :func:`obs_kind` value: none, a
+    metrics-only one, or a traced one -- whatever the parent holds."""
+    return None if kind is None else Obs(trace=kind)
+
+
 def parallel_map(
     fn: Callable,
     payloads: Sequence,
     jobs: int,
     *,
-    obs=None,
+    obs: Obs | None = None,
     span_name: str | None = None,
     resilience: ResiliencePolicy | None = None,
     keys: Sequence[str] | None = None,
-    stats=None,
 ) -> list:
     """Order-preserving map over worker processes.
 
@@ -168,10 +181,10 @@ def parallel_map(
     deterministic.  Without a ``resilience`` policy a worker exception
     propagates to the caller.
 
-    ``obs`` + ``span_name`` trace the map: the serial path records one
-    ``span_name`` span per task, the parallel path one enclosing
-    ``<span_name>.map`` span (per-task spans inside workers are the
-    task function's job to ship home).
+    A tracing ``obs`` + ``span_name`` trace the map: the serial path
+    records one ``span_name`` span per task, the parallel path one
+    enclosing ``<span_name>.map`` span (per-task spans inside workers
+    are the task function's job to ship home).
 
     With a :class:`~repro.core.resilience.ResiliencePolicy` the map is
     fault tolerant: per-task error capture (``on_error`` policy with
@@ -181,8 +194,8 @@ def parallel_map(
     carries a journal and ``keys`` names each task -- checkpointed
     results restored without re-execution.  Failed slots hold
     :class:`~repro.core.resilience.TaskFailure` records in skip/retry
-    mode.  ``stats`` (a SweepStats) and ``obs`` account ``retries``,
-    ``timeouts``, ``tasks_failed``, and ``pool_rebuilds``.
+    mode.  ``obs`` counts ``resilience.retries``, ``.timeouts``,
+    ``.tasks_failed``, ``.pool_rebuilds`` and ``.journal_restored``.
     """
     payloads = list(payloads)
     if resilience is not None:
@@ -194,11 +207,10 @@ def parallel_map(
             keys=keys,
             stage=span_name or "parallel_map",
             obs=obs,
-            stats=stats,
         ).run()
     jobs = min(resolve_jobs(jobs), len(payloads))
     if jobs <= 1:
-        if obs is None or span_name is None:
+        if obs is None or obs.tracer is None or span_name is None:
             return [fn(p) for p in payloads]
         results = []
         for i, p in enumerate(payloads):
@@ -237,9 +249,7 @@ def _policy_task(wrapped: tuple):
 class _ResilientMap:
     """One fault-tolerant map execution (see :func:`parallel_map`)."""
 
-    def __init__(
-        self, fn, payloads, jobs, policy, *, keys, stage, obs, stats
-    ):
+    def __init__(self, fn, payloads, jobs, policy, *, keys, stage, obs):
         if policy.journal is not None and keys is None:
             raise ValueError(
                 "a journal-bearing policy needs per-task keys"
@@ -254,7 +264,6 @@ class _ResilientMap:
         self.keys = keys
         self.stage = stage
         self.obs = obs
-        self.stats = stats
         self.results: list = [None] * len(payloads)
         self.todo = self._restore_from_journal()
         self.jobs = min(resolve_jobs(jobs), max(1, len(self.todo)))
@@ -262,8 +271,6 @@ class _ResilientMap:
     # -- accounting ---------------------------------------------------- #
 
     def _count(self, what: str, n: int = 1) -> None:
-        if self.stats is not None:
-            setattr(self.stats, what, getattr(self.stats, what) + n)
         if self.obs is not None:
             self.obs.inc(f"resilience.{what}", n)
 

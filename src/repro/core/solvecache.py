@@ -301,27 +301,19 @@ class SolveCache:
         return deltas, gauges
 
 
-def account_store(solve_cache, stats, obs) -> None:
-    """Drain a solve cache's backend events into the run's sinks.
+def account_store(solve_cache, obs) -> None:
+    """Drain a solve cache's backend events into ``obs``.
 
-    Emits the ``store.*`` metric family into ``obs`` (counters for
-    hits / misses / evictions / flush_writes / corrupt_records -- the
-    hits/misses pair yields a derived ``store.hit_rate`` in snapshots
-    -- and gauges for records / bytes_on_disk), and accumulates
-    eviction / flush-write counts into ``stats`` (a
-    :class:`~repro.core.optimizer.SweepStats`).  Safe to call at every
-    solve boundary: counts are drained as deltas, never double-counted.
+    Emits the ``store.*`` metric family: counters for hits / misses /
+    evictions / flush_writes / corrupt_records (the hits/misses pair
+    yields a derived ``store.hit_rate`` in snapshots) and gauges for
+    records / bytes_on_disk.  Safe to call at every solve boundary:
+    counts are drained as deltas, never double-counted.
     """
-    if solve_cache is None or (stats is None and obs is None):
+    if solve_cache is None or obs is None:
         return
     deltas, gauges = solve_cache.drain_events()
-    if obs is not None:
-        for name, delta in deltas.items():
-            counter = obs.metrics.counter(f"store.{name}")
-            if delta:
-                counter.inc(delta)
-        for name, value in gauges.items():
-            obs.gauge(f"store.{name}", value)
-    if stats is not None:
-        stats.store_evictions += deltas["evictions"]
-        stats.store_flush_writes += deltas["flush_writes"]
+    for name, delta in deltas.items():
+        obs.inc(f"store.{name}", delta)
+    for name, value in gauges.items():
+        obs.gauge(f"store.{name}", value)

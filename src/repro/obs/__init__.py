@@ -1,25 +1,37 @@
 """repro.obs: zero-dependency observability for the solve pipeline.
 
-One :class:`Obs` object bundles a :class:`~repro.obs.trace.Tracer`
+One :class:`Obs` object bundles a :class:`~repro.obs.metrics.
+MetricsRegistry` (named counters / gauges / histograms with a JSON
+``snapshot()``) with an optional :class:`~repro.obs.trace.Tracer`
 (nested wall-time spans, exportable as JSON and Chrome trace-event
-files) with a :class:`~repro.obs.metrics.MetricsRegistry` (named
-counters / gauges / histograms with a JSON ``snapshot()``).  Every
-pipeline entry point -- ``optimize``, ``solve``, ``solve_batch``,
-``solve_main_memory``, ``run_study``, ``sensitivity.sweep``, and the
-CLI via ``--trace`` / ``--metrics`` -- accepts an optional ``obs``
-argument; ``None`` (the default) keeps every hot path free of clock
-reads.
+files).  It is the pipeline's one telemetry sink: every optimizer,
+store and resilience event is counted into its registry, and
+:class:`~repro.core.optimizer.SweepStats` is a read-only view over
+that registry.  Every pipeline entry point -- ``optimize``, ``solve``,
+``solve_batch``, ``solve_main_memory``, ``run_study``,
+``sensitivity.sweep``, and the CLI via ``--stats`` / ``--trace`` /
+``--metrics`` -- accepts an optional ``obs`` argument in one of three
+kinds:
+
+* ``None`` (the default): nothing is counted and no clock is read;
+* ``Obs(trace=False)``: metrics only -- counters and phase clocks,
+  no spans (what the CLI uses unless ``--trace`` is given, and the
+  :class:`~repro.core.cacti.CactiD` facade);
+* ``Obs()``: metrics plus a tracer recording every span.
 
 The determinism contract is absolute: observability reads clocks and
 counts events around existing work, and never changes a solved number.
-The golden-equivalence suite asserts bit-identical metrics with tracing
-on and off at every job count.
+The golden-equivalence suite asserts bit-identical metrics with every
+kind of sink at every job count.
 
-Worker processes record spans and metrics into their own ``Obs`` and
-ship ``export_payload()`` home inside the stats payload dicts the
-parallel engine already returns; the parent stitches them into its
-trace with the worker's pid at the correct time offset (the same
-ship-counters-home pattern as ``SweepStats.absorb_worker``).
+Worker processes build the same kind of ``Obs`` as their parent,
+record into it, and ship :meth:`Obs.export_payload` home with their
+task's result; :meth:`Obs.absorb_worker` is the one merge.  It stitches
+the worker's spans into the parent trace with the worker's pid at the
+correct time offset, adds event counters under their own names, and
+files clock readings (metric names ending in ``_s``) under a
+``worker.`` prefix, so concurrent worker CPU never lands in the
+parent's wall-clock phases.
 """
 
 from __future__ import annotations
@@ -44,15 +56,13 @@ __all__ = [
 
 
 class Obs:
-    """A tracer and a metrics registry, threaded through one run."""
+    """A metrics registry and an optional tracer, threaded through one
+    run.  ``trace=False`` counts and reads phase clocks but records no
+    spans (``tracer`` is None)."""
 
-    def __init__(
-        self,
-        tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
-    ):
-        self.tracer = tracer if tracer is not None else Tracer()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+    def __init__(self, trace: bool = True):
+        self.tracer = Tracer() if trace else None
+        self.metrics = MetricsRegistry()
 
     # Thin delegates so call sites stay one line.
 
@@ -74,22 +84,42 @@ class Obs:
     def export_payload(self) -> dict:
         """Picklable trace + metrics snapshot for shipping to a parent."""
         return {
-            "trace": self.tracer.export_payload(),
+            "trace": (
+                self.tracer.export_payload()
+                if self.tracer is not None else None
+            ),
             "metrics": self.metrics.snapshot(),
         }
 
     def absorb_worker(self, payload: dict | None) -> None:
-        """Stitch a worker's ``export_payload()`` into this Obs."""
+        """Merge a worker's ``export_payload()`` into this Obs.
+
+        Spans are stitched into the trace (when this Obs traces).
+        Counters and gauges keep their names, except clock readings --
+        names ending in ``_s``, such as the ``phase.<name>_s``
+        histograms and the ``optimizer.wall_s`` counter -- which land
+        under a ``worker.`` prefix (names already carrying it keep it).
+        ``parallel.workers_absorbed`` counts the payload, plus any the
+        worker itself absorbed.
+        """
         if not payload:
             return
-        self.tracer.absorb_payload(payload.get("trace"))
-        self.metrics.absorb(payload.get("metrics"))
+        if self.tracer is not None:
+            self.tracer.absorb_payload(payload.get("trace"))
+        self.metrics.absorb(payload.get("metrics"), rename=_worker_clock)
+        self.inc("parallel.workers_absorbed")
+
+
+def _worker_clock(name: str) -> str:
+    if name.endswith("_s") and not name.startswith("worker."):
+        return f"worker.{name}"
+    return name
 
 
 @contextmanager
 def maybe_span(obs: Obs | None, name: str, **attrs):
-    """A tracer span when ``obs`` is given; a free no-op otherwise."""
-    if obs is None:
+    """A tracer span when ``obs`` traces; a free no-op otherwise."""
+    if obs is None or obs.tracer is None:
         yield None
     else:
         with obs.span(name, **attrs) as span:
@@ -97,35 +127,23 @@ def maybe_span(obs: Obs | None, name: str, **attrs):
 
 
 @contextmanager
-def phase(name: str, obs: Obs | None = None, stats=None, **attrs):
-    """Time one pipeline phase into every sink that wants it.
+def phase(name: str, obs: Obs | None = None, **attrs):
+    """Time one pipeline phase into ``obs``.
 
-    One wall-clock measurement feeds the tracer span, a
-    ``phase.<name>_s`` latency histogram, and the ``SweepStats`` phase
-    timer -- ``SweepStats.phase_times`` stays populated as a thin view
-    of the same numbers the trace records.  With neither sink present
-    the clock is never read.
+    One wall-clock measurement feeds a ``phase.<name>_s`` latency
+    histogram and, when ``obs`` traces, the tracer span of the same
+    name (the histogram is timed from the span's own start).  Without
+    ``obs`` the clock is never read.
     """
-    if obs is None and stats is None:
+    if obs is None:
         yield None
         return
-    if obs is not None:
-        with obs.span(name, **attrs) as span:
-            try:
-                yield span
-            finally:
-                # duration_s is only final once the span closes; read
-                # the clock against the span's own start instead of
-                # timing twice.
-                seconds = (
-                    time.perf_counter() - obs.tracer._epoch - span.start_s
-                )
-                obs.observe(f"phase.{name}_s", seconds)
-                if stats is not None:
-                    stats.add_phase_time(name, seconds)
-    else:
-        t0 = time.perf_counter()
+    with maybe_span(obs, name, **attrs) as span:
+        t0 = (
+            time.perf_counter() if span is None
+            else obs.tracer._epoch + span.start_s
+        )
         try:
-            yield None
+            yield span
         finally:
-            stats.add_phase_time(name, time.perf_counter() - t0)
+            obs.observe(f"phase.{name}_s", time.perf_counter() - t0)

@@ -14,12 +14,16 @@ Conventions:
 * **Gauges** are last-write-wins point-in-time values (worker
   utilization, records in a cache file).
 * **Histograms** are streaming distributions keeping count / sum / min /
-  max (per-phase latency distributions, per-chunk build times).
+  max (per-phase latency distributions).
 
-Registries merge: workers snapshot theirs into the stats payloads the
+A name ending in ``_s`` holds seconds (``phase.build_s``,
+``optimizer.wall_s``): a clock reading rather than an event count.
+
+Registries merge: workers snapshot theirs into the payloads the
 parallel engine ships home, and the parent :meth:`MetricsRegistry.
 absorb`s them -- counters and histograms add, gauges keep the last
-write.
+write (:meth:`repro.obs.Obs.absorb_worker` first files the worker's
+clock readings under a ``worker.`` prefix).
 """
 
 from __future__ import annotations
@@ -165,21 +169,23 @@ class MetricsRegistry:
             "derived": derived,
         }
 
-    def absorb(self, snapshot: dict | None) -> None:
+    def absorb(self, snapshot: dict | None, rename=None) -> None:
         """Merge another registry's ``snapshot()`` into this one.
 
         Counters and histograms accumulate; gauges keep the incoming
         value (last write wins); derived values are recomputed at the
-        next snapshot, never merged.
+        next snapshot, never merged.  ``rename`` maps each incoming name
+        to the one it lands under (instruments renamed alike merge).
         """
         if not snapshot:
             return
+        rename = rename or (lambda name: name)
         for name, value in (snapshot.get("counters") or {}).items():
-            self.counter(name).inc(value)
+            self.counter(rename(name)).inc(value)
         for name, value in (snapshot.get("gauges") or {}).items():
-            self.gauge(name).set(value)
+            self.gauge(rename(name)).set(value)
         for name, d in (snapshot.get("histograms") or {}).items():
-            self.histogram(name).merge(d)
+            self.histogram(rename(name)).merge(d)
 
     def write(self, path: str | os.PathLike) -> None:
         """Write the snapshot as a JSON file."""

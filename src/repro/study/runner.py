@@ -222,7 +222,6 @@ def run_study(
     jobs: int | str = 1,
     obs: Obs | None = None,
     resilience: ResiliencePolicy | None = None,
-    stats=None,
     cachedb=None,
 ) -> StudyResult:
     """Run the full study matrix.
@@ -241,9 +240,9 @@ def run_study(
     retried/skipped/raised per the policy, a journal checkpoints each
     completed cell so an interrupted matrix resumed against the same
     journal re-runs only the unfinished cells, and terminal failures
-    land in ``StudyResult.failed`` instead of aborting the run.
-    ``stats`` (a :class:`~repro.core.optimizer.SweepStats`) accumulates
-    the resilience counters (retries, timeouts, failures, rebuilds).
+    land in ``StudyResult.failed`` instead of aborting the run;
+    ``obs`` counts the ``resilience.*`` events (retries, timeouts,
+    failures, rebuilds).
     ``cachedb`` (an artifact path) serves each worker's
     ``source="cacti"`` solves from the precomputed database.
 
@@ -306,7 +305,6 @@ def run_study(
             span_name="study.cell",
             resilience=resilience,
             keys=keys,
-            stats=stats,
         )
     if obs is not None:
         obs.inc("study.cells", len(payloads))

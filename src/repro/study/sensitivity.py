@@ -19,7 +19,7 @@ from repro.array.organization import EvalCache, InfeasibleOrganization
 from repro.core import parallel
 from repro.core.cacti import solve
 from repro.core.config import MemorySpec, OptimizationTarget
-from repro.core.optimizer import NoFeasibleSolution, SweepStats
+from repro.core.optimizer import NoFeasibleSolution
 from repro.core.resilience import (
     ResiliencePolicy,
     TaskFailure,
@@ -137,12 +137,13 @@ class SensitivityResult:
         return "\n".join(lines)
 
 
-def _sweep_point_task(payload: tuple) -> tuple[Solution | None, dict]:
-    """Worker task: solve one sweep point, shipping stats home.
+def _sweep_point_task(payload: tuple) -> tuple[Solution | None, dict | None]:
+    """Worker task: solve one sweep point, shipping telemetry home.
 
-    Returns ``(None, stats)`` for an infeasible point, mirroring the
-    serial path's treatment.  When the parent traces, the stats dict
-    carries this worker's spans/metrics under ``"obs"``.  The
+    Returns ``(solution, payload)``, with ``None`` for an infeasible
+    point's solution, mirroring the serial path's treatment.  The
+    payload is the ``export_payload()`` of an Obs of the parent's kind,
+    or None when the parent has no sink.  The
     persistent solve cache is worker-local and keyed by path, so the
     JSON records load once per worker, not once per point.  Only the
     *intended* infeasibilities are swallowed -- no feasible
@@ -151,25 +152,19 @@ def _sweep_point_task(payload: tuple) -> tuple[Solution | None, dict]:
     failure and propagates (to be captured as a ``TaskFailure`` when a
     resilience policy is active).
     """
-    spec, target, cache_path, with_obs = payload
-    stats = SweepStats()
-    obs = Obs() if with_obs else None
-    solve_cache = parallel.worker_solve_cache(cache_path)
+    spec, target, cache_path, kind = payload
+    obs = parallel.worker_obs(kind)
     try:
         solution = solve(
             spec,
             target,
             eval_cache=parallel.worker_eval_cache(),
-            solve_cache=solve_cache,
-            stats=stats,
+            solve_cache=parallel.worker_solve_cache(cache_path),
             obs=obs,
         )
     except (NoFeasibleSolution, InfeasibleOrganization):
         solution = None
-    stats_dict = stats.as_dict()
-    if obs is not None:
-        stats_dict["obs"] = obs.export_payload()
-    return solution, stats_dict
+    return solution, obs.export_payload() if obs is not None else None
 
 
 def sweep(
@@ -180,7 +175,6 @@ def sweep(
     *,
     eval_cache: EvalCache | None = None,
     solve_cache: SolveCache | None = None,
-    stats: SweepStats | None = None,
     jobs: int | str = 1,
     obs: Obs | None = None,
     resilience: ResiliencePolicy | None = None,
@@ -189,11 +183,12 @@ def sweep(
 
     One shared ``eval_cache`` spans the whole serial sweep (created when
     omitted), so neighboring points reuse subarray and H-tree designs --
-    the reuse shows up in ``stats``.  ``solve_cache`` persists whole
+    the reuse shows up in ``obs``.  ``solve_cache`` persists whole
     point solves across sweeps (flushed once per sweep, not per point);
     ``jobs > 1`` solves points concurrently in worker processes (point
-    order is preserved, numbers unchanged); ``obs`` traces the sweep
-    with one ``sweep.point`` span per point.
+    order is preserved, numbers unchanged); ``obs`` counts the sweep,
+    worker and resilience events included, and a tracing ``obs``
+    records one ``sweep.point`` span per point.
 
     ``resilience`` makes the sweep fault tolerant: failed points are
     retried/skipped/raised per the policy, a journal checkpoints each
@@ -240,7 +235,6 @@ def sweep(
                                     target,
                                     eval_cache=eval_cache,
                                     solve_cache=solve_cache,
-                                    stats=stats,
                                     obs=obs,
                                 )
                             except (
@@ -251,7 +245,7 @@ def sweep(
                     solutions.append(solution)
             # Drain the sweep-boundary flush the context exit above
             # just performed.
-            _account_store(solve_cache, stats, obs)
+            _account_store(solve_cache, obs)
         else:
             cache_path = (
                 solve_cache.url if solve_cache is not None else None
@@ -272,14 +266,14 @@ def sweep(
             results = parallel.parallel_map(
                 _sweep_point_task,
                 [
-                    (spec, target, cache_path, obs is not None)
+                    (spec, target, cache_path, parallel.obs_kind(obs))
                     for spec in live
                 ],
                 jobs,
+                obs=obs,
                 span_name="sweep.point",
                 resilience=resilience,
                 keys=keys,
-                stats=stats,
             )
             results_iter = iter(results)
             solutions = []
@@ -292,15 +286,13 @@ def sweep(
                     failures.append(outcome)
                     solutions.append(None)
                     continue
-                solution, worker_stats = outcome
+                solution, worker_payload = outcome
                 solutions.append(solution)
-                if stats is not None:
-                    stats.absorb_worker(worker_stats)
                 if obs is not None:
-                    obs.absorb_worker(worker_stats.get("obs"))
+                    obs.absorb_worker(worker_payload)
             if solve_cache is not None:
                 solve_cache.refresh()
-                _account_store(solve_cache, stats, obs)
+                _account_store(solve_cache, obs)
     if obs is not None:
         obs.inc("sensitivity.points", len(specs))
         obs.inc(
@@ -328,7 +320,7 @@ def capacity_sweep(
     """Convenience: sweep capacity by powers of two from the base.
 
     Keyword arguments (``jobs``, ``eval_cache``, ``solve_cache``,
-    ``stats``, ``target``) pass through to :func:`sweep`.
+    ``obs``, ``target``) pass through to :func:`sweep`.
     """
     return sweep(
         base,

@@ -85,14 +85,13 @@ def validate_ddr3(
     target: Ddr3Target | None = None,
     *,
     solve_cache=None,
-    stats=None,
     obs=None,
 ) -> Ddr3Validation:
     """Solve the Micron part and compute per-metric errors (Table 2).
 
     ``target`` defaults to the module's ``DDR3_TARGET`` resolved at call
     time (not bound at definition).  The keyword knobs (persistent
-    ``solve_cache``, ``stats`` accumulator, ``obs`` tracer) pass
+    ``solve_cache``, ``obs`` telemetry sink) pass
     straight through to
     :func:`~repro.core.cacti.solve_main_memory`, so the validation run is
     observable and cacheable exactly like any other solve.
@@ -110,7 +109,6 @@ def validate_ddr3(
         spec,
         node_nm=target.node_nm,
         solve_cache=solve_cache,
-        stats=stats,
         obs=obs,
     )
     errors = {

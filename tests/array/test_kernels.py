@@ -27,6 +27,7 @@ from repro.core.optimizer import (
     pareto_solutions,
     rank,
 )
+from repro.obs import Obs
 from repro.tech.cells import CellTech
 from repro.tech.nodes import technology
 from repro.tech.registry import registered_names
@@ -152,8 +153,9 @@ class TestKernelScalarEquivalence:
 class TestStatsInvariantsOnKernelPath:
     def test_counters_balance_through_optimize(self):
         spec = specs_for("sram")[0]
-        stats = SweepStats()
-        optimize(TECH, spec, OptimizationTarget(), stats=stats)
+        obs = Obs(trace=False)
+        stats = SweepStats(obs.metrics)
+        optimize(TECH, spec, OptimizationTarget(), obs=obs)
         assert stats.enumerated == stats.prefiltered + stats.built
         assert stats.built == stats.feasible + stats.infeasible_at_build
         assert stats.subarray_hits + stats.subarray_misses == stats.built
@@ -161,12 +163,12 @@ class TestStatsInvariantsOnKernelPath:
     def test_winner_htree_lookups_are_counted(self):
         """The winners' H-tree builds are the sweep's only tree lookups;
         a fresh-cache solve must report them, identically in SweepStats
-        and in the obs metrics."""
+        and in the obs metrics it reads."""
         from repro.core.cacti import solve
-        from repro.obs import Obs
 
-        stats, obs = SweepStats(), Obs()
-        solve(MemorySpec(capacity_bytes=2 << 20), stats=stats, obs=obs)
+        obs = Obs()
+        stats = SweepStats(obs.metrics)
+        solve(MemorySpec(capacity_bytes=2 << 20), obs=obs)
         counters = obs.metrics.snapshot()["counters"]
         assert stats.htree_misses > 0
         assert counters["eval_cache.htree.misses"] == stats.htree_misses

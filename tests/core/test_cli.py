@@ -185,7 +185,6 @@ class TestObservabilityFlags:
         import json
 
         import repro.study.table3 as table3_module
-        from repro.core.optimizer import SweepStats
         from repro.core.solvecache import SolveCache
         from repro.obs import Obs
 
@@ -206,10 +205,11 @@ class TestObservabilityFlags:
             "--trace", str(trace), "--metrics", str(metrics),
         ])
         assert rc == 0
-        assert isinstance(seen["stats"], SweepStats)
         assert isinstance(seen["solve_cache"], SolveCache)
+        # --stats, --trace and --metrics read the one telemetry sink.
         assert isinstance(seen["obs"], Obs)
-        assert set(seen) == {"stats", "solve_cache", "obs"}
+        assert seen["obs"].tracer is not None
+        assert set(seen) == {"solve_cache", "obs"}
         assert "L1" in capsys.readouterr().out
         json.loads(trace.read_text())
         json.loads(metrics.read_text())

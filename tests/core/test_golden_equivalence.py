@@ -274,12 +274,13 @@ def test_faulted_retry_solve_batch_is_bit_identical():
         FaultSpec("batch.solve", 0, "raise", trips=1),
         FaultSpec("batch.solve", 2, "kill", trips=1),
     ))
-    stats = SweepStats()
+    obs = Obs(trace=False)
+    stats = SweepStats(obs.metrics)
     policy = ResiliencePolicy(
         on_error="retry", max_retries=2, backoff_s=0.01, fault_plan=plan
     )
     faulted = solve_batch(
-        sram_batch(), jobs=2, stats=stats, resilience=policy
+        sram_batch(), jobs=2, obs=obs, resilience=policy
     )
     assert_solutions_identical(serial, faulted)
     assert not faulted.failed
@@ -289,16 +290,17 @@ def test_faulted_retry_solve_batch_is_bit_identical():
 
 
 def test_every_sink_together_is_invisible(tmp_path):
-    """obs + stats + solve cache all at once, still golden."""
+    """A traced or a metrics-only obs together with a solve cache --
+    cold, then serving the record -- still golden."""
     spec, target = sram_spec(), OptimizationTarget()
     tech = technology(32.0)
     direct = optimize(tech, spec, target)
-    kitchen_sink = optimize(
-        tech,
-        spec,
-        target,
-        solve_cache=SolveCache(tmp_path / "solves.json"),
-        stats=SweepStats(),
-        obs=Obs(),
-    )
-    assert_metrics_identical(direct, kitchen_sink)
+    for trace in (True, False):
+        store = SolveCache(tmp_path / f"solves-{trace}.json")
+        for _cold_then_warm in range(2):
+            obs = Obs(trace=trace)
+            kitchen_sink = optimize(
+                tech, spec, target, solve_cache=store, obs=obs
+            )
+            assert_metrics_identical(direct, kitchen_sink)
+        assert SweepStats(obs.metrics).solve_cache_hits == 1

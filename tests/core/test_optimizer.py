@@ -4,6 +4,7 @@ import pytest
 
 from repro.array.organization import ArraySpec, EvalCache
 from repro.core.config import OptimizationTarget
+from repro.obs import Obs
 from repro.core.optimizer import (
     NoFeasibleSolution,
     SweepStats,
@@ -93,33 +94,37 @@ class TestEmptyDesignLists:
 
 class TestSweepStats:
     def test_counters_account_for_every_candidate(self):
-        stats = SweepStats()
-        designs = feasible_designs(TECH, SPEC, stats=stats)
+        obs = Obs(trace=False)
+        stats = SweepStats(obs.metrics)
+        designs = feasible_designs(TECH, SPEC, obs=obs)
         assert stats.enumerated > 0
         assert stats.enumerated == stats.prefiltered + stats.built
         assert stats.feasible == len(designs)
         assert stats.built == stats.feasible + stats.infeasible_at_build
 
     def test_eval_cache_hits_counted(self):
-        stats = SweepStats()
+        obs = Obs(trace=False)
+        stats = SweepStats(obs.metrics)
         cache = EvalCache()
-        feasible_designs(TECH, SPEC, cache=cache, stats=stats)
+        feasible_designs(TECH, SPEC, cache=cache, obs=obs)
         assert stats.subarray_hits + stats.subarray_misses == stats.built
         assert stats.subarray_hits > 0
         assert stats.htree_hits > 0
         assert 0.0 < stats.subarray_hit_rate < 1.0
 
     def test_stats_accumulate_across_solves(self):
-        stats = SweepStats()
-        optimize(TECH, SPEC, OptimizationTarget(), stats=stats)
+        obs = Obs(trace=False)
+        stats = SweepStats(obs.metrics)
+        optimize(TECH, SPEC, OptimizationTarget(), obs=obs)
         first = stats.enumerated
-        optimize(TECH, SPEC, OptimizationTarget(), stats=stats)
+        optimize(TECH, SPEC, OptimizationTarget(), obs=obs)
         assert stats.enumerated == 2 * first
         assert stats.wall_time_s > 0.0
 
     def test_summary_and_dict_expose_counts(self):
-        stats = SweepStats()
-        optimize(TECH, SPEC, OptimizationTarget(), stats=stats)
+        obs = Obs(trace=False)
+        stats = SweepStats(obs.metrics)
+        optimize(TECH, SPEC, OptimizationTarget(), obs=obs)
         text = stats.summary()
         assert "candidates enumerated" in text
         assert "wall time" in text

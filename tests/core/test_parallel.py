@@ -8,6 +8,7 @@ from repro.core.config import MemorySpec, OptimizationTarget
 from repro.core.optimizer import SweepStats
 from repro.core.parallel import parallel_map, resolve_jobs
 from repro.core.solvecache import SolveCache
+from repro.obs import Obs
 from repro.study.sensitivity import capacity_sweep, sweep
 from repro.tech.cells import CellTech
 
@@ -96,15 +97,17 @@ class TestSolveBatch:
 
     def test_workers_share_persistent_cache(self, tmp_path):
         cache = SolveCache(tmp_path / "solves.json")
-        stats = SweepStats()
-        solve_batch(BATCH, solve_cache=cache, stats=stats, jobs=2)
+        obs = Obs(trace=False)
+        stats = SweepStats(obs.metrics)
+        solve_batch(BATCH, solve_cache=cache, obs=obs, jobs=2)
         # Each cache spec contributes a data and a tag array record,
         # written by the workers and visible to the parent after merge.
         assert len(cache) == 2 * len(BATCH)
         assert stats.workers_absorbed == len(BATCH)
         # A second batch is served from disk inside the workers.
-        again = SweepStats()
-        solve_batch(BATCH, solve_cache=cache, stats=again, jobs=2)
+        again_obs = Obs(trace=False)
+        again = SweepStats(again_obs.metrics)
+        solve_batch(BATCH, solve_cache=cache, obs=again_obs, jobs=2)
         assert again.solve_cache_hits == 2 * len(BATCH)
         assert again.built == 0
 
@@ -125,8 +128,9 @@ class TestParallelSensitivity:
     BASE = MemorySpec(capacity_bytes=256 << 10)
 
     def test_shared_eval_cache_reuses_designs_across_points(self):
-        stats = SweepStats()
-        capacity_sweep(self.BASE, factors=(1, 2, 4), stats=stats)
+        obs = Obs(trace=False)
+        stats = SweepStats(obs.metrics)
+        capacity_sweep(self.BASE, factors=(1, 2, 4), obs=obs)
         # Neighboring points share subarray problems; the reuse must be
         # visible in the sweep stats.  (The kernels fold tree delay into
         # closed-form arithmetic and touch the tree cache just for the
@@ -153,7 +157,8 @@ class TestParallelSensitivity:
         assert result.points[0].solution is not None
 
     def test_parallel_sweep_absorbs_worker_stats(self):
-        stats = SweepStats()
-        capacity_sweep(self.BASE, factors=(1, 2), stats=stats, jobs=2)
+        obs = Obs(trace=False)
+        stats = SweepStats(obs.metrics)
+        capacity_sweep(self.BASE, factors=(1, 2), obs=obs, jobs=2)
         assert stats.workers_absorbed == 2
         assert stats.feasible > 0

@@ -1,5 +1,9 @@
 """Unit tests for the Obs bundle and the phase/maybe_span helpers."""
 
+import time
+
+import pytest
+
 from repro.core.optimizer import SweepStats
 from repro.obs import Obs, maybe_span, phase
 
@@ -16,6 +20,12 @@ class TestMaybeSpan:
         assert [s.name for s in obs.tracer.spans] == ["solve"]
         assert obs.tracer.spans[0].attrs == {"capacity": 64}
 
+    def test_metrics_only_obs_records_no_span(self):
+        obs = Obs(trace=False)
+        assert obs.tracer is None
+        with maybe_span(obs, "solve") as span:
+            assert span is None
+
 
 class TestPhase:
     def test_no_sinks_yields_nothing(self):
@@ -23,9 +33,12 @@ class TestPhase:
             assert span is None
 
     def test_stats_only_populates_phase_times(self):
-        stats = SweepStats()
-        with phase("build", stats=stats):
-            pass
+        """``--stats`` alone runs a metrics-only Obs: the phase clock
+        is read, no span is recorded."""
+        obs = Obs(trace=False)
+        with phase("build", obs) as span:
+            assert span is None
+        stats = SweepStats(obs.metrics)
         assert "build" in stats.phase_times
         assert stats.phase_times["build"] >= 0.0
 
@@ -38,13 +51,15 @@ class TestPhase:
         assert h["count"] == 1
 
     def test_one_measurement_feeds_both_sinks(self):
-        """SweepStats stays a thin view of the same clock reading."""
+        """SweepStats is a view of the histogram, which is timed from
+        the span's own start."""
         obs = Obs()
-        stats = SweepStats()
-        with phase("build", obs, stats):
-            pass
+        with phase("build", obs):
+            time.sleep(0.01)
         h = obs.metrics.snapshot()["histograms"]["phase.build_s"]
-        assert stats.phase_times["build"] == h["sum"]
+        assert SweepStats(obs.metrics).phase_times["build"] == h["sum"]
+        (span,) = obs.tracer.spans
+        assert h["sum"] == pytest.approx(span.duration_s, abs=1e-3)
 
 
 class TestObsBundle:
@@ -73,3 +88,35 @@ class TestObsBundle:
         parent = Obs()
         parent.absorb_worker(None)
         assert len(parent.tracer) == 0
+        assert parent.metrics.snapshot()["counters"] == {}
+
+    def test_absorb_worker_files_clock_readings_under_worker(self):
+        worker = Obs(trace=False)
+        worker.inc("optimizer.built", 2)
+        worker.inc("optimizer.wall_s", 0.5)
+        worker.inc("worker.optimizer.wall_s", 0.25)  # already nested
+        worker.observe("phase.build_s", 0.1)
+        worker.observe("worker.phase.build_s", 0.2)
+        worker.gauge("store.records", 7)
+        assert worker.export_payload()["trace"] is None
+        parent = Obs()
+        parent.absorb_worker(worker.export_payload())
+        snap = parent.metrics.snapshot()
+        assert snap["counters"] == {
+            "optimizer.built": 2,
+            "parallel.workers_absorbed": 1,
+            "worker.optimizer.wall_s": 0.75,
+        }
+        assert set(snap["histograms"]) == {"worker.phase.build_s"}
+        assert snap["histograms"]["worker.phase.build_s"]["count"] == 2
+        assert snap["gauges"] == {"store.records": 7}
+        assert len(parent.tracer) == 0
+
+    def test_metrics_only_parent_drops_worker_spans(self):
+        worker = Obs()
+        with worker.span("chunk"):
+            worker.inc("optimizer.built")
+        parent = Obs(trace=False)
+        parent.absorb_worker(worker.export_payload())
+        assert parent.tracer is None
+        assert SweepStats(parent.metrics).built == 1
