@@ -14,6 +14,12 @@ field and the Figure 4(b)/5(a)/5(b) numbers derived from them,
 recorded before the simulator hot-path rewrite.
 ``tests/study/test_golden_study.py`` re-runs the matrix and asserts
 equality -- proving a simulator refactor changed no numbers.
+It also writes ``tests/data/golden_study_wide.json``: every NPB app x
+every study configuration (``STUDY_WIDE_MATRIX``) on both energy
+sources (``paper`` and ``cacti``) at a short instruction count, so the
+configurations, apps and source the reduced matrix leaves out are
+pinned too.  Its ``cacti`` cells carry the solver-derived Table 3
+latencies of every L3 configuration.
 
 JSON round-trips are exact: ``json`` emits the shortest repr of each
 float, which parses back to the same IEEE-754 value.
@@ -41,10 +47,10 @@ from repro.core.config import (  # noqa: E402
 )
 from repro.core.solvecache import metrics_to_dict  # noqa: E402
 from repro.study.runner import run_study  # noqa: E402
-from repro.study.table3 import solve_table3  # noqa: E402
+from repro.study.table3 import CONFIG_NAMES, solve_table3  # noqa: E402
 from repro.tech.cells import CellTech  # noqa: E402
 from repro.validation.compare import validate_ddr3  # noqa: E402
-from repro.workloads.npb import BY_NAME  # noqa: E402
+from repro.workloads.npb import BY_NAME, NPB_PROFILES  # noqa: E402
 
 OUT = Path(__file__).resolve().parent.parent / "tests" / "data"
 
@@ -104,6 +110,17 @@ STUDY_MATRIX = {
     "seeds": [1, 2],
 }
 
+#: The widened study matrix: all eight apps x all six configurations,
+#: once per energy source, at a short instruction count and one seed.
+STUDY_WIDE_MATRIX = {
+    "apps": [p.name for p in NPB_PROFILES],
+    "configs": list(CONFIG_NAMES),
+    "sources": ["paper", "cacti"],
+    "scale": 16,
+    "instructions_per_thread": 2000,
+    "seed": 1,
+}
+
 TARGETS = {
     "balanced": OptimizationTarget(),
     "density": DENSITY_OPTIMIZED,
@@ -155,14 +172,16 @@ def capture_ddr3() -> dict:
     }
 
 
-def study_cells(matrix: dict, seed: int) -> list[dict]:
+def study_cells(matrix: dict, seed: int, source: str | None = None
+                ) -> list[dict]:
     """One seed of the study matrix, one record per (app, config) cell
     in matrix order: the cell's ``SimStats`` and the figure numbers
-    derived from them."""
+    derived from them.  ``source`` overrides the matrix's energy
+    source."""
     result = run_study(
         profiles=tuple(BY_NAME[a] for a in matrix["apps"]),
         configs=tuple(matrix["configs"]),
-        source=matrix["source"],
+        source=source or matrix["source"],
         scale=matrix["scale"],
         instructions_per_thread=matrix["instructions_per_thread"],
         seed=seed,
@@ -195,6 +214,21 @@ def capture_study() -> dict:
     }
 
 
+def capture_study_wide() -> dict:
+    matrix = STUDY_WIDE_MATRIX
+    return {
+        "matrix": matrix,
+        "runs": [
+            {
+                "source": source,
+                "seed": matrix["seed"],
+                "cells": study_cells(matrix, matrix["seed"], source),
+            }
+            for source in matrix["sources"]
+        ],
+    }
+
+
 def write(name: str, payload: dict) -> None:
     path = OUT / name
     path.write_text(json.dumps(payload, indent=1, sort_keys=True))
@@ -214,6 +248,7 @@ def main(which: list[str]) -> None:
         })
     if not which or "study" in which:
         write("golden_study.json", capture_study())
+        write("golden_study_wide.json", capture_study_wide())
 
 
 if __name__ == "__main__":
