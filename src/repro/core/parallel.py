@@ -39,6 +39,7 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
+from contextlib import contextmanager
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
@@ -123,6 +124,23 @@ def worker_eval_cache():
     if _WORKER_EVAL_CACHE is None:
         _init_worker()
     return _WORKER_EVAL_CACHE
+
+
+@contextmanager
+def _in_parent():
+    """Scope :func:`worker_eval_cache` to one in-parent run of tasks.
+
+    Worker tasks that run in the parent (``jobs=1``, or a re-run after a
+    broken pool) get a fresh EvalCache for the map, dropped when it
+    ends -- as the serial batch paths scope theirs -- so the parent
+    does not keep every subarray it ever solved.
+    """
+    global _WORKER_EVAL_CACHE
+    saved, _WORKER_EVAL_CACHE = _WORKER_EVAL_CACHE, None
+    try:
+        yield
+    finally:
+        _WORKER_EVAL_CACHE = saved
 
 
 def worker_solve_cache(spec):
@@ -210,13 +228,14 @@ def parallel_map(
         ).run()
     jobs = min(resolve_jobs(jobs), len(payloads))
     if jobs <= 1:
-        if obs is None or obs.tracer is None or span_name is None:
-            return [fn(p) for p in payloads]
-        results = []
-        for i, p in enumerate(payloads):
-            with obs.span(span_name, index=i):
-                results.append(fn(p))
-        return results
+        with _in_parent():
+            if obs is None or obs.tracer is None or span_name is None:
+                return [fn(p) for p in payloads]
+            results = []
+            for i, p in enumerate(payloads):
+                with obs.span(span_name, index=i):
+                    results.append(fn(p))
+            return results
     with maybe_span(
         obs,
         f"{span_name}.map" if span_name else "parallel_map",
@@ -334,7 +353,7 @@ class _ResilientMap:
             jobs=self.jobs,
             tasks=len(self.todo),
             skipped=len(self.payloads) - len(self.todo),
-        ):
+        ), _in_parent():
             if self.jobs <= 1:
                 self._run_serial()
             else:

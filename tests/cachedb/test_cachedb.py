@@ -1,6 +1,8 @@
 """Unit tests for the precomputed design-space database."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -13,8 +15,10 @@ from repro.cachedb import (
     grid_key,
     grid_spec_for,
 )
+from repro.array.organization import EvalCache
 from repro.cachedb.schema import DB_METRICS
 from repro.cli import main
+from repro.core import parallel
 from repro.core.cacti import CactiD, solve
 from repro.core.config import OptimizationTarget
 from repro.core.solvecache import CACHE_VERSION, metrics_to_dict
@@ -96,6 +100,26 @@ class TestBuilder:
         payload = json.loads(db_path.read_text())
         assert payload["format"] == "repro-cachedb-v1"
         assert payload["model_version"] == CACHE_VERSION
+
+    def test_serial_build_keeps_no_subarray_memo(self, tmp_path,
+                                                 monkeypatch):
+        """At ``jobs=1`` the worker tasks run in the parent; their
+        EvalCache lives for the build, not for the process."""
+        monkeypatch.setattr(parallel, "_WORKER_EVAL_CACHE", None)
+        caches = []
+        init = EvalCache.__init__
+
+        def track(self):
+            init(self)
+            caches.append(weakref.ref(self))
+
+        monkeypatch.setattr(EvalCache, "__init__", track)
+        grid = GridSpec(capacities_bytes=CAPS, technologies=("sram",))
+        report = build_cachedb(tmp_path / "db.json", grid, jobs=1)
+        assert report.solved == 2 and caches
+        gc.collect()
+        assert all(ref() is None for ref in caches)
+        assert parallel._WORKER_EVAL_CACHE is None
 
     def test_resumed_build_restores_solved_cells(self, tmp_path):
         grid = GridSpec(capacities_bytes=CAPS, technologies=("sram",))
