@@ -1,6 +1,6 @@
 """Vectorized-kernel speedup over the reference oracle's sweep.
 
-Solves the BENCH_parallel spec batch twice on a single core -- once
+Solves an 8-spec LLC batch twice on a single core -- once
 through the production sweep (numpy survivor-batch kernels, winners
 built as objects) and once through the test suite's reference oracle
 (``tests/reference_sweep.py``: every candidate pre-filtered and built
@@ -27,8 +27,8 @@ BENCH_FILE = os.path.join(
     os.path.dirname(__file__), os.pardir, "BENCH_kernels.json"
 )
 
-#: The same design-space-exploration-shaped batch BENCH_parallel times:
-#: LLC candidates across capacities and cell technologies.
+#: A design-space-exploration-shaped batch: LLC candidates across
+#: capacities and cell technologies.
 BATCH = [
     MemorySpec(capacity_bytes=cap, cell_tech=tech, associativity=8)
     for cap in (1 << 20, 2 << 20, 4 << 20, 8 << 20)
