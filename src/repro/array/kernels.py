@@ -10,9 +10,12 @@ array arithmetic over *all* survivors at once:
   :func:`~repro.array.organization.survivor_arrays` (the vectorized
   structural pre-filter) without materializing ``OrgParams`` /
   ``OrgGeometry`` objects;
-* :func:`evaluate_batch` computes bitline/sense/decode/H-tree delays,
-  per-access energies, leakage, refresh power, and area for the whole
-  batch as float64 arrays;
+* :func:`subarray_terms` computes the circuit terms of every distinct
+  ``(rows, cols)`` subarray -- geometry, decoder, bitline, sense,
+  writeback, precharge and leakage -- as one float64 table;
+* :func:`evaluate_batch` gathers those terms to the survivors and
+  computes H-tree delays, per-access energies, leakage, refresh power,
+  and area for the whole batch as float64 arrays;
 * :func:`rank_batch` applies the staged area/access-time constraints
   and the normalized weighted ranking on the arrays.
 
@@ -22,26 +25,46 @@ only for the winner(s) the caller materializes afterwards -- see
 
 Determinism / bit-identity contract
 -----------------------------------
-Per-candidate arithmetic in ``organization._Builder`` uses only
-``+ * / max`` on float64 (plus exact int-to-float conversions), and
-numpy performs the
-identical IEEE-754 operation elementwise, so every kernel here mirrors
-the scalar expression *operation for operation, in the same
-left-associative order*.  Quantities whose formulas involve logs or
-iterative sizing (decoder chains, sense timing, bitline RC) are never
-recomputed: they are gathered from the same frozen
-:class:`~repro.array.subarray.Subarray` objects ``_Builder`` uses,
-one per *unique* ``(rows, cols)`` -- via the shared
-:class:`~repro.array.organization.EvalCache` -- and broadcast by
-gather.  H-tree levels use an exact integer ``frexp`` ceil-log2.  The
-result: ranking picks the same winner a per-candidate sweep picks, and
-the materialized winner is bit-identical.  The test suite's reference
-sweep (enumerate, pre-filter and build every candidate one object at a
-time) checks this for every registered technology.
+Every kernel here mirrors a scalar expression of the model
+(``organization._Builder``, :class:`~repro.array.subarray.Subarray`,
+:func:`~repro.circuits.decoder.design_decoder`,
+:func:`~repro.circuits.drivers.build_chain`) *operation for operation,
+in the same left-associative order*, so each array element is the
+float64 the scalar code computes:
+
+* ``+ - * /``, ``sqrt``, ``ceil``, ``round`` (``rint``: ties to even,
+  as Python's ``round``), ``max`` and comparisons run in numpy.  IEEE-754
+  makes each of them correctly rounded, elementwise, exactly as in
+  Python; int-to-float conversions are exact at these magnitudes.
+  Sums over driver-chain stages accumulate left to right, stage by
+  stage, as ``build_chain`` does.
+* ``math.log`` (the logical-effort stage count, the charge-share sense
+  regeneration time) and fractional ``**`` (the per-stage effort) go
+  through Python's ``math``/``pow`` element by element
+  (:func:`_per_element`).  numpy's SIMD ``log`` and ``power`` are not
+  correctly rounded: on numpy 2.4 / x86-64 ``np.log`` differs from
+  ``math.log`` in the last bit on about 1e-4 of uniform random inputs
+  and ``np.power`` on about 5 %, which would move solved numbers.
+* Integer ``ceil(log2(n))`` (decoder address bits, H-tree levels) uses
+  an exact ``frexp`` decomposition.
+
+:func:`subarray_terms` computes the circuit terms of every distinct
+``(rows, cols)`` subarray of a batch at once -- the decoder chains are
+masked loops over stage position, since each subarray has its own
+logical-effort stage count -- and :func:`evaluate_batch` gathers them to
+the candidates.  The :class:`~repro.array.organization.EvalCache`
+memoizes those term rows; ``Subarray`` objects are built only for the
+winners the caller materializes.  The result: ranking picks the same
+winner a per-candidate sweep picks, and the materialized winner is
+bit-identical.  ``tests/array/test_subarray_kernel.py`` checks the term
+table against ``Subarray`` for every registered technology, periphery
+and node, and the reference sweep (enumerate, pre-filter and build
+every candidate one object at a time) checks whole solves.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as _np
@@ -60,9 +83,34 @@ from repro.array.organization import (
     OrgParams,
     survivor_arrays,
 )
-from repro.array.subarray import InfeasibleSubarray
+from repro.array.subarray import (
+    _DRIVER_STRIP_F,
+    _PRECHARGE_WIDTH_F,
+    _RESTORE_SLOWDOWN,
+    _T_SETTLE,
+    _T_SETTLE_PRECISE,
+)
+from repro.circuits import logical_effort as le
+from repro.circuits.decoder import (
+    _PREDEC_BITS,
+    CHARGE_PUMP_OVERHEAD,
+    LEVEL_SHIFTER_AREA,
+)
+from repro.circuits.gates import (
+    _GATE_OVERHEAD_F,
+    CONTACTED_PITCH_F,
+    min_width,
+)
 from repro.circuits.repeaters import repeated_wire
+from repro.circuits.senseamp import (
+    MIN_CHARGE_SHARE_SIGNAL,
+    SenseAmp,
+    charge_share_signal,
+)
+from repro.tech.cells import CellParams, CellTech
+from repro.tech.devices import TEMPERATURE_LEAKAGE_FACTOR
 from repro.tech.nodes import Technology
+from repro.tech.registry import SensingScheme
 
 
 @dataclass
@@ -179,17 +227,325 @@ class EvaluatedBatch:
         return int(self.t_access.shape[0])
 
 
-def _htree_levels_array(num_mats):
-    """Exact ``max(1, ceil(log2(max(n, 2))))`` for an int64 array.
+def _ceil_log2(n):
+    """Exact ``ceil(log2(n))`` for a positive int64 array.
 
     ``frexp`` decomposes n = m * 2**e with m in [0.5, 1); for integral
     n the ceil of log2 is e, minus one exactly when n is a power of two
     (m == 0.5).  Integer-exact for every value in range, unlike a
     floating ``log2`` whose ULP rounding could cross an integer.
     """
-    mantissa, exponent = _np.frexp(num_mats.astype(_np.float64))
-    levels = exponent - (mantissa == 0.5)
-    return _np.maximum(1, levels)
+    mantissa, exponent = _np.frexp(n.astype(_np.float64))
+    return exponent - (mantissa == 0.5)
+
+
+def _htree_levels_array(num_mats):
+    """Exact ``max(1, ceil(log2(max(n, 2))))`` for an int64 array."""
+    return _np.maximum(1, _ceil_log2(num_mats))
+
+
+# --------------------------------------------------------------------- #
+# Subarray kernel
+
+#: Columns of a subarray term table (:func:`subarray_terms`), one row per
+#: distinct ``(rows, cols)`` subarray.  ``feasible`` is 1.0 where the
+#: subarray passes the charge-share sense-signal check and 0.0 where
+#: :class:`~repro.array.subarray.Subarray` raises
+#: :class:`~repro.array.subarray.InfeasibleSubarray`; ``t_sense`` is NaN
+#: there.  Every other column equals the same-named ``Subarray`` term
+#: (``decoder_*`` are the fields of ``Subarray.decoder``,
+#: ``wordline_r``/``wordline_c`` those of ``Subarray.wordline_load``,
+#: ``amp_leakage`` is ``Subarray.sense_amp.leakage()``).
+SUBARRAY_TERMS = (
+    "feasible",
+    "width",
+    "height",
+    "area",
+    "cell_area",
+    "bitline_capacitance",
+    "bitline_resistance",
+    "wordline_r",
+    "wordline_c",
+    "decoder_delay",
+    "decoder_wordline_delay",
+    "decoder_energy",
+    "decoder_leakage",
+    "decoder_area",
+    "t_bitline",
+    "t_sense",
+    "t_writeback",
+    "t_precharge",
+    "e_sense_per_pair",
+    "leakage_fixed",
+    "amp_leakage",
+)
+_COL = {name: i for i, name in enumerate(SUBARRAY_TERMS)}
+
+
+def _per_element(fn, *arrays):
+    """``fn`` applied element by element through Python floats.
+
+    For ``math.log`` and fractional ``**``: numpy's SIMD ``log`` and
+    ``power`` can differ in the last bit from the C library functions
+    the scalar model calls.
+    """
+    lists = [a.tolist() for a in arrays]
+    return _np.fromiter(map(fn, *lists), _np.float64, len(lists[0]))
+
+
+def _chains(periph, feature_size, c_load, wire_r, wire_c, fan_in, pitch,
+            swing):
+    """:func:`~repro.circuits.drivers.build_chain` over arrays of loads.
+
+    Element ``j`` is the chain driving ``c_load[j]`` (or a scalar) through
+    the wire ``(wire_r[j], wire_c[j])`` whose first gate is a NAND of
+    ``fan_in[j]`` (or a scalar) inputs -- an inverter when 1; ``pitch``
+    (None or a scalar) folds every stage, ``swing`` is the energy swing.
+    Each element has its own logical-effort stage count ``n``, so the
+    per-stage arrays have one row per stage position, masked to the
+    elements that have that stage.  Returns ``(delay, energy, leakage,
+    area, c_in)``.
+    """
+    m = wire_c.shape[0]
+    ntp = periph.n_to_p_ratio
+    w_min = min_width(periph, feature_size)
+    c_unit = w_min * periph.c_gate * (1.0 + ntp)
+
+    # logical_effort.size_path with one fixed gate, le_nand(fan_in)
+    # (exactly 1.0 for an inverter), and unit branching.
+    c_total = c_load + wire_c
+    g_first = (fan_in + 2.0) / 3.0
+    f_path = _np.maximum(g_first * 1.0 * (c_total / c_unit), 1.0)
+    log_f = _per_element(math.log, f_path)
+    n = _np.maximum(1, _np.rint(log_f / math.log(le.STAGE_EFFORT)))
+    n = n.astype(_np.int64)
+    effort = _per_element(pow, f_path, 1.0 / n)
+    depth = int(n.max()) if m else 1
+    stage = _np.arange(depth)[:, None]
+    has = stage < n
+
+    # Input caps, walking back from the load: q[j] is the load after j
+    # inverter stages (c_out / effort per stage); stage i >= 1 takes
+    # q[n - i], the first stage (g_first * q[n - 1]) / effort.
+    q = _np.empty((depth, m))
+    q[0] = c_total
+    for j in range(1, depth):
+        q[j] = q[j - 1] / effort
+    caps = _np.take_along_axis(q, _np.clip(n - stage, 0, depth - 1), 0)
+    caps[0] = g_first * q[n - 1, _np.arange(m)] / effort
+
+    # Realized gates: a NAND first stage (stack and inputs = fan_in),
+    # inverters after it.
+    k = _np.ones((depth, m), dtype=_np.int64)
+    k[0] = fan_in
+    w = _np.maximum(caps / (periph.c_gate * (k + ntp)), w_min)
+    w_n = w * k
+    w_p = w * ntp
+    g_c_in = (w_n + w_p) * periph.c_gate
+    g_c_out = (w_n * k + w_p) * periph.c_drain
+    r_drive = periph.r_eff * k / w_n
+
+    # Horowitz stage delays with the ramp carried stage to stage; the
+    # last stage drives the wire and load, absent stages add 0.0.
+    tau = _np.zeros((depth, m))
+    tau[:-1] = r_drive[:-1] * (g_c_out[:-1] + g_c_in[1:])
+    tau_last = r_drive * (g_c_out + wire_c + c_load)
+    tau_last = tau_last + wire_r * (wire_c / 2.0 + c_load)
+    tau = _np.where(stage == n - 1, tau_last, _np.where(has, tau, 0.0))
+    safe_tau = _np.where(tau > 0.0, tau, 1.0)
+    log_sq = math.log(0.5) ** 2
+    delay = _np.zeros(m)
+    ramp = _np.zeros(m)
+    for i in range(depth):
+        a = ramp / safe_tau[i]
+        d = tau[i] * _np.sqrt(log_sq + 2.0 * a * 0.5 * (1.0 - 0.5))
+        delay = delay + d
+        ramp = 2.0 * d
+
+    # Switched capacitance, leakage and area, summed stage by stage.
+    leak_coeff = periph.i_off * TEMPERATURE_LEAKAGE_FACTOR + periph.i_gate
+    w_leak = (w_n * k / k + w_p * k / ntp) / 2.0
+    if pitch is None:
+        area = (
+            (w_n + w_p + _GATE_OVERHEAD_F * feature_size)
+            * (k * CONTACTED_PITCH_F * feature_size)
+        )
+    else:
+        usable = max(pitch - 2.0 * feature_size, feature_size)
+        fingers = _np.maximum(1, _np.ceil((w_n + w_p) * k / usable))
+        area = fingers * CONTACTED_PITCH_F * feature_size * pitch
+    per_stage = _np.where(has, _np.stack([
+        g_c_in + g_c_out,
+        leak_coeff * w_leak * periph.vdd,
+        area,
+    ]), 0.0)
+    sums = _np.zeros((3, m))
+    for i in range(depth):
+        sums = sums + per_stage[:, i]
+    c_switched, leakage, area = sums
+    c_switched = c_switched + wire_c
+    c_switched = c_switched + c_load
+    energy = c_switched * swing * swing
+    return delay, energy, leakage, area, g_c_in[0]
+
+
+def subarray_terms(
+    tech: Technology,
+    cell_tech: CellTech,
+    periph_device_type: str,
+    rows,
+    cols,
+):
+    """Every circuit term of the subarrays ``(rows[i], cols[i])``.
+
+    Returns a float64 table with one row per subarray and the columns
+    :data:`SUBARRAY_TERMS`: what
+    :class:`~repro.array.subarray.Subarray` derives one object at a
+    time -- geometry, bitline and wordline electricals, the row decoder
+    with its wordline and predecode driver chains, bitline, sense,
+    writeback and precharge timing, sense and leakage terms -- for a
+    whole array of subarrays of one cell technology, periphery and
+    node.  ``rows`` are at least 2, as every survivor's are.
+    Bit-identical to the scalar terms; see the module docstring.
+    """
+    rows = _np.asarray(rows, dtype=_np.int64)
+    cols = _np.asarray(cols, dtype=_np.int64)
+    cell = tech.cell(cell_tech, periph_device_type)
+    periph = tech.device(periph_device_type)
+    traits = cell.tech.traits
+    f = tech.feature_size
+    charge_share = traits.sensing is SensingScheme.CHARGE_SHARE
+    table = _np.empty((rows.shape[0], len(SUBARRAY_TERMS)))
+
+    def put(name, values):
+        table[:, _COL[name]] = values
+
+    # --- geometry ----------------------------------------------------
+    cell_array_width = cols * cell.width
+    cell_array_height = rows * cell.height
+    width = cell_array_width + _DRIVER_STRIP_F * f
+    height = cell_array_height + traits.sense_strip_height_f * f
+
+    # --- wordline and bitline electricals ----------------------------
+    local = tech.local
+    c_gate = traits.wordline_gates_per_cell * cell.access_width * periph.c_gate
+    wl_c = cols * (c_gate + local.c_per_m * cell.width)
+    wl_r = cols * local.r_per_m * cell.width
+    bl_wire = tech.bitline_wire(cell.tech)
+    junction = cell.access_c_drain * cell.access_width + cell.access_c_junction
+    if traits.folded_bitline:
+        junction = 0.5 * junction
+    bl_c = rows * (junction + bl_wire.c_per_m * cell.height)
+    bl_r = rows * bl_wire.r_per_m * cell.height
+
+    # --- row decoder (decoder.design_decoder) --------------------------
+    addr_bits = _np.maximum(1, _ceil_log2(rows))
+    num_blocks = _np.maximum(1, -(-addr_bits // _PREDEC_BITS))
+    lines_per_block = 2 ** _np.minimum(_PREDEC_BITS, addr_bits)
+    wl_voltage = cell.wordline_voltage
+    wl_delay, wl_energy, wl_leak, wl_area, wl_c_in = _chains(
+        periph, f, 0.0, wl_r, wl_c, num_blocks, cell.height, wl_voltage
+    )
+    if wl_voltage > periph.vdd:
+        wl_energy = wl_energy * CHARGE_PUMP_OVERHEAD
+        wl_area = wl_area * LEVEL_SHIFTER_AREA
+    semi = tech.semi_global
+    predec_load = wl_c_in * (rows / lines_per_block)
+    pd_delay, pd_energy, pd_leak, pd_area, _ = _chains(
+        periph,
+        f,
+        predec_load,
+        semi.r_per_m * cell_array_height,
+        semi.c_per_m * cell_array_height,
+        _PREDEC_BITS,
+        None,
+        periph.vdd,
+    )
+    lines = num_blocks * lines_per_block
+    dec_energy = 2.0 * num_blocks * pd_energy + wl_energy
+    dec_leak = rows * wl_leak + lines * pd_leak
+    dec_area = rows * wl_area + lines * pd_area
+
+    # --- sensing -------------------------------------------------------
+    amp = SenseAmp(periph, f)
+    if charge_share:
+        cs = cell.storage_cap
+        signal = charge_share_signal(cs, bl_c, cell.vdd_cell)
+        feasible = ~(signal < MIN_CHARGE_SHARE_SIGNAL)
+        r_access = cell.access_r_channel / cell.access_width
+        c_share = cs * bl_c / (cs + bl_c)
+        t_bitline = _T_SETTLE * (r_access + bl_r / 2.0) * c_share
+        tau = amp.r_latch * (bl_c + amp.c_internal)
+        t_sense = tau * _per_element(math.log, cell.vdd_cell / signal)
+        t_sense = _np.where(feasible, t_sense, _np.nan)
+        e_sense = amp.restore_energy(bl_c, cell.vdd_cell)
+    else:
+        feasible = True
+        swing = 0.10 * periph.vdd
+        discharge = bl_c * swing / cell.read_current
+        t_bitline = discharge + 0.38 * bl_r * bl_c
+        t_sense = amp.latch_delay()
+        e_sense = amp.latch_energy(bl_c)
+    if traits.destructive_read:
+        r_access = cell.access_r_channel / cell.access_width
+        t_writeback = (
+            _T_SETTLE * _RESTORE_SLOWDOWN * r_access * cell.storage_cap
+        )
+    else:
+        t_writeback = traits.write_pulse_time
+    r_pre = periph.r_eff / (_PRECHARGE_WIDTH_F * f)
+    swing_factor = traits.precharge_swing_fraction
+    settle = _T_SETTLE_PRECISE if traits.precise_precharge else _T_SETTLE
+    t_precharge = settle * r_pre * bl_c * swing_factor + 0.38 * (
+        bl_r * bl_c * swing_factor
+    )
+
+    # --- leakage -------------------------------------------------------
+    cell_leak = (
+        rows
+        * cols
+        * cell.access_i_off
+        * TEMPERATURE_LEAKAGE_FACTOR
+        * cell.access_width
+        * cell.vdd_cell
+    )
+    cell_leak = cell_leak * traits.cell_leak_paths
+
+    put("feasible", feasible)
+    put("width", width)
+    put("height", height)
+    put("area", width * height + dec_area)
+    put("cell_area", rows * cols * cell.area)
+    put("bitline_capacitance", bl_c)
+    put("bitline_resistance", bl_r)
+    put("wordline_r", wl_r)
+    put("wordline_c", wl_c)
+    put("decoder_delay", pd_delay + wl_delay)
+    put("decoder_wordline_delay", wl_delay)
+    put("decoder_energy", dec_energy)
+    put("decoder_leakage", dec_leak)
+    put("decoder_area", dec_area)
+    put("t_bitline", t_bitline)
+    put("t_sense", t_sense)
+    put("t_writeback", t_writeback)
+    put("t_precharge", t_precharge)
+    put("e_sense_per_pair", e_sense)
+    put("leakage_fixed", cell_leak + dec_leak)
+    put("amp_leakage", amp.leakage())
+    return table
+
+
+def write_bitline_energy(cell: CellParams, bitline_c, num_written: int):
+    """``Subarray.e_write_bitlines(num_written)`` over an array of
+    bitline capacitances (J)."""
+    vdd = cell.vdd_cell
+    return (
+        num_written
+        * bitline_c
+        * vdd
+        * vdd
+        * cell.tech.traits.write_swing_fraction
+    )
 
 
 def evaluate_batch(
@@ -202,8 +558,9 @@ def evaluate_batch(
 
     Mirrors ``organization._Builder.metrics()`` operation for
     operation; see the module docstring for the bit-identity argument.
-    ``cache`` receives exactly the subarray hit/miss counts a
-    per-candidate sweep would record (one lookup per candidate); H-tree
+    ``cache`` memoizes the subarray term rows and receives exactly the
+    subarray hit/miss counts a per-candidate sweep would record (one
+    lookup per candidate); no ``Subarray`` object is built.  H-tree
     designs are replaced by closed-form array arithmetic over the one
     memoized
     :class:`~repro.circuits.repeaters.RepeatedWireDesign`, so tree
@@ -214,61 +571,32 @@ def evaluate_batch(
     traits = spec.cell_tech.traits
 
     # --- per-unique subarray table -----------------------------------
-    # Many candidates share one (rows, cols) subarray; a per-candidate
-    # sweep resolves each through the EvalCache.  Solve each unique once and
-    # gather, replicating the cache counters the per-candidate lookups
-    # would have produced.
+    # Many candidates share one (rows, cols) subarray: compute the terms
+    # of each distinct one once (memoized in the EvalCache, which counts
+    # one lookup per candidate) and gather them to the candidates.
     key = batch.rows * (MAX_COLS + 1) + batch.cols
     unique_keys, inverse, counts = _np.unique(
         key, return_inverse=True, return_counts=True
     )
-    rows_u = unique_keys // (MAX_COLS + 1)
-    cols_u = unique_keys % (MAX_COLS + 1)
-    n_unique = len(unique_keys)
+    table = cache.subarray_terms(
+        tech,
+        spec,
+        unique_keys // (MAX_COLS + 1),
+        unique_keys % (MAX_COLS + 1),
+        counts,
+        lambda rows, cols: subarray_terms(
+            tech, spec.cell_tech, spec.periph_device_type, rows, cols
+        ),
+    )
 
-    feasible_u = _np.zeros(n_unique, dtype=bool)
-    per_unique = {
-        name: _np.zeros(n_unique, dtype=_np.float64)
-        for name in (
-            "width", "height", "area", "cell_area", "blcap",
-            "dec_delay", "wl_delay", "e_wordline", "t_bitline", "t_sense",
-            "t_writeback", "t_precharge", "e_sense_per_pair", "e_writebl",
-            "leak_fixed", "amp_leak",
-        )
-    }
-    for u in range(n_unique):
-        sub = cache.subarray(tech, spec, int(rows_u[u]), int(cols_u[u]))
-        cache.subarray_hits += int(counts[u]) - 1
-        try:
-            sub.check_sense_feasible()
-        except InfeasibleSubarray:
-            continue
-        feasible_u[u] = True
-        per_unique["width"][u] = sub.width
-        per_unique["height"][u] = sub.height
-        per_unique["area"][u] = sub.area
-        per_unique["cell_area"][u] = sub.cell_area
-        per_unique["blcap"][u] = sub.bitline_capacitance
-        per_unique["dec_delay"][u] = sub.decoder.delay
-        per_unique["wl_delay"][u] = sub.decoder.wordline_delay
-        per_unique["e_wordline"][u] = sub.e_wordline
-        per_unique["t_bitline"][u] = sub.t_bitline
-        per_unique["t_sense"][u] = sub.t_sense
-        per_unique["t_writeback"][u] = sub.t_writeback
-        per_unique["t_precharge"][u] = sub.t_precharge
-        per_unique["e_sense_per_pair"][u] = sub.e_sense_per_pair
-        per_unique["e_writebl"][u] = sub.e_write_bitlines(spec.output_bits)
-        per_unique["leak_fixed"][u] = sub.leakage_fixed
-        per_unique["amp_leak"][u] = sub.sense_amp.leakage()
-
-    buildable = feasible_u[inverse]
+    buildable = table[inverse, _COL["feasible"]] != 0.0
     n_infeasible = int(batch.size - _np.count_nonzero(buildable))
     keep = _np.nonzero(buildable)[0]
     batch = batch.take(keep)
     inv = inverse[keep]
 
     def g(name):
-        return per_unique[name][inv]
+        return table[inv, _COL[name]]
 
     w, b = batch.ndwl, batch.ndbl
     nact, sensed = batch.nact, batch.sensed_bits
@@ -306,14 +634,14 @@ def evaluate_batch(
     t_colmux = _COLMUX_FO4 * periph.fo4
     t_access = (
         t_htree
-        + g("dec_delay")
+        + g("decoder_delay")
         + g("t_bitline")
         + g("t_sense")
         + t_colmux
         + t_htree
     )
     t_random_cycle = (
-        g("wl_delay")
+        g("decoder_wordline_delay")
         + g("t_bitline")
         + g("t_sense")
         + g("t_writeback")
@@ -324,7 +652,7 @@ def evaluate_batch(
     t_interleave = _np.maximum(occupancy, t_colmux)
 
     # --- energies -----------------------------------------------------
-    e_wordlines = nact * g("e_wordline")
+    e_wordlines = nact * g("decoder_energy")
     e_sense = sensed * g("e_sense_per_pair")
     e_activate = e_wordlines + e_sense + e_htree_in
     e_colmux = (
@@ -335,10 +663,16 @@ def evaluate_batch(
         * periph.vdd**2
     )
     e_read_column = e_colmux + e_htree_out
-    e_write_column = e_colmux + e_htree_out + g("e_writebl")
+    e_write_column = e_colmux + e_htree_out + write_bitline_energy(
+        cell, g("bitline_capacitance"), spec.output_bits
+    )
     swing_fraction = traits.precharge_swing_fraction
     e_precharge = (
-        sensed * g("blcap") * cell.vdd_cell**2 * swing_fraction * 0.5
+        sensed
+        * g("bitline_capacitance")
+        * cell.vdd_cell**2
+        * swing_fraction
+        * 0.5
     )
     scale = 1.0 + _CONTROL_ENERGY_FRACTION
     e_activate = e_activate * scale
@@ -348,7 +682,7 @@ def evaluate_batch(
 
     # --- leakage ------------------------------------------------------
     num_subs = w * b
-    leak_per_sub = g("leak_fixed") + n_sa * g("amp_leak")
+    leak_per_sub = g("leakage_fixed") + n_sa * g("amp_leakage")
     if spec.sleep_transistors:
         active_fraction = nact / num_subs
         leak_array = leak_per_sub * num_subs * (

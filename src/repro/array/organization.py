@@ -290,22 +290,34 @@ class EvalCache:
     Many partitioning tuples share the same ``(rows, cols)`` subarray and
     the same H-tree design inputs; caching those designs makes the sweep
     cost proportional to the number of *distinct* circuit problems rather
-    than the number of candidates.  Distinct subarrays in turn share
-    decoder driver chains: the wordline chain depends only on the
-    columns (through the wordline load) and the row-gate fan-in, the
-    predecode chain only on its load and wire.  ``chains`` memoizes
-    every chain the cache's subarrays size, keyed on the chain's full
-    input tuple (device, feature size, load, wire, fan-in; the
-    wordline load also carries pitch and swing), and lives exactly as
-    long as the cache.  Safe to share
-    across every solve at one node (keys carry cell technology,
+    than the number of candidates.  The batch sweep
+    (:func:`~repro.array.kernels.evaluate_batch`) memoizes one compact
+    float64 term row per distinct subarray (:meth:`subarray_terms`,
+    columns :data:`~repro.array.kernels.SUBARRAY_TERMS`); a
+    :class:`~repro.array.subarray.Subarray` object is built only for a
+    design materialized through :func:`build_organization` -- the
+    ranked winners, or every design of
+    :func:`~repro.core.optimizer.feasible_designs`.  Both memos share
+    one key space, ``(rows, cols)`` under (cell technology, periphery,
+    node), and one hit/miss account: a subarray counts as a miss the
+    first time it is built in either form and as a hit on every later
+    lookup, one lookup per candidate.
+
+    Distinct ``Subarray`` objects in turn share decoder driver chains:
+    the wordline chain depends only on the columns (through the
+    wordline load) and the row-gate fan-in, the predecode chain only on
+    its load and wire.  ``chains`` memoizes every chain the cache's
+    subarrays size, keyed on the chain's full input tuple (device,
+    feature size, load, wire, fan-in; the wordline load also carries
+    pitch and swing), and lives exactly as long as the cache.  Safe to
+    share across every solve at one node (keys carry cell technology,
     periphery, and node); results are bit-identical to uncached
-    construction because the same frozen objects perform the same
-    computations.
+    construction because the same computations run in the same order.
     """
 
     def __init__(self) -> None:
-        self._subarrays: dict[tuple, Subarray] = {}
+        self._terms: dict[tuple, dict[tuple[int, int], _np.ndarray]] = {}
+        self._subarrays: dict[tuple, dict[tuple[int, int], Subarray]] = {}
         self.chains: dict[tuple, ChainMetrics] = {}
         self._htrees: dict[tuple, HTree] = {}
         self.subarray_hits = 0
@@ -313,31 +325,54 @@ class EvalCache:
         self.htree_hits = 0
         self.htree_misses = 0
 
+    @staticmethod
+    def _group(tech: Technology, spec: ArraySpec) -> tuple:
+        return (spec.cell_tech, spec.periph_device_type, tech.node_nm)
+
     def subarray(
         self, tech: Technology, spec: ArraySpec, rows: int, cols: int
     ) -> Subarray:
-        key = (
-            rows,
-            cols,
-            spec.cell_tech,
-            spec.periph_device_type,
-            tech.node_nm,
-        )
-        sub = self._subarrays.get(key)
-        if sub is not None:
+        group = self._group(tech, spec)
+        subs = self._subarrays.setdefault(group, {})
+        sub = subs.get((rows, cols))
+        if sub is not None or (rows, cols) in self._terms.get(group, ()):
             self.subarray_hits += 1
-            return sub
-        self.subarray_misses += 1
-        sub = Subarray(
-            tech=tech,
-            cell=tech.cell(spec.cell_tech, spec.periph_device_type),
-            periph=tech.device(spec.periph_device_type),
-            rows=rows,
-            cols=cols,
-            chains=self.chains,
-        )
-        self._subarrays[key] = sub
+        else:
+            self.subarray_misses += 1
+        if sub is None:
+            sub = subs[rows, cols] = Subarray(
+                tech=tech,
+                cell=tech.cell(spec.cell_tech, spec.periph_device_type),
+                periph=tech.device(spec.periph_device_type),
+                rows=rows,
+                cols=cols,
+                chains=self.chains,
+            )
         return sub
+
+    def subarray_terms(
+        self, tech: Technology, spec: ArraySpec, rows, cols, counts, build
+    ):
+        """Term rows of the distinct subarrays ``(rows[i], cols[i])``.
+
+        ``counts[i]`` candidates share subarray ``i``, and each is one
+        lookup.  ``build(rows, cols)`` returns the term table of the
+        subarrays not memoized yet.  Returns a table with one row per
+        subarray, in input order.
+        """
+        group = self._group(tech, spec)
+        memo = self._terms.setdefault(group, {})
+        subs = self._subarrays.get(group, {})
+        pairs = list(zip(rows.tolist(), cols.tolist()))
+        found = [memo.get(pair) for pair in pairs]
+        todo = [i for i, row in enumerate(found) if row is None]
+        new = sum(pairs[i] not in subs for i in todo)
+        self.subarray_misses += new
+        self.subarray_hits += int(counts.sum()) - new
+        if todo:
+            for i, row in zip(todo, build(rows[todo], cols[todo])):
+                memo[pairs[i]] = found[i] = row
+        return _np.array(found) if found else build(rows, cols)
 
     def htree(self, key: tuple, build) -> HTree:
         tree = self._htrees.get(key)

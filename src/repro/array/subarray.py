@@ -22,6 +22,7 @@ without modification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.circuits.decoder import DecoderMetrics, WordlineLoad, design_decoder
 from repro.circuits.drivers import WireLoad
@@ -55,32 +56,6 @@ _DRIVER_STRIP_F = 20.0
 
 class InfeasibleSubarray(ValueError):
     """Raised when a candidate subarray violates an electrical constraint."""
-
-
-class cached_property:
-    """A derived term computed on first access and stored on the instance.
-
-    Like :class:`functools.cached_property` minus its lock: before
-    Python 3.12 that takes a class-wide RLock on every computation, a
-    measurable share of a sweep that derives ~20 terms for each of
-    thousands of subarrays.  Subarrays are never shared between threads
-    while their terms are derived, and a term computed twice would be
-    the same float anyway.  As a non-data descriptor it is consulted
-    only until the instance ``__dict__`` holds the value.
-    """
-
-    def __init__(self, func):
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.func(instance)
-        return value
 
 
 @dataclass(frozen=True)

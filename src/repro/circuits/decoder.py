@@ -36,6 +36,9 @@ _PREDEC_BITS = 3
 #: pumps deliver charge at roughly 50-70 % efficiency.
 CHARGE_PUMP_OVERHEAD = 1.6
 
+#: Area factor of a boosted wordline driver: one level shifter per driver.
+LEVEL_SHIFTER_AREA = 1.2
+
 
 @dataclass(frozen=True)
 class WordlineLoad:
@@ -180,7 +183,7 @@ def _wordline_chain(
         ramp_out=chain.ramp_out,
         energy=chain.energy * CHARGE_PUMP_OVERHEAD,
         leakage=chain.leakage,
-        area=chain.area * 1.2,  # level shifter per driver
+        area=chain.area * LEVEL_SHIFTER_AREA,
         num_stages=chain.num_stages,
         c_in=chain.c_in,
     )

@@ -101,13 +101,18 @@ def build_chain(
 
     vdd = device.vdd
     swing = voltage_swing if voltage_swing is not None else vdd
-    c_switched = sum(g.c_in + g.c_out for g in gates)
+    # Plain left-to-right sums over the stages: ``sum()`` compensates
+    # float sums from Python 3.12 on, and the array kernel in
+    # repro.array.kernels repeats this exact accumulation order.
+    c_switched = leakage = area = 0.0
+    for g in gates:
+        c_switched += g.c_in + g.c_out
+        leakage += g.leakage()
+        area += g.area(feature_size, pitch)
     c_switched += wire.capacitance if wire else 0.0
     c_switched += c_load
     energy = c_switched * swing * swing
 
-    leakage = sum(g.leakage() for g in gates)
-    area = sum(g.area(feature_size, pitch) for g in gates)
     return ChainMetrics(
         delay=delay,
         ramp_out=ramp,

@@ -1,4 +1,6 @@
-"""The EvalCache's decoder driver-chain memo: exact, and scoped to its cache."""
+"""The EvalCache: its decoder driver-chain memo is exact and scoped to its
+cache, and a batch sweep memoizes term rows, building ``Subarray``
+objects only for the designs it materializes."""
 
 import gc
 import importlib
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.circuits
+from repro.array import kernels
 from repro.array.organization import ArraySpec, EvalCache
 from repro.array.subarray import Subarray
 from repro.circuits.decoder import DecoderMetrics
@@ -113,3 +116,45 @@ def test_circuit_modules_hold_no_chain_memo_after_a_solve():
             assert not _holds_designs(value, set()), (
                 f"repro.circuits.{info.name}.{name} holds a memoized design"
             )
+
+
+def test_solve_builds_subarray_objects_only_for_its_winners(monkeypatch):
+    built = []
+    post_init = Subarray.__post_init__
+
+    def spy(self):
+        built.append((self.rows, self.cols))
+        post_init(self)
+
+    monkeypatch.setattr(Subarray, "__post_init__", spy)
+    cache = EvalCache()
+    solution = solve(SPEC, eval_cache=cache)
+    winners = {(solution.data.rows, solution.data.cols),
+               (solution.tag.rows, solution.tag.cols)}
+    assert sorted(built) == sorted(winners)
+    assert cache.subarray_misses > len(winners)
+
+
+def _batch(tech, spec, cache):
+    batch = kernels.survivor_batch(spec)
+    kernels.evaluate_batch(tech, spec, batch, cache)
+    return batch
+
+
+def test_term_rows_and_objects_share_one_key_space():
+    tech = technology(32.0)
+    spec = ArraySpec(capacity_bits=1 << 20, output_bits=64)
+    cache = EvalCache()
+    batch = _batch(tech, spec, cache)
+    distinct = len(set(zip(batch.rows.tolist(), batch.cols.tolist())))
+    assert cache.subarray_misses == distinct
+    assert cache.subarray_hits + cache.subarray_misses == batch.size
+    # A design materialized from the batch is a hit, not a new build ...
+    cache.subarray(tech, spec, int(batch.rows[0]), int(batch.cols[0]))
+    assert cache.subarray_misses == distinct
+    # ... and a subarray first built as an object is a hit for a batch.
+    other = EvalCache()
+    other.subarray(tech, spec, int(batch.rows[0]), int(batch.cols[0]))
+    _batch(tech, spec, other)
+    assert other.subarray_misses == distinct
+    assert other.subarray_hits + other.subarray_misses == batch.size + 1
