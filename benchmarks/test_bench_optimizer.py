@@ -8,12 +8,10 @@ the repeater-derating energy savings.
 Also times the optimizer (vectorized pre-filter and kernels +
 cross-candidate memoization + persistent solve cache) against the test
 suite's reference oracle, which builds every pre-filter survivor as
-objects without caches, and records the results in
-``BENCH_optimizer.json`` at the repository root.
+objects without caches, and prints the comparison.  End-to-end solver
+times are recorded by ``bench/run.py`` (the solve-sweep workload).
 """
 
-import json
-import os
 import time
 
 from conftest import print_table
@@ -86,13 +84,9 @@ def test_optimizer_sweep(benchmark):
     print(f"feasible organizations: {len(cloud)}")
 
 
-BENCH_JSON = os.path.join(os.path.dirname(__file__), "..",
-                          "BENCH_optimizer.json")
-
-
 def test_fast_path_speedup(tmp_path, benchmark):
     """Time the reference oracle against the optimizer on a 2 MB SRAM
-    solve and write the observability record to BENCH_optimizer.json."""
+    solve, cold and from a warm solve cache."""
     spec = MemorySpec(capacity_bytes=2 << 20, block_bytes=64,
                       associativity=8, node_nm=32.0)
     data_spec, tag_spec = data_array_spec(spec), tag_array_spec(spec)
@@ -132,18 +126,6 @@ def test_fast_path_speedup(tmp_path, benchmark):
 
     assert warm.access_time == cold.access_time
     speedup = oracle_s / fast_s
-    record = {
-        "spec": "2MB SRAM cache, 64B blocks, 8-way, 32nm (data+tag)",
-        "oracle_s": round(oracle_s, 4),
-        "fast_s": round(fast_s, 4),
-        "warm_cache_s": round(warm_s, 6),
-        "speedup": round(speedup, 2),
-        "stats": stats.as_dict(),
-    }
-    with open(BENCH_JSON, "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
-
     print_table(
         "Optimizer fast path (2 MB SRAM solve, 32 nm)",
         ["path", "wall s", "speedup"],

@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as _np
 
@@ -76,11 +77,12 @@ from repro.array.organization import (
     _CONTROL_ENERGY_FRACTION,
     _CONTROL_LEAKAGE_FRACTION,
     _CONTROL_WIRES,
-    MAX_COLS,
     ArraySpec,
     EvalCache,
     OrgGeometry,
     OrgParams,
+    _org_grid,
+    subarray_keys,
     survivor_arrays,
 )
 from repro.array.subarray import (
@@ -120,10 +122,12 @@ class SurvivorBatch:
     Column-for-column the ``(OrgParams, OrgGeometry)`` pairs that
     :func:`~repro.array.organization.prefilter_org` accepts from
     :func:`~repro.array.organization.enumerate_orgs`, in the same
-    enumeration order, without the per-candidate objects.
+    enumeration order, without the per-candidate objects.  The arrays
+    are read-only: an :class:`~repro.array.organization.EvalCache`
+    shares one batch across every spec with the same
+    :func:`~repro.array.organization.prefilter_key`.
     """
 
-    spec: ArraySpec
     ndwl: "object"  #: int64 arrays, one entry per survivor
     ndbl: "object"
     nspd: "object"  #: float64
@@ -134,6 +138,7 @@ class SurvivorBatch:
     nact: "object"
     sensed_bits: "object"
     sense_amps_per_sub: "object"
+    enumerated: int  #: candidate tuples in the grid the batch came from
 
     @property
     def size(self) -> int:
@@ -162,10 +167,22 @@ class SurvivorBatch:
         """Every survivor as an ``(OrgParams, OrgGeometry)`` pair."""
         return [self.org_at(i) for i in range(self.size)]
 
+    @cached_property
+    def distinct_subarrays(self):
+        """``(keys, inverse, counts)`` of the batch's distinct
+        ``(rows, cols)`` subarrays: their
+        :func:`~repro.array.organization.subarray_keys` in ascending
+        order, each candidate's index into them, and how many
+        candidates share each."""
+        return _np.unique(
+            subarray_keys(self.rows, self.cols),
+            return_inverse=True,
+            return_counts=True,
+        )
+
     def take(self, idx) -> "SurvivorBatch":
         """A new batch holding the candidates at ``idx``, in order."""
         return SurvivorBatch(
-            spec=self.spec,
             ndwl=self.ndwl[idx],
             ndbl=self.ndbl[idx],
             nspd=self.nspd[idx],
@@ -176,21 +193,17 @@ class SurvivorBatch:
             nact=self.nact[idx],
             sensed_bits=self.sensed_bits[idx],
             sense_amps_per_sub=self.sense_amps_per_sub[idx],
+            enumerated=self.enumerated,
         )
 
 
-def survivor_batch(
-    spec: ArraySpec,
-    max_ndwl: int = 64,
-    max_ndbl: int = 64,
-    nspd_values: tuple[float, ...] | None = None,
-    max_mux: int | None = None,
-) -> SurvivorBatch:
+def survivor_batch(spec: ArraySpec) -> SurvivorBatch:
     """The spec's prefilter survivors as arrays."""
-    return SurvivorBatch(
-        spec,
-        *survivor_arrays(spec, max_ndwl, max_ndbl, nspd_values, max_mux),
-    )
+    axes = _org_grid(spec)
+    arrays = survivor_arrays(spec, axes)
+    for array in arrays:
+        array.flags.writeable = False
+    return SurvivorBatch(*arrays, enumerated=math.prod(map(len, axes)))
 
 
 @dataclass
@@ -574,15 +587,11 @@ def evaluate_batch(
     # Many candidates share one (rows, cols) subarray: compute the terms
     # of each distinct one once (memoized in the EvalCache, which counts
     # one lookup per candidate) and gather them to the candidates.
-    key = batch.rows * (MAX_COLS + 1) + batch.cols
-    unique_keys, inverse, counts = _np.unique(
-        key, return_inverse=True, return_counts=True
-    )
+    keys, inverse, counts = batch.distinct_subarrays
     table = cache.subarray_terms(
         tech,
         spec,
-        unique_keys // (MAX_COLS + 1),
-        unique_keys % (MAX_COLS + 1),
+        keys,
         counts,
         lambda rows, cols: subarray_terms(
             tech, spec.cell_tech, spec.periph_device_type, rows, cols
@@ -591,12 +600,14 @@ def evaluate_batch(
 
     buildable = table[inverse, _COL["feasible"]] != 0.0
     n_infeasible = int(batch.size - _np.count_nonzero(buildable))
-    keep = _np.nonzero(buildable)[0]
-    batch = batch.take(keep)
-    inv = inverse[keep]
+    if n_infeasible:
+        keep = _np.nonzero(buildable)[0]
+        batch = batch.take(keep)
+        inverse = inverse[keep]
+    terms = table[inverse]
 
     def g(name):
-        return table[inv, _COL[name]]
+        return terms[:, _COL[name]]
 
     w, b = batch.ndwl, batch.ndbl
     nact, sensed = batch.nact, batch.sensed_bits

@@ -22,6 +22,7 @@ space exhaustively.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -300,8 +301,17 @@ class EvalCache:
     :func:`~repro.core.optimizer.feasible_designs`.  Both memos share
     one key space, ``(rows, cols)`` under (cell technology, periphery,
     node), and one hit/miss account: a subarray counts as a miss the
-    first time it is built in either form and as a hit on every later
-    lookup, one lookup per candidate.
+    first time it is looked up in either form and as a hit on every
+    later lookup, one lookup per candidate.
+
+    The structural pre-filter's survivor batches are memoized too
+    (:meth:`survivors`), keyed on the spec fields the pre-filter reads
+    -- not the node, so one batch serves every node.  A :meth:`batch`
+    scope lets a batch of solves pay for its set-up once: the first
+    survivor lookup in the scope pre-filters every sweep the scope
+    announced, and the first term lookup of each (cell technology,
+    periphery, node) group builds the term rows of all the group's
+    announced survivors in one call.
 
     Distinct ``Subarray`` objects in turn share decoder driver chains:
     the wordline chain depends only on the columns (through the
@@ -316,8 +326,18 @@ class EvalCache:
     """
 
     def __init__(self) -> None:
+        self._survivors: dict[tuple, object] = {}
         self._terms: dict[tuple, dict[tuple[int, int], _np.ndarray]] = {}
         self._subarrays: dict[tuple, dict[tuple[int, int], Subarray]] = {}
+        #: Per group, every subarray looked up so far (the hit/miss
+        #: account; a row built ahead by a batch scope is not in it).
+        self._seen: dict[tuple, set[tuple[int, int]]] = {}
+        #: Sweeps the open batch scope announced and nothing has
+        #: pre-filtered yet; None outside a scope.
+        self._announced: list | None = None
+        #: Per group, survivor batches whose term rows are still to be
+        #: built ahead.
+        self._pending: dict[tuple, list] = {}
         self.chains: dict[tuple, ChainMetrics] = {}
         self._htrees: dict[tuple, HTree] = {}
         self.subarray_hits = 0
@@ -329,16 +349,63 @@ class EvalCache:
     def _group(tech: Technology, spec: ArraySpec) -> tuple:
         return (spec.cell_tech, spec.periph_device_type, tech.node_nm)
 
+    @contextmanager
+    def batch(self, sweeps):
+        """Scope a batch of array sweeps, ``(tech, spec)`` pairs, that
+        is about to run on this cache.
+
+        Work is done only when a sweep runs, so a batch whose solves
+        are all served from a store costs nothing.  A scope opened
+        inside another is a no-op: the outer scope announced its
+        sweeps.  Neither the numbers nor the hit/miss counts change.
+        """
+        if self._announced is not None:
+            yield
+            return
+        self._announced = list(sweeps)
+        try:
+            yield
+        finally:
+            self._announced = None
+            self._pending = {}
+
+    def survivors(self, spec: ArraySpec, build):
+        """The pre-filter survivor batch ``build(spec)``, memoized.
+
+        The first call in a :meth:`batch` scope also pre-filters every
+        sweep the scope announced.
+        """
+        if self._announced:
+            announced, self._announced = self._announced, []
+            for tech, other in announced:
+                self._pending.setdefault(self._group(tech, other), []).append(
+                    self._survivor_batch(other, build)
+                )
+        return self._survivor_batch(spec, build)
+
+    def _survivor_batch(self, spec: ArraySpec, build):
+        key = prefilter_key(spec)
+        batch = self._survivors.get(key)
+        if batch is None:
+            batch = self._survivors[key] = build(spec)
+        return batch
+
+    def _lookup(self, group: tuple, pairs: list) -> int:
+        """Record lookups of the distinct ``pairs``; how many are new."""
+        seen = self._seen.setdefault(group, set())
+        new = [pair for pair in pairs if pair not in seen]
+        seen.update(new)
+        self.subarray_misses += len(new)
+        return len(new)
+
     def subarray(
         self, tech: Technology, spec: ArraySpec, rows: int, cols: int
     ) -> Subarray:
         group = self._group(tech, spec)
+        if not self._lookup(group, [(rows, cols)]):
+            self.subarray_hits += 1
         subs = self._subarrays.setdefault(group, {})
         sub = subs.get((rows, cols))
-        if sub is not None or (rows, cols) in self._terms.get(group, ()):
-            self.subarray_hits += 1
-        else:
-            self.subarray_misses += 1
         if sub is None:
             sub = subs[rows, cols] = Subarray(
                 tech=tech,
@@ -351,28 +418,39 @@ class EvalCache:
         return sub
 
     def subarray_terms(
-        self, tech: Technology, spec: ArraySpec, rows, cols, counts, build
+        self, tech: Technology, spec: ArraySpec, keys, counts, build
     ):
-        """Term rows of the distinct subarrays ``(rows[i], cols[i])``.
+        """Term rows of the distinct subarrays ``keys``
+        (:func:`subarray_keys`).
 
         ``counts[i]`` candidates share subarray ``i``, and each is one
         lookup.  ``build(rows, cols)`` returns the term table of the
-        subarrays not memoized yet.  Returns a table with one row per
+        subarrays not memoized yet; in a :meth:`batch` scope its first
+        call for a group also covers every subarray of the group's
+        announced survivors.  Returns a table with one row per
         subarray, in input order.
         """
         group = self._group(tech, spec)
-        memo = self._terms.setdefault(group, {})
-        subs = self._subarrays.get(group, {})
+        rows, cols = _split_subarray_keys(keys)
         pairs = list(zip(rows.tolist(), cols.tolist()))
-        found = [memo.get(pair) for pair in pairs]
-        todo = [i for i, row in enumerate(found) if row is None]
-        new = sum(pairs[i] not in subs for i in todo)
-        self.subarray_misses += new
-        self.subarray_hits += int(counts.sum()) - new
+        self.subarray_hits += int(counts.sum()) - self._lookup(group, pairs)
+        if not pairs:
+            return build(rows, cols)
+        memo = self._terms.setdefault(group, {})
+        wanted = pairs
+        ahead = self._pending.pop(group, None)
+        if ahead:
+            # Build every subarray the group's announced sweeps will
+            # look up along with these, in one call.
+            rows, cols = _split_subarray_keys(_np.unique(_np.concatenate(
+                [keys] + [batch.distinct_subarrays[0] for batch in ahead]
+            )))
+            wanted = list(zip(rows.tolist(), cols.tolist()))
+        todo = [i for i, pair in enumerate(wanted) if pair not in memo]
         if todo:
             for i, row in zip(todo, build(rows[todo], cols[todo])):
-                memo[pairs[i]] = found[i] = row
-        return _np.array(found) if found else build(rows, cols)
+                memo[wanted[i]] = row
+        return _np.array([memo[pair] for pair in pairs])
 
     def htree(self, key: tuple, build) -> HTree:
         tree = self._htrees.get(key)
@@ -655,20 +733,6 @@ def _org_grid(
     )
 
 
-def org_grid_size(
-    spec: ArraySpec,
-    max_ndwl: int = 64,
-    max_ndbl: int = 64,
-    nspd_values: tuple[float, ...] | None = None,
-    max_mux: int | None = None,
-) -> int:
-    """Number of candidate tuples :func:`enumerate_orgs` would produce."""
-    size = 1
-    for axis in _org_grid(spec, max_ndwl, max_ndbl, nspd_values, max_mux):
-        size *= len(axis)
-    return size
-
-
 def enumerate_orgs(
     spec: ArraySpec,
     max_ndwl: int = 64,
@@ -698,83 +762,111 @@ def enumerate_orgs(
     return candidates
 
 
-def survivor_arrays(
-    spec: ArraySpec,
-    max_ndwl: int = 64,
-    max_ndbl: int = 64,
-    nspd_values: tuple[float, ...] | None = None,
-    max_mux: int | None = None,
-):
+def prefilter_key(spec: ArraySpec) -> tuple:
+    """The spec fields the structural pre-filter reads.
+
+    Specs with equal keys have the same candidate grid and the same
+    survivors: the node, periphery, sleep transistors and repeater
+    penalty play no part before build time.
+    """
+    return (
+        spec.cell_tech,
+        spec.capacity_bits,
+        spec.output_bits,
+        spec.assoc,
+        spec.nbanks,
+        spec.page_bits,
+    )
+
+
+def subarray_keys(rows, cols):
+    """One int64 key per ``(rows[i], cols[i])`` subarray, ordered as
+    the pairs are."""
+    return rows * (MAX_COLS + 1) + cols
+
+
+def _split_subarray_keys(keys):
+    """The ``(rows, cols)`` arrays of :func:`subarray_keys` ``keys``."""
+    return keys // (MAX_COLS + 1), keys % (MAX_COLS + 1)
+
+
+def survivor_arrays(spec: ArraySpec, axes: tuple | None = None):
     """Raw survivor arrays of the vectorized structural pre-filter.
 
     Evaluates every feasibility expression of :func:`derive_geometry` --
-    integral rows/columns, row/column ranges, the 512-row DRAM bitline
+    integral rows/columns, row/column ranges, the cell traits' bitline
     sensing limit, mux divisibility, active-subarray and way-select
-    counts, page matching -- as one numpy batch over the full
-    (ndwl, ndbl, nspd, ndcm, ndsam) grid, instead of per-candidate
-    Python calls, and returns the surviving candidates as ten aligned
-    arrays ``(ndwl, ndbl, nspd, ndcm, ndsam, rows, cols, nact,
-    sensed_bits, sense_amps_per_sub)`` in enumeration order (the order
-    ranking ties break by).
+    counts, page matching -- over the (ndwl, ndbl, nspd, ndcm, ndsam)
+    grid ``axes`` (by default the spec's own grid) and returns the
+    surviving candidates as ten aligned arrays ``(ndwl, ndbl, nspd,
+    ndcm, ndsam, rows, cols, nact, sensed_bits, sense_amps_per_sub)``
+    in enumeration order (the order ranking ties break by).
 
-    The arithmetic is float64/int64, the same IEEE-754 operations
+    Each condition is computed on the fewest axes it depends on: rows
+    on (ndbl, nspd), columns on (ndwl, nspd), and the mux, active
+    subarray and page checks on (ndwl, nspd, ndcm, ndsam).  The masks
+    then broadcast to the full grid for one ``nonzero``.  The
+    arithmetic is float64/int64, the same IEEE-754 operations
     :func:`derive_geometry` performs, so the integrality tests agree bit
     for bit.
     """
-    axes = _org_grid(spec, max_ndwl, max_ndbl, nspd_values, max_mux)
-    ndwls, ndbls, nspds, ndcms, ndsams = axes
-    traits = spec.cell_tech.traits
-    # C-order ravel of an 'ij' meshgrid iterates the last axis fastest,
-    # matching the nested loop order of enumerate_orgs.
-    w, b, s, c, m = (
-        g.ravel()
-        for g in _np.meshgrid(
-            _np.asarray(ndwls, dtype=_np.int64),
-            _np.asarray(ndbls, dtype=_np.int64),
-            _np.asarray(nspds, dtype=_np.float64),
-            _np.asarray(ndcms, dtype=_np.int64),
-            _np.asarray(ndsams, dtype=_np.int64),
-            indexing="ij",
-        )
+    if axes is None:
+        axes = _org_grid(spec)
+    ndwls, ndbls, nspds, ndcms, ndsams = (
+        _np.asarray(axis, dtype=dtype)
+        for axis, dtype in zip(axes, (_np.int64, _np.int64, _np.float64,
+                                      _np.int64, _np.int64))
     )
-    rows_f = spec.sets_per_bank / (b * s)
-    cols_f = spec.output_bits * spec.assoc * s / w
-    ok = (rows_f == _np.floor(rows_f)) & (cols_f == _np.floor(cols_f))
-    # Non-integral entries are already masked out; clamp them to an
-    # in-range value so the integer conversion cannot overflow.
-    rows = _np.where(ok, rows_f, MIN_ROWS).astype(_np.int64)
-    cols = _np.where(ok, cols_f, MIN_COLS).astype(_np.int64)
-    ok &= (rows >= MIN_ROWS) & (rows <= MAX_ROWS)
+    traits = spec.cell_tech.traits
+
+    # (ndbl, nspd): rows per subarray.
+    rows_f = spec.sets_per_bank / (ndbls[:, None] * nspds[None, :])
+    rows_ok = rows_f == _np.floor(rows_f)
+    # Non-integral entries are masked out; clamp them to an in-range
+    # value so the integer conversion cannot overflow.
+    rows = _np.where(rows_ok, rows_f, MIN_ROWS).astype(_np.int64)
+    rows_ok &= (rows >= MIN_ROWS) & (rows <= MAX_ROWS)
     if traits.max_bitline_cells is not None:
-        ok &= rows <= traits.max_bitline_cells
-    ok &= (cols >= MIN_COLS) & (cols <= MAX_COLS)
-    mux = c * m
-    ok &= cols % mux == 0
-    out_per_sub = cols // mux
+        rows_ok &= rows <= traits.max_bitline_cells
+
+    # (ndwl, nspd): columns per subarray.
+    cols_f = spec.output_bits * spec.assoc * nspds[None, :] / ndwls[:, None]
+    cols_ok = cols_f == _np.floor(cols_f)
+    cols = _np.where(cols_ok, cols_f, MIN_COLS).astype(_np.int64)
+    cols_ok &= (cols >= MIN_COLS) & (cols <= MAX_COLS)
+
+    # (ndwl, nspd, ndcm, ndsam): muxing, active subarrays and the page.
+    c4 = cols[:, :, None, None]
+    mux = ndcms[:, None] * ndsams[None, :]
+    ok = cols_ok[:, :, None, None] & (c4 % mux == 0)
+    out_per_sub = c4 // mux
     ok &= out_per_sub > 0
     nact = -(-spec.output_bits // _np.maximum(out_per_sub, 1))
-    ok &= nact <= w
+    ok &= nact <= ndwls[:, None, None, None]
     if spec.assoc > 1:
         ok &= mux >= spec.assoc
-    sensed_per_sub = cols // c
-    sensed_bits = nact * sensed_per_sub
+    sensed_per_sub = cols[:, :, None] // ndcms[None, None, :]
+    sensed_bits = nact * sensed_per_sub[:, :, :, None]
     if spec.page_bits is not None:
         if not traits.supports_page_mode:
             ok &= False
         else:
             ok &= sensed_bits == spec.page_bits
-    idx = _np.nonzero(ok)[0]
+
+    iw, ib, i_s, ic, im = _np.nonzero(
+        rows_ok[None, :, :, None, None] & ok[:, None, :, :, :]
+    )
     return (
-        w[idx],
-        b[idx],
-        s[idx],
-        c[idx],
-        m[idx],
-        rows[idx],
-        cols[idx],
-        nact[idx],
-        sensed_bits[idx],
-        sensed_per_sub[idx],
+        ndwls[iw],
+        ndbls[ib],
+        nspds[i_s],
+        ndcms[ic],
+        ndsams[im],
+        rows[ib, i_s],
+        cols[iw, i_s],
+        nact[iw, i_s, ic, im],
+        sensed_bits[iw, i_s, ic, im],
+        sensed_per_sub[iw, i_s, ic],
     )
 
 

@@ -101,6 +101,25 @@ def tag_array_spec(spec: MemorySpec) -> ArraySpec:
     )
 
 
+def _sweeps(specs) -> list[tuple[Technology, ArraySpec]]:
+    """``(tech, array spec)`` of every array sweep solving ``specs``
+    runs: each spec's data array, and its tag array if it is a cache.
+
+    A spec whose arrays cannot be derived is left out; its own solve
+    reports why.
+    """
+    sweeps = []
+    for spec in specs:
+        try:
+            tech = technology(spec.node_nm)
+            sweeps.append((tech, data_array_spec(spec)))
+            if spec.is_cache:
+                sweeps.append((tech, tag_array_spec(spec)))
+        except ValueError:
+            continue
+    return sweeps
+
+
 def solve(
     spec: MemorySpec,
     target: OptimizationTarget | None = None,
@@ -123,6 +142,10 @@ def solve(
     precomputed hit -- bit-identical to solving live -- returns in
     microseconds, anything else falls through to the solver.  None of
     them changes the returned numbers.
+
+    The data and tag sweeps run in one
+    :meth:`~repro.array.organization.EvalCache.batch` scope, so the
+    first of them to run builds the subarray terms of both.
     """
     target = target or OptimizationTarget()
     if cachedb is not None:
@@ -142,7 +165,8 @@ def solve(
     ):
         # Hold the solve cache open so the data and tag sweeps flush
         # once, at this solve boundary, not once per optimize.
-        with solve_cache if solve_cache is not None else nullcontext():
+        with solve_cache if solve_cache is not None else nullcontext(), \
+                eval_cache.batch(_sweeps([spec])):
             with maybe_span(obs, "data_array"):
                 data = optimize(
                     tech,
@@ -254,11 +278,14 @@ def solve_batch(
             )
         if jobs == 1 or len(specs) <= 1:
             # Serial: one EvalCache spans the whole batch, so repeated
-            # subarray/H-tree problems are solved once across specs;
-            # one deferred flush spans it too (O(1) writes per batch).
+            # survivor/subarray/H-tree problems are solved once across
+            # specs, and its batch scope builds every spec's subarray
+            # terms in one pass per group; one deferred flush spans it
+            # too (O(1) writes per batch).
             if eval_cache is None:
                 eval_cache = EvalCache()
-            with solve_cache if solve_cache is not None else nullcontext():
+            with solve_cache if solve_cache is not None else nullcontext(), \
+                    eval_cache.batch(_sweeps(specs)):
                 solutions = [
                     solve(
                         spec,
@@ -305,6 +332,14 @@ def solve_batch(
         return solutions
 
 
+def _in_process_batch(payloads):
+    """The batch scope of :func:`_solve_batch_task` payloads run in this
+    process, on the EvalCache they share."""
+    return parallel.worker_eval_cache().batch(
+        _sweeps(spec for spec, *_ in payloads)
+    )
+
+
 def _solve_batch_resilient(
     specs, targets, solve_cache, jobs, obs, resilience
 ) -> BatchOutcome:
@@ -313,7 +348,8 @@ def _solve_batch_resilient(
     Every spec runs through the same worker-task shape at every job
     count, so a journal written by a parallel run resumes a serial one
     and vice versa; in-process execution reuses the process-local
-    eval/solve caches exactly as a worker would.
+    eval/solve caches exactly as a worker would, and opens one batch
+    scope on the EvalCache over the specs still to solve.
     """
     cache_path = solve_cache.url if solve_cache is not None else None
     keys = None
@@ -336,6 +372,7 @@ def _solve_batch_resilient(
         span_name="batch.solve",
         resilience=resilience,
         keys=keys,
+        scope=_in_process_batch,
     )
     solutions = []
     failures = []

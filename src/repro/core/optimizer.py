@@ -17,9 +17,11 @@ The sweep runs as one pipeline that changes none of those numbers:
 * the survivors are evaluated, constrained and ranked as arrays
   (:mod:`repro.array.kernels`), and full circuit objects are built only
   for the winners;
-* an :class:`~repro.array.organization.EvalCache` shares subarray and
-  H-tree designs across candidates (and, via the
-  :class:`~repro.core.cacti.CactiD` facade, across solves);
+* an :class:`~repro.array.organization.EvalCache` shares survivor
+  batches, subarray and H-tree designs across candidates and sweeps
+  (and, via the :class:`~repro.core.cacti.CactiD` facade, across
+  solves); in a batch scope it builds the subarray terms of every
+  announced sweep in one pass per group;
 * an optional persistent :class:`~repro.core.solvecache.SolveCache`
   short-circuits whole repeated solves from disk.
 
@@ -38,7 +40,6 @@ from repro.array.organization import (
     InfeasibleOrganization,
     InfeasibleSubarray,
     build_organization,
-    org_grid_size,
 )
 from repro.array import kernels
 from repro.core.config import OptimizationTarget
@@ -271,7 +272,7 @@ def feasible_designs(
     if cache is None:
         cache = EvalCache()
     with obs_phase("prefilter", obs):
-        batch = kernels.survivor_batch(spec)
+        batch = cache.survivors(spec, kernels.survivor_batch)
     since = _eval_cache_marks(cache)
     designs = []
     with obs_phase("build", obs, candidates=batch.size):
@@ -284,11 +285,10 @@ def feasible_designs(
                 )
             except (InfeasibleOrganization, InfeasibleSubarray):
                 continue
-    grid = org_grid_size(spec)
     _count(
         obs,
-        enumerated=grid,
-        prefiltered=grid - batch.size,
+        enumerated=batch.enumerated,
+        prefiltered=batch.enumerated - batch.size,
         built=batch.size,
         infeasible_at_build=batch.size - len(designs),
         feasible=len(designs),
@@ -396,15 +396,14 @@ def _ranked_designs(
     counted after.
     """
     with obs_phase("prefilter", obs):
-        batch = kernels.survivor_batch(spec)
+        batch = eval_cache.survivors(spec, kernels.survivor_batch)
     since = _eval_cache_marks(eval_cache)
     with obs_phase("build", obs, candidates=batch.size):
         ev = kernels.evaluate_batch(tech, spec, batch, eval_cache)
-    grid = org_grid_size(spec)
     _count(
         obs,
-        enumerated=grid,
-        prefiltered=grid - batch.size,
+        enumerated=batch.enumerated,
+        prefiltered=batch.enumerated - batch.size,
         built=batch.size,
         infeasible_at_build=ev.n_infeasible,
         feasible=ev.size,

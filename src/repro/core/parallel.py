@@ -39,7 +39,7 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
@@ -190,6 +190,7 @@ def parallel_map(
     span_name: str | None = None,
     resilience: ResiliencePolicy | None = None,
     keys: Sequence[str] | None = None,
+    scope: Callable | None = None,
 ) -> list:
     """Order-preserving map over worker processes.
 
@@ -197,7 +198,10 @@ def parallel_map(
     no executor, no pickling.  Results always come back in payload
     order, never completion order, so downstream merges are
     deterministic.  Without a ``resilience`` policy a worker exception
-    propagates to the caller.
+    propagates to the caller.  ``scope``, given the payloads about to
+    run serially in-process, returns a context manager held open
+    around them (inside their in-parent :func:`worker_eval_cache`
+    scope); tasks that run in workers do without it.
 
     A tracing ``obs`` + ``span_name`` trace the map: the serial path
     records one ``span_name`` span per task, the parallel path one
@@ -225,10 +229,11 @@ def parallel_map(
             keys=keys,
             stage=span_name or "parallel_map",
             obs=obs,
+            scope=scope,
         ).run()
     jobs = min(resolve_jobs(jobs), len(payloads))
     if jobs <= 1:
-        with _in_parent():
+        with _in_parent(), _scoped(scope, payloads):
             if obs is None or obs.tracer is None or span_name is None:
                 return [fn(p) for p in payloads]
             results = []
@@ -246,6 +251,10 @@ def parallel_map(
             max_workers=jobs, initializer=_init_worker
         ) as pool:
             return list(pool.map(fn, payloads))
+
+
+def _scoped(scope: Callable | None, payloads: list):
+    return nullcontext() if scope is None else scope(payloads)
 
 
 # --------------------------------------------------------------------- #
@@ -268,7 +277,8 @@ def _policy_task(wrapped: tuple):
 class _ResilientMap:
     """One fault-tolerant map execution (see :func:`parallel_map`)."""
 
-    def __init__(self, fn, payloads, jobs, policy, *, keys, stage, obs):
+    def __init__(self, fn, payloads, jobs, policy, *, keys, stage, obs,
+                 scope):
         if policy.journal is not None and keys is None:
             raise ValueError(
                 "a journal-bearing policy needs per-task keys"
@@ -283,6 +293,7 @@ class _ResilientMap:
         self.keys = keys
         self.stage = stage
         self.obs = obs
+        self.scope = scope
         self.results: list = [None] * len(payloads)
         self.todo = self._restore_from_journal()
         self.jobs = min(resolve_jobs(jobs), max(1, len(self.todo)))
@@ -373,8 +384,10 @@ class _ResilientMap:
     def _run_serial(self) -> None:
         # In-process execution cannot be preempted, so ``timeout_s`` is
         # not enforced here -- timeouts need a worker pool to cancel.
-        for index in self.todo:
-            self._run_one_serially(index, first_attempt=1)
+        todo = [self.payloads[index] for index in self.todo]
+        with _scoped(self.scope, todo):
+            for index in self.todo:
+                self._run_one_serially(index, first_attempt=1)
 
     def _run_one_serially(self, index: int, first_attempt: int) -> None:
         attempt = first_attempt

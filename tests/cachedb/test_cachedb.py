@@ -15,6 +15,7 @@ from repro.cachedb import (
     grid_key,
     grid_spec_for,
 )
+from repro.array.kernels import SurvivorBatch
 from repro.array.organization import EvalCache
 from repro.cachedb.schema import DB_METRICS
 from repro.cli import main
@@ -104,21 +105,28 @@ class TestBuilder:
     def test_serial_build_keeps_no_subarray_memo(self, tmp_path,
                                                  monkeypatch):
         """At ``jobs=1`` the worker tasks run in the parent; their
-        EvalCache lives for the build, not for the process."""
+        EvalCache -- subarray terms and survivor batches alike -- lives
+        for the build, not for the process."""
         monkeypatch.setattr(parallel, "_WORKER_EVAL_CACHE", None)
-        caches = []
-        init = EvalCache.__init__
+        caches, batches = [], []
 
-        def track(self):
-            init(self)
-            caches.append(weakref.ref(self))
+        def tracking(cls, refs):
+            init = cls.__init__
 
-        monkeypatch.setattr(EvalCache, "__init__", track)
+            def track(self, *args, **kwargs):
+                init(self, *args, **kwargs)
+                refs.append(weakref.ref(self))
+
+            monkeypatch.setattr(cls, "__init__", track)
+
+        tracking(EvalCache, caches)
+        tracking(SurvivorBatch, batches)
         grid = GridSpec(capacities_bytes=CAPS, technologies=("sram",))
         report = build_cachedb(tmp_path / "db.json", grid, jobs=1)
-        assert report.solved == 2 and caches
+        assert report.solved == 2 and caches and batches
         gc.collect()
         assert all(ref() is None for ref in caches)
+        assert all(ref() is None for ref in batches)
         assert parallel._WORKER_EVAL_CACHE is None
 
     def test_resumed_build_restores_solved_cells(self, tmp_path):
