@@ -2,10 +2,11 @@
 
 Builds a small cachedb grid, then times the two ways of answering the
 same on-grid queries: ``CacheDB.query`` (dictionary hit on the
-precomputed artifact) and a fresh ``solve`` of the identical spec.  The
-per-query wall-clock pair, the speedup, and the asserted >= 100x floor
-land in ``BENCH_cachedb.json`` at the repo root.  Also asserts the
-serving contract: the served metrics equal the live solve's exactly.
+precomputed artifact) and a fresh ``solve`` of the identical spec.  It
+prints the per-query wall-clock pair and the speedup, and asserts the
+>= 100x floor.  Also asserts the serving contract: the served metrics
+equal the live solve's exactly.  End-to-end lookup times are recorded
+by ``bench/run.py`` (the cached-solve workload).
 
 The live side deliberately gets no solve cache and a cold eval cache
 per query -- the comparison is "answer from the precomputed database"
@@ -13,17 +14,11 @@ vs "compute the answer", which is precisely the serving-tier trade the
 database exists for.
 """
 
-import json
-import os
 import time
 
 from repro.cachedb import CacheDB, GridSpec, build_cachedb
 from repro.cachedb.schema import DB_METRICS, grid_spec_for
 from repro.core.cacti import solve
-
-BENCH_FILE = os.path.join(
-    os.path.dirname(__file__), os.pardir, "BENCH_cachedb.json"
-)
 
 #: Grid: every cell is also a timed query point.
 CAPS = (64 << 10, 256 << 10, 1 << 20)
@@ -77,30 +72,6 @@ def test_bench_cachedb_lookup_vs_live_solve(tmp_path):
         }
 
     speedup = wall_solve / wall_lookup
-    payload = {
-        "description": (
-            "wall-clock time to answer every on-grid query point: "
-            "CacheDB.query exact hits on the precomputed artifact vs "
-            "solving each spec live"
-        ),
-        "grid": grid.as_dict(),
-        "query_points": len(points),
-        "wall_time_s": {
-            "cachedb_lookup": wall_lookup,
-            "live_solve": wall_solve,
-        },
-        "per_query_us": {
-            "cachedb_lookup": wall_lookup / len(points) * 1e6,
-            "live_solve": wall_solve / len(points) * 1e6,
-        },
-        "speedup": speedup,
-        "min_speedup_asserted": MIN_SPEEDUP,
-        "bit_identical_metrics": True,
-    }
-    with open(BENCH_FILE, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
     print(
         f"\nlookup: {wall_lookup / len(points) * 1e6:8.2f} us/query   "
         f"solve: {wall_solve / len(points) * 1e6:8.2f} us/query   "

@@ -3,8 +3,7 @@
 Times both :class:`~repro.store.KVStore` backends on the operations the
 solve pipeline actually issues -- bulk puts, random gets, and the
 hot-path case of flushing ONE dirty record into an already-populated
-store -- and writes the numbers to ``BENCH_store.json`` at the repo
-root.
+store -- and prints the numbers.
 
 The asserted claim is the architectural one from the issue: the sqlite
 backend's flush cost is O(dirty records), not O(total records).  The
@@ -13,15 +12,9 @@ flush grows linearly from 1k to 10k resident records; sqlite's upserts
 only the staged row, so its flush must NOT grow proportionally.
 """
 
-import json
-import os
 import time
 
 from repro.store import JsonFileStore, SqliteStore
-
-BENCH_FILE = os.path.join(
-    os.path.dirname(__file__), os.pardir, "BENCH_store.json"
-)
 
 VERSION = "bench-v1"
 
@@ -67,19 +60,6 @@ def _time_one_dirty_flush(store, n_resident) -> float:
 
 
 def test_bench_store_backends(tmp_path):
-    payload = {
-        "description": (
-            "KVStore backend throughput (puts/gets per second) and the "
-            "cost of flushing ONE dirty record into a store already "
-            "holding N records: the JSON backend rewrites the whole "
-            "file (O(total)), the sqlite backend upserts one row "
-            "(O(dirty))"
-        ),
-        "throughput_records": THROUGHPUT_RECORDS,
-        "backends": {},
-        "one_dirty_record_flush_ms": {},
-    }
-
     for backend in ("json", "sqlite"):
         store = _make(backend, tmp_path, "throughput")
         t0 = time.perf_counter()
@@ -92,10 +72,10 @@ def test_bench_store_backends(tmp_path):
         get_wall = time.perf_counter() - t0
         store.close()
 
-        payload["backends"][backend] = {
-            "puts_per_s": THROUGHPUT_RECORDS / put_wall,
-            "gets_per_s": THROUGHPUT_RECORDS / get_wall,
-        }
+        print(
+            f"\n{backend}: {THROUGHPUT_RECORDS / put_wall:,.0f} puts/s  "
+            f"{THROUGHPUT_RECORDS / get_wall:,.0f} gets/s"
+        )
 
     flush_ms = {}
     for backend in ("json", "sqlite"):
@@ -107,21 +87,11 @@ def test_bench_store_backends(tmp_path):
                 _time_one_dirty_flush(store, size) * 1e3
             )
             store.close()
-    payload["one_dirty_record_flush_ms"] = flush_ms
 
     json_growth = flush_ms["json"]["10000"] / flush_ms["json"]["1000"]
     sqlite_growth = (
         flush_ms["sqlite"]["10000"] / flush_ms["sqlite"]["1000"]
     )
-    payload["flush_growth_1k_to_10k"] = {
-        "json": json_growth,
-        "sqlite": sqlite_growth,
-    }
-
-    with open(BENCH_FILE, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
     print(
         f"\n1-dirty-record flush at 10k resident: "
         f"json {flush_ms['json']['10000']:.2f} ms  "

@@ -442,9 +442,11 @@ class EvalCache:
         if ahead:
             # Build every subarray the group's announced sweeps will
             # look up along with these, in one call.
-            rows, cols = _split_subarray_keys(_np.unique(_np.concatenate(
+            # return_counts skips numpy 2's is_masked (numpy.ma) check.
+            union, _ = _np.unique(_np.concatenate(
                 [keys] + [batch.distinct_subarrays[0] for batch in ahead]
-            )))
+            ), return_counts=True)
+            rows, cols = _split_subarray_keys(union)
             wanted = list(zip(rows.tolist(), cols.tolist()))
         todo = [i for i, pair in enumerate(wanted) if pair not in memo]
         if todo:

@@ -20,7 +20,9 @@ their parent's (:func:`worker_obs`) and ship its ``export_payload()``
 home with their result (picklable, no shared state); the parent merges
 it with :meth:`~repro.obs.Obs.absorb_worker`, the one worker merge.
 ``jobs=1`` everywhere falls back to the plain serial path with no
-executor, no forks, and no pickling.
+executor, no forks, and no pickling; the pool stack
+(``concurrent.futures``, ``multiprocessing``) is imported on the first
+pool, so a serial process never loads it.
 
 Fault tolerance is opt-in: pass a
 :class:`~repro.core.resilience.ResiliencePolicy` to :func:`parallel_map`
@@ -40,12 +42,6 @@ import os
 import time
 from collections import deque
 from contextlib import contextmanager, nullcontext
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    wait,
-)
 from typing import Callable, Sequence
 
 from repro.core.resilience import (
@@ -247,6 +243,8 @@ def parallel_map(
         jobs=jobs,
         tasks=len(payloads),
     ):
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker
         ) as pool:
@@ -403,6 +401,13 @@ class _ResilientMap:
             return
 
     def _run_parallel(self) -> None:
+        from concurrent.futures import (
+            FIRST_COMPLETED,
+            BrokenExecutor,
+            ProcessPoolExecutor,
+            wait,
+        )
+
         pending: deque = deque((i, 1) for i in self.todo)
         inflight: dict = {}  # future -> (index, attempt, submitted_at)
         pool = None

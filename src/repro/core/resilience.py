@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import base64
 import dataclasses
-import hashlib
 import json
 import os
 import pickle
@@ -185,6 +184,8 @@ def task_key(stage: str, description) -> str:
     model's ``CACHE_VERSION`` is folded in, so a journal written by an
     older model never satisfies a resume after the numbers changed.
     """
+    import hashlib
+
     from repro.core.solvecache import CACHE_VERSION, _normalize_numbers
 
     payload = _normalize_numbers({

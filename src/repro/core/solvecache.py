@@ -34,7 +34,6 @@ sqlite backend stores versions side by side).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import asdict, fields
@@ -116,6 +115,8 @@ def solve_key(
     spec: ArraySpec, target: OptimizationTarget, node_nm: float
 ) -> str:
     """Stable content hash of one solve request."""
+    import hashlib  # OpenSSL: loaded only by processes that hash keys
+
     payload = _normalize_numbers({
         "version": CACHE_VERSION,
         "node_nm": node_nm,

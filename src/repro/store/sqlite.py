@@ -11,7 +11,7 @@ Differences from the JSON-file backend that matter at scale:
   upserts only the staged puts, touch-updates only the keys read since
   the last flush, and never rewrites unrelated rows.  A one-record put
   into a 10k-record store costs one row write, not a 10k-record file
-  rewrite (``BENCH_store.json`` records the gap).
+  rewrite (``benchmarks/test_bench_store.py`` asserts the gap).
 * **Concurrent writers need no whole-file merge.**  WAL mode lets
   readers proceed under a writer; write transactions (``BEGIN
   IMMEDIATE``) serialize on sqlite's own lock with a generous busy
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 import os
-import sqlite3
 import time
 import warnings
 from pathlib import Path
@@ -105,6 +104,8 @@ class SqliteStore(KVStore):
         #: Tombstones not yet persisted to the ``tombstone`` column.
         self._unsaved_tombstones: set[str] = set()
         self._path.parent.mkdir(parents=True, exist_ok=True)
+        import sqlite3  # loaded on the first open, not on package import
+
         self._conn = sqlite3.connect(
             self._path, timeout=_BUSY_TIMEOUT_MS / 1000.0
         )

@@ -1,0 +1,83 @@
+"""Cold-start guard: a plain CLI call loads only what it runs.
+
+A CLI process is mostly interpreter start and imports, so modules that
+a plain solve never uses stay out of it: OpenSSL (``hashlib``, needed
+only to hash store and journal keys), ``sqlite3`` (needed only by the
+sqlite store), the process-pool stack (needed only when ``--jobs``
+builds a pool) and ``numpy.ma`` (which numpy 2's plain ``np.unique``
+imports).  Each test runs in a fresh interpreter, because this test
+process has long since imported all of them.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Modules no plain ``cache``, ``main-memory`` or ``table3`` call loads.
+DENY = (
+    "hashlib",
+    "_hashlib",
+    "sqlite3",
+    "_sqlite3",
+    "multiprocessing",
+    "concurrent.futures.process",
+    "socket",
+    "numpy.ma",
+)
+
+_PLAIN = """
+import contextlib, io, json, sys
+import repro.cli
+
+for argv in (
+    ["cache", "--capacity", "64K", "--assoc", "8"],
+    ["main-memory", "--capacity", "1G"],
+    ["table3"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert repro.cli.main(argv) == 0, argv
+print(json.dumps(sorted(m for m in {deny!r} if m in sys.modules)))
+"""
+
+_STORE = """
+import contextlib, io, json, sys
+import repro.cli
+
+argv = ["cache", "--capacity", "64K", "--cache", {url!r}, "--stats"]
+outs = []
+for _ in range(2):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert repro.cli.main(argv) == 0
+    outs.append(out.getvalue())
+print(json.dumps({{"outs": outs, "sqlite": "_sqlite3" in sys.modules}}))
+"""
+
+
+def _run(script: str):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.fspath(_SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_plain_cli_calls_load_no_deferred_module():
+    assert _run(_PLAIN.format(deny=DENY)) == []
+
+
+def test_sqlite_store_loads_sqlite_on_first_open(tmp_path):
+    report = _run(_STORE.format(url=f"sqlite:{tmp_path / 's.db'}"))
+    first, second = report["outs"]
+    assert "solve cache           : 0 hits / 2 misses" in first
+    assert "solve cache           : 2 hits / 0 misses" in second
+    assert report["sqlite"]
