@@ -24,9 +24,9 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.cacti import solve_batch
+from repro.core.cacti import _solve_keys, solve_batch
 from repro.core.config import OptimizationTarget
-from repro.core.resilience import Journal, ResiliencePolicy, task_key
+from repro.core.resilience import Journal, ResiliencePolicy
 from repro.core.solvecache import CACHE_VERSION
 from repro.cachedb.schema import (
     DB_FORMAT_VERSION,
@@ -60,15 +60,6 @@ class BuildReport:
             f"build wall time : {self.wall_time_s:.2f} s",
         ]
         return "\n".join(lines)
-
-
-def _batch_key(spec, target) -> str:
-    """The journal key :func:`~repro.core.cacti.solve_batch` uses for
-    one spec, replicated so the builder can count restorable cells."""
-    return task_key(
-        "batch.solve",
-        {"spec": spec, "target": target or OptimizationTarget()},
-    )
 
 
 def build_cachedb(
@@ -125,13 +116,8 @@ def build_cachedb(
         keys.append(key)
         specs.append(spec)
 
-    restored = 0
-    if resilience.journal is not None:
-        restored = sum(
-            1
-            for spec in specs
-            if _batch_key(spec, target) in resilience.journal
-        )
+    cell_keys = _solve_keys(resilience, specs, [target] * len(specs))
+    restored = sum(key in resilience.journal for key in cell_keys or ())
 
     outcomes = solve_batch(
         specs,

@@ -6,7 +6,7 @@ the resilience layer the parallel engine
 (:mod:`repro.core.parallel`) executes under:
 
 * :class:`ResiliencePolicy` -- what to do when a task fails:
-  ``on_error="raise"`` fails fast (the pre-existing behaviour),
+  ``on_error="raise"`` fails fast (the default),
   ``"skip"`` records a :class:`TaskFailure` in the task's result slot
   and keeps going, ``"retry"`` re-runs the task with bounded
   exponential backoff before degrading to a recorded failure.  A
@@ -196,6 +196,18 @@ def task_key(stage: str, description) -> str:
     })
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def journal_keys(policy, stage: str, tasks) -> list[str] | None:
+    """The journal key of each task description under ``policy``.
+
+    The one place journal keys are built: a :func:`task_key` per task
+    of ``stage``, or None when there is no journal to key (no policy,
+    or a policy without one).
+    """
+    if policy is None or policy.journal is None:
+        return None
+    return [task_key(stage, task) for task in tasks]
 
 
 # --------------------------------------------------------------------- #

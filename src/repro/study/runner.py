@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 from functools import partial
 
 from repro.core import parallel
-from repro.core.resilience import ResiliencePolicy, TaskFailure, task_key
+from repro.core.resilience import ResiliencePolicy, TaskFailure, journal_keys
 from repro.obs import Obs, maybe_span
 from repro.power.hierarchy import PowerBreakdown, hierarchy_power
 from repro.power.system import SystemPower, scaled_core_power
@@ -231,8 +231,9 @@ def run_study(
     and shared across all applications.  ``jobs > 1`` runs the
     app x config cells concurrently in worker processes; every cell's
     simulation is seeded, so the matrix is identical at any job count.
-    ``obs`` traces the matrix (one ``study.cell`` span per cell when
-    serial, one enclosing span when parallel), counts cells run, and sums
+    ``obs`` traces the matrix (one ``study.cell`` span, with the cell's
+    ``index``, per cell run serially; one enclosing span when parallel;
+    none for cells restored from a journal), counts cells run, and sums
     every finished cell's simulator counters into ``sim.*`` counters
     (:func:`publish_sim_counters`).
 
@@ -271,24 +272,23 @@ def run_study(
     # Cell-level parallelism is coarse: ``auto`` only needs two cells
     # (and more than one core) to be worth a pool.
     jobs = parallel.effective_jobs(jobs, len(payloads))
-    keys = None
-    if resilience is not None and resilience.journal is not None:
-        # The cachedb serves bit-identical results, so it is not part
-        # of a cell's identity: journals written without one resume
-        # runs that use one, and vice versa.
-        keys = [
-            task_key(
-                "study.cell",
-                {
-                    "profile": profile,
-                    "config": config_name,
-                    "source": source,
-                    "scale": scale,
-                    "seed": seed,
-                },
-            )
+    # The cachedb serves bit-identical results, so it is not part of a
+    # cell's identity: journals written without one resume runs that
+    # use one, and vice versa.
+    keys = journal_keys(
+        resilience,
+        "study.cell",
+        [
+            {
+                "profile": profile,
+                "config": config_name,
+                "source": source,
+                "scale": scale,
+                "seed": seed,
+            }
             for profile, config_name, source, scale, seed, _ in payloads
-        ]
+        ],
+    )
     with maybe_span(
         obs,
         "study",

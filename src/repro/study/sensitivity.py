@@ -11,22 +11,17 @@ plus local elasticities (d log(metric) / d log(input)).
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from repro.array.organization import EvalCache, InfeasibleOrganization
 from repro.core import parallel
-from repro.core.cacti import solve
+from repro.core.cacti import _run_batch, _solve_task
 from repro.core.config import MemorySpec, OptimizationTarget
 from repro.core.optimizer import NoFeasibleSolution
-from repro.core.resilience import (
-    ResiliencePolicy,
-    TaskFailure,
-    task_key,
-)
+from repro.core.resilience import ResiliencePolicy, TaskFailure
 from repro.core.results import Solution
-from repro.core.solvecache import SolveCache, account_store as _account_store
+from repro.core.solvecache import SolveCache
 from repro.obs import Obs, maybe_span
 
 #: Metrics extracted from each solved point.
@@ -138,33 +133,18 @@ class SensitivityResult:
 
 
 def _sweep_point_task(payload: tuple) -> tuple[Solution | None, dict | None]:
-    """Worker task: solve one sweep point, shipping telemetry home.
+    """Task: solve one sweep point (see :func:`repro.core.cacti._solve_task`).
 
-    Returns ``(solution, payload)``, with ``None`` for an infeasible
-    point's solution, mirroring the serial path's treatment.  The
-    payload is the ``export_payload()`` of an Obs of the parent's kind,
-    or None when the parent has no sink.  The
-    persistent solve cache is worker-local and keyed by path, so the
-    JSON records load once per worker, not once per point.  Only the
-    *intended* infeasibilities are swallowed -- no feasible
-    organization, or a spec whose geometry cannot divide
-    (``InfeasibleOrganization``); any other error is a genuine model
-    failure and propagates (to be captured as a ``TaskFailure`` when a
-    resilience policy is active).
+    Returns ``(solution, obs payload)``, with ``None`` for an infeasible
+    point's solution.  Only the *intended* infeasibilities are
+    swallowed -- no feasible organization, or a spec whose geometry
+    cannot divide (``InfeasibleOrganization``); any other error is a
+    genuine model failure and propagates (to be captured as a
+    ``TaskFailure`` under a skip/retry resilience policy).
     """
-    spec, target, cache_path, kind = payload
-    obs = parallel.worker_obs(kind)
-    try:
-        solution = solve(
-            spec,
-            target,
-            eval_cache=parallel.worker_eval_cache(),
-            solve_cache=parallel.worker_solve_cache(cache_path),
-            obs=obs,
-        )
-    except (NoFeasibleSolution, InfeasibleOrganization):
-        solution = None
-    return solution, obs.export_payload() if obs is not None else None
+    return _solve_task(
+        payload, infeasible=(NoFeasibleSolution, InfeasibleOrganization)
+    )
 
 
 def sweep(
@@ -181,118 +161,60 @@ def sweep(
 ) -> SensitivityResult:
     """Re-solve ``base`` across ``values`` of ``parameter``.
 
-    One shared ``eval_cache`` spans the whole serial sweep (created when
-    omitted), so neighboring points reuse subarray and H-tree designs --
-    the reuse shows up in ``obs``.  ``solve_cache`` persists whole
-    point solves across sweeps (flushed once per sweep, not per point);
-    ``jobs > 1`` solves points concurrently in worker processes (point
-    order is preserved, numbers unchanged); ``obs`` counts the sweep,
-    worker and resilience events included, and a tracing ``obs``
-    records one ``sweep.point`` span per point.
+    The points run through the batch path of
+    :func:`~repro.core.cacti.solve_batch`, as ``sweep.point`` tasks.
+    Points solved in this process (all of them at ``jobs=1``) share the
+    caller's ``eval_cache`` -- a fresh one per call when omitted -- so
+    neighboring points reuse subarray and H-tree designs (the reuse
+    shows up in ``obs``), and the caller's ``solve_cache`` instance,
+    which persists whole point solves across sweeps and flushes once per
+    sweep, not per point.  ``jobs > 1`` solves points concurrently in
+    worker processes, on worker-local caches (point order is preserved,
+    numbers unchanged).  ``obs`` counts the sweep, worker and
+    resilience events included; a tracing ``obs`` records one
+    ``sweep.point`` span per point solved in this process.
 
-    ``resilience`` makes the sweep fault tolerant: failed points are
-    retried/skipped/raised per the policy, a journal checkpoints each
-    completed point (resuming re-solves only the unfinished ones), and
-    terminal failures land in the result's ``failed`` list with
-    ``solution=None`` at the corresponding point.
+    ``resilience`` (default: raise the first error) makes the sweep
+    fault tolerant: failed points are retried/skipped/raised per the
+    policy, a journal checkpoints each completed point (resuming
+    re-solves only the unfinished ones), and terminal failures land in
+    the result's ``failed`` list with ``solution=None`` at the
+    corresponding point.
     """
     if parameter not in SWEEPABLE:
         raise ValueError(
             f"cannot sweep {parameter!r}; choose one of {SWEEPABLE}"
         )
     # An invalid spec at some value (e.g. a capacity that does not
-    # divide into sets) counts as an infeasible point in either mode.
+    # divide into sets) counts as an infeasible point.
     specs: list[MemorySpec | None] = []
     for value in values:
         try:
             specs.append(replace(base, **{parameter: value}))
         except ValueError:
             specs.append(None)
+    live = [s for s in specs if s is not None]
     # Point-level parallelism is coarse: ``auto`` only needs two live
     # points (and more than one core) to be worth a pool.
-    jobs = parallel.effective_jobs(jobs, sum(s is not None for s in specs))
-    solutions: list[Solution | None]
-    failures: list[TaskFailure] = []
+    jobs = parallel.effective_jobs(jobs, len(live))
     with maybe_span(
         obs, "sweep", parameter=parameter, points=len(specs), jobs=jobs
     ):
-        if resilience is None and (
-            jobs == 1 or sum(s is not None for s in specs) <= 1
-        ):
-            if eval_cache is None:
-                eval_cache = EvalCache()
-            solutions = []
-            with solve_cache if solve_cache is not None else nullcontext():
-                for value, spec in zip(values, specs):
-                    solution = None
-                    if spec is not None:
-                        with maybe_span(
-                            obs, "sweep.point", value=_point_value(value)
-                        ):
-                            try:
-                                solution = solve(
-                                    spec,
-                                    target,
-                                    eval_cache=eval_cache,
-                                    solve_cache=solve_cache,
-                                    obs=obs,
-                                )
-                            except (
-                                NoFeasibleSolution,
-                                InfeasibleOrganization,
-                            ):
-                                solution = None
-                    solutions.append(solution)
-            # Drain the sweep-boundary flush the context exit above
-            # just performed.
-            _account_store(solve_cache, obs)
-        else:
-            cache_path = (
-                solve_cache.url if solve_cache is not None else None
-            )
-            live = [s for s in specs if s is not None]
-            keys = None
-            if resilience is not None and resilience.journal is not None:
-                keys = [
-                    task_key(
-                        "sweep.point",
-                        {
-                            "spec": spec,
-                            "target": target or OptimizationTarget(),
-                        },
-                    )
-                    for spec in live
-                ]
-            results = parallel.parallel_map(
-                _sweep_point_task,
-                [
-                    (spec, target, cache_path, parallel.obs_kind(obs))
-                    for spec in live
-                ],
-                jobs,
-                obs=obs,
-                span_name="sweep.point",
-                resilience=resilience,
-                keys=keys,
-            )
-            results_iter = iter(results)
-            solutions = []
-            for spec in specs:
-                if spec is None:
-                    solutions.append(None)
-                    continue
-                outcome = next(results_iter)
-                if isinstance(outcome, TaskFailure):
-                    failures.append(outcome)
-                    solutions.append(None)
-                    continue
-                solution, worker_payload = outcome
-                solutions.append(solution)
-                if obs is not None:
-                    obs.absorb_worker(worker_payload)
-            if solve_cache is not None:
-                solve_cache.refresh()
-                _account_store(solve_cache, obs)
+        solved, failures = _run_batch(
+            _sweep_point_task,
+            "sweep.point",
+            live,
+            [target] * len(live),
+            eval_cache=eval_cache,
+            solve_cache=solve_cache,
+            jobs=jobs,
+            obs=obs,
+            resilience=resilience,
+        )
+    solved_iter = iter(solved)
+    solutions = [
+        None if spec is None else next(solved_iter) for spec in specs
+    ]
     if obs is not None:
         obs.inc("sensitivity.points", len(specs))
         obs.inc(

@@ -31,6 +31,7 @@ from repro.core.config import (
     MemorySpec,
     OptimizationTarget,
 )
+from repro.core.resilience import journal_keys
 from repro.models.timing_dram import DDR4_3200, quantize, to_main_memory_timing
 from repro.power.hierarchy import (
     HierarchyEnergyModel,
@@ -274,21 +275,21 @@ def solve_table3(**knobs) -> dict[str, Table3Row]:
         ],
         ("main", lambda: main_memory_row(**knobs)),
     ]
+    keys = journal_keys(
+        resilience,
+        "table3.row",
+        [{"row": name, "node_nm": NODE_NM} for name, _ in builders],
+    )
     rows: dict[str, Table3Row] = {}
     for index, (name, build) in enumerate(builders):
-        key = None
-        if journal is not None:
-            from repro.core.resilience import task_key
-
-            key = task_key("table3.row", {"row": name, "node_nm": NODE_NM})
-            if key in journal:
-                rows[name] = journal.result(key)
-                continue
+        if keys is not None and keys[index] in journal:
+            rows[name] = journal.result(keys[index])
+            continue
         if resilience is not None and resilience.fault_plan is not None:
             resilience.fault_plan.fire("table3.row", index, attempt=1)
         row = build()
-        if key is not None:
-            journal.record(key, "table3.row", row)
+        if keys is not None:
+            journal.record(keys[index], "table3.row", row)
         rows[name] = row
     return rows
 

@@ -7,6 +7,7 @@ from repro.core.cacti import solve, solve_batch, CactiD
 from repro.core.config import MemorySpec, OptimizationTarget
 from repro.core.optimizer import SweepStats
 from repro.core.parallel import parallel_map, resolve_jobs
+from repro.core.resilience import ResiliencePolicy
 from repro.core.solvecache import SolveCache
 from repro.obs import Obs
 from repro.study.sensitivity import capacity_sweep, sweep
@@ -122,6 +123,49 @@ class TestSolveBatch:
         tool = CactiD(node_nm=45.0)
         with pytest.raises(ValueError):
             tool.solve_batch(BATCH)
+
+
+class TestInProcessCaches:
+    """Tasks a batch runs in this process use the caller's caches."""
+
+    SIX = [
+        MemorySpec(capacity_bytes=kib << 10, cell_tech=CellTech.SRAM)
+        for kib in (64, 128, 256, 512, 1024, 2048)
+    ]
+
+    @pytest.mark.parametrize(
+        "resilience", [None, ResiliencePolicy()], ids=["default", "policy"]
+    )
+    def test_serial_batch_writes_through_the_callers_store(
+        self, tmp_path, resilience
+    ):
+        plain = SolveCache(tmp_path / "plain.json")
+        for spec in self.SIX:
+            solve(spec, solve_cache=plain)
+        cache = SolveCache(tmp_path / "batch.json")
+        solve_batch(
+            self.SIX, solve_cache=cache, jobs=1, resilience=resilience
+        )
+        # Held open across the batch: one rewrite of the store file.
+        assert cache.stats()["flush_writes"] == 1
+        # No worker copy of the store was opened in this process.
+        assert parallel._WORKER_SOLVE_CACHES == {}
+        # Every data and tag lookup went through the caller's instance.
+        assert (cache.hits, cache.misses) == (plain.hits, plain.misses)
+        assert (cache.hits, cache.misses) == (0, 2 * len(self.SIX))
+        assert len(cache) == 2 * len(self.SIX)
+
+    def test_serial_sweep_uses_the_callers_eval_cache(self):
+        from repro.array.organization import EvalCache
+
+        base = MemorySpec(capacity_bytes=256 << 10)
+        memo = EvalCache()
+        capacity_sweep(base, factors=(1, 2), eval_cache=memo)
+        warm = Obs(trace=False)
+        capacity_sweep(base, factors=(1, 2), eval_cache=memo, obs=warm)
+        # The second sweep finds every subarray in the caller's memo.
+        assert SweepStats(warm.metrics).subarray_misses == 0
+        assert parallel._WORKER_EVAL_CACHE is None
 
 
 class TestParallelSensitivity:

@@ -202,6 +202,53 @@ class TestStudyResilience:
         assert set(again.results) == set(result.results)
 
 
+class TestSerialCellSpans:
+    """A serial study records one ``study.cell`` span per cell it runs,
+    under any policy; the study bench reads its per-cell latencies from
+    them."""
+
+    KWARGS = dict(
+        profiles=(UA_C,),
+        configs=("nol3", "sram"),
+        instructions_per_thread=FAST_INSTR,
+        jobs=1,
+    )
+
+    @staticmethod
+    def cell_indices(obs):
+        return [s.attrs["index"] for s in obs.tracer.spans
+                if s.name == "study.cell"]
+
+    @pytest.mark.parametrize(
+        "policy",
+        [None, ResiliencePolicy(on_error="skip")],
+        ids=["default", "skip"],
+    )
+    def test_one_span_per_cell(self, policy):
+        obs = Obs()
+        result = run_study(obs=obs, resilience=policy, **self.KWARGS)
+        assert len(result.results) == 2
+        assert self.cell_indices(obs) == [0, 1]
+
+    def test_restored_cells_record_no_span(self, tmp_path):
+        path = tmp_path / "study.journal"
+        interrupted = ResiliencePolicy(
+            journal=Journal(path),
+            fault_plan=FaultPlan(
+                (FaultSpec("study.cell", 1, "raise", trips=99),)
+            ),
+        )
+        with pytest.raises(FaultInjected):
+            run_study(resilience=interrupted, **self.KWARGS)
+        interrupted.journal.close()
+        obs = Obs()
+        resumed = ResiliencePolicy(on_error="skip", journal=Journal(path))
+        result = run_study(obs=obs, resilience=resumed, **self.KWARGS)
+        resumed.journal.close()
+        assert len(result.results) == 2
+        assert self.cell_indices(obs) == [1]
+
+
 class TestScaleValidation:
     @pytest.mark.parametrize("scale", [0, -4])
     def test_build_system_config_rejects(self, scale):

@@ -3,8 +3,9 @@
 A CLI process is mostly interpreter start and imports, so modules that
 a plain solve never uses stay out of it: OpenSSL (``hashlib``, needed
 only to hash store and journal keys), ``sqlite3`` (needed only by the
-sqlite store), the process-pool stack (needed only when ``--jobs``
-builds a pool) and ``numpy.ma`` (which numpy 2's plain ``np.unique``
+sqlite store), the process-pool stack (needed only when a map builds
+a pool -- never at ``jobs=1``, study and cachedb build included) and
+``numpy.ma`` (which numpy 2's plain ``np.unique``
 imports).  Each test runs in a fresh interpreter, because this test
 process has long since imported all of them.
 """
@@ -58,6 +59,29 @@ print(json.dumps({{"outs": outs, "sqlite": "_sqlite3" in sys.modules}}))
 """
 
 
+#: The process-pool stack, loaded only when a map builds a pool.
+POOL = ("multiprocessing", "concurrent.futures.process")
+
+_SERIAL = """
+import json, sys
+from repro.cachedb import GridSpec, build_cachedb
+from repro.study.runner import run_study
+from repro.workloads.npb import UA_C
+
+loaded = {{}}
+study = run_study(profiles=(UA_C,), configs=("nol3",),
+                  instructions_per_thread=2000, jobs=1)
+assert len(study.results) == 1
+loaded["study"] = sorted(m for m in {pool!r} if m in sys.modules)
+grid = GridSpec(capacities_bytes=(64 << 10, 128 << 10),
+                technologies=("sram",))
+report = build_cachedb({db!r}, grid, jobs=1)
+assert report.solved == 2, report
+loaded["cachedb"] = sorted(m for m in {pool!r} if m in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
 def _run(script: str):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.fspath(_SRC)
@@ -81,3 +105,9 @@ def test_sqlite_store_loads_sqlite_on_first_open(tmp_path):
     assert "solve cache           : 0 hits / 2 misses" in first
     assert "solve cache           : 2 hits / 0 misses" in second
     assert report["sqlite"]
+
+
+def test_serial_maps_load_no_pool_stack(tmp_path):
+    """One engine runs every map; at ``jobs=1`` it builds no pool."""
+    script = _SERIAL.format(pool=POOL, db=os.fspath(tmp_path / "db.json"))
+    assert _run(script) == {"study": [], "cachedb": []}
