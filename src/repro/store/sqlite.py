@@ -113,7 +113,17 @@ class SqliteStore(KVStore):
         # WAL lets readers run under a writer; NORMAL sync is durable
         # against process crashes (the threat model here), and the busy
         # timeout makes lock contention wait instead of erroring.
-        self._conn.execute("PRAGMA journal_mode=WAL")
+        # Switching to WAL takes a lock the busy handler does not wait
+        # for, so a first open racing other openers retries it.
+        deadline = time.monotonic() + _BUSY_TIMEOUT_MS / 1000.0
+        while True:
+            try:
+                self._conn.execute("PRAGMA journal_mode=WAL")
+                break
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or time.monotonic() > deadline:
+                    raise
+                time.sleep(0.01)
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.execute(f"PRAGMA busy_timeout={_BUSY_TIMEOUT_MS}")
         self._init_meta()
