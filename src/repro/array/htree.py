@@ -41,10 +41,6 @@ class HTree:
     levels: int  #: number of branch levels (pipeline boundaries)
     device: DeviceParams | None = None  #: branch-buffer device
 
-    # Trees are shared across many candidate organizations through the
-    # optimizer's EvalCache, so the derived quantities are cached: each is
-    # computed once per distinct tree instead of once per candidate.
-
     @cached_property
     def buffer_delay(self) -> float:
         """Per-traverse delay of the branch/gating buffers (s)."""

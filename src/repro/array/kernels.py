@@ -17,11 +17,12 @@ array arithmetic over *all* survivors at once:
   computes H-tree delays, per-access energies, leakage, refresh power,
   and area for the whole batch as float64 arrays;
 * :func:`rank_batch` applies the staged area/access-time constraints
-  and the normalized weighted ranking on the arrays.
-
-Full ``Subarray``/``HTree``/``ArrayMetrics`` objects are constructed
-only for the winner(s) the caller materializes afterwards -- see
-``repro.core.optimizer``.
+  and the normalized weighted ranking on the arrays;
+* :meth:`EvaluatedBatch.design` reads one candidate's
+  :class:`~repro.array.organization.ArrayMetrics` -- the composed
+  metrics and the subarray and H-tree component terms -- from those
+  arrays, so solved designs never rebuild a ``Subarray`` or ``HTree``
+  object.
 
 Determinism / bit-identity contract
 -----------------------------------
@@ -53,13 +54,13 @@ float64 the scalar code computes:
 masked loops over stage position, since each subarray has its own
 logical-effort stage count -- and :func:`evaluate_batch` gathers them to
 the candidates.  The :class:`~repro.array.organization.EvalCache`
-memoizes those term rows; ``Subarray`` objects are built only for the
-winners the caller materializes.  The result: ranking picks the same
-winner a per-candidate sweep picks, and the materialized winner is
-bit-identical.  ``tests/array/test_subarray_kernel.py`` checks the term
-table against ``Subarray`` for every registered technology, periphery
-and node, and the reference sweep (enumerate, pre-filter and build
-every candidate one object at a time) checks whole solves.
+memoizes those term rows.  The result: ranking picks the same winner a
+per-candidate sweep picks, and every design read from the batch is
+bit-identical to the one ``build_organization`` builds.
+``tests/array/test_subarray_kernel.py`` checks the term table against
+``Subarray`` for every registered technology, periphery and node, and
+the reference sweep (enumerate, pre-filter and build every candidate
+one object at a time) checks whole solves.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ from repro.array.organization import (
     _CONTROL_ENERGY_FRACTION,
     _CONTROL_LEAKAGE_FRACTION,
     _CONTROL_WIRES,
+    ArrayMetrics,
     ArraySpec,
     EvalCache,
     OrgGeometry,
@@ -206,6 +208,36 @@ def survivor_batch(spec: ArraySpec) -> SurvivorBatch:
     return SurvivorBatch(*arrays, enumerated=math.prod(map(len, axes)))
 
 
+#: :class:`~repro.array.organization.ArrayMetrics` fields each read from
+#: the same-named :class:`EvaluatedBatch` array.
+_BATCH_FIELDS = (
+    "t_access",
+    "t_random_cycle",
+    "t_interleave",
+    "e_activate",
+    "e_read_column",
+    "e_write_column",
+    "e_precharge",
+    "p_leakage",
+    "p_refresh",
+    "area",
+    "bank_width",
+    "bank_height",
+    "area_efficiency",
+)
+
+#: ``ArrayMetrics`` component fields and the subarray term column
+#: (:data:`SUBARRAY_TERMS`) each is read from.
+_TERM_FIELDS = {
+    "t_decode": "decoder_delay",
+    "t_wordline": "decoder_wordline_delay",
+    "t_bitline": "t_bitline",
+    "t_sense": "t_sense",
+    "t_writeback": "t_writeback",
+    "t_precharge": "t_precharge",
+}
+
+
 @dataclass
 class EvaluatedBatch:
     """Per-candidate metric arrays for the *buildable* survivors.
@@ -213,13 +245,22 @@ class EvaluatedBatch:
     Candidates whose subarray fails the electrical sense-signal check
     (the only build-time feasibility gate past the structural
     pre-filter) are dropped; ``batch`` is compacted accordingly and
-    ``n_infeasible`` counts the drops.  Every array mirrors the
+    ``n_infeasible`` counts the drops.  Every metric array mirrors the
     same-named :class:`~repro.array.organization.ArrayMetrics` field
-    bit for bit.
+    bit for bit; ``t_htree`` is the delay of both H-trees (they share
+    one wire design and path).  The subarray component terms stay in
+    the distinct-subarray table ``subarray_terms`` (columns
+    :data:`SUBARRAY_TERMS`), which candidate ``i`` reads at row
+    ``subarray_index[i]``.  :meth:`design` composes one candidate's
+    ``ArrayMetrics`` from all of them.
     """
 
+    spec: ArraySpec
     batch: SurvivorBatch
     n_infeasible: int
+    subarray_terms: "object"
+    subarray_index: "object"
+    t_htree: "object"
     t_access: "object"
     t_random_cycle: "object"
     t_interleave: "object"
@@ -238,6 +279,26 @@ class EvaluatedBatch:
     @property
     def size(self) -> int:
         return int(self.t_access.shape[0])
+
+    def design(self, i: int) -> ArrayMetrics:
+        """Candidate ``i`` as the :class:`ArrayMetrics` that
+        ``build_organization`` builds for it, field for field."""
+        org, geometry = self.batch.org_at(i)
+        terms = self.subarray_terms[self.subarray_index[i]]
+        t_htree = float(self.t_htree[i])
+        return ArrayMetrics(
+            spec=self.spec,
+            org=org,
+            rows=geometry.rows,
+            cols=geometry.cols,
+            nact=geometry.nact,
+            sensed_bits=geometry.sensed_bits,
+            t_htree_in=t_htree,
+            t_htree_out=t_htree,
+            **{name: float(getattr(self, name)[i]) for name in _BATCH_FIELDS},
+            **{name: float(terms[_COL[column]])
+               for name, column in _TERM_FIELDS.items()},
+        )
 
 
 def _ceil_log2(n):
@@ -574,10 +635,9 @@ def evaluate_batch(
     ``cache`` memoizes the subarray term rows and receives exactly the
     subarray hit/miss counts a per-candidate sweep would record (one
     lookup per candidate); no ``Subarray`` object is built.  H-tree
-    designs are replaced by closed-form array arithmetic over the one
-    memoized
-    :class:`~repro.circuits.repeaters.RepeatedWireDesign`, so tree
-    counters advance only when winners are materialized afterwards.
+    designs are closed-form array arithmetic over the one memoized
+    :class:`~repro.circuits.repeaters.RepeatedWireDesign`; no ``HTree``
+    object is built either.
     """
     periph = tech.device(spec.periph_device_type)
     cell = tech.cell(spec.cell_tech, spec.periph_device_type)
@@ -728,8 +788,12 @@ def evaluate_batch(
 
     e_read_access = e_activate + e_read_column + e_precharge
     return EvaluatedBatch(
+        spec=spec,
         batch=batch,
         n_infeasible=n_infeasible,
+        subarray_terms=table,
+        subarray_index=inverse,
+        t_htree=t_htree,
         t_access=t_access,
         t_random_cycle=t_random_cycle,
         t_interleave=t_interleave,

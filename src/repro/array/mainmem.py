@@ -64,8 +64,10 @@ class MainMemorySpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cell_tech", CellTech(self.cell_tech))
-        if self.nbanks < 1:
-            raise ValueError(f"nbanks must be >= 1, got {self.nbanks}")
+        for name in ("nbanks", "data_pins", "burst_length", "prefetch"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if self.burst_length > self.prefetch:
             # One column command can only burst out what was prefetched.
             raise ValueError(

@@ -31,7 +31,6 @@ import numpy as _np
 from repro.array.htree import HTree, design_htree
 from repro.array.mat import mats_in_bank
 from repro.array.subarray import InfeasibleSubarray, Subarray
-from repro.circuits.drivers import ChainMetrics
 from repro.tech.cells import CellTech
 from repro.tech.nodes import Technology
 
@@ -122,8 +121,10 @@ class ArraySpec:
         # Accept a registry name for cell_tech; unknown names raise a
         # ValueError listing the registered technologies.
         object.__setattr__(self, "cell_tech", CellTech(self.cell_tech))
-        if self.nbanks < 1:
-            raise ValueError(f"nbanks must be >= 1, got {self.nbanks}")
+        for name in ("nbanks", "output_bits", "assoc"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if self.capacity_bits % (self.nbanks * self.output_bits * self.assoc):
             raise InfeasibleOrganization(
                 "capacity must divide evenly into banks x sets x output bits"
@@ -288,21 +289,16 @@ def prefilter_org(spec: ArraySpec, org: OrgParams) -> OrgGeometry | None:
 class EvalCache:
     """Cross-candidate memoization for one technology node.
 
-    Many partitioning tuples share the same ``(rows, cols)`` subarray and
-    the same H-tree design inputs; caching those designs makes the sweep
-    cost proportional to the number of *distinct* circuit problems rather
-    than the number of candidates.  The batch sweep
+    Many partitioning tuples share the same ``(rows, cols)`` subarray;
+    caching its circuit terms makes the sweep cost proportional to the
+    number of *distinct* subarrays rather than the number of
+    candidates.  The batch sweep
     (:func:`~repro.array.kernels.evaluate_batch`) memoizes one compact
     float64 term row per distinct subarray (:meth:`subarray_terms`,
-    columns :data:`~repro.array.kernels.SUBARRAY_TERMS`); a
-    :class:`~repro.array.subarray.Subarray` object is built only for a
-    design materialized through :func:`build_organization` -- the
-    ranked winners, or every design of
-    :func:`~repro.core.optimizer.feasible_designs`.  Both memos share
-    one key space, ``(rows, cols)`` under (cell technology, periphery,
-    node), and one hit/miss account: a subarray counts as a miss the
-    first time it is looked up in either form and as a hit on every
-    later lookup, one lookup per candidate.
+    columns :data:`~repro.array.kernels.SUBARRAY_TERMS`), keyed on
+    ``(rows, cols)`` under (cell technology, periphery, node).  A
+    subarray counts as a miss the first time it is looked up and as a
+    hit on every later lookup, one lookup per candidate.
 
     The structural pre-filter's survivor batches are memoized too
     (:meth:`survivors`), keyed on the spec fields the pre-filter reads
@@ -311,24 +307,14 @@ class EvalCache:
     survivor lookup in the scope pre-filters every sweep the scope
     announced, and the first term lookup of each (cell technology,
     periphery, node) group builds the term rows of all the group's
-    announced survivors in one call.
-
-    Distinct ``Subarray`` objects in turn share decoder driver chains:
-    the wordline chain depends only on the columns (through the
-    wordline load) and the row-gate fan-in, the predecode chain only on
-    its load and wire.  ``chains`` memoizes every chain the cache's
-    subarrays size, keyed on the chain's full input tuple (device,
-    feature size, load, wire, fan-in; the wordline load also carries
-    pitch and swing), and lives exactly as long as the cache.  Safe to
-    share across every solve at one node (keys carry cell technology,
-    periphery, and node); results are bit-identical to uncached
-    construction because the same computations run in the same order.
+    announced survivors in one call.  Safe to share across every solve
+    at one node; results are bit-identical to uncached evaluation
+    because the same computations run in the same order.
     """
 
     def __init__(self) -> None:
         self._survivors: dict[tuple, object] = {}
         self._terms: dict[tuple, dict[tuple[int, int], _np.ndarray]] = {}
-        self._subarrays: dict[tuple, dict[tuple[int, int], Subarray]] = {}
         #: Per group, every subarray looked up so far (the hit/miss
         #: account; a row built ahead by a batch scope is not in it).
         self._seen: dict[tuple, set[tuple[int, int]]] = {}
@@ -338,12 +324,8 @@ class EvalCache:
         #: Per group, survivor batches whose term rows are still to be
         #: built ahead.
         self._pending: dict[tuple, list] = {}
-        self.chains: dict[tuple, ChainMetrics] = {}
-        self._htrees: dict[tuple, HTree] = {}
         self.subarray_hits = 0
         self.subarray_misses = 0
-        self.htree_hits = 0
-        self.htree_misses = 0
 
     @staticmethod
     def _group(tech: Technology, spec: ArraySpec) -> tuple:
@@ -390,33 +372,6 @@ class EvalCache:
             batch = self._survivors[key] = build(spec)
         return batch
 
-    def _lookup(self, group: tuple, pairs: list) -> int:
-        """Record lookups of the distinct ``pairs``; how many are new."""
-        seen = self._seen.setdefault(group, set())
-        new = [pair for pair in pairs if pair not in seen]
-        seen.update(new)
-        self.subarray_misses += len(new)
-        return len(new)
-
-    def subarray(
-        self, tech: Technology, spec: ArraySpec, rows: int, cols: int
-    ) -> Subarray:
-        group = self._group(tech, spec)
-        if not self._lookup(group, [(rows, cols)]):
-            self.subarray_hits += 1
-        subs = self._subarrays.setdefault(group, {})
-        sub = subs.get((rows, cols))
-        if sub is None:
-            sub = subs[rows, cols] = Subarray(
-                tech=tech,
-                cell=tech.cell(spec.cell_tech, spec.periph_device_type),
-                periph=tech.device(spec.periph_device_type),
-                rows=rows,
-                cols=cols,
-                chains=self.chains,
-            )
-        return sub
-
     def subarray_terms(
         self, tech: Technology, spec: ArraySpec, keys, counts, build
     ):
@@ -433,7 +388,11 @@ class EvalCache:
         group = self._group(tech, spec)
         rows, cols = _split_subarray_keys(keys)
         pairs = list(zip(rows.tolist(), cols.tolist()))
-        self.subarray_hits += int(counts.sum()) - self._lookup(group, pairs)
+        seen = self._seen.setdefault(group, set())
+        new = [pair for pair in pairs if pair not in seen]
+        seen.update(new)
+        self.subarray_misses += len(new)
+        self.subarray_hits += int(counts.sum()) - len(new)
         if not pairs:
             return build(rows, cols)
         memo = self._terms.setdefault(group, {})
@@ -454,31 +413,21 @@ class EvalCache:
                 memo[wanted[i]] = row
         return _np.array([memo[pair] for pair in pairs])
 
-    def htree(self, key: tuple, build) -> HTree:
-        tree = self._htrees.get(key)
-        if tree is not None:
-            self.htree_hits += 1
-            return tree
-        self.htree_misses += 1
-        tree = build()
-        self._htrees[key] = tree
-        return tree
-
 
 def build_organization(
     tech: Technology,
     spec: ArraySpec,
     org: OrgParams,
-    cache: EvalCache | None = None,
     geometry: OrgGeometry | None = None,
 ) -> ArrayMetrics:
     """Evaluate one partitioning tuple; raises InfeasibleOrganization.
 
-    ``cache`` enables cross-candidate reuse of subarray and H-tree
-    designs; ``geometry`` skips re-deriving a pre-filtered geometry.
-    Both are optional and change nothing about the returned numbers.
+    The scalar reference for one design point: the optimizer reads its
+    designs from :mod:`repro.array.kernels` arrays, which reproduce
+    this composition bit for bit.  ``geometry`` skips re-deriving a
+    pre-filtered geometry and changes none of the returned numbers.
     """
-    return _Builder(tech, spec, org, cache=cache, geometry=geometry).metrics()
+    return _Builder(tech, spec, org, geometry=geometry).metrics()
 
 
 class _Builder:
@@ -489,13 +438,11 @@ class _Builder:
         tech: Technology,
         spec: ArraySpec,
         org: OrgParams,
-        cache: EvalCache | None = None,
         geometry: OrgGeometry | None = None,
     ):
         self.tech = tech
         self.spec = spec
         self.org = org
-        self.cache = cache
         self.periph = tech.device(spec.periph_device_type)
         self.cell = tech.cell(spec.cell_tech, spec.periph_device_type)
         self.traits = spec.cell_tech.traits
@@ -507,16 +454,13 @@ class _Builder:
         self.sensed_bits = geometry.sensed_bits
         self.sense_amps_per_sub = geometry.sense_amps_per_sub
 
-        if cache is not None:
-            self.subarray = cache.subarray(tech, spec, self.rows, self.cols)
-        else:
-            self.subarray = Subarray(
-                tech=self.tech,
-                cell=self.cell,
-                periph=self.periph,
-                rows=self.rows,
-                cols=self.cols,
-            )
+        self.subarray = Subarray(
+            tech=self.tech,
+            cell=self.cell,
+            periph=self.periph,
+            rows=self.rows,
+            cols=self.cols,
+        )
         self.subarray.check_sense_feasible()
 
         self.num_mats = mats_in_bank(org.ndwl, org.ndbl)
@@ -534,7 +478,7 @@ class _Builder:
         return self.tech.htree_wire(self.spec.cell_tech)
 
     def _design_htree(self, num_wires: int) -> HTree:
-        build = lambda: design_htree(  # noqa: E731
+        return design_htree(
             self.tech,
             self.periph,
             self.bank_width,
@@ -544,19 +488,6 @@ class _Builder:
             max_repeater_delay_penalty=self.spec.max_repeater_delay_penalty,
             wire=self._htree_wire,
         )
-        if self.cache is None:
-            return build()
-        key = (
-            num_wires,
-            self.num_mats,
-            self.bank_width,
-            self.bank_height,
-            self.spec.max_repeater_delay_penalty,
-            self._htree_wire.name,
-            self.spec.periph_device_type,
-            self.tech.node_nm,
-        )
-        return self.cache.htree(key, build)
 
     @cached_property
     def htree_in(self) -> HTree:

@@ -21,7 +21,7 @@ without modification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from repro.circuits.decoder import DecoderMetrics, WordlineLoad, design_decoder
@@ -67,11 +67,6 @@ class Subarray:
     periph: DeviceParams
     rows: int
     cols: int
-    #: Driver-chain memo shared by every subarray of one
-    #: :class:`~repro.array.organization.EvalCache` (see
-    #: :func:`~repro.circuits.decoder.design_decoder`); None designs
-    #: every chain afresh.  Not part of the subarray's identity.
-    chains: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
@@ -171,7 +166,6 @@ class Subarray:
             self.rows,
             self.wordline_load,
             predec_wire,
-            self.chains,
         )
 
     # ------------------------------------------------------------------ #

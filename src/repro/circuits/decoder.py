@@ -10,15 +10,6 @@ area.
 
 DRAM wordlines swing to the boosted VPP; the energy accounting charges the
 wordline swing at VPP with a charge-pump overhead factor.
-
-Both chains depend on far fewer inputs than a subarray has: the wordline
-chain only on the wordline load and the row-gate fan-in, the predecode
-chain only on its load and wire.  A caller designing many subarrays can
-pass a ``chains`` dict that memoizes each sized chain under its full
-input tuple (device, feature size, wordline load or predecode load and
-wire, fan-in); a memoized chain is the object the same function
-returned for equal inputs, so the numbers cannot differ.  This module
-keeps no memo of its own.
 """
 
 from __future__ import annotations
@@ -76,18 +67,15 @@ def design_decoder(
     num_rows: int,
     wordline: WordlineLoad,
     predec_wire: WireLoad,
-    chains: dict | None = None,
 ) -> DecoderMetrics:
     """Design the row decoder for a subarray of ``num_rows``.
 
     ``predec_wire`` is the RC of one predecoded line running the height of
-    the subarray (it must reach every row gate).  ``chains``, when given,
-    memoizes the sized driver chains across calls (see the module
-    docstring); it changes no number.
+    the subarray (it must reach every row gate).
     """
     if num_rows < 2:
         # Degenerate single-row structure: just the wordline driver.
-        wl = _memo(chains, _wordline_chain, device, feature_size, wordline, 1)
+        wl = _wordline_chain(device, feature_size, wordline, 1)
         return DecoderMetrics(
             delay=wl.delay,
             energy=wl.energy,
@@ -102,22 +90,14 @@ def design_decoder(
 
     # Wordline driver chain: NAND row gate combining the predecoded lines,
     # then inverters up to the wordline load, folded into the wordline pitch.
-    wl_chain = _memo(
-        chains, _wordline_chain, device, feature_size, wordline, num_blocks
-    )
+    wl_chain = _wordline_chain(device, feature_size, wordline, num_blocks)
 
     # Each predecoded line loads: the wire down the subarray edge plus the
     # row-gate input cap of every row it can select.
     rows_per_line = num_rows / lines_per_block
     predec_load = wl_chain.c_in * rows_per_line
-    predec_chain = _memo(
-        chains,
-        build_chain,
-        device,
-        feature_size,
-        predec_load,
-        predec_wire,
-        _PREDEC_BITS,
+    predec_chain = build_chain(
+        device, feature_size, predec_load, predec_wire, _PREDEC_BITS
     )
 
     delay = predec_chain.delay + wl_chain.delay
@@ -142,21 +122,6 @@ def design_decoder(
         area=area,
         wordline_delay=wl_chain.delay,
     )
-
-
-def _memo(chains: dict | None, build, *args) -> ChainMetrics:
-    """``build(*args)``, memoized in ``chains`` if given.
-
-    The key is ``build`` with its full input tuple, so only a chain sized
-    by the same function from equal inputs is ever shared.
-    """
-    if chains is None:
-        return build(*args)
-    key = (build, *args)
-    chain = chains.get(key)
-    if chain is None:
-        chain = chains[key] = build(*args)
-    return chain
 
 
 def _wordline_chain(

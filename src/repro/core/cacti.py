@@ -132,13 +132,13 @@ def solve(
 ) -> Solution:
     """Solve ``spec``, returning the optimizer's best design point.
 
-    ``eval_cache`` shares circuit designs across candidates and solves
-    (a fresh one spanning the data and tag sweeps is created when
-    omitted); ``solve_cache`` short-circuits whole repeated solves from
-    disk (flushed once at the solve boundary); ``obs`` counts the sweep
-    (read it through :class:`~repro.core.optimizer.SweepStats`) and,
-    when it traces, records a ``solve`` span with nested data/tag array
-    sweeps.  ``cachedb`` (a
+    ``eval_cache`` shares survivor batches and subarray terms across
+    sweeps and solves (a fresh one spanning the data and tag sweeps is
+    created when omitted); ``solve_cache`` short-circuits whole repeated
+    solves from disk (flushed once at the solve boundary); ``obs`` counts
+    the sweep (read it through :class:`~repro.core.optimizer.SweepStats`)
+    and, when it traces, records a ``solve`` span with nested data/tag
+    array sweeps.  ``cachedb`` (a
     :class:`~repro.cachedb.CacheDB`) is consulted first: an exact
     precomputed hit -- bit-identical to solving live -- returns in
     microseconds, anything else falls through to the solver.  None of

@@ -15,13 +15,13 @@ The sweep runs as one pipeline that changes none of those numbers:
   rejects most candidate tuples from spec arithmetic alone, as one
   vectorized batch over the whole grid;
 * the survivors are evaluated, constrained and ranked as arrays
-  (:mod:`repro.array.kernels`), and full circuit objects are built only
-  for the winners;
+  (:mod:`repro.array.kernels`), and every returned design is read from
+  those arrays (:meth:`~repro.array.kernels.EvaluatedBatch.design`);
 * an :class:`~repro.array.organization.EvalCache` shares survivor
-  batches, subarray and H-tree designs across candidates and sweeps
-  (and, via the :class:`~repro.core.cacti.CactiD` facade, across
-  solves); in a batch scope it builds the subarray terms of every
-  announced sweep in one pass per group;
+  batches and subarray term rows across candidates and sweeps (and,
+  via the :class:`~repro.core.cacti.CactiD` facade, across solves); in
+  a batch scope it builds the subarray terms of every announced sweep
+  in one pass per group;
 * an optional persistent :class:`~repro.core.solvecache.SolveCache`
   short-circuits whole repeated solves from disk.
 
@@ -33,14 +33,7 @@ from __future__ import annotations
 
 import time
 
-from repro.array.organization import (
-    ArrayMetrics,
-    ArraySpec,
-    EvalCache,
-    InfeasibleOrganization,
-    InfeasibleSubarray,
-    build_organization,
-)
+from repro.array.organization import ArrayMetrics, ArraySpec, EvalCache
 from repro.array import kernels
 from repro.core.config import OptimizationTarget
 from repro.core.solvecache import account_store as _account_store
@@ -65,8 +58,6 @@ SWEEP_METRICS = {
     "feasible": "optimizer.feasible",
     "subarray_hits": "eval_cache.subarray.hits",
     "subarray_misses": "eval_cache.subarray.misses",
-    "htree_hits": "eval_cache.htree.hits",
-    "htree_misses": "eval_cache.htree.misses",
     "solve_cache_hits": "solve_cache.hits",
     "solve_cache_misses": "solve_cache.misses",
     "store_evictions": "store.evictions",
@@ -139,11 +130,6 @@ class SweepStats:
         total = self.subarray_hits + self.subarray_misses
         return self.subarray_hits / total if total else 0.0
 
-    @property
-    def htree_hit_rate(self) -> float:
-        total = self.htree_hits + self.htree_misses
-        return self.htree_hits / total if total else 0.0
-
     def as_dict(self) -> dict:
         return {
             "enumerated": self.enumerated,
@@ -153,8 +139,6 @@ class SweepStats:
             "feasible": self.feasible,
             "subarray_hits": self.subarray_hits,
             "subarray_misses": self.subarray_misses,
-            "htree_hits": self.htree_hits,
-            "htree_misses": self.htree_misses,
             "solve_cache_hits": self.solve_cache_hits,
             "solve_cache_misses": self.solve_cache_misses,
             "store_evictions": self.store_evictions,
@@ -165,7 +149,6 @@ class SweepStats:
             "tasks_failed": self.tasks_failed,
             "prefilter_rate": self.prefilter_rate,
             "subarray_hit_rate": self.subarray_hit_rate,
-            "htree_hit_rate": self.htree_hit_rate,
             "wall_time_s": self.wall_time_s,
             "worker_time_s": self.worker_time_s,
             "workers_absorbed": self.workers_absorbed,
@@ -185,9 +168,6 @@ class SweepStats:
             f"subarray cache        : {self.subarray_hits} hits / "
             f"{self.subarray_misses} misses "
             f"({self.subarray_hit_rate * 100:.1f}%)",
-            f"h-tree cache          : {self.htree_hits} hits / "
-            f"{self.htree_misses} misses "
-            f"({self.htree_hit_rate * 100:.1f}%)",
             f"solve cache           : {self.solve_cache_hits} hits / "
             f"{self.solve_cache_misses} misses",
             f"wall time             : {self.wall_time_s * 1e3:.1f} ms",
@@ -226,29 +206,44 @@ def _count(obs: Obs | None, **deltas: int) -> None:
             obs.inc(SWEEP_METRICS[field_name], delta)
 
 
-def _eval_cache_marks(cache: EvalCache) -> dict:
-    return {
-        name: getattr(cache, name)
-        for name in ("subarray_hits", "subarray_misses",
-                     "htree_hits", "htree_misses")
-    }
-
-
-def _eval_cache_deltas(cache: EvalCache, since: dict, *kinds: str) -> dict:
-    """How far ``cache``'s counters of each kind (subarray/htree) moved
-    since the :func:`_eval_cache_marks` snapshot ``since``."""
-    return {
-        name: getattr(cache, name) - since[name]
-        for kind in kinds
-        for name in (f"{kind}_hits", f"{kind}_misses")
-    }
-
-
 def _no_solution_message(spec: ArraySpec) -> str:
     return (
         f"no feasible organization for {spec.capacity_bits} bits of "
         f"{spec.cell_tech.value} in {spec.nbanks} bank(s)"
     )
+
+
+def _evaluated(
+    tech: Technology,
+    spec: ArraySpec,
+    cache: EvalCache,
+    obs: Obs | None,
+) -> kernels.EvaluatedBatch:
+    """Pre-filter the grid into a survivor batch and evaluate every
+    survivor as arrays (:func:`~repro.array.kernels.evaluate_batch`).
+
+    Counts candidates and the subarray cache's lookups, one per
+    survivor, so ``subarray_hits + subarray_misses == built`` holds.
+    Raises :class:`NoFeasibleSolution` when no survivor is buildable.
+    """
+    with obs_phase("prefilter", obs):
+        batch = cache.survivors(spec, kernels.survivor_batch)
+    hits, misses = cache.subarray_hits, cache.subarray_misses
+    with obs_phase("build", obs, candidates=batch.size):
+        ev = kernels.evaluate_batch(tech, spec, batch, cache)
+    _count(
+        obs,
+        enumerated=batch.enumerated,
+        prefiltered=batch.enumerated - batch.size,
+        built=batch.size,
+        infeasible_at_build=ev.n_infeasible,
+        feasible=ev.size,
+        subarray_hits=cache.subarray_hits - hits,
+        subarray_misses=cache.subarray_misses - misses,
+    )
+    if ev.size == 0:
+        raise NoFeasibleSolution(_no_solution_message(spec))
+    return ev
 
 
 def feasible_designs(
@@ -258,45 +253,19 @@ def feasible_designs(
     cache: EvalCache | None = None,
     obs: Obs | None = None,
 ) -> list[ArrayMetrics]:
-    """Build every feasible design of ``spec``, in enumeration order.
+    """Every feasible design of ``spec``, in enumeration order.
 
-    The full solution cloud the paper's Figure 1 bubbles plot.  The
-    optimizer itself never builds it: it ranks the survivors as arrays
-    and builds only the winners (see :func:`optimize`).  Here every
-    pre-filter survivor of :func:`~repro.array.kernels.survivor_batch`
-    is built with :func:`build_organization`; ``cache`` shares circuit
-    designs across candidates, and ``obs`` counts candidates, cache
-    lookups and the prefilter/build phases.  Neither changes the
-    returned designs.
+    The full solution cloud the paper's Figure 1 bubbles plot.  Every
+    buildable pre-filter survivor is read from the evaluated batch
+    (:meth:`~repro.array.kernels.EvaluatedBatch.design`); ``cache``
+    shares survivor batches and subarray terms across sweeps, and
+    ``obs`` counts candidates, cache lookups and the prefilter/build
+    phases.  Neither changes the returned designs.
     """
     if cache is None:
         cache = EvalCache()
-    with obs_phase("prefilter", obs):
-        batch = cache.survivors(spec, kernels.survivor_batch)
-    since = _eval_cache_marks(cache)
-    designs = []
-    with obs_phase("build", obs, candidates=batch.size):
-        for org, geometry in batch.candidates():
-            try:
-                designs.append(
-                    build_organization(
-                        tech, spec, org, cache=cache, geometry=geometry
-                    )
-                )
-            except (InfeasibleOrganization, InfeasibleSubarray):
-                continue
-    _count(
-        obs,
-        enumerated=batch.enumerated,
-        prefiltered=batch.enumerated - batch.size,
-        built=batch.size,
-        infeasible_at_build=batch.size - len(designs),
-        feasible=len(designs),
-        **_eval_cache_deltas(cache, since, "subarray", "htree"),
-    )
-    if not designs:
-        raise NoFeasibleSolution(_no_solution_message(spec))
-    return designs
+    ev = _evaluated(tech, spec, cache, obs)
+    return [ev.design(i) for i in range(ev.size)]
 
 
 def filter_constraints(
@@ -383,45 +352,15 @@ def _ranked_designs(
 ) -> list[ArrayMetrics]:
     """The sweep behind :func:`optimize` and :func:`pareto_solutions`.
 
-    Pre-filters the grid into a survivor batch, evaluates every
-    survivor as arrays (:func:`~repro.array.kernels.evaluate_batch`),
-    constrains and ranks the arrays
-    (:func:`~repro.array.kernels.rank_batch`), and builds full
-    :class:`ArrayMetrics` objects only for the top ``limit`` ranked
-    candidates (all of them when ``limit`` is None).  The batch
-    consults the subarray cache once per candidate, so its deltas are
-    counted before the winners are built and
-    ``subarray_hits + subarray_misses == built`` holds; the H-tree
-    cache is consulted only when winners are built, so its deltas are
-    counted after.
+    Evaluates every survivor as arrays, constrains and ranks the arrays
+    (:func:`~repro.array.kernels.rank_batch`), and reads the top
+    ``limit`` ranked candidates (all of them when ``limit`` is None)
+    from the batch as :class:`ArrayMetrics`.
     """
-    with obs_phase("prefilter", obs):
-        batch = eval_cache.survivors(spec, kernels.survivor_batch)
-    since = _eval_cache_marks(eval_cache)
-    with obs_phase("build", obs, candidates=batch.size):
-        ev = kernels.evaluate_batch(tech, spec, batch, eval_cache)
-    _count(
-        obs,
-        enumerated=batch.enumerated,
-        prefiltered=batch.enumerated - batch.size,
-        built=batch.size,
-        infeasible_at_build=ev.n_infeasible,
-        feasible=ev.size,
-        **_eval_cache_deltas(eval_cache, since, "subarray"),
-    )
-    if ev.size == 0:
-        raise NoFeasibleSolution(_no_solution_message(spec))
+    ev = _evaluated(tech, spec, eval_cache, obs)
     with obs_phase("rank", obs, designs=ev.size):
-        ranked = []
-        for i in kernels.rank_batch(ev, target)[:limit]:
-            org, geometry = ev.batch.org_at(int(i))
-            ranked.append(
-                build_organization(
-                    tech, spec, org, cache=eval_cache, geometry=geometry
-                )
-            )
-    _count(obs, **_eval_cache_deltas(eval_cache, since, "htree"))
-    return ranked
+        order = kernels.rank_batch(ev, target)[:limit]
+        return [ev.design(int(i)) for i in order]
 
 
 def optimize(
@@ -435,8 +374,8 @@ def optimize(
 ) -> ArrayMetrics:
     """Full pipeline: enumerate, filter, rank; return the best design.
 
-    ``eval_cache`` shares circuit designs across candidates (a fresh one
-    is created per call when omitted); ``solve_cache`` is an optional
+    ``eval_cache`` shares survivor batches and subarray terms across
+    sweeps (a fresh one is created per call when omitted); ``solve_cache`` is an optional
     :class:`~repro.core.solvecache.SolveCache` consulted before -- and
     flushed after -- the sweep; ``obs`` counts candidates, cache hits,
     phase times and ``optimizer.wall_s`` (read them through
@@ -445,7 +384,7 @@ def optimize(
     changes any returned number.
 
     Candidates are evaluated and ranked as arrays
-    (:mod:`repro.array.kernels`); only the winner is built as objects.
+    (:mod:`repro.array.kernels`), and the winner is read from them.
     """
     t0 = time.perf_counter() if obs is not None else 0.0
     with maybe_span(

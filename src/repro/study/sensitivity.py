@@ -165,8 +165,8 @@ def sweep(
     :func:`~repro.core.cacti.solve_batch`, as ``sweep.point`` tasks.
     Points solved in this process (all of them at ``jobs=1``) share the
     caller's ``eval_cache`` -- a fresh one per call when omitted -- so
-    neighboring points reuse subarray and H-tree designs (the reuse
-    shows up in ``obs``), and the caller's ``solve_cache`` instance,
+    neighboring points reuse subarray terms (the reuse shows up in
+    ``obs``), and the caller's ``solve_cache`` instance,
     which persists whole point solves across sweeps and flushes once per
     sweep, not per point.  ``jobs > 1`` solves points concurrently in
     worker processes, on worker-local caches (point order is preserved,

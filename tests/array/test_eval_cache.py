@@ -1,47 +1,70 @@
-"""The EvalCache: its decoder driver-chain memo is exact and scoped to its
-cache, and a batch sweep memoizes term rows, building ``Subarray``
-objects only for the designs it materializes."""
+"""The EvalCache: its memoized subarray term rows equal uncached ones,
+it and the circuit modules hold no circuit objects, and solving builds
+no ``Subarray`` or ``HTree`` object -- every solved design is read from
+the kernel arrays."""
 
-import gc
 import importlib
+import math
 import pkgutil
-import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.circuits
 from repro.array import kernels
-from repro.array.organization import ArraySpec, EvalCache
+from repro.array.htree import HTree
+from repro.array.organization import (
+    MIN_COLS,
+    MIN_ROWS,
+    ArraySpec,
+    EvalCache,
+    OrgParams,
+    build_organization,
+    subarray_keys,
+)
 from repro.array.subarray import Subarray
 from repro.circuits.decoder import DecoderMetrics
 from repro.circuits.drivers import ChainMetrics
 from repro.core.cacti import solve
-from repro.core.config import MemorySpec
+from repro.core.config import MemorySpec, OptimizationTarget
+from repro.core.optimizer import feasible_designs, pareto_solutions
 from repro.tech.nodes import technology
 from repro.tech.registry import registered_names
 
 NODES = (32.0, 78.0)
 PERIPHERIES = tuple(technology(32).devices)
 
-rows = st.integers(min_value=1, max_value=4096)
-#: A few shared column counts make distinct subarrays share a wordline
-#: chain, so the memo is hit as well as filled.
+#: The survivor domain: every pre-filter survivor has at least
+#: MIN_ROWS rows and MIN_COLS columns.
+rows = st.integers(min_value=MIN_ROWS, max_value=4096)
+#: A few shared column counts make lookups repeat, so the memo is hit
+#: as well as filled.
 cols = st.one_of(
     st.sampled_from([16, 128, 512, 2048]),
-    st.integers(min_value=1, max_value=8192),
+    st.integers(min_value=MIN_COLS, max_value=8192),
 )
+
+
+def same(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
 
 
 @pytest.mark.parametrize("periphery", PERIPHERIES)
 @pytest.mark.parametrize("cell_tech", registered_names())
 @given(
     node_nm=st.sampled_from(NODES),
-    dims=st.lists(st.tuples(rows, cols), min_size=1, max_size=8),
+    lookups=st.lists(
+        st.lists(st.tuples(rows, cols), min_size=1, max_size=4),
+        min_size=1,
+        max_size=4,
+    ),
 )
 @settings(max_examples=15, deadline=None)
 def test_memoized_subarray_equals_uncached(cell_tech, periphery, node_nm,
-                                           dims):
+                                           lookups):
+    """Term rows served by the memo, across repeated lookups, equal the
+    rows computed afresh, and each lookup counts once."""
     tech = technology(node_nm)
     spec = ArraySpec(
         capacity_bits=1 << 20,
@@ -49,52 +72,39 @@ def test_memoized_subarray_equals_uncached(cell_tech, periphery, node_nm,
         cell_tech=cell_tech,
         periph_device_type=periphery,
     )
+
+    def build(r, c):
+        return kernels.subarray_terms(tech, spec.cell_tech, periphery, r, c)
+
     cache = EvalCache()
-    for n_rows, n_cols in dims:
-        cached = cache.subarray(tech, spec, n_rows, n_cols)
-        plain = Subarray(
-            tech=tech,
-            cell=tech.cell(spec.cell_tech, periphery),
-            periph=tech.device(periphery),
-            rows=n_rows,
-            cols=n_cols,
+    seen = set()
+    for dims in lookups:
+        pairs = sorted(set(dims))
+        keys = subarray_keys(
+            np.array([r for r, _ in pairs]), np.array([c for _, c in pairs])
         )
-        assert plain.chains is None
-        assert cached.chains is cache.chains
-        assert cached.decoder == plain.decoder
-        assert cached.area == plain.area
-        assert cached.e_wordline == plain.e_wordline
-        assert cached.leakage_fixed == plain.leakage_fixed
-    assert cache.chains
+        counts = np.array([dims.count(pair) for pair in pairs])
+        table = cache.subarray_terms(tech, spec, keys, counts, build)
+        seen.update(pairs)
+        for (n_rows, n_cols), row in zip(pairs, table):
+            fresh = build(np.array([n_rows]), np.array([n_cols]))[0]
+            assert all(map(same, row.tolist(), fresh.tolist()))
+    assert cache.subarray_misses == len(seen)
+    assert cache.subarray_hits + cache.subarray_misses == sum(
+        len(dims) for dims in lookups
+    )
 
 
 SPEC = MemorySpec(capacity_bytes=256 << 10, associativity=8)
 
 
-def test_separate_caches_share_no_chain():
-    first, second = EvalCache(), EvalCache()
-    assert solve(SPEC, eval_cache=first) == solve(SPEC, eval_cache=second)
-    assert first.chains and first.chains.keys() == second.chains.keys()
-    ids = {id(chain) for chain in first.chains.values()}
-    assert ids.isdisjoint(id(chain) for chain in second.chains.values())
-
-
-def test_chains_die_with_their_cache():
-    cache = EvalCache()
-    solve(SPEC, eval_cache=cache)
-    refs = [weakref.ref(chain) for chain in cache.chains.values()]
-    assert refs
-    del cache
-    gc.collect()
-    assert all(ref() is None for ref in refs)
-
-
 def _holds_designs(value, seen) -> bool:
-    """True when ``value`` is, or contains, a chain or decoder design."""
+    """True when ``value`` is, or contains, a circuit object: a
+    subarray, an H-tree, a decoder or a driver chain."""
     if id(value) in seen:
         return False
     seen.add(id(value))
-    if isinstance(value, (ChainMetrics, DecoderMetrics)):
+    if isinstance(value, (Subarray, HTree, ChainMetrics, DecoderMetrics)):
         return True
     if callable(getattr(value, "cache_info", None)):  # functools caches
         return value.cache_info().currsize > 0
@@ -118,21 +128,33 @@ def test_circuit_modules_hold_no_chain_memo_after_a_solve():
             )
 
 
-def test_solve_builds_subarray_objects_only_for_its_winners(monkeypatch):
+def test_solving_builds_no_subarray_or_htree_objects(monkeypatch):
     built = []
-    post_init = Subarray.__post_init__
 
-    def spy(self):
-        built.append((self.rows, self.cols))
-        post_init(self)
+    def spy(cls):
+        init = cls.__init__
 
-    monkeypatch.setattr(Subarray, "__post_init__", spy)
+        def record(self, *args, **kwargs):
+            built.append(cls.__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", record)
+
+    spy(Subarray)
+    spy(HTree)
+    tech = technology(32.0)
+    spec = ArraySpec(capacity_bits=1 << 20, output_bits=64)
     cache = EvalCache()
-    solution = solve(SPEC, eval_cache=cache)
-    winners = {(solution.data.rows, solution.data.cols),
-               (solution.tag.rows, solution.tag.cols)}
-    assert sorted(built) == sorted(winners)
-    assert cache.subarray_misses > len(winners)
+    assert solve(SPEC, eval_cache=cache)
+    assert pareto_solutions(tech, spec, OptimizationTarget(),
+                            eval_cache=cache)
+    assert feasible_designs(tech, spec, cache=cache)
+    assert built == []
+    assert not _holds_designs(vars(cache), set())
+    assert cache.subarray_misses > 0
+    # The spies do see the scalar reference build its objects.
+    build_organization(tech, spec, OrgParams(ndwl=4, ndbl=4, nspd=1.0))
+    assert sorted(set(built)) == ["HTree", "Subarray"]
 
 
 def _batch(tech, spec, cache):
@@ -141,7 +163,7 @@ def _batch(tech, spec, cache):
     return batch
 
 
-def test_term_rows_and_objects_share_one_key_space():
+def test_term_rows_count_one_lookup_per_candidate():
     tech = technology(32.0)
     spec = ArraySpec(capacity_bits=1 << 20, output_bits=64)
     cache = EvalCache()
@@ -149,12 +171,7 @@ def test_term_rows_and_objects_share_one_key_space():
     distinct = len(set(zip(batch.rows.tolist(), batch.cols.tolist())))
     assert cache.subarray_misses == distinct
     assert cache.subarray_hits + cache.subarray_misses == batch.size
-    # A design materialized from the batch is a hit, not a new build ...
-    cache.subarray(tech, spec, int(batch.rows[0]), int(batch.cols[0]))
+    # A second sweep of the spec finds every row in the memo.
+    _batch(tech, spec, cache)
     assert cache.subarray_misses == distinct
-    # ... and a subarray first built as an object is a hit for a batch.
-    other = EvalCache()
-    other.subarray(tech, spec, int(batch.rows[0]), int(batch.cols[0]))
-    _batch(tech, spec, other)
-    assert other.subarray_misses == distinct
-    assert other.subarray_hits + other.subarray_misses == batch.size + 1
+    assert cache.subarray_hits + cache.subarray_misses == 2 * batch.size

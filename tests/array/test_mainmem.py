@@ -32,6 +32,13 @@ class TestSpec:
         with pytest.raises(ValueError, match="nbanks must be >= 1"):
             MainMemorySpec(capacity_bits=2**30, nbanks=nbanks)
 
+    @pytest.mark.parametrize("field", ["data_pins", "burst_length",
+                                       "prefetch"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_pins_burst_and_prefetch_below_one_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            MainMemorySpec(capacity_bits=2**30, **{field: value})
+
     def test_array_spec_carries_page(self):
         spec = MainMemorySpec(capacity_bits=2**30, page_bits=8192)
         assert spec.array_spec().page_bits == 8192

@@ -198,3 +198,10 @@ class TestEnumeration:
     def test_bank_count_below_one_rejected(self, nbanks):
         with pytest.raises(ValueError, match="nbanks must be >= 1"):
             ArraySpec(capacity_bits=1 << 20, output_bits=512, nbanks=nbanks)
+
+    @pytest.mark.parametrize("field", ["output_bits", "assoc"])
+    @pytest.mark.parametrize("value", [0, -8])
+    def test_output_bits_and_assoc_below_one_rejected(self, field, value):
+        fields = {"output_bits": 512, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            ArraySpec(capacity_bits=1 << 20, **fields)

@@ -65,6 +65,20 @@ class TestCommands:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--pins", "0", "data_pins"),
+        ("--pins", "-8", "data_pins"),
+        ("--burst", "-2", "burst_length"),
+    ])
+    def test_impossible_main_memory_interface_is_a_clean_error(
+        self, capsys, flag, value, field
+    ):
+        rc = main(["main-memory", "--capacity", "1G", flag, value])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {field} must be >= 1, got {value}\n"
+
     def test_validate_ddr3(self, capsys):
         rc = main(["validate-ddr3"])
         assert rc == 0

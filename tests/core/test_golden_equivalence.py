@@ -6,7 +6,8 @@ and the persistent solve cache -- and every one of them must be
 numerically invisible.  These tests compare against the reference
 oracle (tests/reference_sweep.py: every candidate pre-filtered and
 built one object at a time, no caches) field for field, for SRAM,
-LP-DRAM, and COMM-DRAM arrays at 32 and 78 nm.
+LP-DRAM and COMM-DRAM arrays and every other registered technology
+(STT-RAM) at 32 and 78 nm.
 """
 
 import dataclasses
@@ -22,6 +23,7 @@ from repro.core.solvecache import SolveCache
 from repro.obs import Obs
 from repro.tech.cells import CellTech
 from repro.tech.nodes import technology
+from repro.tech.registry import registered_names
 from tests.reference_sweep import reference_candidates, reference_feasible
 
 
@@ -57,14 +59,36 @@ def comm_dram_spec(capacity_mbit: int = 64) -> ArraySpec:
     )
 
 
+def cache_array_spec(name: str, capacity_kb: int = 128) -> ArraySpec:
+    """An 8-way cache data array of the registered technology ``name``
+    on its default periphery."""
+    cell_tech = CellTech(name)
+    return ArraySpec(
+        capacity_bits=capacity_kb * 1024 * 8,
+        output_bits=512,
+        assoc=8,
+        cell_tech=cell_tech,
+        periph_device_type=cell_tech.traits.default_periphery,
+    )
+
+
+#: Each technology's spec and target; every registered technology
+#: without a spec of its own here (STT-RAM) joins as a cache data array.
+CASES = {
+    "sram": (sram_spec(), OptimizationTarget()),
+    "lp-dram": (lp_dram_spec(), OptimizationTarget()),
+    "comm-dram": (comm_dram_spec(), DENSITY_OPTIMIZED),
+}
+CASES.update(
+    (name, (cache_array_spec(name), OptimizationTarget()))
+    for name in registered_names()
+    if name not in CASES
+)
+
 GRID = [
     pytest.param(spec, node, target, id=f"{name}-{node}nm")
     for node in (32.0, 78.0)
-    for name, spec, target in (
-        ("sram", sram_spec(), OptimizationTarget()),
-        ("lp-dram", lp_dram_spec(), OptimizationTarget()),
-        ("comm-dram", comm_dram_spec(), DENSITY_OPTIMIZED),
-    )
+    for name, (spec, target) in CASES.items()
 ]
 
 

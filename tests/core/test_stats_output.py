@@ -29,7 +29,6 @@ def test_cache_stats_lines(capsys):
         "infeasible at build   : 0",
         "feasible designs      : 3325",
         "subarray cache        : 3173 hits / 152 misses (95.4%)",
-        "h-tree cache          : 0 hits / 4 misses (0.0%)",
         "solve cache           : 0 hits / 0 misses",
         "wall time             : <t> ms",
         "phase prefilter       : <t> ms",
@@ -58,7 +57,6 @@ def test_parallel_sweep_stats_lines(capsys):
         "built                 : 4297",
         "infeasible at build   : 0",
         "feasible designs      : 4297",
-        "h-tree cache          : 0 hits / 8 misses (0.0%)",
         "solve cache           : 0 hits / 0 misses",
         "wall time             : <t> ms",
         "workers               : 2 payloads, <t> ms worker wall time",

@@ -43,7 +43,6 @@ class TestRateEdgeCases:
     def test_zero_lookups_hit_rates_are_zero(self):
         stats = view(Obs(trace=False))
         assert stats.subarray_hit_rate == 0.0
-        assert stats.htree_hit_rate == 0.0
 
     def test_rates_with_counts(self):
         stats = view(sink(
@@ -51,12 +50,9 @@ class TestRateEdgeCases:
             prefiltered=75,
             subarray_hits=3,
             subarray_misses=1,
-            htree_hits=1,
-            htree_misses=3,
         ))
         assert stats.prefilter_rate == 0.75
         assert stats.subarray_hit_rate == 0.75
-        assert stats.htree_hit_rate == 0.25
 
 
 class TestView:

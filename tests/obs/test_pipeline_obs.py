@@ -67,14 +67,6 @@ class TestSolveSpanTaxonomy:
     def test_derived_eval_cache_rates(self, obs):
         derived = obs.metrics.snapshot()["derived"]
         assert 0.0 < derived["eval_cache.subarray.hit_rate"] <= 1.0
-        # The vectorized kernels fold tree delays into closed-form
-        # arithmetic and consult the tree cache only for materialized
-        # winners, so its hit rate may legitimately be zero here -- but
-        # the winners' lookups are counted.
-        assert 0.0 <= derived["eval_cache.htree.hit_rate"] <= 1.0
-        assert obs.metrics.snapshot()["counters"][
-            "eval_cache.htree.misses"
-        ] > 0
 
     def test_phase_latency_histograms(self, obs):
         h = obs.metrics.snapshot()["histograms"]

@@ -1,8 +1,8 @@
 """Reference oracles for the optimizer.
 
 The sweep one object at a time: enumerates every candidate tuple,
-pre-filters each with ``prefilter_org``, builds each survivor with an
-uncached ``build_organization``, then applies the staged constraints
+pre-filters each with ``prefilter_org``, builds each survivor with
+``build_organization``, then applies the staged constraints
 and the weighted ranking to the objects.  It shares no code with the
 vectorized production sweep past the per-candidate model itself, so the
 production path must reproduce its designs, counts and order exactly.
