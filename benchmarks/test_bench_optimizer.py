@@ -12,6 +12,7 @@ objects without caches, and prints the comparison.  End-to-end solver
 times are recorded by ``bench/run.py`` (the solve-sweep workload).
 """
 
+import statistics
 import time
 
 from conftest import print_table
@@ -27,6 +28,9 @@ from tests.reference_sweep import reference_feasible
 SPEC = MemorySpec(capacity_bytes=4 << 20, block_bytes=64, associativity=8,
                   node_nm=32.0)
 TECH = technology(32)
+
+#: Warm solves timed for the warm-cache figure (its median is used).
+WARM_SOLVES = 25
 
 
 def sweep():
@@ -118,11 +122,20 @@ def test_fast_path_speedup(tmp_path, benchmark):
     cold = benchmark.pedantic(fast, rounds=1, iterations=1)
     fast_s = time.perf_counter() - t0
 
-    cache = SolveCache(tmp_path / "solves.json")
+    cache = SolveCache(tmp_path / "solves.db")
     solve(spec, solve_cache=cache)  # populate
-    t0 = time.perf_counter()
-    warm = solve(spec, solve_cache=cache)
-    warm_s = time.perf_counter() - t0
+    # The median of many warm solves: one sub-millisecond sample is at
+    # the mercy of a single scheduler hiccup.
+    warm_times = []
+    for _ in range(WARM_SOLVES):
+        hits, misses = cache.hits, cache.misses
+        t0 = time.perf_counter()
+        warm = solve(spec, solve_cache=cache)
+        warm_times.append(time.perf_counter() - t0)
+        # Each warm solve is served from the store: data and tag hits.
+        assert (cache.hits - hits, cache.misses) == (2, misses)
+    warm_s = statistics.median(warm_times)
+    cache.close()
 
     assert warm.access_time == cold.access_time
     speedup = oracle_s / fast_s
@@ -132,7 +145,7 @@ def test_fast_path_speedup(tmp_path, benchmark):
         [
             ["reference oracle", f"{oracle_s:.3f}", "1.0x"],
             ["kernels + memoized", f"{fast_s:.3f}", f"{speedup:.1f}x"],
-            ["warm solve cache", f"{warm_s:.5f}",
+            ["warm solve cache (median)", f"{warm_s:.5f}",
              f"{oracle_s / warm_s:.0f}x"],
         ],
     )

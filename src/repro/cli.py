@@ -3,11 +3,11 @@
 Usage::
 
     python -m repro cache --capacity 2M --assoc 8 --tech lp-dram
-    python -m repro cache --capacity 2M --cache sqlite:solves.db
-    python -m repro cache info sqlite:solves.db
-    python -m repro cache gc solves.json
-    python -m repro cache migrate solves.json \
-        "sqlite:solves.db?max_records=10000"
+    python -m repro cache --capacity 2M --cache solves.db
+    python -m repro cache --capacity 2M \
+        --cache "sqlite:solves.db?max_records=10000"
+    python -m repro cache info solves.db
+    python -m repro cache gc solves.db
     python -m repro main-memory --capacity 1G --node 78 --pins 8
     python -m repro validate-ddr3
     python -m repro table3 --resume table3.journal
@@ -112,8 +112,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cache = sub.add_parser("cache", help="solve a cache or plain memory")
     # --capacity is required for solving but checked manually: the
-    # store-maintenance subcommands below (info/gc/migrate) share this
-    # parser and take a store argument instead.
+    # store-maintenance subcommands below (info/gc) share this parser
+    # and take a store argument instead.
     cache.add_argument("--capacity", type=_size_arg, default=None,
                        help="e.g. 32K, 2M, 192M (required to solve)")
     cache.add_argument("--block", type=_size_arg, default=64)
@@ -144,26 +144,18 @@ def _build_parser() -> argparse.ArgumentParser:
     # subcommands; `repro cache --capacity ...` keeps solving as before.
     cache_ops = cache.add_subparsers(
         dest="cache_command", required=False,
-        metavar="{info,gc,migrate}",
+        metavar="{info,gc}",
     )
     cache_info = cache_ops.add_parser(
-        "info", help="describe a solve store (backend, records, versions)"
+        "info", help="describe a solve store (records, versions, size)"
     )
     cache_info.add_argument("store", help="store path or sqlite: URL")
     cache_gc = cache_ops.add_parser(
         "gc",
-        help="reclaim a solve store: purge tombstoned records, drop "
-             "stale-version sibling files (JSON) or superseded-version "
-             "rows (sqlite), compact the file",
+        help="reclaim a solve store: delete tombstoned records and "
+             "records of other model versions, compact the file",
     )
     cache_gc.add_argument("store", help="store path or sqlite: URL")
-    cache_migrate = cache_ops.add_parser(
-        "migrate",
-        help="copy every live record between stores, e.g. a grown JSON "
-             "cache into a bounded sqlite store",
-    )
-    cache_migrate.add_argument("src", help="source store path or URL")
-    cache_migrate.add_argument("dst", help="destination store path or URL")
 
     mm = sub.add_parser("main-memory", help="solve a main-memory DRAM chip")
     mm.add_argument("--capacity", required=True, type=_size_arg,
@@ -277,10 +269,11 @@ def _build_parser() -> argparse.ArgumentParser:
     for solver in (cache, mm, validate, table3, study, sweep, cdb_build):
         solver.add_argument(
             "--cache", metavar="STORE", default=None, dest="cache_path",
-            help="persistent solve store; repeated identical solves are "
-                 "served from it.  A plain path keeps the JSON-file "
-                 "backend; 'sqlite:PATH[?max_records=N&shard_prefix=P]' "
-                 "opens a bounded WAL-mode sqlite store",
+            help="persistent solve store (a WAL-mode sqlite database); "
+                 "repeated identical solves are served from it.  PATH "
+                 "and 'sqlite:PATH' open the same store; "
+                 "'sqlite:PATH?max_records=N' bounds it with LRU "
+                 "eviction",
         )
         solver.add_argument(
             "--stats", action="store_true",
@@ -381,29 +374,15 @@ def _write_obs(args: argparse.Namespace, obs: Obs | None) -> None:
 
 
 def _run_cache_store(args: argparse.Namespace) -> int:
-    """Store maintenance: ``repro cache {info,gc,migrate}``."""
+    """Store maintenance: ``repro cache {info,gc}``."""
     from repro.core.solvecache import open_solve_store
-    from repro.store import migrate_store
 
-    if args.cache_command == "migrate":
-        src = open_solve_store(args.src)
-        try:
-            dst = open_solve_store(args.dst)
-        except Exception:
-            src.close()
-            raise
-        try:
-            report = migrate_store(src, dst)
-        finally:
-            src.close()
-            dst.close()
-    else:
-        store = open_solve_store(args.store)
-        try:
-            report = (store.info() if args.cache_command == "info"
-                      else store.gc())
-        finally:
-            store.close()
+    store = open_solve_store(args.store)
+    try:
+        report = (store.info() if args.cache_command == "info"
+                  else store.gc())
+    finally:
+        store.close()
     for key, value in report.items():
         print(f"{key:<20}: {value}")
     return 0
@@ -415,7 +394,7 @@ def _run_cache(args: argparse.Namespace) -> int:
     if args.capacity is None:
         raise ValueError(
             "--capacity is required to solve "
-            "(store maintenance: repro cache {info,gc,migrate})"
+            "(store maintenance: repro cache {info,gc})"
         )
     spec = MemorySpec(
         capacity_bytes=args.capacity,

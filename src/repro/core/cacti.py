@@ -306,9 +306,6 @@ def _run_batch(
         solutions.append(solution)
         if obs is not None and index not in restored:
             obs.absorb_worker(payload)
-    if solve_cache is not None and pooled:
-        # Pick up the records the workers just wrote to disk.
-        solve_cache.refresh()
     # Drain the batch-boundary flush into the run's sink; worker
     # counter deltas arrived in their payloads, so this refreshes the
     # parent-side records/bytes gauges.

@@ -53,10 +53,10 @@ from repro.obs import Obs, maybe_span
 #: (one per worker process, reused across every task that worker runs).
 _WORKER_EVAL_CACHE = None
 
-#: Worker-local persistent solve caches, keyed by cache-file path.  A
-#: worker task that opened a fresh :class:`SolveCache` per task would
-#: re-parse the whole JSON file from disk every time; memoizing by path
-#: (mirroring the worker-local EvalCache) loads it once per worker.
+#: Worker-local persistent solve caches, keyed by store URL.  A worker
+#: task that opened a fresh :class:`SolveCache` per task would reopen
+#: the database every time; memoizing by URL (mirroring the
+#: worker-local EvalCache) opens it once per worker.
 _WORKER_SOLVE_CACHES: dict = {}
 
 #: The Obs of the map whose tasks run in this process right now (see
@@ -158,14 +158,12 @@ def worker_solve_cache(spec):
 
     ``spec`` is a store URL or path as produced by
     :attr:`~repro.core.solvecache.SolveCache.url` -- parents thread it
-    to workers so every process opens the same backend with the same
-    options.  Worker tasks share one persistent cache instance per
-    store spec for the life of the process, so the backing records are
-    loaded once per worker instead of once per task.  Concurrent
-    writers stay safe on every backend: the JSON backend's saves are
-    atomic merge-on-load replaces, and the sqlite backend serializes
-    row upserts on the database write lock (see
-    :class:`~repro.core.solvecache.SolveCache`).
+    to workers so every process opens the same database with the same
+    eviction bound.  Worker tasks share one persistent cache instance
+    per store spec for the life of the process, so the database is
+    opened once per worker instead of once per task.  Concurrent
+    writers stay safe: row upserts serialize on the database write lock
+    (see :class:`~repro.core.solvecache.SolveCache`).
     """
     if spec is None:
         return None

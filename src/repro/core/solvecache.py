@@ -1,35 +1,29 @@
-"""Persistent solve-record cache over a pluggable backend store.
+"""Persistent solve-record cache over the sqlite record store.
 
 Design-space exploration workloads re-solve the same arrays over and
 over -- across processes, sweeps, and sessions.  In the spirit of the
 Accelergy CACTI wrapper's records file, :class:`SolveCache` maps a
 stable hash of ``(ArraySpec, OptimizationTarget, node)`` to the winning
 :class:`~repro.array.organization.ArrayMetrics`, so a repeated query
-costs a dictionary (or indexed-row) lookup instead of a sweep.
+costs an indexed-row lookup instead of a sweep.
 
-Persistence is delegated to a :class:`~repro.store.KVStore` backend:
+Persistence is delegated to a :class:`~repro.store.SqliteStore`: a
+WAL-mode sqlite database, opened from a plain path (``"solves.db"``)
+or a ``sqlite:`` URL (``"sqlite:solves.db?max_records=10000"`` bounds
+the record count with LRU eviction).  A path that holds something other
+than a sqlite database -- a JSON cache file written by an older build,
+say -- is refused with a reason and left untouched.
 
-* a plain path (``"solves.json"``) keeps the original single-JSON-file
-  format, bit-compatible with every cache file written before the
-  store refactor;
-* a ``sqlite:`` URL (``"sqlite:solves.db?max_records=10000"``) opens a
-  WAL-mode sqlite store -- bounded record count with LRU eviction,
-  O(dirty-records) flushes, safe under heavy concurrent writers;
-* an already-open :class:`~repro.store.KVStore` is used as-is.
-
-Round-trips are bit-identical on every backend: records travel as JSON,
-Python's ``json`` emits the shortest ``repr`` of each float (which
-parses back to the exact same IEEE-754 value), and the regression tests
-assert field-for-field equality.
+Round-trips are bit-identical: records travel as JSON, Python's
+``json`` emits the shortest ``repr`` of each float (which parses back
+to the exact same IEEE-754 value), and the regression tests assert
+field-for-field equality.
 
 Records are version-stamped.  ``CACHE_VERSION`` must be bumped whenever
 the model changes numbers (any change to the circuit or array models).
-*Known-older* records are never served (the JSON backend rewrites the
-file at the current version on flush; the sqlite backend keeps rows
-per-version until ``gc``).  An *unrecognized* version -- most likely
-written by a newer build -- is never served from and never clobbered
-(the JSON backend redirects writes to a version-suffixed sibling; the
-sqlite backend stores versions side by side).
+Rows at any other version -- an older build's, or a newer one's -- are
+never served and never overwritten (the version is part of the key
+hash); ``repro cache gc`` deletes them.
 """
 
 from __future__ import annotations
@@ -40,24 +34,15 @@ from dataclasses import asdict, fields
 
 from repro.array.organization import ArrayMetrics, ArraySpec, OrgParams
 from repro.core.config import OptimizationTarget
-from repro.store import KVStore, open_store
+from repro.store import SqliteStore, open_store
 from repro.tech.cells import CellTech
 
 #: Bump on any model change that alters solved numbers, or any change
 #: to the key scheme (v2: numeric key fields are normalized to float;
 #: v3: the technology axis is registry-backed -- cell technologies are
 #: identified by registry name in keys and records, and new
-#: technologies such as stt-ram may appear).  Old v2 cache files are
-#: *ignored*, never corrupted: a version mismatch loads as an empty
-#: record set and the next flush rewrites the file at v3.
+#: technologies such as stt-ram may appear).
 CACHE_VERSION = "repro-solve-cache-v3"
-
-#: Versions this build recognizes as its own ancestors.  Files stamped
-#: with one of these are safe to ignore-and-rewrite (their key scheme
-#: or numbers are superseded).  Anything else that still parses as a
-#: cache file is treated as foreign -- likely a newer build's -- and is
-#: preserved, never overwritten.
-_OLDER_VERSIONS = ("repro-solve-cache-v1", "repro-solve-cache-v2")
 
 #: ArrayMetrics scalar fields (everything except the nested spec/org).
 _METRIC_FIELDS = tuple(
@@ -132,20 +117,16 @@ def _record_shape_ok(record: dict) -> bool:
     return "spec" in record and "org" in record
 
 
-def open_solve_store(spec: str | os.PathLike, **options) -> KVStore:
-    """Open a solve-record store (any backend) at the solve-cache
-    version, with solve-record screening installed."""
+def open_solve_store(spec: str | os.PathLike) -> SqliteStore:
+    """Open a solve-record store at the solve-cache version, with
+    solve-record screening installed."""
     return open_store(
-        spec,
-        version=CACHE_VERSION,
-        older_versions=_OLDER_VERSIONS,
-        validate=_record_shape_ok,
-        **options,
+        spec, version=CACHE_VERSION, validate=_record_shape_ok
     )
 
 
 class SolveCache:
-    """Solve-keyed facade over a persistent :class:`~repro.store.KVStore`.
+    """Solve-keyed facade over a persistent :class:`~repro.store.SqliteStore`.
 
     Opt-in: pass a path or store URL to
     :class:`~repro.core.cacti.CactiD` via ``cache_path`` or to the CLI
@@ -153,14 +134,14 @@ class SolveCache:
     records are treated as misses, never as errors.
 
     Safe to share one store across processes (the batch-solve engine
-    does): the JSON backend merges concurrently-written records through
-    atomic whole-file replaces; the sqlite backend serializes row
-    upserts on the database's own write lock.  A killed process cannot
-    corrupt the records, and two concurrent writers cannot truncate
-    each other's entries.
+    does): row upserts serialize on the database's own write lock, and
+    every read goes to the shared database, so records another process
+    flushed are served without reopening.  A killed process cannot
+    corrupt the records, and two concurrent writers cannot lose each
+    other's entries.
 
     Writes are batched: :meth:`put` only stages the record, and
-    :meth:`flush` performs the backend save.  The solve pipeline
+    :meth:`flush` performs the store write.  The solve pipeline
     flushes at solve and batch boundaries, so a thousand-record sweep
     costs O(1) store writes instead of O(n^2) disk I/O.  Using the
     cache as a context manager defers flushes until the ``with`` block
@@ -173,11 +154,8 @@ class SolveCache:
                 cache.flush()  # deferred: records only a pending flush
     """
 
-    def __init__(self, store: str | os.PathLike | KVStore):
-        if isinstance(store, KVStore):
-            self.store = store
-        else:
-            self.store = open_solve_store(store)
+    def __init__(self, store: str | os.PathLike):
+        self.store = open_solve_store(store)
         self.hits = 0
         self.misses = 0
         #: Event counts already drained to an observability sink (see
@@ -195,7 +173,7 @@ class SolveCache:
     @property
     def url(self) -> str:
         """Round-trippable store spec: ``SolveCache(cache.url)`` in any
-        process opens the same store with the same backend options."""
+        process opens the same store with the same eviction bound."""
         return self.store.url
 
     def __len__(self) -> int:
@@ -214,10 +192,6 @@ class SolveCache:
         store write per batch.
         """
         self.store.flush()
-
-    def refresh(self) -> None:
-        """Pick up records another process has written since we loaded."""
-        self.store.refresh()
 
     def __enter__(self) -> "SolveCache":
         self.store.__enter__()
@@ -267,7 +241,7 @@ class SolveCache:
     # Observability
 
     def stats(self) -> dict:
-        """Facade hit/miss counters plus the backend's ``store.*`` stats."""
+        """Facade hit/miss counters plus the store's ``store.*`` stats."""
         return {"hits": self.hits, "misses": self.misses,
                 **self.store.stats()}
 
@@ -303,7 +277,7 @@ class SolveCache:
 
 
 def account_store(solve_cache, obs) -> None:
-    """Drain a solve cache's backend events into ``obs``.
+    """Drain a solve cache's store events into ``obs``.
 
     Emits the ``store.*`` metric family: counters for hits / misses /
     evictions / flush_writes / corrupt_records (the hits/misses pair

@@ -134,7 +134,7 @@ def test_solve_builds_data_and_tag_terms_in_one_pass(monkeypatch,
 
 def test_batch_served_from_a_store_builds_nothing(tmp_path, monkeypatch,
                                                   term_calls):
-    store = SolveCache(tmp_path / "solves.json")
+    store = SolveCache(tmp_path / "solves.db")
     first = solve_batch(BATCH[:4], solve_cache=store, jobs=1)
     term_calls.clear()
     prefiltered = []

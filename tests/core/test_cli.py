@@ -109,7 +109,7 @@ class TestCommands:
         assert "solve cache" in out
 
     def test_cache_flag_creates_and_reuses_cache(self, tmp_path, capsys):
-        path = tmp_path / "solves.json"
+        path = tmp_path / "solves.db"
         args = ["cache", "--capacity", "256K", "--cache", str(path),
                 "--stats"]
         assert main(args) == 0
@@ -123,15 +123,31 @@ class TestCommands:
         # The cached run reports the same design.
         assert first.split("\n\n")[0] == second.split("\n\n")[0]
 
-    def test_unwritable_cache_path_is_a_clean_error(self, tmp_path, capsys):
-        """--cache pointing at a directory must not dump a traceback."""
+    @pytest.mark.parametrize("kind", ["directory", "json-file"])
+    def test_unwritable_cache_path_is_a_clean_error(self, tmp_path, capsys,
+                                                    kind):
+        """--cache naming a directory, or a file that is not a sqlite
+        database (a JSON cache from an older build), is one error line
+        and exit 2 -- no traceback, and the file is left as it was."""
+        target = tmp_path
+        if kind == "json-file":
+            target = tmp_path / "old.json"
+            target.write_text('{"version": "repro-solve-cache-v3", '
+                              '"records": {}}')
+        before = sorted(tmp_path.rglob("*"))
+        payload = target.read_bytes() if target.is_file() else None
         rc = main(["cache", "--capacity", "256K",
-                   "--cache", str(tmp_path)])
+                   "--cache", str(target)])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(target) in err and "remove it" in err
+        assert sorted(tmp_path.rglob("*")) == before
+        if payload is not None:
+            assert target.read_bytes() == payload
 
     def test_cache_flag_main_memory(self, tmp_path, capsys):
-        path = tmp_path / "solves.json"
+        path = tmp_path / "solves.db"
         args = ["main-memory", "--capacity", "1G", "--node", "78",
                 "--cache", str(path)]
         assert main(args) == 0
@@ -167,7 +183,7 @@ class TestObservabilityFlags:
         import json
 
         metrics = tmp_path / "m.json"
-        cache = tmp_path / "solves.json"
+        cache = tmp_path / "solves.db"
         args = ["cache", "--capacity", "256K",
                 "--cache", str(cache), "--metrics", str(metrics)]
         assert main(args) == 0
@@ -215,7 +231,7 @@ class TestObservabilityFlags:
         metrics = tmp_path / "m.json"
         rc = main([
             "table3", "--stats",
-            "--cache", str(tmp_path / "solves.json"),
+            "--cache", str(tmp_path / "solves.db"),
             "--trace", str(trace), "--metrics", str(metrics),
         ])
         assert rc == 0
@@ -396,7 +412,7 @@ class TestSingleSolveFlags:
 
 
 class TestCacheStoreCli:
-    """--cache sqlite: URLs and the cache {info,gc,migrate} subcommands."""
+    """--cache sqlite: URLs and the cache {info,gc} subcommands."""
 
     def _solve(self, store, tmp_path, extra=()):
         return ["cache", "--capacity", "64K", "--cache", store, *extra]
@@ -410,57 +426,35 @@ class TestCacheStoreCli:
         assert main(args) == 0
         assert capsys.readouterr().out == first
 
-    def test_cache_info_json(self, tmp_path, capsys):
-        path = str(tmp_path / "solves.json")
-        assert main(self._solve(path, tmp_path)) == 0
-        capsys.readouterr()
-        assert main(["cache", "info", path]) == 0
-        out = capsys.readouterr().out
-        assert "backend" in out and "json" in out
-        assert "records" in out
-
     def test_cache_info_sqlite(self, tmp_path, capsys):
         url = f"sqlite:{tmp_path / 'solves.db'}"
         assert main(self._solve(url, tmp_path)) == 0
         capsys.readouterr()
         assert main(["cache", "info", url]) == 0
         out = capsys.readouterr().out
-        assert "sqlite" in out and "versions" in out
+        assert "sqlite:" in out and "versions" in out
+        assert "repro-solve-cache-v3': 2" in out
 
-    def test_cache_gc_removes_stale_sibling(self, tmp_path, capsys):
-        """Satellite bugfix: stale-version sibling redirect files are
-        garbage-collectable from the CLI."""
-        from repro.core.solvecache import _OLDER_VERSIONS
+    def test_cache_gc_removes_other_version_rows(self, tmp_path, capsys):
+        from repro.store import SqliteStore
 
-        path = tmp_path / "solves.json"
-        stale = tmp_path / f"solves.json.{_OLDER_VERSIONS[0]}"
-        stale.write_text('{"version": "%s", "records": {}}'
-                         % _OLDER_VERSIONS[0])
+        path = tmp_path / "solves.db"
+        assert main(self._solve(str(path), tmp_path)) == 0
+        other = SqliteStore(path, version="repro-solve-cache-v2")
+        other.put("stale", {"spec": {}, "org": {}})
+        other.close()
+        capsys.readouterr()
         assert main(["cache", "gc", str(path)]) == 0
         out = capsys.readouterr().out
-        assert stale.name in out
-        assert not stale.exists()
+        assert "purged_other_versions: 1" in out
+        assert main(["cache", "info", str(path)]) == 0
+        assert "{'repro-solve-cache-v3': 2}" in capsys.readouterr().out
 
-    def test_cache_migrate_round_trip(self, tmp_path, capsys):
-        """JSON -> sqlite -> query: the migrated store serves the solve
-        (a hit, bit-identical output) without re-solving."""
-        src = str(tmp_path / "solves.json")
-        dst = f"sqlite:{tmp_path / 'solves.db'}"
-        assert main(self._solve(src, tmp_path)) == 0
-        first = capsys.readouterr().out
-        assert main(["cache", "migrate", src, dst]) == 0
-        report = capsys.readouterr().out
-        assert "migrated" in report
-        assert main(self._solve(dst, tmp_path)) == 0
-        assert capsys.readouterr().out == first
-
-    def test_cache_migrate_same_store_is_clean_error(self, tmp_path,
-                                                     capsys):
-        path = str(tmp_path / "solves.json")
-        assert main(self._solve(path, tmp_path)) == 0
-        capsys.readouterr()
-        assert main(["cache", "migrate", path, path]) == 2
-        assert "same store" in capsys.readouterr().err
+    def test_cache_migrate_is_not_a_command(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["cache", "migrate", str(tmp_path / "a"),
+                  str(tmp_path / "b")])
+        assert exc.value.code == 2
 
     def test_solve_without_capacity_is_clean_error(self, capsys):
         assert main(["cache"]) == 2

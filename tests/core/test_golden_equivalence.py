@@ -147,29 +147,20 @@ def test_parallel_optimize_is_bit_identical(spec, node, target, jobs):
         assert_metrics_identical(serial, remote)
 
 
-def _store_spec(backend, tmp_path) -> str:
-    """A solve-store spec for ``backend`` under ``tmp_path``."""
-    if backend == "json":
-        return str(tmp_path / "solves.json")
-    return f"sqlite:{tmp_path / 'solves.db'}"
-
-
-@pytest.mark.parametrize("backend", ["json", "sqlite"])
 @pytest.mark.parametrize("spec,node,target", GRID)
-def test_solve_cache_round_trip_is_bit_identical(
-    spec, node, target, backend, tmp_path
-):
+def test_solve_cache_round_trip_is_bit_identical(spec, node, target,
+                                                 tmp_path):
     tech = technology(node)
     direct = optimize(tech, spec, target)
 
-    store = _store_spec(backend, tmp_path)
+    store = f"sqlite:{tmp_path / 'solves.db'}"
     cache = SolveCache(store)
     first = optimize(tech, spec, target, solve_cache=cache)
     assert_metrics_identical(first, direct)
     cache.close()
 
-    # A fresh cache object re-reads the backend: the disk round trip
-    # must reproduce every float exactly on either backend.
+    # A fresh cache object re-reads the store: the disk round trip
+    # must reproduce every float exactly.
     reread = SolveCache(store)
     cached = optimize(tech, spec, target, solve_cache=reread)
     assert reread.hits == 1
@@ -178,14 +169,11 @@ def test_solve_cache_round_trip_is_bit_identical(
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 4])
-@pytest.mark.parametrize("backend", ["json", "sqlite"])
-def test_solve_batch_bit_identical_on_both_backends(
-    backend, jobs, tmp_path
-):
-    """solve_batch x {json, sqlite} x jobs {1,2,4}: worker processes
-    sharing either store produce field-for-field the numbers of the
-    cache-free serial path, and a second batch is served entirely from
-    the store -- still bit-identical."""
+def test_solve_batch_bit_identical_through_the_store(jobs, tmp_path):
+    """solve_batch x jobs {1,2,4}: worker processes sharing the store
+    produce field-for-field the numbers of the cache-free serial path,
+    and a second batch is served entirely from the store -- still
+    bit-identical."""
     from repro.core.cacti import solve_batch
 
     specs = [
@@ -200,13 +188,12 @@ def test_solve_batch_bit_identical_on_both_backends(
     ]
     baseline = solve_batch(specs, jobs=1)
 
-    cache = SolveCache(_store_spec(backend, tmp_path))
+    cache = SolveCache(f"sqlite:{tmp_path / 'solves.db'}")
     first = solve_batch(specs, solve_cache=cache, jobs=jobs)
     for a, b in zip(baseline, first):
         assert_metrics_identical(a.data, b.data)
         assert_metrics_identical(a.tag, b.tag)
 
-    cache.refresh()
     assert len(cache) == 2 * len(specs)  # data + tag arrays per spec
     again = solve_batch(specs, solve_cache=cache, jobs=1)
     assert cache.hits == 2 * len(specs)
@@ -216,34 +203,57 @@ def test_solve_batch_bit_identical_on_both_backends(
     cache.close()
 
 
-@pytest.mark.parametrize("backend", ["json", "sqlite"])
-def test_migrated_store_serves_bit_identical_records(backend, tmp_path):
-    """Solve into one backend, migrate to the other, re-solve from the
-    migrated store: every record survives the migration bit-exactly."""
-    from repro.core.solvecache import open_solve_store
-    from repro.store import migrate_store
+#: The store's tables and indexes as every earlier build created them,
+#: frozen here so a layout change that strands existing stores fails.
+_EARLIER_SCHEMA = """
+CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+CREATE TABLE records (
+    key           TEXT PRIMARY KEY,
+    shard         TEXT NOT NULL DEFAULT '',
+    value         TEXT NOT NULL,
+    version       TEXT NOT NULL,
+    created_s     REAL NOT NULL,
+    last_access_s REAL NOT NULL,
+    tombstone     INTEGER NOT NULL DEFAULT 0
+);
+CREATE INDEX idx_records_lru
+    ON records (version, tombstone, last_access_s, key);
+CREATE INDEX idx_records_shard ON records (shard);
+INSERT INTO meta VALUES ('schema', 'repro-store-sqlite-v1');
+PRAGMA journal_mode=WAL;
+"""
+
+
+def test_existing_store_serves_bit_identical_records(tmp_path):
+    """A store written in the earlier layout -- its rows as earlier
+    builds wrote them -- is served bit-identically, through either
+    spelling of its path."""
+    import json
+    import sqlite3
+
+    from repro.core.solvecache import metrics_to_dict, solve_key
 
     spec, target = sram_spec(), OptimizationTarget()
     tech = technology(32.0)
-    src_spec = _store_spec(backend, tmp_path)
-    other = "sqlite" if backend == "json" else "json"
-    dst_spec = _store_spec(other, tmp_path)
+    direct = optimize(tech, spec, target)
+    path = tmp_path / "solves.db"
+    conn = sqlite3.connect(path)
+    conn.executescript(_EARLIER_SCHEMA)
+    with conn:
+        conn.execute(
+            "INSERT INTO records VALUES (?, '', ?, ?, 1.0, 1.0, 0)",
+            (solve_key(spec, target, 32.0),
+             json.dumps(metrics_to_dict(direct), sort_keys=True),
+             "repro-solve-cache-v3"),
+        )
+    conn.close()
 
-    cache = SolveCache(src_spec)
-    direct = optimize(tech, spec, target, solve_cache=cache)
-    cache.close()
-
-    src = open_solve_store(src_spec)
-    dst = open_solve_store(dst_spec)
-    report = migrate_store(src, dst)
-    assert report["migrated"] == 1
-    src.close(), dst.close()
-
-    migrated = SolveCache(dst_spec)
-    served = optimize(tech, spec, target, solve_cache=migrated)
-    assert migrated.hits == 1
-    assert_metrics_identical(served, direct)
-    migrated.close()
+    for store in (path, f"sqlite:{path}"):
+        cache = SolveCache(store)
+        served = optimize(tech, spec, target, solve_cache=cache)
+        assert (cache.hits, cache.misses) == (1, 0)
+        assert_metrics_identical(served, direct)
+        cache.close()
 
 
 @pytest.mark.parametrize("spec,node,target", GRID)
@@ -320,7 +330,7 @@ def test_every_sink_together_is_invisible(tmp_path):
     tech = technology(32.0)
     direct = optimize(tech, spec, target)
     for trace in (True, False):
-        store = SolveCache(tmp_path / f"solves-{trace}.json")
+        store = SolveCache(tmp_path / f"solves-{trace}.db")
         for _cold_then_warm in range(2):
             obs = Obs(trace=trace)
             kitchen_sink = optimize(

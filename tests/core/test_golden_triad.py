@@ -102,18 +102,13 @@ def test_solves_match_golden(index, jobs, batch_solutions):
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 4])
-@pytest.mark.parametrize("backend", ["json", "sqlite"])
-def test_solves_match_golden_through_either_store(backend, jobs, tmp_path):
+def test_solves_match_golden_through_the_store(jobs, tmp_path):
     """A persistent solve store must be numerically invisible: batches
-    of the golden records through either backend (cold, then warm from
-    the store) reproduce the recorded numbers bit-identically at any
-    job count."""
+    of the golden records through the store (cold, then warm from it)
+    reproduce the recorded numbers bit-identically at any job count."""
     from repro.core.solvecache import SolveCache
 
-    store = (
-        str(tmp_path / "solves.json") if backend == "json"
-        else f"sqlite:{tmp_path / 'solves.db'}"
-    )
+    store = f"sqlite:{tmp_path / 'solves.db'}"
     for _round in ("cold", "warm"):
         cache = SolveCache(store)
         solutions = solve_records(solve_cache=cache, jobs=jobs)

@@ -97,7 +97,7 @@ class TestSolveBatch:
             solve_batch(BATCH, [OptimizationTarget()])
 
     def test_workers_share_persistent_cache(self, tmp_path):
-        cache = SolveCache(tmp_path / "solves.json")
+        cache = SolveCache(tmp_path / "solves.db")
         obs = Obs(trace=False)
         stats = SweepStats(obs.metrics)
         solve_batch(BATCH, solve_cache=cache, obs=obs, jobs=2)
@@ -113,7 +113,7 @@ class TestSolveBatch:
         assert again.built == 0
 
     def test_facade_batch(self, tmp_path):
-        tool = CactiD(node_nm=32.0, cache_path=tmp_path / "c.json")
+        tool = CactiD(node_nm=32.0, cache_path=tmp_path / "c.db")
         batch = tool.solve_batch(BATCH, jobs=2)
         assert [s.spec for s in batch] == BATCH
         assert tool.stats.workers_absorbed == len(BATCH)
@@ -139,10 +139,10 @@ class TestInProcessCaches:
     def test_serial_batch_writes_through_the_callers_store(
         self, tmp_path, resilience
     ):
-        plain = SolveCache(tmp_path / "plain.json")
+        plain = SolveCache(tmp_path / "plain.db")
         for spec in self.SIX:
             solve(spec, solve_cache=plain)
-        cache = SolveCache(tmp_path / "batch.json")
+        cache = SolveCache(tmp_path / "batch.db")
         solve_batch(
             self.SIX, solve_cache=cache, jobs=1, resilience=resilience
         )

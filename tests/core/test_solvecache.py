@@ -1,6 +1,7 @@
 """Unit tests for the persistent solve cache."""
 
 import json
+import sqlite3
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.core.solvecache import (
     solve_key,
 )
 from repro.core.optimizer import optimize
+from repro.store import SqliteStore
 from repro.tech.cells import CellTech
 from repro.tech.nodes import technology
 
@@ -91,77 +93,75 @@ class TestSolveKey:
         assert isinstance(normalized["count"], float)
 
 
+def rows(path) -> list[tuple]:
+    """``(key, value, version, tombstone)`` of every row on disk, read
+    through a connection of its own."""
+    conn = sqlite3.connect(path)
+    try:
+        return conn.execute(
+            "SELECT key, value, version, tombstone FROM records"
+        ).fetchall()
+    finally:
+        conn.close()
+
+
+def rewrite_value(path, key, value: str) -> None:
+    """Overwrite one row's stored JSON, as a hand edit or a torn write
+    would."""
+    conn = sqlite3.connect(path)
+    try:
+        with conn:
+            conn.execute(
+                "UPDATE records SET value=? WHERE key=?", (value, key)
+            )
+    finally:
+        conn.close()
+
+
+def put_at_version(path, version, *args) -> None:
+    """One solve record written at another model version."""
+    store = SqliteStore(path, version=version)
+    store.put(solve_key(*args[:3]), metrics_to_dict(args[3]))
+    store.close()
+
+
 class TestSolveCache:
     def test_put_get(self, tmp_path, best):
-        cache = SolveCache(tmp_path / "c.json")
+        cache = SolveCache(tmp_path / "c.db")
         assert cache.get(SPEC, TARGET, 32.0) is None
         cache.put(SPEC, TARGET, 32.0, best)
         assert cache.get(SPEC, TARGET, 32.0) == best
         assert cache.hits == 1 and cache.misses == 1
 
     def test_persists_across_instances(self, tmp_path, best):
-        path = tmp_path / "c.json"
+        path = tmp_path / "c.db"
         put_and_flush(path, SPEC, TARGET, 32.0, best)
         assert SolveCache(path).get(SPEC, TARGET, 32.0) == best
 
     def test_missing_file_is_empty(self, tmp_path):
-        cache = SolveCache(tmp_path / "nope" / "c.json")
+        cache = SolveCache(tmp_path / "nope" / "c.db")
         assert len(cache) == 0
-
-    def test_corrupt_file_is_empty(self, tmp_path, best):
-        path = tmp_path / "c.json"
-        path.write_text("{ this is not json")
-        cache = SolveCache(path)
-        assert len(cache) == 0
-        # And still usable for writes afterwards.
-        cache.put(SPEC, TARGET, 32.0, best)
-        cache.flush()
-        assert SolveCache(path).get(SPEC, TARGET, 32.0) == best
 
     def test_version_mismatch_discards_records(self, tmp_path, best):
-        path = tmp_path / "c.json"
-        put_and_flush(path, SPEC, TARGET, 32.0, best)
-        payload = json.loads(path.read_text())
-        payload["version"] = "repro-solve-cache-v1"
-        path.write_text(json.dumps(payload))
+        path = tmp_path / "c.db"
+        put_at_version(path, "repro-solve-cache-v1", SPEC, TARGET, 32.0,
+                       best)
         assert len(SolveCache(path)) == 0
 
-    def test_v2_cache_ignored_not_corrupted(self, tmp_path, best):
-        """Migration contract for the v3 (registry) key-scheme bump: a
-        v2 cache file loads as empty -- never an error, never served --
-        and stays byte-identical on disk until the first flush rewrites
-        it at v3."""
-        path = tmp_path / "c.json"
-        v2_payload = json.dumps({
-            "version": "repro-solve-cache-v2",
-            "records": {"deadbeef": {"rows": 64}},
-        })
-        path.write_text(v2_payload)
-        cache = SolveCache(path)
-        assert len(cache) == 0
-        assert cache.get(SPEC, TARGET, 32.0) is None
-        # Reads never touch the file: the v2 records are still intact.
-        assert path.read_text() == v2_payload
-        # The first flush rewrites at v3, dropping the stale records.
-        cache.put(SPEC, TARGET, 32.0, best)
-        cache.flush()
-        payload = json.loads(path.read_text())
-        assert payload["version"] == CACHE_VERSION
-        assert "deadbeef" not in payload["records"]
-        assert SolveCache(path).get(SPEC, TARGET, 32.0) == best
-
     def test_version_stamp_written(self, tmp_path, best):
-        path = tmp_path / "c.json"
+        path = tmp_path / "c.db"
         put_and_flush(path, SPEC, TARGET, 32.0, best)
-        assert json.loads(path.read_text())["version"] == CACHE_VERSION
+        assert [version for _, _, version, _ in rows(path)] == [
+            CACHE_VERSION
+        ]
 
     def test_truncated_record_is_a_miss(self, tmp_path, best):
-        path = tmp_path / "c.json"
+        path = tmp_path / "c.db"
         put_and_flush(path, SPEC, TARGET, 32.0, best)
-        payload = json.loads(path.read_text())
-        key = next(iter(payload["records"]))
-        del payload["records"][key]["rows"]
-        path.write_text(json.dumps(payload))
+        [(key, value, _, _)] = rows(path)
+        record = json.loads(value)
+        del record["rows"]
+        rewrite_value(path, key, json.dumps(record))
         assert SolveCache(path).get(SPEC, TARGET, 32.0) is None
 
 
@@ -176,8 +176,8 @@ class TestConcurrentWriters:
     def test_interleaved_puts_merge_instead_of_truncating(
         self, tmp_path, best
     ):
-        path = tmp_path / "c.json"
-        # Both handles load the (empty) file before either writes --
+        path = tmp_path / "c.db"
+        # Both handles open the (empty) store before either writes --
         # the classic lost-update interleaving.
         writer_a = SolveCache(path)
         writer_b = SolveCache(path)
@@ -185,130 +185,76 @@ class TestConcurrentWriters:
         writer_a.flush()
         writer_b.put(self._other_spec(), TARGET, 32.0, best)
         writer_b.flush()
-        # The second save merged the first one's record from disk.
         fresh = SolveCache(path)
         assert fresh.get(SPEC, TARGET, 32.0) == best
         assert fresh.get(self._other_spec(), TARGET, 32.0) == best
 
-    def test_refresh_picks_up_foreign_records(self, tmp_path, best):
-        path = tmp_path / "c.json"
+    def test_open_instance_serves_foreign_records(self, tmp_path, best):
+        path = tmp_path / "c.db"
         reader = SolveCache(path)
         put_and_flush(path, SPEC, TARGET, 32.0, best)
-        assert len(reader) == 0
-        reader.refresh()
         assert reader.get(SPEC, TARGET, 32.0) == best
 
     def test_save_leaves_no_temp_files(self, tmp_path, best):
-        path = tmp_path / "c.json"
-        put_and_flush(path, SPEC, TARGET, 32.0, best)
-        # The save-serializing lock file stays behind by design
-        # (deleting it would race lock acquisition); no temp file may.
-        assert sorted(q.name for q in tmp_path.iterdir()) == [
-            "c.json", "c.json.lock",
-        ]
-
-    def test_atomic_write_via_os_replace(self, tmp_path, best, monkeypatch):
-        """The records file itself is never opened for writing: a crash
-        mid-save can only lose the temp file, not the cache."""
-        import os as os_module
-
-        replaced = []
-        real_replace = os_module.replace
-
-        def spy(src, dst):
-            replaced.append((str(src), str(dst)))
-            return real_replace(src, dst)
-
-        monkeypatch.setattr("repro.store.jsonfile.os.replace", spy)
-        path = tmp_path / "c.json"
-        put_and_flush(path, SPEC, TARGET, 32.0, best)
-        assert len(replaced) == 1
-        src, dst = replaced[0]
-        assert dst == str(path)
-        assert src != dst and str(os_module.getpid()) in src
-
-
-def count_replaces(monkeypatch) -> list:
-    """Spy on the cache's atomic-rename calls (one per file write)."""
-    import os as os_module
-
-    replaced = []
-    real_replace = os_module.replace
-
-    def spy(src, dst):
-        replaced.append((str(src), str(dst)))
-        return real_replace(src, dst)
-
-    monkeypatch.setattr("repro.store.jsonfile.os.replace", spy)
-    return replaced
+        path = tmp_path / "c.db"
+        put_and_flush(path, SPEC, TARGET, 32.0, best).close()
+        # The WAL and shared-memory files go with the last connection.
+        assert sorted(q.name for q in tmp_path.iterdir()) == ["c.db"]
 
 
 class TestFlushSemantics:
     """put() marks dirty; flush() writes; ``with`` defers nested flushes."""
 
     def test_put_does_not_touch_disk(self, tmp_path, best):
-        path = tmp_path / "c.json"
+        path = tmp_path / "c.db"
         cache = SolveCache(path)
         cache.put(SPEC, TARGET, 32.0, best)
-        assert not path.exists()
+        assert rows(path) == []
         # The record is still served from memory before any flush.
         assert cache.get(SPEC, TARGET, 32.0) == best
 
-    def test_flush_writes_once_then_noops(
-        self, tmp_path, best, monkeypatch
-    ):
-        replaced = count_replaces(monkeypatch)
-        cache = SolveCache(tmp_path / "c.json")
+    def test_flush_writes_once_then_noops(self, tmp_path, best):
+        cache = SolveCache(tmp_path / "c.db")
         cache.put(SPEC, TARGET, 32.0, best)
         cache.flush()
         cache.flush()  # clean cache: nothing to write
-        assert len(replaced) == 1
+        assert cache.stats()["flush_writes"] == 1
 
-    def test_many_puts_one_write(self, tmp_path, best, monkeypatch):
-        replaced = count_replaces(monkeypatch)
-        cache = SolveCache(tmp_path / "c.json")
+    def test_many_puts_one_write(self, tmp_path, best):
+        cache = SolveCache(tmp_path / "c.db")
         for node in range(32, 64):
             cache.put(SPEC, TARGET, float(node), best)
         cache.flush()
-        assert len(replaced) == 1
+        assert cache.stats()["flush_writes"] == 1
         assert len(SolveCache(cache.path)) == 32
 
-    def test_context_manager_defers_nested_flushes(
-        self, tmp_path, best, monkeypatch
-    ):
-        replaced = count_replaces(monkeypatch)
-        cache = SolveCache(tmp_path / "c.json")
+    def test_context_manager_defers_nested_flushes(self, tmp_path, best):
+        cache = SolveCache(tmp_path / "c.db")
         with cache:
             for node in (32.0, 45.0):
                 cache.put(SPEC, TARGET, node, best)
                 cache.flush()  # the per-solve boundary flush, deferred
-            assert len(replaced) == 0
-        assert len(replaced) == 1
+            assert cache.stats()["flush_writes"] == 0
+        assert cache.stats()["flush_writes"] == 1
         assert len(SolveCache(cache.path)) == 2
 
-    def test_nested_contexts_flush_at_outermost_exit(
-        self, tmp_path, best, monkeypatch
-    ):
-        replaced = count_replaces(monkeypatch)
-        cache = SolveCache(tmp_path / "c.json")
+    def test_nested_contexts_flush_at_outermost_exit(self, tmp_path, best):
+        cache = SolveCache(tmp_path / "c.db")
         with cache:  # batch boundary
             with cache:  # solve boundary
                 cache.put(SPEC, TARGET, 32.0, best)
-            assert len(replaced) == 0
-        assert len(replaced) == 1
+            assert cache.stats()["flush_writes"] == 0
+        assert cache.stats()["flush_writes"] == 1
 
-    def test_clean_context_exit_does_not_write(
-        self, tmp_path, best, monkeypatch
-    ):
-        replaced = count_replaces(monkeypatch)
-        cache = SolveCache(tmp_path / "c.json")
+    def test_clean_context_exit_does_not_write(self, tmp_path):
+        cache = SolveCache(tmp_path / "c.db")
         with cache:
             assert cache.get(SPEC, TARGET, 32.0) is None
-        assert replaced == []
+        assert cache.stats()["flush_writes"] == 0
 
 
 class TestBatchWriteCount:
-    """A whole batch of solves costs O(1) cache-file writes."""
+    """A whole batch of solves costs O(1) store writes."""
 
     def test_solve_batch_single_write(self, tmp_path, best, monkeypatch):
         from repro.core import optimizer as optimizer_module
@@ -322,7 +268,6 @@ class TestBatchWriteCount:
             "feasible_designs",
             lambda tech, spec, **kwargs: [best],
         )
-        replaced = count_replaces(monkeypatch)
         specs = [
             MemorySpec(
                 capacity_bytes=(16 << 10) * (i + 1),
@@ -332,64 +277,11 @@ class TestBatchWriteCount:
             )
             for i in range(24)
         ]
-        cache = SolveCache(tmp_path / "c.json")
+        cache = SolveCache(tmp_path / "c.db")
         solutions = solve_batch(specs, solve_cache=cache, jobs=1)
         assert len(solutions) == 24
-        assert len(replaced) == 1
+        assert cache.stats()["flush_writes"] == 1
         assert len(SolveCache(cache.path)) == 24
-
-
-class TestForeignVersionPreserved:
-    """A cache file written by an unrecognized (likely newer) build is
-    never clobbered: reads warn and load empty, writes go to a
-    version-suffixed sibling."""
-
-    def _foreign_file(self, path):
-        payload = json.dumps({
-            "version": "repro-solve-cache-v99",
-            "records": {"future-key": {"future-field": 1}},
-        })
-        path.write_text(payload)
-        return payload
-
-    def test_foreign_version_warns_and_loads_empty(self, tmp_path):
-        path = tmp_path / "c.json"
-        self._foreign_file(path)
-        with pytest.warns(UserWarning, match="unrecognized version"):
-            cache = SolveCache(path)
-        assert len(cache) == 0
-
-    def test_flush_writes_sibling_not_foreign_file(self, tmp_path, best):
-        path = tmp_path / "c.json"
-        foreign = self._foreign_file(path)
-        with pytest.warns(UserWarning):
-            cache = SolveCache(path)
-        cache.put(SPEC, TARGET, 32.0, best)
-        cache.flush()
-        # The newer build's file is byte-identical; ours sits alongside.
-        assert path.read_text() == foreign
-        sibling = path.with_name(f"{path.name}.{CACHE_VERSION}")
-        assert json.loads(sibling.read_text())["version"] == CACHE_VERSION
-        with pytest.warns(UserWarning):
-            fresh = SolveCache(path)
-        assert fresh.get(SPEC, TARGET, 32.0) == best
-
-    def test_known_older_version_still_rewritten_in_place(
-        self, tmp_path, best, recwarn
-    ):
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps({
-            "version": "repro-solve-cache-v2",
-            "records": {"deadbeef": {"rows": 64}},
-        }))
-        cache = SolveCache(path)  # migration path: no warning
-        assert len(recwarn) == 0
-        cache.put(SPEC, TARGET, 32.0, best)
-        cache.flush()
-        assert json.loads(path.read_text())["version"] == CACHE_VERSION
-        assert sorted(q.name for q in tmp_path.iterdir()) == [
-            "c.json", "c.json.lock",  # no version-suffixed sibling
-        ]
 
 
 class TestCorruptRecordsDropped:
@@ -397,64 +289,59 @@ class TestCorruptRecordsDropped:
     never re-persisted."""
 
     def _corrupt_one_record(self, path):
-        payload = json.loads(path.read_text())
-        key = next(iter(payload["records"]))
-        del payload["records"][key]["rows"]
-        path.write_text(json.dumps(payload))
+        [(key, value, _, _)] = rows(path)
+        record = json.loads(value)
+        del record["rows"]
+        rewrite_value(path, key, json.dumps(record))
         return key
 
     def test_truncated_record_dropped_and_counted(self, tmp_path, best):
-        path = tmp_path / "c.json"
+        path = tmp_path / "c.db"
         put_and_flush(path, SPEC, TARGET, 32.0, best)
         self._corrupt_one_record(path)
         cache = SolveCache(path)
         assert cache.get(SPEC, TARGET, 32.0) is None
         assert cache.corrupt_records == 1
         assert cache.stats()["corrupt_records"] == 1
-        # Dropped, not just missed: the record is gone from memory and
-        # a repeat lookup does not re-parse (the counter stays put).
+        # Dropped, not just missed: the record no longer counts and a
+        # repeat lookup does not re-parse (the counter stays put).
         assert len(cache) == 0
         assert cache.get(SPEC, TARGET, 32.0) is None
         assert cache.corrupt_records == 1
         assert cache.misses == 2
 
     def test_flush_purges_corrupt_record_from_disk(self, tmp_path, best):
-        path = tmp_path / "c.json"
+        path = tmp_path / "c.db"
         put_and_flush(path, SPEC, TARGET, 32.0, best)
         key = self._corrupt_one_record(path)
         cache = SolveCache(path)
         assert cache.get(SPEC, TARGET, 32.0) is None
         cache.flush()
-        assert key not in json.loads(path.read_text())["records"]
+        assert [(k, tomb) for k, _, _, tomb in rows(path)] == [(key, 1)]
+        assert SolveCache(path).get(SPEC, TARGET, 32.0) is None
+        cache.store.gc()
+        assert rows(path) == []
 
     def test_structurally_corrupt_record_dropped_at_load(
         self, tmp_path, best
     ):
-        path = tmp_path / "c.json"
+        import dataclasses
+
+        path = tmp_path / "c.db"
+        other = dataclasses.replace(SPEC, output_bits=256)
         put_and_flush(path, SPEC, TARGET, 32.0, best)
-        payload = json.loads(path.read_text())
-        payload["records"]["garbage"] = "not even a dict"
-        path.write_text(json.dumps(payload))
+        put_and_flush(path, other, TARGET, 32.0, best)
+        rewrite_value(path, solve_key(other, TARGET, 32.0),
+                      json.dumps("not even a dict"))
         cache = SolveCache(path)
+        assert cache.get(other, TARGET, 32.0) is None
         assert cache.corrupt_records == 1
         # The good record is untouched.
         assert cache.get(SPEC, TARGET, 32.0) == best
 
-    def test_refresh_does_not_resurrect_dropped_records(
-        self, tmp_path, best
-    ):
-        path = tmp_path / "c.json"
-        put_and_flush(path, SPEC, TARGET, 32.0, best)
-        self._corrupt_one_record(path)
-        cache = SolveCache(path)
-        assert cache.get(SPEC, TARGET, 32.0) is None
-        cache.refresh()  # merge-on-load must honor the tombstones
-        assert len(cache) == 0
-        assert cache.get(SPEC, TARGET, 32.0) is None
-
 
 class TestSqliteBackedSolveCache:
-    """The facade behaves identically over the sqlite backend."""
+    """The facade over a ``sqlite:`` URL and its options."""
 
     def _url(self, tmp_path, options=""):
         return f"sqlite:{tmp_path / 'c.db'}{options}"
@@ -470,6 +357,10 @@ class TestSqliteBackedSolveCache:
         reopened = SolveCache(url)
         assert reopened.get(SPEC, TARGET, 32.0) == best
         reopened.close()
+        # The plain path names the same store.
+        plain = SolveCache(tmp_path / "c.db")
+        assert plain.get(SPEC, TARGET, 32.0) == best
+        plain.close()
 
     def test_url_round_trip_preserves_options(self, tmp_path):
         url = self._url(tmp_path, "?max_records=5")
@@ -488,30 +379,11 @@ class TestSqliteBackedSolveCache:
         cache.close()
 
     def test_older_version_records_are_misses(self, tmp_path, best):
-        from repro.core.solvecache import (
-            _OLDER_VERSIONS,
-            metrics_to_dict,
-            solve_key,
-        )
-        from repro.store import SqliteStore
-
-        old = SqliteStore(tmp_path / "c.db", version=_OLDER_VERSIONS[-1])
-        old.put(solve_key(SPEC, TARGET, 32.0), metrics_to_dict(best))
-        old.flush()
-        old.close()
+        put_at_version(tmp_path / "c.db", "repro-solve-cache-v2", SPEC,
+                       TARGET, 32.0, best)
         cache = SolveCache(self._url(tmp_path))
         assert cache.get(SPEC, TARGET, 32.0) is None
         assert cache.misses == 1
-        cache.close()
-
-    def test_kvstore_instance_accepted_directly(self, tmp_path, best):
-        from repro.core.solvecache import open_solve_store
-
-        store = open_solve_store(self._url(tmp_path))
-        cache = SolveCache(store)
-        assert cache.store is store
-        cache.put(SPEC, TARGET, 32.0, best)
-        assert cache.get(SPEC, TARGET, 32.0) == best
         cache.close()
 
 
@@ -519,7 +391,7 @@ class TestStoreAccounting:
     """drain_events() hands per-interval deltas to the metric sinks."""
 
     def test_drain_events_never_double_counts(self, tmp_path, best):
-        cache = SolveCache(tmp_path / "c.json")
+        cache = SolveCache(tmp_path / "c.db")
         cache.put(SPEC, TARGET, 32.0, best)
         cache.flush()
         cache.get(SPEC, TARGET, 32.0)
@@ -536,7 +408,7 @@ class TestStoreAccounting:
         from repro.core.solvecache import account_store
         from repro.obs import Obs
 
-        cache = SolveCache(tmp_path / "c.json")
+        cache = SolveCache(tmp_path / "c.db")
         obs = Obs(trace=False)
         stats = SweepStats(obs.metrics)
         cache.put(SPEC, TARGET, 32.0, best)
@@ -553,7 +425,7 @@ class TestStoreAccounting:
         from repro.core.solvecache import account_store
 
         account_store(None, None)  # no cache: nothing to do
-        cache = SolveCache(tmp_path / "c.json")
+        cache = SolveCache(tmp_path / "c.db")
         account_store(cache, None)  # no sink: must not drain
         cache.put(SPEC, TARGET, 32.0, best)
         cache.flush()
@@ -576,7 +448,7 @@ class TestStoreAccounting:
         )
         obs = Obs(trace=False)
         stats = SweepStats(obs.metrics)
-        cache = SolveCache(tmp_path / "c.json")
+        cache = SolveCache(tmp_path / "c.db")
         solve(
             MemorySpec(
                 capacity_bytes=64 << 10,

@@ -1,11 +1,11 @@
-"""Backend-agnostic KVStore contract tests.
+"""Record-store contract tests.
 
-Every test in ``TestContract`` runs against both backends through the
-``store`` fixture: the protocol (put/get/scan/flush/stats, version
-stamping, corrupt-record tombstoning, deferred flushes) must behave
-identically whether the bytes land in a JSON file or a sqlite database.
-Backend-specific behavior (LRU eviction, sharding, sibling redirects)
-gets its own classes below.
+Every test in ``TestContract`` runs through both spellings that open a
+store -- a plain path and a ``sqlite:`` URL -- via the ``store``
+fixture: the protocol (put/get/flush/stats, version stamping,
+corrupt-record tombstoning, deferred flushes) must not depend on how
+the store was named.  LRU eviction, gc and the refusal of files that
+are not databases get their own class below.
 """
 
 import json
@@ -13,38 +13,31 @@ import sqlite3
 
 import pytest
 
-from repro.store import (
-    JsonFileStore,
-    SqliteStore,
-    StoreSpec,
-    open_store,
-    parse_store_url,
-)
+from repro.store import SqliteStore, open_store
 
 VERSION = "test-v2"
-OLDER = ("test-v1",)
 
 RECORD = {"spec": {"a": 1.5}, "org": {"b": 2}, "x": 0.1 + 0.2}
 
-BACKENDS = ("json", "sqlite")
+#: The two spellings of one store: a plain path and a ``sqlite:`` URL.
+SPELLINGS = ("path", "sqlite")
 
 
-def make_store(backend, tmp_path, **kwargs):
+def make_store(spelling, tmp_path, **kwargs):
     kwargs.setdefault("version", VERSION)
-    kwargs.setdefault("older_versions", OLDER)
-    if backend == "json":
-        return JsonFileStore(tmp_path / "s.json", **kwargs)
-    return SqliteStore(tmp_path / "s.db", **kwargs)
+    path = tmp_path / "s.db"
+    return open_store(path if spelling == "path" else f"sqlite:{path}",
+                      **kwargs)
 
 
-@pytest.fixture(params=BACKENDS)
-def backend(request):
+@pytest.fixture(params=SPELLINGS)
+def spelling(request):
     return request.param
 
 
 @pytest.fixture
-def store(backend, tmp_path):
-    s = make_store(backend, tmp_path)
+def store(spelling, tmp_path):
+    s = make_store(spelling, tmp_path)
     yield s
     s.close()
 
@@ -62,23 +55,23 @@ class TestContract:
         # No flush yet: nothing (or only schema) on disk, record served.
         assert store.get("k") == RECORD
 
-    def test_persists_across_instances(self, backend, tmp_path):
-        s = make_store(backend, tmp_path)
+    def test_persists_across_instances(self, spelling, tmp_path):
+        s = make_store(spelling, tmp_path)
         s.put("k", RECORD)
         s.flush()
         s.close()
-        reopened = make_store(backend, tmp_path)
+        reopened = make_store(spelling, tmp_path)
         assert reopened.get("k") == RECORD
         reopened.close()
 
-    def test_float_bit_identity_round_trip(self, backend, tmp_path):
+    def test_float_bit_identity_round_trip(self, spelling, tmp_path):
         """Floats survive the disk round trip bit-exactly."""
         record = {"f": 0.1 + 0.2, "tiny": 5e-324, "big": 1.7976931348623157e308}
-        s = make_store(backend, tmp_path)
+        s = make_store(spelling, tmp_path)
         s.put("k", record)
         s.flush()
         s.close()
-        reopened = make_store(backend, tmp_path)
+        reopened = make_store(spelling, tmp_path)
         got = reopened.get("k")
         assert got == record
         assert all(got[name] == record[name] for name in record)
@@ -92,13 +85,6 @@ class TestContract:
         store.flush()
         store.put("b", RECORD)  # overwrite, not a new record
         assert len(store) == 2
-
-    def test_scan_yields_sorted_live_records(self, store):
-        store.put("b", {"n": 2})
-        store.put("a", {"n": 1})
-        store.flush()
-        store.put("c", {"n": 3})  # staged, unflushed
-        assert [k for k, _ in store.scan()] == ["a", "b", "c"]
 
     def test_flush_only_when_dirty(self, store):
         store.flush()
@@ -129,9 +115,9 @@ class TestContract:
         store.tombstone("k")
         assert store.get("k") is None
         assert store.corrupt_records == 1
-        assert "k" not in dict(store.scan())
+        assert len(store) == 0
         store.flush()
-        store.close()
+        assert len(store) == 0
 
     def test_put_after_tombstone_revives(self, store):
         store.put("k", RECORD)
@@ -140,9 +126,9 @@ class TestContract:
         assert store.get("k") == RECORD
         assert store.corrupt_records == 0
 
-    def test_validate_hook_tombstones_bad_records(self, backend, tmp_path):
+    def test_validate_hook_tombstones_bad_records(self, spelling, tmp_path):
         s = make_store(
-            backend, tmp_path, validate=lambda r: "spec" in r
+            spelling, tmp_path, validate=lambda r: "spec" in r
         )
         s.put("good", RECORD)
         s.put("bad", {"not-a-spec": 1})
@@ -152,22 +138,20 @@ class TestContract:
         assert s.stats()["corrupt_records"] == 1
         s.close()
 
-    def test_older_version_records_not_served(self, backend, tmp_path):
-        s = make_store(backend, tmp_path, version=OLDER[0],
-                       older_versions=())
+    def test_older_version_records_not_served(self, spelling, tmp_path):
+        s = make_store(spelling, tmp_path, version="test-v1")
         s.put("k", RECORD)
         s.flush()
         s.close()
-        upgraded = make_store(backend, tmp_path)
+        upgraded = make_store(spelling, tmp_path)
         assert upgraded.get("k") is None
         assert len(upgraded) == 0
         upgraded.close()
 
-    def test_stats_shape(self, backend, store):
+    def test_stats_shape(self, store):
         store.put("k", RECORD)
         store.flush()
         stats = store.stats()
-        assert stats["backend"] == backend
         assert stats["records"] == 1
         assert stats["corrupt_records"] == 0
         assert stats["evictions"] == 0
@@ -180,175 +164,64 @@ class TestContract:
         assert report["path"] == str(store.path)
         assert report["url"] == store.url
 
-    def test_url_round_trip_opens_same_store(self, backend, tmp_path):
-        s = make_store(backend, tmp_path)
+    def test_url_round_trip_opens_same_store(self, spelling, tmp_path):
+        s = make_store(spelling, tmp_path)
         s.put("k", RECORD)
         s.flush()
         url = s.url
         s.close()
-        reopened = open_store(url, version=VERSION, older_versions=OLDER)
-        assert type(reopened).BACKEND == backend
+        reopened = open_store(url, version=VERSION)
+        assert reopened.path == tmp_path / "s.db"
         assert reopened.get("k") == RECORD
         reopened.close()
 
-    def test_gc_purges_tombstones(self, backend, tmp_path):
-        s = make_store(backend, tmp_path)
+    def test_gc_purges_tombstones(self, spelling, tmp_path):
+        s = make_store(spelling, tmp_path)
         s.put("keep", RECORD)
         s.put("drop", RECORD)
         s.flush()
         s.tombstone("drop")
         report = s.gc()
-        assert report["backend"] == backend
         assert report["purged_tombstones"] == 1
         s.close()
-        reopened = make_store(backend, tmp_path)
+        reopened = make_store(spelling, tmp_path)
         assert reopened.get("keep") == RECORD
         assert len(reopened) == 1
         reopened.close()
 
-    def test_close_flushes(self, backend, tmp_path):
-        s = make_store(backend, tmp_path)
+    def test_close_flushes(self, spelling, tmp_path):
+        s = make_store(spelling, tmp_path)
         s.put("k", RECORD)
         s.close()
-        reopened = make_store(backend, tmp_path)
+        reopened = make_store(spelling, tmp_path)
         assert reopened.get("k") == RECORD
         reopened.close()
 
 
 class TestParseStoreUrl:
-    def test_bare_path_is_json(self, tmp_path):
-        spec = parse_store_url(tmp_path / "s.json")
-        assert spec.backend == "json"
+    def test_sqlite_scheme(self, tmp_path):
+        s = open_store(f"sqlite:{tmp_path / 's.db'}", version=VERSION)
+        assert s.path == tmp_path / "s.db"
+        assert s.max_records is None
+        s.close()
 
-    def test_sqlite_scheme(self):
-        assert parse_store_url("sqlite:s.db") == StoreSpec("sqlite", "s.db")
-
-    def test_json_scheme(self):
-        assert parse_store_url("json:s.json") == StoreSpec("json", "s.json")
-
-    def test_sqlite_options(self):
-        spec = parse_store_url("sqlite:s.db?max_records=100&shard_prefix=2")
-        assert spec.options == {"max_records": 100, "shard_prefix": 2}
+    def test_sqlite_options(self, tmp_path):
+        s = open_store(f"sqlite:{tmp_path / 's.db'}?max_records=100",
+                       version=VERSION)
+        assert s.max_records == 100
+        s.close()
 
     def test_unknown_option_rejected(self):
         with pytest.raises(ValueError, match="unknown store option"):
-            parse_store_url("sqlite:s.db?bogus=1")
+            open_store("sqlite:s.db?shard_prefix=2", version=VERSION)
 
     def test_bad_option_value_rejected(self):
         with pytest.raises(ValueError, match="bad value"):
-            parse_store_url("sqlite:s.db?max_records=ten")
+            open_store("sqlite:s.db?max_records=ten", version=VERSION)
 
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError, match="no path"):
-            parse_store_url("sqlite:")
-
-    def test_sqlite_magic_sniffed_on_bare_path(self, tmp_path):
-        """A bare path to an existing database must NOT open as JSON --
-        a JSON-backend flush would destroy the database."""
-        path = tmp_path / "disguised.json"
-        s = SqliteStore(path, version=VERSION)
-        s.put("k", RECORD)
-        s.flush()
-        s.close()
-        assert parse_store_url(path).backend == "sqlite"
-        reopened = open_store(path, version=VERSION)
-        assert isinstance(reopened, SqliteStore)
-        assert reopened.get("k") == RECORD
-        reopened.close()
-
-    def test_max_records_keyword_rejected_for_json(self, tmp_path):
-        with pytest.raises(ValueError, match="sqlite backend"):
-            open_store(tmp_path / "s.json", version=VERSION, max_records=5)
-
-    def test_url_options_win_over_keyword(self, tmp_path):
-        s = open_store(
-            f"sqlite:{tmp_path / 's.db'}?max_records=7",
-            version=VERSION,
-            max_records=99,
-        )
-        assert s.max_records == 7
-        s.close()
-
-
-class TestJsonFileFormat:
-    """The JSON backend stays bit-compatible with pre-refactor files."""
-
-    def test_file_payload_shape(self, tmp_path):
-        s = JsonFileStore(tmp_path / "s.json", version=VERSION)
-        s.put("k", RECORD)
-        s.flush()
-        payload = json.loads((tmp_path / "s.json").read_text())
-        assert payload == {"version": VERSION, "records": {"k": RECORD}}
-        # sort_keys: a deterministic byte stream for identical contents.
-        assert (tmp_path / "s.json").read_text() == json.dumps(
-            payload, sort_keys=True
-        )
-        s.close()
-
-    def test_refresh_merges_concurrent_writer(self, tmp_path):
-        a = JsonFileStore(tmp_path / "s.json", version=VERSION)
-        b = JsonFileStore(tmp_path / "s.json", version=VERSION)
-        a.put("from-a", {"n": 1})
-        a.flush()
-        b.put("from-b", {"n": 2})
-        b.flush()  # merge-on-save: must not lose "from-a"
-        b.refresh()
-        assert b.get("from-a") == {"n": 1}
-        reopened = JsonFileStore(tmp_path / "s.json", version=VERSION)
-        assert len(reopened) == 2
-        a.close(), b.close(), reopened.close()
-
-    def test_foreign_version_redirects_writes(self, tmp_path):
-        path = tmp_path / "s.json"
-        foreign = {"version": "from-the-future", "records": {"f": RECORD}}
-        path.write_text(json.dumps(foreign))
-        with pytest.warns(UserWarning, match="unrecognized version"):
-            s = JsonFileStore(path, version=VERSION)
-        s.put("k", RECORD)
-        s.flush()
-        # The foreign file is untouched; our writes landed in a sibling.
-        assert json.loads(path.read_text()) == foreign
-        sibling = tmp_path / f"s.json.{VERSION}"
-        assert sibling.exists()
-        assert s.info()["redirected"] is True
-        s.close()
-
-    def test_gc_merges_current_version_sibling(self, tmp_path):
-        """Once the main path is writable again, gc folds a leftover
-        redirect sibling back in and removes it."""
-        path = tmp_path / "s.json"
-        sibling = tmp_path / f"s.json.{VERSION}"
-        sibling.write_text(json.dumps(
-            {"version": VERSION, "records": {"redirected": RECORD}}
-        ))
-        s = JsonFileStore(path, version=VERSION)
-        s.put("direct", RECORD)
-        s.flush()
-        report = s.gc()
-        assert report["removed_siblings"] == [sibling.name]
-        assert report["merged_records"] == 1
-        assert not sibling.exists()
-        assert s.get("redirected") == RECORD
-        s.close()
-
-    def test_gc_removes_older_version_siblings(self, tmp_path):
-        path = tmp_path / "s.json"
-        stale = tmp_path / f"s.json.{OLDER[0]}"
-        stale.write_text(json.dumps({"version": OLDER[0], "records": {}}))
-        s = JsonFileStore(path, version=VERSION, older_versions=OLDER)
-        report = s.gc()
-        assert report["removed_siblings"] == [stale.name]
-        assert not stale.exists()
-        s.close()
-
-    def test_gc_preserves_foreign_version_siblings(self, tmp_path):
-        path = tmp_path / "s.json"
-        foreign = tmp_path / "s.json.newer-v9"
-        foreign.write_text(json.dumps({"version": "newer-v9", "records": {}}))
-        s = JsonFileStore(path, version=VERSION, older_versions=OLDER)
-        s.gc()
-        assert foreign.exists()
-        s.close()
+            open_store("sqlite:", version=VERSION)
 
 
 class TestSqliteBackend:
@@ -378,6 +251,25 @@ class TestSqliteBackend:
         assert s.get("c") == {"n": 2}
         s.close()
 
+    def test_unbounded_hits_write_nothing(self, tmp_path):
+        """Only eviction reads the LRU stamps, so hits on an unbounded
+        store cost no write transaction and leave ``last_access_s``
+        as the put stamped it."""
+        s = SqliteStore(tmp_path / "s.db", version=VERSION)
+        s.put("k", RECORD)
+        s.flush()
+        stamp = s._conn.execute(
+            "SELECT last_access_s FROM records WHERE key='k'"
+        ).fetchone()
+        for _ in range(30):
+            assert s.get("k") == RECORD
+            s.flush()
+        assert s.stats()["flush_writes"] == 1
+        assert s._conn.execute(
+            "SELECT last_access_s FROM records WHERE key='k'"
+        ).fetchone() == stamp
+        s.close()
+
     def test_flush_is_o_dirty_not_o_total(self, tmp_path):
         """One staged put into a populated store writes one row."""
         s = SqliteStore(tmp_path / "s.db", version=VERSION)
@@ -402,39 +294,30 @@ class TestSqliteBackend:
         assert len(s) == 1
         assert s.version_counts() == {"other-v9": 1, VERSION: 1}
         s.close()
-        # The foreign rows survived our writes and gc.
+        # The other version's row survived our writes.
         other = SqliteStore(tmp_path / "s.db", version="other-v9")
         assert other.get("foreign") == RECORD
         other.close()
 
-    def test_gc_drops_older_versions_keeps_foreign(self, tmp_path):
-        for version in (OLDER[0], "newer-v9"):
+    def test_gc_drops_other_versions(self, tmp_path):
+        """Versions carry no order (older or newer): gc keeps only
+        this store's."""
+        for version in ("test-v1", "newer-v9"):
             s = SqliteStore(tmp_path / "s.db", version=version)
             s.put(f"at-{version}", RECORD)
             s.flush()
             s.close()
-        s = SqliteStore(
-            tmp_path / "s.db", version=VERSION, older_versions=OLDER
-        )
+        s = SqliteStore(tmp_path / "s.db", version=VERSION)
+        s.put("ours", RECORD)
         report = s.gc()
-        assert report["purged_stale_versions"] == 1
-        assert report["foreign_version_records"] == 1
-        assert s.version_counts() == {"newer-v9": 1}
-        s.close()
-
-    def test_shard_prefix_partitions_scan(self, tmp_path):
-        s = SqliteStore(
-            tmp_path / "s.db", version=VERSION, shard_prefix=1
-        )
-        for key in ("a1", "a2", "b1"):
-            s.put(key, {"k": key})
-        s.flush()
-        assert [k for k, _ in s.scan(shard="a")] == ["a1", "a2"]
-        assert s.shard_counts() == {"a": 2, "b": 1}
-        assert "shard_prefix=1" in s.url
+        assert report["purged_other_versions"] == 2
+        assert s.version_counts() == {VERSION: 1}
+        assert s.get("ours") == RECORD
         s.close()
 
     def test_corrupt_row_tombstoned_on_read(self, tmp_path):
+        """A truncated row is a miss, is tombstoned on disk at the next
+        flush (so no instance serves it) and is deleted by gc."""
         s = SqliteStore(tmp_path / "s.db", version=VERSION)
         s.put("k", RECORD)
         s.flush()
@@ -444,6 +327,14 @@ class TestSqliteBackend:
         s._conn.commit()
         assert s.get("k") is None
         assert s.corrupt_records == 1
+        s.flush()
+        fresh = SqliteStore(tmp_path / "s.db", version=VERSION)
+        assert fresh.get("k") is None
+        assert fresh.corrupt_records == 0  # never re-parsed
+        fresh.close()
+        assert s.gc()["purged_tombstones"] == 1
+        assert s._conn.execute("SELECT COUNT(*) FROM records").fetchone() \
+            == (0,)
         s.close()
 
     def test_concurrent_instances_share_rows(self, tmp_path):
@@ -472,3 +363,31 @@ class TestSqliteBackend:
         with pytest.warns(UserWarning, match="schema"):
             s = SqliteStore(path, version=VERSION)
         s.close()
+
+    def test_non_database_file_is_refused_untouched(self, tmp_path,
+                                                    monkeypatch):
+        """A JSON cache file from an older build is not a database: the
+        open fails with the path and a remedy, leaves the file
+        byte-identical and closes its connection."""
+        path = tmp_path / "solves.json"
+        payload = json.dumps({"version": "repro-solve-cache-v3",
+                              "records": {"k": RECORD}})
+        path.write_text(payload)
+        opened = []
+        real_connect = sqlite3.connect
+
+        def spy(*args, **kwargs):
+            opened.append(real_connect(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(sqlite3, "connect", spy)
+        with pytest.raises(ValueError, match="remove it or choose"):
+            SqliteStore(path, version=VERSION)
+        assert path.read_text() == payload
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["solves.json"]
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            opened[0].execute("SELECT 1")
+
+    def test_directory_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match=str(tmp_path)):
+            SqliteStore(tmp_path, version=VERSION)

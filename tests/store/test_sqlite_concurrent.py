@@ -1,7 +1,6 @@
-"""Concurrent-writer safety for the sqlite backend (satellite of the
-store refactor): N processes hammering one database with overlapping
-keys must lose no records, corrupt nothing, and respect the eviction
-bound.
+"""Concurrent-writer safety for the sqlite store: N processes
+hammering one database with overlapping keys must lose no records,
+corrupt nothing, and respect the eviction bound.
 
 The processes are real (``multiprocessing`` with the fork context --
 no pickling of test-module functions needed on Linux), the keys
@@ -79,11 +78,10 @@ class TestConcurrentWriters:
         path = tmp_path / "s.db"
         _run_writers(path, bound=None)
         store = SqliteStore(path, version=VERSION)
-        scanned = dict(store.scan())
-        assert set(scanned) == expected_keys()
+        assert len(store) == len(expected_keys())
         # Every record is intact and self-consistent.
-        for key, record in scanned.items():
-            assert record["key"] == key
+        for key in expected_keys():
+            assert store.get(key)["key"] == key
         assert store.corrupt_records == 0
         store.close()
 
@@ -96,8 +94,8 @@ class TestConcurrentWriters:
         _run_writers(path, bound=bound)
         store = SqliteStore(path, version=VERSION, max_records=bound)
         assert 0 < len(store) <= bound
-        for key, record in store.scan():
-            assert record["key"] == key
+        for (key,) in store._conn.execute("SELECT key FROM records"):
+            assert store.get(key)["key"] == key
         store.close()
 
     def test_database_integrity_after_contention(self, tmp_path):
