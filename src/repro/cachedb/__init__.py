@@ -1,14 +1,16 @@
 """Precomputed design-space database with interpolated lookup.
 
 The cachedb is the serving tier over the solver: ``build_cachedb``
-precomputes the optimizer's winning design point for every cell of a
-(technology x node x capacity x block x associativity) grid using the
-existing parallel/resilient sweep engine, and :class:`CacheDB` answers
-queries from the resulting versioned artifact -- on-grid queries by
-exact hit in ~microseconds (bit-identical to a live solve), off-grid
-queries by log-linear interpolation between neighboring grid points,
-with ``fallback="solve"|"error"|"nearest"`` for everything the grid
-cannot answer.  See ``docs/MODELING.md`` section 16.
+solves every cell of a (technology x node x capacity x block x
+associativity) grid through the batch-solve engine into a solve store
+(:class:`~repro.store.SqliteStore`) and records the grid in one
+``meta`` row; :class:`CacheDB` answers queries from that store --
+on-grid queries by exact hit (bit-identical to a live solve, dictionary
+work after a cell's first read), off-grid queries by log-linear
+interpolation between neighboring grid points, with
+``fallback="solve"|"error"|"nearest"`` for everything the grid cannot
+answer, records written by another model version included.  See
+``docs/MODELING.md`` section 16.
 """
 
 from repro.cachedb.builder import BuildReport, build_cachedb
@@ -21,7 +23,6 @@ from repro.cachedb.reader import (
     open_cachedb,
 )
 from repro.cachedb.schema import (
-    DB_FORMAT_VERSION,
     DB_METRICS,
     GridSpec,
     grid_key,
@@ -34,7 +35,6 @@ __all__ = [
     "CacheDBError",
     "CacheDBMiss",
     "CacheDBResult",
-    "DB_FORMAT_VERSION",
     "DB_METRICS",
     "FALLBACKS",
     "GridSpec",

@@ -1,19 +1,21 @@
-"""Precompute a design-space grid into a cachedb artifact.
+"""Precompute a design-space grid into a cachedb.
 
-The builder rides the existing batch-solve engine end to end: grid
-cells become one :func:`~repro.core.cacti.solve_batch` call, so it
-inherits parallel workers (``jobs``), the shared persistent
-:class:`~repro.core.solvecache.SolveCache`, sweep statistics,
-observability spans, and -- through a
+A build is one :func:`~repro.core.cacti.solve_batch` call over the grid
+cells into a :class:`~repro.core.solvecache.SolveCache` at the
+cachedb's path, so it inherits parallel workers (``jobs``), sweep
+statistics, observability spans, and -- through a
 :class:`~repro.core.resilience.ResiliencePolicy` -- skip/retry
-semantics plus JSONL journal checkpoint/resume.  An interrupted build
-re-run against the same journal re-solves only the unfinished cells.
+semantics plus JSONL journal checkpoint/resume; a rebuild into the same
+path is served the records it already holds.  The ``meta`` row
+(:data:`~repro.cachedb.schema.META_KEY`: grid axes, target, holes) is
+dropped when a build starts and written last, so a killed build leaves
+a store the reader refuses as incomplete, never a torn cachedb.
 
 Infeasible grid cells are expected (a dense grid always contains
 geometrically impossible or electrically infeasible corners), so the
-default policy is ``on_error="skip"``: failures become *holes* in the
-artifact, recorded with their reason, and the reader treats a hole
-like an off-grid miss (fallback applies).
+default policy is ``on_error="skip"``: failures become *holes*,
+recorded with their reason, and the reader treats a hole like an
+off-grid miss (fallback applies).
 """
 
 from __future__ import annotations
@@ -21,20 +23,18 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass
 
-from repro.core.cacti import _solve_keys, solve_batch
-from repro.core.config import OptimizationTarget
-from repro.core.resilience import Journal, ResiliencePolicy
-from repro.core.solvecache import CACHE_VERSION
-from repro.cachedb.schema import (
-    DB_FORMAT_VERSION,
-    GridSpec,
-    grid_spec_for,
-    normalized_target,
-    solution_to_record,
+from repro.core.cacti import (
+    _solve_keys,
+    data_array_spec,
+    solve_batch,
+    tag_array_spec,
 )
+from repro.core.config import OptimizationTarget
+from repro.core.resilience import ResiliencePolicy
+from repro.core.solvecache import SolveCache
+from repro.cachedb.schema import META_KEY, GridSpec, grid_spec_for
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,6 @@ class BuildReport:
     def summary(self) -> str:
         lines = [
             f"cachedb         : {self.path}",
-            f"format          : {DB_FORMAT_VERSION}",
-            f"model version   : {CACHE_VERSION}",
             f"grid points     : {self.grid_points}",
             f"solved          : {self.solved}",
             f"holes           : {self.holes}",
@@ -69,40 +67,23 @@ def build_cachedb(
     target: OptimizationTarget | None = None,
     jobs: int | str = "auto",
     resilience: ResiliencePolicy | None = None,
-    journal_path: str | os.PathLike | None = None,
-    solve_cache=None,
     obs=None,
 ) -> BuildReport:
-    """Solve every cell of ``grid`` and write the artifact to ``path``.
+    """Solve every cell of ``grid`` into the cachedb store at ``path``.
 
-    ``target`` steers every solve (one target per artifact -- a cachedb
+    ``target`` steers every solve (one target per cachedb -- it
     answers queries for exactly one optimization preset).  ``jobs``
     fans the grid out over worker processes.  ``resilience`` overrides
-    the default skip-and-record policy; ``journal_path`` (ignored when
-    an explicit policy already carries a journal) enables
+    the default skip-and-record policy; one carrying a journal enables
     checkpoint/resume -- re-running an interrupted build against the
     same journal restores completed cells instead of re-solving them.
 
-    The artifact is written atomically (unique temp file +
-    ``os.replace``), so a killed build never leaves a torn cachedb.
+    A file at ``path`` that is not a sqlite database (a JSON cachedb
+    written by an older build, say) is refused untouched.
     """
     t0 = time.perf_counter()
     target = target or OptimizationTarget()
-    path = Path(path)
-
-    if resilience is None:
-        resilience = ResiliencePolicy(
-            on_error="skip",
-            journal=(
-                Journal(journal_path) if journal_path is not None else None
-            ),
-        )
-    elif resilience.journal is None and journal_path is not None:
-        import dataclasses
-
-        resilience = dataclasses.replace(
-            resilience, journal=Journal(journal_path)
-        )
+    resilience = resilience or ResiliencePolicy(on_error="skip")
 
     holes: dict[str, str] = {}
     keys: list[str] = []
@@ -117,51 +98,54 @@ def build_cachedb(
         specs.append(spec)
 
     cell_keys = _solve_keys(resilience, specs, [target] * len(specs))
-    restored = sum(key in resilience.journal for key in cell_keys or ())
+    restored = [
+        i for i, key in enumerate(cell_keys or ())
+        if key in resilience.journal
+    ]
 
-    outcomes = solve_batch(
-        specs,
-        target,
-        solve_cache=solve_cache,
-        jobs=jobs,
-        obs=obs,
-        resilience=resilience,
-    )
-
-    points: dict[str, dict] = {}
-    for key, solution in zip(keys, outcomes):
-        if solution is None:
-            continue
-        points[key] = solution_to_record(solution)
-    for failure in outcomes.failed:
-        holes[keys[failure.index]] = (
-            f"{failure.error_type}: {failure.message}"
-        )
-
-    payload = {
-        "format": DB_FORMAT_VERSION,
-        "model_version": CACHE_VERSION,
-        "target": normalized_target(target),
-        "grid": grid.as_dict(),
-        "points": points,
-        "holes": holes,
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    store = SolveCache(path)
     try:
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        os.replace(tmp, path)
+        store.store.put_meta(META_KEY, None)
+        outcomes = solve_batch(
+            specs,
+            target,
+            solve_cache=store,
+            jobs=jobs,
+            obs=obs,
+            resilience=resilience,
+        )
+        # A cell restored from the journal was not solved this run, so
+        # the store may lack its records (the journal can outlive it).
+        for i in restored:
+            solution = outcomes[i]
+            if solution is not None:
+                spec = solution.spec
+                store.put(data_array_spec(spec), target, spec.node_nm,
+                          solution.data)
+                if solution.tag is not None:
+                    store.put(tag_array_spec(spec), target, spec.node_nm,
+                              solution.tag)
+        for failure in outcomes.failed:
+            holes[keys[failure.index]] = (
+                f"{failure.error_type}: {failure.message}"
+            )
+        store.store.put_meta(META_KEY, json.dumps({
+            "grid": asdict(grid),
+            "target": asdict(target),
+            "holes": holes,
+        }, sort_keys=True))
     finally:
-        tmp.unlink(missing_ok=True)
+        store.close()
 
+    solved = len(specs) - len(outcomes.failed)
     if obs is not None:
-        obs.inc("cachedb.points_built", len(points))
+        obs.inc("cachedb.points_built", solved)
         obs.inc("cachedb.holes", len(holes))
     return BuildReport(
         path=os.fspath(path),
         grid_points=len(grid),
-        solved=len(points),
+        solved=solved,
         holes=len(holes),
-        restored=restored,
+        restored=len(restored),
         wall_time_s=time.perf_counter() - t0,
     )

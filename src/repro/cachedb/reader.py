@@ -1,21 +1,27 @@
-"""Query a cachedb artifact: exact hits, interpolation, fallbacks.
+"""Query a cachedb: exact hits, interpolation, fallbacks.
 
-The reader answers three kinds of queries:
+A :class:`CacheDB` opens the cachedb's solve store, reads its ``meta``
+row (grid axes, target, holes) and answers three kinds of queries:
 
-* **on-grid** -- the coordinates name a stored grid cell; the answer is
-  the stored record, bit-identical to what a live solve returns
-  (``interpolated=False``, ``source="exact"``), in microseconds.
+* **on-grid** -- the coordinates name a solved grid cell; the answer is
+  the cell's :class:`~repro.core.results.Solution`, read from its data
+  and tag records and bit-identical to what a live solve returns
+  (``interpolated=False``, ``source="exact"``).
 * **off-grid, in-bounds** -- capacity and/or node fall between grid
   values (associativity, block size, and technology must be grid
   members); the headline metrics are log-linearly interpolated between
   the bracketing cells -- the same geometric idiom
   :func:`repro.tech.nodes.technology` uses for intermediate ITRS nodes
   -- and the result is flagged ``interpolated=True``.
-* **everything else** (out of bounds, off-grid on a discrete axis, or
-  a grid hole) -- the ``fallback`` policy decides: ``"solve"`` runs a
-  live solve, ``"error"`` raises :class:`CacheDBMiss`, ``"nearest"``
-  snaps to the closest stored cell (log distance) and flags the result
+* **everything else** (out of bounds, off-grid on a discrete axis, a
+  grid hole, or a cell with no record at this model's version) -- the
+  ``fallback`` policy decides: ``"solve"`` runs a live solve,
+  ``"error"`` raises :class:`CacheDBMiss`, ``"nearest"`` snaps to the
+  closest grid cell (log distance) and flags the result
   ``source="nearest"``.
+
+Records are keyed under the solve-cache version, so a cachedb built by
+another model serves none of them: its on-grid queries fall back.
 
 Every query lands in exactly one of the reader's counters (``hits``,
 ``interpolated``, ``fallbacks``) and, when an
@@ -28,24 +34,24 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
+from repro.core.cacti import data_array_spec, tag_array_spec
 from repro.core.config import MemorySpec, OptimizationTarget
 from repro.core.results import Solution
-from repro.core.solvecache import CACHE_VERSION, _normalize_numbers
+from repro.core.solvecache import SolveCache
 from repro.obs import Obs
 from repro.tech.cells import CellTech
 from repro.cachedb.schema import (
-    DB_FORMAT_VERSION,
     DB_METRICS,
+    META_KEY,
     GridSpec,
     grid_key,
     grid_spec_for,
-    memory_spec_to_dict,
-    normalized_target,
-    solution_from_record,
 )
 
 #: Off-grid fallback policies.
@@ -53,11 +59,19 @@ FALLBACKS = ("solve", "error", "nearest")
 
 
 class CacheDBError(ValueError):
-    """Malformed, unreadable, or incompatible cachedb artifact."""
+    """Unreadable or incomplete cachedb."""
 
 
 class CacheDBMiss(CacheDBError):
-    """A query the artifact cannot answer under ``fallback="error"``."""
+    """A query the cachedb cannot answer under ``fallback="error"``."""
+
+
+class _Cell(NamedTuple):
+    """One grid cell as a reader holds it after its first touch."""
+
+    solution: Solution | None  #: None at a hole or without a record
+    metrics: dict | None  #: the solution's :data:`DB_METRICS`
+    reason: str | None  #: why there is no solution
 
 
 @dataclass(frozen=True)
@@ -163,77 +177,61 @@ def _nearest(axis: tuple, x) -> float:
 
 
 class CacheDB:
-    """Reader over one cachedb artifact.
+    """Reader over one cachedb store.
 
-    Loads the JSON once; every query after that is dictionary work.
-    Refuses artifacts with a foreign ``format`` outright, and -- unless
-    ``check_model=False`` (used by ``cachedb info``) -- artifacts built
-    by a different model version, whose numbers would silently be
-    stale.
+    Opening reads the ``meta`` row; each grid cell's records are read
+    on the cell's first touch and memoized, so every later query of
+    it is dictionary work.  A file that is not a sqlite database (a
+    JSON cachedb written by an older build) and a store without the
+    ``meta`` row (a build that did not finish, or a plain solve store)
+    are refused with :class:`CacheDBError`, untouched.
     """
 
-    def __init__(
-        self,
-        path: str | os.PathLike,
-        *,
-        check_model: bool = True,
-        obs: Obs | None = None,
-    ):
+    def __init__(self, path: str | os.PathLike, *, obs: Obs | None = None):
         self.path = Path(path)
         self.obs = obs
         self.hits = 0
         self.interpolated = 0
         self.fallbacks = 0
         self.misses = 0
+        if not self.path.is_file():
+            raise CacheDBError(f"no cachedb at {path}")
         try:
-            payload = json.loads(self.path.read_text())
-        except OSError as exc:
-            raise CacheDBError(f"cannot read cachedb {path}: {exc}") from exc
+            self._store = SolveCache(self.path)
         except ValueError as exc:
             raise CacheDBError(
-                f"cachedb {path} is not valid JSON: {exc}"
+                f"cannot read cachedb {path}: {exc} (a JSON cachedb from "
+                "an older build must be rebuilt with cachedb build)"
             ) from exc
-        if (
-            not isinstance(payload, dict)
-            or payload.get("format") != DB_FORMAT_VERSION
-        ):
+        meta = self._store.store.get_meta(META_KEY)
+        if meta is None:
+            self._store.close()
             raise CacheDBError(
-                f"cachedb {path} has format "
-                f"{payload.get('format') if isinstance(payload, dict) else None!r}; "
-                f"this reader expects {DB_FORMAT_VERSION!r}"
+                f"{path} is not a complete cachedb (no {META_KEY!r} meta "
+                "row: its build did not finish); rerun cachedb build"
             )
-        self.model_version = payload.get("model_version")
-        self.stale = self.model_version != CACHE_VERSION
-        if check_model and self.stale:
-            raise CacheDBError(
-                f"cachedb {path} was built by model "
-                f"{self.model_version!r}, but this build is "
-                f"{CACHE_VERSION!r}; rebuild the artifact "
-                "(cachedb build) before serving from it"
-            )
-        self.grid = GridSpec.from_dict(payload["grid"])
-        self.target_dict = payload["target"]
-        self._points: dict[str, dict] = payload.get("points", {})
-        self._holes: dict[str, str] = payload.get("holes", {})
+        meta = json.loads(meta)
+        self.grid = GridSpec(**meta["grid"])
+        self.target = OptimizationTarget(**meta["target"])
+        self._holes: dict[str, str] = meta["holes"]
+        self._cells: dict[tuple, _Cell] = {}
+        self._axes = self.grid.axes
 
     def __len__(self) -> int:
-        return len(self._points)
-
-    @property
-    def target(self) -> OptimizationTarget:
-        return OptimizationTarget(**self.target_dict)
+        """Grid cells the build solved (holes excluded)."""
+        return len(self.grid) - len(self._holes)
 
     def info(self) -> dict:
-        """Machine-readable artifact summary (``cachedb info``)."""
+        """Machine-readable summary (``cachedb info``)."""
+        store = self._store.store
         return {
             "path": os.fspath(self.path),
-            "format": DB_FORMAT_VERSION,
-            "model_version": self.model_version,
-            "stale": self.stale,
-            "target": dict(self.target_dict),
-            "grid": self.grid.as_dict(),
-            "points": len(self._points),
+            "target": asdict(self.target),
+            "grid": asdict(self.grid),
+            "points": len(self),
             "holes": len(self._holes),
+            "version": store.version,
+            "records": store.version_counts(),
         }
 
     def stats(self) -> dict:
@@ -245,6 +243,33 @@ class CacheDB:
             "misses": self.misses,
         }
 
+    def _cell(self, coords: tuple) -> _Cell:
+        """The grid cell at ``coords`` (on the grid), read on first use."""
+        cell = self._cells.get(coords)
+        if cell is None:
+            cell = self._cells[coords] = self._read_cell(coords)
+        return cell
+
+    def _read_cell(self, coords: tuple) -> _Cell:
+        key = grid_key(*coords)
+        if key in self._holes:
+            return _Cell(None, None,
+                         f"grid hole at {key} ({self._holes[key]})")
+        spec = grid_spec_for(*coords)
+        arrays = [data_array_spec(spec)]
+        if spec.is_cache:
+            arrays.append(tag_array_spec(spec))
+        records = [self._store.get(array, self.target, spec.node_nm)
+                   for array in arrays]
+        if None in records:
+            return _Cell(None, None,
+                         f"no record for {key} at model version "
+                         f"{self._store.store.version}")
+        solution = Solution(spec, *records)
+        metrics = {name: extract(solution)
+                   for name, extract in DB_METRICS.items()}
+        return _Cell(solution, metrics, None)
+
     # ------------------------------------------------------------------ #
     # Exact lookup (the CactiD / solve() consult path)
 
@@ -254,32 +279,34 @@ class CacheDB:
         target: OptimizationTarget | None = None,
         obs: Obs | None = None,
     ) -> Solution | None:
-        """The stored Solution for exactly this solve request, or None.
+        """The grid cell's Solution for exactly this solve request, or
+        None.
 
-        A hit requires the artifact's optimization target to match,
-        the coordinates to name a stored cell, and the *full* stored
-        spec to equal the request (so a spec using any off-grid knob
-        -- banks, ECC, sleep transistors, sequential access -- can
-        never be served a subtly different design).  Hits are
-        bit-identical to a live solve.
+        A hit requires the cachedb's optimization target to match and
+        ``spec`` to equal the spec of a grid cell (so a spec using any
+        off-grid knob -- banks, ECC, sleep transistors, sequential
+        access -- can never be served a subtly different design).  Hits
+        are bit-identical to a live solve.
         """
         obs = obs or self.obs
-        if normalized_target(target) == self.target_dict:
-            key = grid_key(
+        solution = None
+        if (target or OptimizationTarget()) == self.target:
+            coords = (
                 spec.cell_tech.value,
                 spec.node_nm,
                 spec.capacity_bytes,
                 spec.block_bytes,
                 spec.associativity or 0,
             )
-            record = self._points.get(key)
-            if record is not None and _normalize_numbers(
-                memory_spec_to_dict(spec)
-            ) == _normalize_numbers(record["spec"]):
-                self.hits += 1
-                if obs is not None:
-                    obs.inc("cachedb.hits")
-                return solution_from_record(record)
+            if all(map(operator.contains, self._axes, coords)):
+                solution = self._cell(coords).solution
+                if solution is not None and spec != solution.spec:
+                    solution = None
+        if solution is not None:
+            self.hits += 1
+            if obs is not None:
+                obs.inc("cachedb.hits")
+            return solution
         self.misses += 1
         if obs is not None:
             obs.inc("cachedb.misses")
@@ -299,12 +326,11 @@ class CacheDB:
         fallback: str = "solve",
         materialize: bool = False,
     ) -> CacheDBResult:
-        """Answer one design-space query from the artifact.
+        """Answer one design-space query from the cachedb.
 
         ``fallback`` governs queries the grid cannot answer (see the
-        module docstring); ``materialize`` additionally reconstructs
-        the full :class:`Solution` on exact hits (a few extra tens of
-        microseconds; metrics-only answers skip it).
+        module docstring); ``materialize`` additionally attaches the
+        cell's full :class:`Solution` to exact hits.
         """
         if fallback not in FALLBACKS:
             raise CacheDBError(
@@ -382,21 +408,13 @@ class CacheDB:
         corners = {}
         for cap in {cap_lo, cap_hi}:
             for node in {node_lo, node_hi}:
-                key = grid_key(tech, node, cap, block, assoc)
-                record = self._points.get(key)
-                if record is None:
-                    return (
-                        f"grid hole at {key}"
-                        + (
-                            f" ({self._holes[key]})"
-                            if key in self._holes
-                            else ""
-                        )
-                    )
-                corners[(cap, node)] = record
+                cell = self._cell((tech, node, cap, block, assoc))
+                if cell.solution is None:
+                    return cell.reason
+                corners[(cap, node)] = cell
 
         if cap_lo == cap_hi and node_lo == node_hi:
-            record = corners[(cap_lo, node_lo)]
+            cell = corners[(cap_lo, node_lo)]
             self.hits += 1
             if self.obs is not None:
                 self.obs.inc("cachedb.hits")
@@ -406,12 +424,10 @@ class CacheDB:
                 associativity=assoc,
                 node_nm=node_nm,
                 cell_tech=tech,
-                metrics=dict(record["metrics"]),
+                metrics=dict(cell.metrics),
                 interpolated=False,
                 source="exact",
-                solution=(
-                    solution_from_record(record) if materialize else None
-                ),
+                solution=cell.solution if materialize else None,
             )
 
         cap_frac = _log_frac(cap_lo, cap_hi, capacity)
@@ -422,8 +438,8 @@ class CacheDB:
             for node in (node_lo, node_hi):
                 at_node.append(
                     _lerp_metric(
-                        corners[(cap_lo, node)]["metrics"][name],
-                        corners[(cap_hi, node)]["metrics"][name],
+                        corners[(cap_lo, node)].metrics[name],
+                        corners[(cap_hi, node)].metrics[name],
                         cap_frac,
                     )
                 )
@@ -475,30 +491,26 @@ class CacheDB:
                     )
                 ),
             )
-            record = self._points.get(grid_key(*snapped))
-            if record is None:
-                raise CacheDBMiss(
-                    f"no nearest grid point: {grid_key(*snapped)} is a "
-                    "hole"
-                )
+            cell = self._cell(snapped)
+            if cell.solution is None:
+                raise CacheDBMiss(f"no nearest grid point: {cell.reason}")
             return CacheDBResult(
                 capacity_bytes=snapped[2],
                 block_bytes=snapped[3],
                 associativity=snapped[4],
                 node_nm=snapped[1],
                 cell_tech=tech,
-                metrics=dict(record["metrics"]),
+                metrics=dict(cell.metrics),
                 interpolated=False,
                 source="nearest",
-                solution=solution_from_record(record),
+                solution=cell.solution,
             )
 
         # fallback == "solve": a live solve of exactly what was asked.
-        from repro.core.cacti import solve as _solve
-        from repro.cachedb.schema import DB_METRICS as _metrics
+        from repro.core.cacti import solve
 
         spec = grid_spec_for(tech, node_nm, capacity, block, assoc)
-        solution = _solve(spec, self.target, obs=self.obs)
+        solution = solve(spec, self.target, obs=self.obs)
         return CacheDBResult(
             capacity_bytes=capacity,
             block_bytes=block,
@@ -507,7 +519,7 @@ class CacheDB:
             cell_tech=tech,
             metrics={
                 name: extract(solution)
-                for name, extract in _metrics.items()
+                for name, extract in DB_METRICS.items()
             },
             interpolated=False,
             source="solve",
@@ -516,13 +528,14 @@ class CacheDB:
 
 
 #: Per-process readers keyed by path, so study/sweep worker processes
-#: parse each artifact once, not once per task (the
-#: ``worker_solve_cache`` idiom).
+#: open each cachedb and read each cell once, not once per task (the
+#: ``worker_solve_cache`` idiom).  A pool worker starts with none (see
+#: :func:`repro.core.parallel._init_worker`).
 _OPEN_DBS: dict[str, CacheDB] = {}
 
 
 def open_cachedb(path: str | os.PathLike) -> CacheDB:
-    """A memoized :class:`CacheDB` for ``path`` (one parse per process)."""
+    """A memoized :class:`CacheDB` for ``path`` (one open per process)."""
     key = os.fspath(path)
     db = _OPEN_DBS.get(key)
     if db is None:

@@ -1,46 +1,40 @@
-"""Artifact schema for the precomputed design-space database.
+"""Schema of the precomputed design-space database.
 
-A cachedb is one versioned JSON artifact holding the optimizer's
-winning design point for every cell of a (technology x node x capacity
-x block x associativity) grid.  This module owns the schema: the
-format version, the :class:`GridSpec` axes, the canonical per-point
-keys, and the record encode/decode helpers (which reuse the
-solve-cache's bit-exact :func:`~repro.core.solvecache.metrics_to_dict`
-round trip, so an on-grid lookup reconstructs the *identical*
-:class:`~repro.core.results.Solution` a live solve would return).
+A cachedb is a solve store (:class:`~repro.store.SqliteStore`) holding
+the data- and tag-array records of every cell of a (technology x node
+x capacity x block x associativity) grid, under their ordinary
+:func:`~repro.core.solvecache.solve_key` keys, plus one ``meta`` row
+(:data:`META_KEY`) naming the grid axes, the optimization target and
+the holes.  This module owns the grid: the :class:`GridSpec` axes, the
+canonical cell labels (:func:`grid_key`), the :class:`MemorySpec` each
+cell solves (:func:`grid_spec_for`) and the headline metrics a query
+reports (:data:`DB_METRICS`).
 
-Two versions are stamped into every artifact:
-
-* ``format`` -- the layout of the artifact itself
-  (:data:`DB_FORMAT_VERSION`); a reader refuses other formats.
-* ``model_version`` -- the solver's
-  :data:`~repro.core.solvecache.CACHE_VERSION` at build time; a reader
-  refuses to *serve* from an artifact built by a different model (the
-  numbers would silently be stale), though ``cachedb info`` may still
-  inspect one.
+The store carries no format or model stamp of its own: its records are
+keyed under the solve-cache version, so records written by another
+model are never served (see :mod:`repro.cachedb.reader`).
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import asdict, dataclass
 
-from repro.core.config import AccessMode, MemorySpec, OptimizationTarget
+from repro.core.config import MemorySpec
 from repro.core.results import Solution
-from repro.core.solvecache import (
-    _normalize_numbers,
-    metrics_from_dict,
-    metrics_to_dict,
-)
+from repro.core.solvecache import metrics_to_dict
 from repro.tech.cells import CellTech
 from repro.tech.devices import NODES_NM
 from repro.tech.registry import registered_names
 
-#: Artifact layout version.  Bump on any change to the JSON structure.
-DB_FORMAT_VERSION = "repro-cachedb-v1"
+#: The ``meta`` row a finished build writes last; a store without it
+#: is not a (complete) cachedb.
+META_KEY = "cachedb"
 
-#: Headline metrics stored per grid point (SI units), extracted from
-#: the composed :class:`~repro.core.results.Solution` at build time so
-#: lookups and interpolation never pay the composition cost.
+#: Headline metrics a query reports (SI units), extracted from the
+#: composed :class:`~repro.core.results.Solution`; a reader extracts
+#: them once per grid cell.
 DB_METRICS = {
     "access_time_s": lambda s: s.access_time,
     "random_cycle_s": lambda s: s.random_cycle_time,
@@ -61,7 +55,7 @@ class GridSpec:
     ``associativities`` may include ``0``, meaning a plain RAM (no tag
     array), mirroring the CLI's ``--assoc 0`` convention.  An empty
     ``technologies`` tuple means "every registered technology at build
-    time".  Axes are deduplicated and sorted so the artifact's bracket
+    time".  Axes are deduplicated and sorted so the reader's bracket
     search can bisect them.
     """
 
@@ -114,54 +108,27 @@ class GridSpec:
             or registered_names(),
         )
 
+    @property
+    def axes(self) -> tuple:
+        """The five axes, in :func:`grid_key` argument order."""
+        return (self.technologies, self.nodes_nm, self.capacities_bytes,
+                self.block_bytes, self.associativities)
+
     def __len__(self) -> int:
-        return (
-            len(self.capacities_bytes)
-            * len(self.associativities)
-            * len(self.block_bytes)
-            * len(self.nodes_nm)
-            * len(self.technologies)
-        )
+        return math.prod(map(len, self.axes))
 
     def points(self):
         """Yield ``(key, coords)`` for every grid cell, in key order."""
-        for tech in self.technologies:
-            for node in self.nodes_nm:
-                for cap in self.capacities_bytes:
-                    for block in self.block_bytes:
-                        for assoc in self.associativities:
-                            coords = (tech, node, cap, block, assoc)
-                            yield grid_key(*coords), coords
-
-    def as_dict(self) -> dict:
-        return {
-            "capacities_bytes": list(self.capacities_bytes),
-            "associativities": list(self.associativities),
-            "block_bytes": list(self.block_bytes),
-            "nodes_nm": list(self.nodes_nm),
-            "technologies": list(self.technologies),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GridSpec":
-        return cls(
-            capacities_bytes=tuple(d["capacities_bytes"]),
-            associativities=tuple(d["associativities"]),
-            block_bytes=tuple(d["block_bytes"]),
-            nodes_nm=tuple(d["nodes_nm"]),
-            technologies=tuple(d["technologies"]),
-        )
+        for coords in itertools.product(*self.axes):
+            yield grid_key(*coords), coords
 
 
 def grid_key(
     tech: str, node_nm: float, capacity: int, block: int, assoc: int
 ) -> str:
-    """Canonical point key: one string per grid cell.
-
-    Nodes format through ``%g`` so ``32`` and ``32.0`` key identically
-    (the same normalization :func:`~repro.core.solvecache.solve_key`
-    applies to its hash payload).
-    """
+    """Canonical cell label: names a grid cell in the holes map and in
+    messages.  Nodes format through ``%g`` so ``32`` and ``32.0`` label
+    one cell."""
     return f"{tech}/n{float(node_nm):g}/c{capacity}/b{block}/a{assoc}"
 
 
@@ -186,38 +153,24 @@ def grid_spec_for(
     )
 
 
-def memory_spec_to_dict(spec: MemorySpec) -> dict:
-    d = asdict(spec)
-    d["cell_tech"] = spec.cell_tech.value
-    d["tag_cell_tech"] = (
-        spec.tag_cell_tech.value if spec.tag_cell_tech is not None else None
-    )
-    d["access_mode"] = spec.access_mode.value
-    return d
-
-
-def memory_spec_from_dict(d: dict) -> MemorySpec:
-    d = dict(d)
-    d["access_mode"] = AccessMode(d["access_mode"])
-    return MemorySpec(**d)
-
-
-def normalized_target(target: OptimizationTarget | None) -> dict:
-    """The comparison form of an optimization target (numeric-normalized
-    field dict), as stored in the artifact."""
-    return _normalize_numbers(asdict(target or OptimizationTarget()))
-
-
 def solution_to_record(solution: Solution) -> dict:
-    """One grid point's stored record.
-
-    ``data``/``tag`` round-trip bit-exactly through JSON (shortest-repr
-    floats), so :func:`solution_from_record` rebuilds the identical
-    Solution; ``metrics`` pre-computes the headline composed numbers so
-    a metrics-only lookup never re-runs the composition.
-    """
+    """A solution's bit-exact record: its spec, its data and tag array
+    metrics (shortest-repr floats, so equal records mean bit-identical
+    numbers) and its headline :data:`DB_METRICS`.  A canonical form for
+    digests and comparisons; the store itself keeps only the array
+    records."""
+    spec = solution.spec
     return {
-        "spec": memory_spec_to_dict(solution.spec),
+        "spec": {
+            **asdict(spec),
+            "cell_tech": spec.cell_tech.value,
+            "tag_cell_tech": (
+                spec.tag_cell_tech.value
+                if spec.tag_cell_tech is not None
+                else None
+            ),
+            "access_mode": spec.access_mode.value,
+        },
         "data": metrics_to_dict(solution.data),
         "tag": (
             metrics_to_dict(solution.tag)
@@ -228,15 +181,3 @@ def solution_to_record(solution: Solution) -> dict:
             name: extract(solution) for name, extract in DB_METRICS.items()
         },
     }
-
-
-def solution_from_record(record: dict) -> Solution:
-    return Solution(
-        spec=memory_spec_from_dict(record["spec"]),
-        data=metrics_from_dict(record["data"]),
-        tag=(
-            metrics_from_dict(record["tag"])
-            if record["tag"] is not None
-            else None
-        ),
-    )

@@ -14,10 +14,10 @@ Usage::
     python -m repro study --configs nol3,sram --on-error retry
     python -m repro sweep --capacity 2M --parameter capacity_bytes \
         --values 1M,2M,4M,8M
-    python -m repro cachedb build db.json --capacities 64K,256K,1M \
+    python -m repro cachedb build grid.db --capacities 64K,256K,1M \
         --nodes 32,45 --resume build.journal
-    python -m repro cachedb query db.json --capacity 96K --node 38
-    python -m repro cachedb info db.json
+    python -m repro cachedb query grid.db --capacity 96K --node 38
+    python -m repro cachedb info grid.db
 
 Sizes accept K/M/G suffixes (powers of two).  The multi-task runs
 (``study``, ``sweep``, ``cachedb build``) take ``--jobs N`` and the
@@ -221,9 +221,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cdb_sub = cachedb.add_subparsers(dest="cachedb_command", required=True)
 
     cdb_build = cdb_sub.add_parser(
-        "build", help="precompute a design-space grid into an artifact"
+        "build", help="precompute a design-space grid into a cachedb"
     )
-    cdb_build.add_argument("path", help="artifact file to write (JSON)")
+    cdb_build.add_argument("path", help="cachedb to write (a solve store)")
     cdb_build.add_argument("--capacities", required=True,
                            metavar="C1,C2,...",
                            help="comma-separated capacities (K/M/G sizes)")
@@ -239,13 +239,13 @@ def _build_parser() -> argparse.ArgumentParser:
     cdb_build.add_argument("--optimize", default="balanced",
                            choices=sorted(_PRESETS))
     # Dense grids always contain infeasible corners; record them as
-    # holes and keep building rather than failing the whole artifact.
+    # holes and keep building rather than failing the whole build.
     cdb_build.set_defaults(on_error="skip")
 
     cdb_query = cdb_sub.add_parser(
-        "query", help="answer one design query from an artifact"
+        "query", help="answer one design query from a cachedb"
     )
-    cdb_query.add_argument("path", help="artifact file (from cachedb build)")
+    cdb_query.add_argument("path", help="cachedb (from cachedb build)")
     cdb_query.add_argument("--capacity", required=True, type=_size_arg)
     cdb_query.add_argument("--assoc", type=int, default=8,
                            help="associativity; 0 for a plain RAM")
@@ -260,13 +260,14 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "grid point")
 
     cdb_info = cdb_sub.add_parser(
-        "info", help="summarize an artifact (works across model versions)"
+        "info", help="summarize a cachedb (records per model version)"
     )
-    cdb_info.add_argument("path", help="artifact file to inspect")
+    cdb_info.add_argument("path", help="cachedb to inspect")
 
     # Every subcommand ultimately runs the same solver, so every
-    # subcommand gets the same solver knobs and observability outputs.
-    for solver in (cache, mm, validate, table3, study, sweep, cdb_build):
+    # subcommand gets the same solver knobs and observability outputs;
+    # a cachedb build writes into its own store, so it takes no --cache.
+    for solver in (cache, mm, validate, table3, study, sweep):
         solver.add_argument(
             "--cache", metavar="STORE", default=None, dest="cache_path",
             help="persistent solve store (a WAL-mode sqlite database); "
@@ -275,6 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
                  "'sqlite:PATH?max_records=N' bounds it with LRU "
                  "eviction",
         )
+    for solver in (cache, mm, validate, table3, study, sweep, cdb_build):
         solver.add_argument(
             "--stats", action="store_true",
             help="print optimizer sweep statistics (candidate counts, "
@@ -326,19 +328,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _solver_knobs(args: argparse.Namespace) -> tuple:
-    """The optional solve cache and telemetry sink for a run.
+def _run_obs(args: argparse.Namespace) -> Obs | None:
+    """The run's telemetry sink, or None when nothing reads it.
 
     ``--stats``, ``--trace`` and ``--metrics`` all read the one sink;
     it records spans only when ``--trace`` asks for them.
     """
+    if args.stats or args.trace or args.metrics:
+        return Obs(trace=args.trace is not None)
+    return None
+
+
+def _solver_knobs(args: argparse.Namespace) -> tuple:
+    """The optional solve cache and telemetry sink for a run."""
     solve_cache = (
         SolveCache(args.cache_path) if args.cache_path is not None else None
     )
-    obs = None
-    if args.stats or args.trace or args.metrics:
-        obs = Obs(trace=args.trace is not None)
-    return solve_cache, obs
+    return solve_cache, _run_obs(args)
 
 
 def _resilience_policy(args: argparse.Namespace) -> ResiliencePolicy | None:
@@ -651,14 +657,13 @@ def _run_cachedb(args: argparse.Namespace) -> int:
                 else ()
             ),
         )
-        solve_cache, obs = _solver_knobs(args)
+        obs = _run_obs(args)
         report = build_cachedb(
             args.path,
             grid,
             target=_PRESETS[args.optimize],
             jobs=args.jobs,
             resilience=_resilience_policy(args),
-            solve_cache=solve_cache,
             obs=obs,
         )
         print(report.summary())
@@ -666,8 +671,8 @@ def _run_cachedb(args: argparse.Namespace) -> int:
         _write_obs(args, obs)
         return 0
 
+    db = CacheDB(args.path)
     if args.cachedb_command == "query":
-        db = CacheDB(args.path)
         result = db.query(
             args.capacity,
             associativity=args.assoc,
@@ -679,8 +684,6 @@ def _run_cachedb(args: argparse.Namespace) -> int:
         print(result.summary())
         return 0
 
-    # info: inspectable even across model versions.
-    db = CacheDB(args.path, check_model=False)
     for key, value in db.info().items():
         print(f"{key:<14}: {value}")
     return 0

@@ -519,7 +519,7 @@ class CactiD:
     record tracing spans) -- and :attr:`stats` reads the sweep counters
     back as a :class:`~repro.core.optimizer.SweepStats` view.
 
-    ``cachedb`` -- a :class:`~repro.cachedb.CacheDB` or an artifact
+    ``cachedb`` -- a :class:`~repro.cachedb.CacheDB` or a cachedb
     path -- puts a precomputed design-space database in front of the
     solver: every solve issued through the facade checks it for an
     exact (bit-identical) hit first.  ``resilience`` -- a

@@ -37,6 +37,7 @@ imported on the first pool, so a serial process never loads it.
 from __future__ import annotations
 
 import os
+import sys
 import time
 from collections import deque
 from contextlib import contextmanager, nullcontext
@@ -58,6 +59,9 @@ _WORKER_EVAL_CACHE = None
 #: the database every time; memoizing by URL (mirroring the
 #: worker-local EvalCache) opens it once per worker.
 _WORKER_SOLVE_CACHES: dict = {}
+
+#: Cachedb readers a worker inherited from its parent; never touched.
+_INHERITED_DBS: list = []
 
 #: The Obs of the map whose tasks run in this process right now (see
 #: :func:`in_parent`); None between maps and in worker processes.
@@ -114,6 +118,12 @@ def _init_worker() -> None:
     would otherwise inherit whatever its parent held)."""
     global _WORKER_EVAL_CACHE, _WORKER_SOLVE_CACHES, _PARENT_OBS
     _WORKER_EVAL_CACHE, _WORKER_SOLVE_CACHES, _PARENT_OBS = None, {}, None
+    reader = sys.modules.get("repro.cachedb.reader")
+    if reader is not None and reader._OPEN_DBS:
+        # They hold the parent's sqlite connections, which a forked
+        # child must neither use nor close (by dropping the last ref).
+        _INHERITED_DBS.append(reader._OPEN_DBS)
+        reader._OPEN_DBS = {}
 
 
 def worker_eval_cache():

@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, fields
+from functools import lru_cache
 
 from repro.array.organization import ArrayMetrics, ArraySpec, OrgParams
 from repro.core.config import OptimizationTarget
@@ -48,10 +49,13 @@ CACHE_VERSION = "repro-solve-cache-v3"
 _METRIC_FIELDS = tuple(
     f.name for f in fields(ArrayMetrics) if f.name not in ("spec", "org")
 )
+_SPEC_FIELDS = tuple(f.name for f in fields(ArraySpec))
+_TARGET_FIELDS = tuple(f.name for f in fields(OptimizationTarget))
 
 
 def spec_to_dict(spec: ArraySpec) -> dict:
-    d = asdict(spec)
+    # ``asdict`` without its deep copy: every ArraySpec field is a scalar.
+    d = {name: getattr(spec, name) for name in _SPEC_FIELDS}
     d["cell_tech"] = spec.cell_tech.value
     return d
 
@@ -99,14 +103,20 @@ def _normalize_numbers(value):
 def solve_key(
     spec: ArraySpec, target: OptimizationTarget, node_nm: float
 ) -> str:
-    """Stable content hash of one solve request."""
+    """Stable content hash of one solve request, memoized per process
+    on the version and the (frozen, hashable) request."""
+    return _solve_key(CACHE_VERSION, spec, target, node_nm)
+
+
+@lru_cache(maxsize=1 << 16)
+def _solve_key(version, spec, target, node_nm) -> str:
     import hashlib  # OpenSSL: loaded only by processes that hash keys
 
     payload = _normalize_numbers({
-        "version": CACHE_VERSION,
+        "version": version,
         "node_nm": node_nm,
         "spec": spec_to_dict(spec),
-        "target": asdict(target),
+        "target": {name: getattr(target, name) for name in _TARGET_FIELDS},
     })
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

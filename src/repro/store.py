@@ -1,11 +1,11 @@
 """repro.store: the persistent record store behind the solve cache.
 
 Every persistence layer in the pipeline -- the solve cache, the
-cachedb consult path, worker-local caches -- needs the same small
-contract: get/put JSON records by string key, batch writes into
-explicit flushes, survive concurrent writers, stamp records with a
-model version so stale numbers are never served, and tombstone corrupt
-records so they are neither re-parsed nor re-persisted.
+cachedb, worker-local caches -- needs the same small contract: get/put
+JSON records by string key, batch writes into explicit flushes,
+survive concurrent writers, stamp records with a model version so
+stale numbers are never served, and tombstone corrupt records so they
+are neither re-parsed nor re-persisted.
 :class:`SqliteStore` is that contract, over a WAL-mode sqlite database
 with one row per record::
 
@@ -13,7 +13,9 @@ with one row per record::
             created_s, last_access_s, tombstone)
 
 (``shard`` is always ``''``; the column stays so databases written by
-earlier builds open unchanged.)
+earlier builds open unchanged), plus a ``meta`` table of string rows
+(:meth:`SqliteStore.get_meta` / :meth:`SqliteStore.put_meta`): the
+schema version, and in a cachedb the grid row that makes the store one.
 
 * **Flushes are O(dirty records), not O(total records).**  A flush
   upserts only the staged puts and touch-updates only the keys read
@@ -41,7 +43,7 @@ put.
 
 :func:`open_store` opens a store from a plain path or a
 ``sqlite:PATH[?max_records=N]`` URL; both spellings name the same
-database.
+database.  The ``json:`` scheme of the removed JSON backend is refused.
 """
 
 from __future__ import annotations
@@ -100,6 +102,11 @@ def open_store(
     """
     text = os.fspath(spec)
     path, options = text, {}
+    if text.startswith("json:"):
+        raise ValueError(
+            f"the json: store scheme was removed ({text!r}); solve stores "
+            "are sqlite databases: pass a path or sqlite:PATH"
+        )
     if text.startswith("sqlite:"):
         path, _, query = text[len("sqlite:"):].partition("?")
         if query:
@@ -205,23 +212,15 @@ class SqliteStore:
         return conn
 
     def _init_meta(self) -> None:
-        with self._conn:
-            row = self._conn.execute(
-                "SELECT value FROM meta WHERE key='schema'"
-            ).fetchone()
-            if row is None:
-                self._conn.execute(
-                    "INSERT OR IGNORE INTO meta (key, value) "
-                    "VALUES ('schema', ?)",
-                    (SCHEMA_VERSION,),
-                )
-            elif row[0] != SCHEMA_VERSION:
-                warnings.warn(
-                    f"store {self.path} has schema {row[0]!r} (this "
-                    f"build expects {SCHEMA_VERSION!r}); opening "
-                    "best-effort",
-                    stacklevel=3,
-                )
+        schema = self.get_meta("schema")
+        if schema is None:
+            self.put_meta("schema", SCHEMA_VERSION)
+        elif schema != SCHEMA_VERSION:
+            warnings.warn(
+                f"store {self.path} has schema {schema!r} (this build "
+                f"expects {SCHEMA_VERSION!r}); opening best-effort",
+                stacklevel=3,
+            )
 
     @property
     def url(self) -> str:
@@ -423,6 +422,26 @@ class SqliteStore:
             "flush_writes": self.flush_writes,
             "bytes_on_disk": self.bytes_on_disk(),
         }
+
+    def get_meta(self, key: str) -> str | None:
+        """The ``meta`` table's value at ``key``, or None."""
+        row = self._conn.execute(
+            "SELECT value FROM meta WHERE key=?", (key,)
+        ).fetchone()
+        return None if row is None else row[0]
+
+    def put_meta(self, key: str, value: str | None) -> None:
+        """Write (None: delete) the ``meta`` row at ``key``, after a
+        flush: it lands after every record put before it."""
+        self.flush()
+        with self._conn:
+            if value is None:
+                self._conn.execute("DELETE FROM meta WHERE key=?", (key,))
+            else:
+                self._conn.execute(
+                    "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
+                    (key, value),
+                )
 
     def version_counts(self) -> dict[str, int]:
         """Record count per model version (tombstones excluded)."""

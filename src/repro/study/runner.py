@@ -244,7 +244,7 @@ def run_study(
     land in ``StudyResult.failed`` instead of aborting the run;
     ``obs`` counts the ``resilience.*`` events (retries, timeouts,
     failures, rebuilds).
-    ``cachedb`` (an artifact path) serves each worker's
+    ``cachedb`` (a cachedb path) serves each worker's
     ``source="cacti"`` solves from the precomputed database.
 
     Duplicate profile names or repeated configuration names would

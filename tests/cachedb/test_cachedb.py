@@ -12,7 +12,6 @@ from repro.cachedb import (
     CacheDBMiss,
     GridSpec,
     build_cachedb,
-    grid_key,
     grid_spec_for,
 )
 from repro.array.kernels import SurvivorBatch
@@ -20,9 +19,11 @@ from repro.array.organization import EvalCache
 from repro.cachedb.schema import DB_METRICS
 from repro.cli import main
 from repro.core import parallel
-from repro.core.cacti import CactiD, solve
+from repro.core.cacti import CactiD, data_array_spec, solve, tag_array_spec
 from repro.core.config import OptimizationTarget
-from repro.core.solvecache import CACHE_VERSION, metrics_to_dict
+from repro.core.resilience import Journal, ResiliencePolicy
+from repro.core import solvecache
+from repro.core.solvecache import CACHE_VERSION, SolveCache, metrics_to_dict
 from repro.obs import Obs
 from repro.tech.registry import registered_names
 
@@ -44,6 +45,19 @@ def db_path(tmp_path_factory):
 @pytest.fixture()
 def db(db_path):
     return CacheDB(db_path)
+
+
+def journaled(path) -> ResiliencePolicy:
+    """The build's default policy, checkpointing into ``path``."""
+    return ResiliencePolicy(on_error="skip", journal=Journal(path))
+
+
+def put_args():
+    """One solve record's ``SolveCache.put`` arguments."""
+    spec = grid_spec_for("sram", 32.0, CAPS[0], 64, 8)
+    solution = solve(spec)
+    return (data_array_spec(spec), OptimizationTarget(), 32.0,
+            solution.data)
 
 
 class TestGridSpec:
@@ -97,10 +111,50 @@ class TestBuilder:
         with pytest.raises(CacheDBMiss, match="hole"):
             db.query(256, fallback="error")
 
-    def test_artifact_is_versioned(self, db_path):
-        payload = json.loads(db_path.read_text())
-        assert payload["format"] == "repro-cachedb-v1"
-        assert payload["model_version"] == CACHE_VERSION
+    def test_cachedb_is_a_solve_store(self, db_path):
+        """Every solved cell's data and tag records sit in the store
+        under their solve keys: a plain SolveCache serves them."""
+        store = SolveCache(db_path)
+        try:
+            assert len(store) == 2 * 4
+            spec = grid_spec_for("sram", 32.0, CAPS[0], 64, 8)
+            solved = CacheDB(db_path).lookup_exact(spec)
+            target = OptimizationTarget()
+            assert store.get(data_array_spec(spec), target, 32.0) == (
+                solved.data
+            )
+            assert store.get(tag_array_spec(spec), target, 32.0) == (
+                solved.tag
+            )
+        finally:
+            store.close()
+
+    def test_killed_build_is_refused_as_incomplete(self, tmp_path,
+                                                   monkeypatch):
+        from repro.cachedb import builder
+
+        def killed(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        path = tmp_path / "db.json"
+        grid = GridSpec(capacities_bytes=CAPS, technologies=("sram",))
+        build_cachedb(path, grid, jobs=1)
+        monkeypatch.setattr(builder, "solve_batch", killed)
+        with pytest.raises(KeyboardInterrupt):
+            build_cachedb(path, grid, jobs=1)
+        with pytest.raises(CacheDBError, match="did not finish"):
+            CacheDB(path)
+
+    def test_rebuild_into_the_same_path_reuses_its_records(self, tmp_path):
+        path = tmp_path / "db.json"
+        grid = GridSpec(capacities_bytes=CAPS, technologies=("sram",))
+        first = build_cachedb(path, grid, jobs=1)
+        obs = Obs()
+        again = build_cachedb(path, grid, jobs=1, obs=obs)
+        counters = obs.metrics.snapshot()["counters"]
+        assert (again.solved, again.holes) == (first.solved, first.holes)
+        assert counters["store.hits"] == 2 * first.solved
+        assert counters.get("optimizer.enumerated", 0) == 0
 
     def test_serial_build_keeps_no_subarray_memo(self, tmp_path,
                                                  monkeypatch):
@@ -133,13 +187,28 @@ class TestBuilder:
         grid = GridSpec(capacities_bytes=CAPS, technologies=("sram",))
         journal = tmp_path / "build.journal"
         first = build_cachedb(
-            tmp_path / "db.json", grid, jobs=1, journal_path=journal
+            tmp_path / "db.json", grid, jobs=1, resilience=journaled(journal)
         )
         assert first.restored == 0 and first.solved == 2
         again = build_cachedb(
-            tmp_path / "db.json", grid, jobs=1, journal_path=journal
+            tmp_path / "db.json", grid, jobs=1, resilience=journaled(journal)
         )
         assert again.restored == 2 and again.solved == 2
+
+    def test_restored_cells_land_in_a_fresh_store(self, tmp_path):
+        """A journal can outlive the store it was built into: cells it
+        restores are written into the new store all the same."""
+        grid = GridSpec(capacities_bytes=CAPS, technologies=("sram",))
+        journal = tmp_path / "build.journal"
+        build_cachedb(tmp_path / "a.db", grid, jobs=1,
+                      resilience=journaled(journal))
+        report = build_cachedb(
+            tmp_path / "b.db", grid, jobs=1, resilience=journaled(journal)
+        )
+        assert report.restored == 2
+        db = CacheDB(tmp_path / "b.db")
+        spec = grid_spec_for("sram", 32.0, CAPS[0], 64, 8)
+        assert db.lookup_exact(spec) == solve(spec)
 
 
 class TestReader:
@@ -148,13 +217,12 @@ class TestReader:
         assert result.source == "exact" and not result.interpolated
         assert db.stats()["hits"] == 1 and len(db) == 4
 
-    def test_exact_hit_metrics_match_stored_record(self, db, db_path):
-        payload = json.loads(db_path.read_text())
-        key = grid_key("sram", 32.0, CAPS[0], 64, 8)
-        assert (
-            db.query(CAPS[0], node_nm=32.0).metrics
-            == payload["points"][key]["metrics"]
-        )
+    def test_exact_hit_metrics_are_the_cell_solutions(self, db):
+        solution = db.lookup_exact(grid_spec_for("sram", 32.0, CAPS[0],
+                                                 64, 8))
+        assert db.query(CAPS[0], node_nm=32.0).metrics == {
+            name: extract(solution) for name, extract in DB_METRICS.items()
+        }
 
     def test_interpolated_query_is_flagged(self, db):
         result = db.query(128 << 10, node_nm=38.0)
@@ -191,23 +259,55 @@ class TestReader:
         with pytest.raises(CacheDBMiss, match="associativity"):
             db.query(CAPS[0], associativity=4, fallback="error")
 
-    def test_foreign_format_refused(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"format": "something-else"}))
-        with pytest.raises(CacheDBError, match="format"):
+    def test_old_json_artifact_is_refused_untouched(self, tmp_path,
+                                                    capsys):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({
+            "format": "repro-cachedb-v1", "points": {}, "holes": {},
+        }))
+        before = path.read_bytes()
+        with pytest.raises(CacheDBError, match="rebuilt"):
+            CacheDB(path)
+        assert main(["cachedb", "query", str(path),
+                     "--capacity", "64K"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(path) in err
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json"]
+
+    def test_missing_file_is_refused_and_not_created(self, tmp_path):
+        with pytest.raises(CacheDBError, match="no cachedb"):
+            CacheDB(tmp_path / "absent.db")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_store_without_meta_row_is_refused(self, tmp_path):
+        """A plain solve store -- or a build that never finished -- is
+        not a cachedb."""
+        path = tmp_path / "solves.db"
+        store = SolveCache(path)
+        store.put(*put_args())
+        store.close()
+        with pytest.raises(CacheDBError, match="not a complete cachedb"):
             CacheDB(path)
 
-    def test_stale_model_version_refused_unless_inspecting(
-        self, tmp_path, db_path
+    def test_rows_at_another_version_are_never_served(
+        self, db_path, monkeypatch, capsys
     ):
-        payload = json.loads(db_path.read_text())
-        payload["model_version"] = "repro-solve-cache-v99"
-        stale = tmp_path / "stale.json"
-        stale.write_text(json.dumps(payload))
-        with pytest.raises(CacheDBError, match="rebuild"):
-            CacheDB(stale)
-        info = CacheDB(stale, check_model=False).info()
-        assert info["stale"] and info["points"] == 4
+        """A cachedb built by another model serves none of its records:
+        on-grid queries take the fallback, and ``info`` shows them."""
+        monkeypatch.setattr(solvecache, "CACHE_VERSION", "other-model")
+        db = CacheDB(db_path)
+        spec = grid_spec_for("sram", 32.0, CAPS[0], 64, 8)
+        with pytest.raises(CacheDBMiss, match="no record"):
+            db.query(CAPS[0], node_nm=32.0, fallback="error")
+        assert db.lookup_exact(spec) is None
+        assert db.hits == 0 and db.misses == 1
+        info = db.info()
+        assert info["version"] == "other-model"
+        assert info["records"] == {CACHE_VERSION: 8}
+        assert main(["cachedb", "info", str(db_path)]) == 0
+        assert f"{{'{CACHE_VERSION}': 8}}" in capsys.readouterr().out
 
 
 class TestSolveIntegration:
@@ -274,7 +374,18 @@ class TestCli:
         assert "interpolated    : yes" in capsys.readouterr().out
 
         assert main(["cachedb", "info", str(path)]) == 0
-        assert "repro-cachedb-v1" in capsys.readouterr().out
+        assert "points        : 2" in capsys.readouterr().out
+
+    def test_build_takes_no_cache_flag(self, tmp_path, capsys):
+        """The cachedb is its own store: there is no second one."""
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "cachedb", "build", str(tmp_path / "db.json"),
+                "--capacities", "64K", "--cache", str(tmp_path / "s.db"),
+            ])
+        assert exc.value.code == 2
+        assert "--cache" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_query_fallback_error_exits_2(self, tmp_path, capsys):
         path = tmp_path / "db.json"
@@ -309,3 +420,49 @@ class TestCli:
             "cache", "--capacity", "64K", "--cachedb", str(path),
         ]) == 0
         assert "64 KB" in capsys.readouterr().out
+
+
+class TestForkedWorkers:
+    """A forked pool worker never touches a reader -- or its sqlite
+    connection -- that the parent opened."""
+
+    def test_init_worker_parks_the_parents_readers(self, db_path,
+                                                   monkeypatch):
+        from repro.cachedb import open_cachedb, reader
+
+        for name in ("_WORKER_EVAL_CACHE", "_WORKER_SOLVE_CACHES",
+                     "_PARENT_OBS"):
+            monkeypatch.setattr(parallel, name, getattr(parallel, name))
+        monkeypatch.setattr(parallel, "_INHERITED_DBS", [])
+        monkeypatch.setattr(reader, "_OPEN_DBS", {})
+        parent = open_cachedb(db_path)
+        parallel._init_worker()
+        assert reader._OPEN_DBS == {}
+        assert parallel._INHERITED_DBS == [{str(db_path): parent}]
+        assert open_cachedb(db_path) is not parent
+
+    def test_pooled_study_equals_serial_with_a_parent_reader_open(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.cachedb import open_cachedb, reader
+        from repro.study import runner
+        from repro.workloads.npb import UA_C
+
+        path = tmp_path / "l1-l2.db"
+        grid = GridSpec(capacities_bytes=(32 << 10, 1 << 20),
+                        technologies=("sram",))
+        build_cachedb(path, grid, jobs=1)
+        monkeypatch.setattr(reader, "_OPEN_DBS", {})
+        parent = open_cachedb(path)
+        kwargs = dict(profiles=(UA_C,), configs=("nol3", "sram"),
+                      source="cacti", instructions_per_thread=2000,
+                      cachedb=path)
+        runs = {}
+        for jobs in (1, 2):
+            # Configurations memoized by an earlier run would spare the
+            # workers their cachedb lookups.
+            monkeypatch.setattr(runner, "_TASK_CONFIGS", {})
+            monkeypatch.setattr(runner, "_TASK_ENERGY_MODELS", {})
+            runs[jobs] = runner.run_study(jobs=jobs, **kwargs)
+        assert parent.hits > 0  # the serial run was served by it
+        assert runs[2].results == runs[1].results

@@ -4,18 +4,17 @@ Inside ``EvalCache.batch`` the first sweep pre-filters every announced
 sweep and the first term lookup of each (cell technology, periphery,
 node) group builds the whole group's subarray terms in one call.  The
 reference is the same batch with the scope switched off: each spec
-solved in turn on one shared EvalCache.  Records, holes and every
+solved in turn on one shared EvalCache.  Solutions, holes and every
 counter must match.
 """
 
-import json
 from contextlib import nullcontext
 
 import pytest
 
 from repro.array import kernels
 from repro.array.organization import EvalCache
-from repro.cachedb import GridSpec, build_cachedb
+from repro.cachedb import CacheDB, GridSpec, build_cachedb, grid_spec_for
 from repro.core.cacti import solve, solve_batch
 from repro.core.config import MemorySpec
 from repro.core.resilience import ResiliencePolicy
@@ -73,26 +72,36 @@ def unscoped(monkeypatch) -> None:
 
 
 def build(tmp_path, name: str):
+    """A build's report, its cells' Solutions read through the reader
+    (None at a hole) and its sweep counters."""
     obs = Obs(trace=False)
-    path = tmp_path / f"{name}.json"
+    path = tmp_path / f"{name}.db"
     report = build_cachedb(path, GRID, jobs=1, obs=obs)
-    payload = json.loads(path.read_text())
-    return report, payload, sweep_counters(obs)
+    db = CacheDB(path)
+    cells = {}
+    for key, coords in GRID.points():
+        try:
+            spec = grid_spec_for(*coords)
+        except ValueError:
+            cells[key] = None
+            continue
+        cells[key] = db.lookup_exact(spec)
+    return report, cells, sweep_counters(obs)
 
 
 def test_warmed_cachedb_build_matches_spec_by_spec(tmp_path, monkeypatch,
                                                    term_calls):
-    report, payload, counters = build(tmp_path, "warmed")
+    report, cells, counters = build(tmp_path, "warmed")
     warmed_calls = len(term_calls)
     assert report.holes > 0 and report.solved > 0
 
     term_calls.clear()
     with monkeypatch.context() as patch:
         unscoped(patch)
-        ref_report, ref_payload, ref_counters = build(tmp_path, "serial")
+        ref_report, ref_cells, ref_counters = build(tmp_path, "serial")
 
-    assert payload["points"] == ref_payload["points"]
-    assert payload["holes"] == ref_payload["holes"]
+    assert cells == ref_cells
+    assert sum(cell is None for cell in cells.values()) == report.holes
     assert (report.solved, report.holes) == (ref_report.solved,
                                              ref_report.holes)
     assert counters == ref_counters

@@ -84,6 +84,52 @@ class TestSolveKey:
             SPEC, float_target, 32.0
         )
 
+    def test_pinned_key(self):
+        """Keys never change under existing stores: this is the key
+        every earlier build wrote for SPEC."""
+        assert solve_key(SPEC, OptimizationTarget(), 32.0) == (
+            "894b18aea985b18e674bd394c45e84f38dda630d9f0cf4cc6fad2028419d22f7"
+        )
+
+    @pytest.mark.parametrize("changes", [
+        {},
+        {"page_bits": 8192, "nbanks": 4},
+        {"sleep_transistors": True, "max_repeater_delay_penalty": 0.1},
+        {"cell_tech": CellTech.STT_RAM, "periph_device_type": "lstp"},
+    ], ids=["default", "page-banks", "sleep-penalty", "stt-lstp"])
+    def test_key_is_the_hash_of_the_full_payload(self, changes):
+        """The field-by-field payload hashes exactly like the
+        ``asdict`` payload it replaces."""
+        import dataclasses
+        import hashlib
+
+        from repro.core.solvecache import CACHE_VERSION, _normalize_numbers
+
+        spec = dataclasses.replace(SPEC, **changes)
+        target = OptimizationTarget(max_area_fraction=1, weight_cycle=2)
+        payload = _normalize_numbers({
+            "version": CACHE_VERSION,
+            "node_nm": 45,
+            "spec": {**dataclasses.asdict(spec),
+                     "cell_tech": spec.cell_tech.value},
+            "target": dataclasses.asdict(target),
+        })
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert solve_key(spec, target, 45) == hashlib.sha256(
+            blob.encode("utf-8")
+        ).hexdigest()
+
+    def test_memo_follows_the_version(self, monkeypatch):
+        """The per-process memo is keyed on the version too, so a
+        patched version never returns the key it memoized before."""
+        import repro.core.solvecache as solvecache
+
+        base = solve_key(SPEC, TARGET, 32.0)
+        monkeypatch.setattr(solvecache, "CACHE_VERSION", "other-version")
+        assert solve_key(SPEC, TARGET, 32.0) != base
+        monkeypatch.undo()
+        assert solve_key(SPEC, TARGET, 32.0) == base
+
     def test_bools_stay_distinct_from_ints(self):
         """Normalization must not collapse True onto 1.0."""
         from repro.core.solvecache import _normalize_numbers

@@ -223,6 +223,28 @@ class TestParseStoreUrl:
         with pytest.raises(ValueError, match="no path"):
             open_store("sqlite:", version=VERSION)
 
+    def test_removed_json_scheme_refused(self, tmp_path, monkeypatch):
+        """``json:`` named the JSON backend, which is gone: refused,
+        not taken as a database literally named ``json:...``."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match="json: store scheme"):
+            open_store("json:solves.json", version=VERSION)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_removed_json_scheme_is_a_cli_error(self, tmp_path, monkeypatch,
+                                                capsys):
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "solves.json").write_text("{}")
+        assert main(["cache", "--capacity", "256K",
+                     "--cache", "json:solves.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "json:solves.json" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["solves.json"]
+        assert (tmp_path / "solves.json").read_text() == "{}"
+
 
 class TestSqliteBackend:
     def test_lru_eviction_bounds_records(self, tmp_path):
@@ -347,6 +369,21 @@ class TestSqliteBackend:
         b.flush()
         assert a.get("from-b") == {"n": 2}
         a.close(), b.close()
+
+    def test_meta_rows_round_trip_and_delete(self, tmp_path):
+        s = SqliteStore(tmp_path / "s.db", version=VERSION)
+        assert s.get_meta("grid") is None
+        s.put("k", RECORD)
+        s.put_meta("grid", '{"cells": 4}')
+        s.close()
+        again = SqliteStore(tmp_path / "s.db", version="other")
+        # Meta rows belong to the file, not to a version; the record
+        # staged before the row was flushed with it.
+        assert again.get_meta("grid") == '{"cells": 4}'
+        assert again.version_counts() == {VERSION: 1}
+        again.put_meta("grid", None)
+        assert again.get_meta("grid") is None
+        again.close()
 
     def test_max_records_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError, match="positive"):
