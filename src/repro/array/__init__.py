@@ -1,6 +1,5 @@
-"""Array organization: subarrays, mats, H-trees, banks, main-memory chips."""
+"""Array organization: specs, the array-model kernels, banks, main-memory chips."""
 
-from repro.array.htree import HTree, design_htree
 from repro.array.mainmem import (
     MainMemoryEnergies,
     MainMemorySpec,
@@ -8,7 +7,6 @@ from repro.array.mainmem import (
     derive_energies,
     derive_timing,
 )
-from repro.array.mat import Mat, mats_in_bank
 from repro.array.organization import (
     ArrayMetrics,
     ArraySpec,
@@ -16,36 +14,21 @@ from repro.array.organization import (
     InfeasibleOrganization,
     OrgGeometry,
     OrgParams,
-    build_organization,
-    derive_geometry,
-    enumerate_orgs,
-    prefilter_org,
 )
 from repro.array.stacking import StackedBank, stacking_sweep
-from repro.array.subarray import InfeasibleSubarray, Subarray
 
 __all__ = [
     "ArrayMetrics",
     "ArraySpec",
     "EvalCache",
-    "HTree",
     "InfeasibleOrganization",
-    "InfeasibleSubarray",
     "OrgGeometry",
     "MainMemoryEnergies",
     "MainMemorySpec",
     "MainMemoryTiming",
-    "Mat",
     "OrgParams",
     "StackedBank",
-    "Subarray",
-    "build_organization",
     "derive_energies",
-    "derive_geometry",
     "derive_timing",
-    "design_htree",
-    "enumerate_orgs",
-    "mats_in_bank",
-    "prefilter_org",
     "stacking_sweep",
 ]

@@ -1,10 +1,9 @@
-"""Vectorized survivor-batch evaluation kernels.
+"""The array model: vectorized survivor-batch evaluation kernels.
 
-The optimizer's serial inner loop used to build one Python object stack
-(`_Builder` -> `Subarray` -> `HTree` -> `ArrayMetrics`) per prefilter
-survivor -- ~12-15 % of the enumerated grid, thousands of candidates per
-solve.  This module recasts that per-candidate composition as numpy
-array arithmetic over *all* survivors at once:
+This is the one production implementation of the paper's bank -> mat
+-> subarray hierarchy, its row decoders and its H-trees.  Every
+candidate organization a sweep keeps is evaluated as numpy array
+arithmetic over *all* survivors at once:
 
 * :func:`survivor_batch` wraps the raw arrays of
   :func:`~repro.array.organization.survivor_arrays` (the vectorized
@@ -14,22 +13,27 @@ array arithmetic over *all* survivors at once:
   ``(rows, cols)`` subarray -- geometry, decoder, bitline, sense,
   writeback, precharge and leakage -- as one float64 table;
 * :func:`evaluate_batch` gathers those terms to the survivors and
-  computes H-tree delays, per-access energies, leakage, refresh power,
-  and area for the whole batch as float64 arrays;
+  computes H-tree delays (:func:`htree_route`), per-access energies,
+  leakage, refresh power, and area (:func:`htree_wiring_area` for the
+  tree metal) for the whole batch as float64 arrays;
 * :func:`rank_batch` applies the staged area/access-time constraints
   and the normalized weighted ranking on the arrays;
 * :meth:`EvaluatedBatch.design` reads one candidate's
   :class:`~repro.array.organization.ArrayMetrics` -- the composed
   metrics and the subarray and H-tree component terms -- from those
-  arrays, so solved designs never rebuild a ``Subarray`` or ``HTree``
-  object.
+  arrays.
+
+The model constants of the subarray, decoder and H-trees live here;
+the bank-level ones live in :mod:`repro.array.organization`.
 
 Determinism / bit-identity contract
 -----------------------------------
-Every kernel here mirrors a scalar expression of the model
-(``organization._Builder``, :class:`~repro.array.subarray.Subarray`,
-:func:`~repro.circuits.decoder.design_decoder`,
-:func:`~repro.circuits.drivers.build_chain`) *operation for operation,
+The test suite keeps the model's object-at-a-time statement as a
+reference oracle (``tests/reference_array``: a ``Subarray``, its row
+decoder and ``HTree`` objects per candidate, composed by
+``build_organization``), which imports its constants from here.  Every
+kernel mirrors a scalar expression of that oracle, or of
+:func:`~repro.circuits.drivers.build_chain`, *operation for operation,
 in the same left-associative order*, so each array element is the
 float64 the scalar code computes:
 
@@ -49,18 +53,13 @@ float64 the scalar code computes:
 * Integer ``ceil(log2(n))`` (decoder address bits, H-tree levels) uses
   an exact ``frexp`` decomposition.
 
-:func:`subarray_terms` computes the circuit terms of every distinct
-``(rows, cols)`` subarray of a batch at once -- the decoder chains are
-masked loops over stage position, since each subarray has its own
-logical-effort stage count -- and :func:`evaluate_batch` gathers them to
-the candidates.  The :class:`~repro.array.organization.EvalCache`
-memoizes those term rows.  The result: ranking picks the same winner a
-per-candidate sweep picks, and every design read from the batch is
-bit-identical to the one ``build_organization`` builds.
+The decoder chains are masked loops over stage position, since each
+subarray has its own logical-effort stage count.  Ranking picks the
+same winner a per-candidate sweep picks, and every design read from the
+batch is bit-identical to the one the oracle builds.
 ``tests/array/test_subarray_kernel.py`` checks the term table against
-``Subarray`` for every registered technology, periphery and node, and
-the reference sweep (enumerate, pre-filter and build every candidate
-one object at a time) checks whole solves.
+the oracle's ``Subarray`` for every registered technology, periphery
+and node, and the reference sweep checks whole solves.
 """
 
 from __future__ import annotations
@@ -71,7 +70,6 @@ from functools import cached_property
 
 import numpy as _np
 
-from repro.array.htree import BRANCH_BUFFER_FO4
 from repro.array.organization import (
     _BANK_AREA_OVERHEAD,
     _COLMUX_FO4,
@@ -87,25 +85,13 @@ from repro.array.organization import (
     subarray_keys,
     survivor_arrays,
 )
-from repro.array.subarray import (
-    _DRIVER_STRIP_F,
-    _PRECHARGE_WIDTH_F,
-    _RESTORE_SLOWDOWN,
-    _T_SETTLE,
-    _T_SETTLE_PRECISE,
-)
 from repro.circuits import logical_effort as le
-from repro.circuits.decoder import (
-    _PREDEC_BITS,
-    CHARGE_PUMP_OVERHEAD,
-    LEVEL_SHIFTER_AREA,
-)
 from repro.circuits.gates import (
     _GATE_OVERHEAD_F,
     CONTACTED_PITCH_F,
     min_width,
 )
-from repro.circuits.repeaters import repeated_wire
+from repro.circuits.repeaters import RepeatedWireDesign, repeated_wire
 from repro.circuits.senseamp import (
     MIN_CHARGE_SHARE_SIGNAL,
     SenseAmp,
@@ -116,15 +102,52 @@ from repro.tech.devices import TEMPERATURE_LEAKAGE_FACTOR
 from repro.tech.nodes import Technology
 from repro.tech.registry import SensingScheme
 
+# --------------------------------------------------------------------- #
+# Model constants of the subarray, its row decoder and the bank H-trees.
+
+#: RC settling multiplier for full-swing charging (to ~90 %).
+_T_SETTLE = 2.3
+
+#: RC settling multiplier to ~1 % precision, for bitline equalization of
+#: technologies whose precharge level is the sensing reference.
+_T_SETTLE_PRECISE = 4.6
+
+#: Cell-restore slowdown: as the storage node approaches full level the
+#: access device's overdrive (VPP - Vth - Vcell) collapses, so the final
+#: restore is several RC constants slower than the nominal channel
+#: resistance suggests.
+_RESTORE_SLOWDOWN = 3.0
+
+#: Width of a bitline precharge/equalize device, in feature sizes.
+_PRECHARGE_WIDTH_F = 8.0
+
+#: Edge overhead of a subarray: wordline-driver strip width, in feature
+#: sizes.  The sense-amp strip height comes from the cell traits (DRAM
+#: strips are taller -- the amps are big relative to the tiny cell pitch).
+_DRIVER_STRIP_F = 20.0
+
+#: Address bits handled per predecode block.
+_PREDEC_BITS = 3
+
+#: Energy overhead of generating boosted VPP with an on-die charge pump;
+#: pumps deliver charge at roughly 50-70 % efficiency.
+CHARGE_PUMP_OVERHEAD = 1.6
+
+#: Area factor of a boosted wordline driver: one level shifter per driver.
+LEVEL_SHIFTER_AREA = 1.2
+
+#: Delay of one H-tree branch buffer, in FO4s of the driving device.
+BRANCH_BUFFER_FO4 = 2.0
+
 
 @dataclass
 class SurvivorBatch:
     """All prefilter survivors of one spec, as aligned arrays.
 
-    Column-for-column the ``(OrgParams, OrgGeometry)`` pairs that
-    :func:`~repro.array.organization.prefilter_org` accepts from
-    :func:`~repro.array.organization.enumerate_orgs`, in the same
-    enumeration order, without the per-candidate objects.  The arrays
+    Column-for-column the ``(OrgParams, OrgGeometry)`` pairs a
+    one-candidate-at-a-time pre-filter accepts from the full candidate
+    grid, in the same enumeration order, without the per-candidate
+    objects.  The arrays
     are read-only: an :class:`~repro.array.organization.EvalCache`
     shares one batch across every spec with the same
     :func:`~repro.array.organization.prefilter_key`.
@@ -281,8 +304,8 @@ class EvaluatedBatch:
         return int(self.t_access.shape[0])
 
     def design(self, i: int) -> ArrayMetrics:
-        """Candidate ``i`` as the :class:`ArrayMetrics` that
-        ``build_organization`` builds for it, field for field."""
+        """Candidate ``i`` as an :class:`ArrayMetrics`: the batch
+        arrays and its subarray term row, field for field."""
         org, geometry = self.batch.org_at(i)
         terms = self.subarray_terms[self.subarray_index[i]]
         t_htree = float(self.t_htree[i])
@@ -323,13 +346,12 @@ def _htree_levels_array(num_mats):
 
 #: Columns of a subarray term table (:func:`subarray_terms`), one row per
 #: distinct ``(rows, cols)`` subarray.  ``feasible`` is 1.0 where the
-#: subarray passes the charge-share sense-signal check and 0.0 where
-#: :class:`~repro.array.subarray.Subarray` raises
-#: :class:`~repro.array.subarray.InfeasibleSubarray`; ``t_sense`` is NaN
-#: there.  Every other column equals the same-named ``Subarray`` term
-#: (``decoder_*`` are the fields of ``Subarray.decoder``,
-#: ``wordline_r``/``wordline_c`` those of ``Subarray.wordline_load``,
-#: ``amp_leakage`` is ``Subarray.sense_amp.leakage()``).
+#: subarray passes the charge-share sense-signal check and 0.0 where it
+#: fails (too many cells per bitline for the storage capacitor);
+#: ``t_sense`` is NaN there.  Every other column equals the same-named
+#: term of the reference oracle's ``Subarray`` (``decoder_*`` are the
+#: fields of its decoder, ``wordline_r``/``wordline_c`` those of its
+#: wordline load, ``amp_leakage`` is one sense amp's leakage).
 SUBARRAY_TERMS = (
     "feasible",
     "width",
@@ -473,13 +495,12 @@ def subarray_terms(
     """Every circuit term of the subarrays ``(rows[i], cols[i])``.
 
     Returns a float64 table with one row per subarray and the columns
-    :data:`SUBARRAY_TERMS`: what
-    :class:`~repro.array.subarray.Subarray` derives one object at a
-    time -- geometry, bitline and wordline electricals, the row decoder
-    with its wordline and predecode driver chains, bitline, sense,
-    writeback and precharge timing, sense and leakage terms -- for a
-    whole array of subarrays of one cell technology, periphery and
-    node.  ``rows`` are at least 2, as every survivor's are.
+    :data:`SUBARRAY_TERMS`: what the reference oracle's ``Subarray``
+    derives one object at a time -- geometry, bitline and wordline
+    electricals, the row decoder with its wordline and predecode driver
+    chains, bitline, sense, writeback and precharge timing, sense and
+    leakage terms -- for a whole array of subarrays of one cell
+    technology, periphery and node.  ``rows`` are at least 2, as every survivor's are.
     Bit-identical to the scalar terms; see the module docstring.
     """
     rows = _np.asarray(rows, dtype=_np.int64)
@@ -512,7 +533,12 @@ def subarray_terms(
     bl_c = rows * (junction + bl_wire.c_per_m * cell.height)
     bl_r = rows * bl_wire.r_per_m * cell.height
 
-    # --- row decoder (decoder.design_decoder) --------------------------
+    # --- row decoder ---------------------------------------------------
+    # Address bits group into predecode blocks of _PREDEC_BITS (NAND ->
+    # one-hot lines) running down the subarray edge to per-row NAND
+    # gates; each feeds a wordline driver chain folded to the cell
+    # pitch.  Boosted (VPP) wordlines pay the charge pump and a level
+    # shifter per driver.
     addr_bits = _np.maximum(1, _ceil_log2(rows))
     num_blocks = _np.maximum(1, -(-addr_bits // _PREDEC_BITS))
     lines_per_block = 2 ** _np.minimum(_PREDEC_BITS, addr_bits)
@@ -610,8 +636,13 @@ def subarray_terms(
 
 
 def write_bitline_energy(cell: CellParams, bitline_c, num_written: int):
-    """``Subarray.e_write_bitlines(num_written)`` over an array of
-    bitline capacitances (J)."""
+    """Energy of driving ``num_written`` bitline pairs on a write (J),
+    over an array of bitline capacitances.
+
+    The write-swing trait scales the full-rail energy: 1.0 when every
+    written pair swings (SRAM), 0.5 when writes flip already-sensed
+    bitlines to the new data (DRAM restore-then-flip).
+    """
     vdd = cell.vdd_cell
     return (
         num_written
@@ -619,6 +650,42 @@ def write_bitline_energy(cell: CellParams, bitline_c, num_written: int):
         * vdd
         * vdd
         * cell.tech.traits.write_swing_fraction
+    )
+
+
+def htree_route(tech: Technology, spec: ArraySpec, bank_width, bank_height):
+    """The repeated-wire design both H-trees of a bank run on, and
+    their edge-to-farthest-mat path, half the bank perimeter (m).
+
+    The wire plane is a trait: metal-poor commodity DRAM processes route
+    banks on the intermediate plane.  ``bank_width`` and ``bank_height``
+    are floats or arrays of them.
+    """
+    design = repeated_wire(
+        tech.device(spec.periph_device_type),
+        tech.htree_wire(spec.cell_tech),
+        tech.feature_size,
+        spec.max_repeater_delay_penalty,
+    )
+    return design, (bank_width + bank_height) / 2.0
+
+
+def htree_wires(spec: ArraySpec) -> tuple[int, int]:
+    """Signals ``(in, out)`` on a bank's address-in tree (address plus
+    control) and data-out tree."""
+    return spec.address_bits + _CONTROL_WIRES, spec.output_bits
+
+
+def htree_wiring_area(design: RepeatedWireDesign, spec: ArraySpec, path):
+    """Metal footprints ``(in, out)`` of a bank's address-in and data-out
+    H-trees (m^2), over the :func:`htree_route` ``design`` and ``path``.
+
+    Total wire in a tree is about twice the critical path per wire.
+    """
+    in_wires, out_wires = htree_wires(spec)
+    return (
+        in_wires * design.wire.pitch * 2.0 * path,
+        out_wires * design.wire.pitch * 2.0 * path,
     )
 
 
@@ -630,14 +697,12 @@ def evaluate_batch(
 ) -> EvaluatedBatch:
     """Compose metrics for every survivor as one array computation.
 
-    Mirrors ``organization._Builder.metrics()`` operation for
-    operation; see the module docstring for the bit-identity argument.
-    ``cache`` memoizes the subarray term rows and receives exactly the
-    subarray hit/miss counts a per-candidate sweep would record (one
-    lookup per candidate); no ``Subarray`` object is built.  H-tree
-    designs are closed-form array arithmetic over the one memoized
-    :class:`~repro.circuits.repeaters.RepeatedWireDesign`; no ``HTree``
-    object is built either.
+    See the module docstring for the bit-identity argument.  ``cache``
+    memoizes the subarray term rows and receives exactly the subarray
+    hit/miss counts a per-candidate sweep would record (one lookup per
+    candidate).  H-tree designs are closed-form array arithmetic over
+    the one memoized
+    :class:`~repro.circuits.repeaters.RepeatedWireDesign`.
     """
     periph = tech.device(spec.periph_device_type)
     cell = tech.cell(spec.cell_tech, spec.periph_device_type)
@@ -674,32 +739,25 @@ def evaluate_batch(
     n_sa = batch.sense_amps_per_sub
 
     # --- geometry + H-trees ------------------------------------------
-    # mats_in_bank: max(1, ceil(ndwl/2) * ceil(ndbl/2)); the operands
-    # are positive ints, so the int ceil is exact.
+    # The H-trees fan out to mats, 2x2 tiles of subarrays: max(1,
+    # ceil(ndwl/2) * ceil(ndbl/2)); the operands are positive ints, so
+    # the int ceil is exact.
     num_mats = _np.maximum(1, ((w + 1) // 2) * ((b + 1) // 2))
     bank_width = w * g("width")
     bank_height = b * g("height")
 
-    design = repeated_wire(
-        periph,
-        tech.htree_wire(spec.cell_tech),
-        tech.feature_size,
-        spec.max_repeater_delay_penalty,
-    )
-    path = (bank_width + bank_height) / 2.0
+    design, path = htree_route(tech, spec, bank_width, bank_height)
     levels = _htree_levels_array(num_mats)
     buffer_delay = levels * BRANCH_BUFFER_FO4 * periph.fo4
     t_htree = design.delay_per_m * path + buffer_delay
     occupancy = t_htree / _np.maximum(levels, 1)
     e_per_wire = design.energy_per_m * path
-    in_wires = spec.address_bits + _CONTROL_WIRES
-    out_wires = spec.output_bits
+    in_wires, out_wires = htree_wires(spec)
     e_htree_in = in_wires * e_per_wire
     e_htree_out = out_wires * e_per_wire
     leak_htree_in = in_wires * (design.leakage_per_m * (2.0 * path))
     leak_htree_out = out_wires * (design.leakage_per_m * (2.0 * path))
-    wiring_in = in_wires * design.wire.pitch * 2.0 * path
-    wiring_out = out_wires * design.wire.pitch * 2.0 * path
+    wiring_in, wiring_out = htree_wiring_area(design, spec, path)
 
     # --- timing -------------------------------------------------------
     t_colmux = _COLMUX_FO4 * periph.fo4

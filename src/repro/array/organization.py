@@ -12,11 +12,15 @@ CACTI:
   *is* the page),
 * ``ndsam`` -- output mux degree after the sense amps.
 
-From one tuple the module derives subarray geometry, how many subarrays
-activate per access, and composes access time, random cycle time,
-multisubbank interleave cycle time, per-access energies, leakage, refresh
-power, and area.  The optimizer in :mod:`repro.core.optimizer` sweeps this
-space exhaustively.
+This module holds the specs, the partitioning tuple and the metrics
+record, the bank-level model constants, the :class:`EvalCache`, and the
+structural pre-filter: :func:`survivor_arrays` derives, for the whole
+candidate grid at once, subarray geometry and how many subarrays
+activate per access, and drops every tuple that cannot realize the spec.
+:mod:`repro.array.kernels` composes access time, random cycle time,
+multisubbank interleave cycle time, per-access energies, leakage,
+refresh power and area for the survivors.  The optimizer in
+:mod:`repro.core.optimizer` sweeps this space exhaustively.
 """
 
 from __future__ import annotations
@@ -24,13 +28,9 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as _np
 
-from repro.array.htree import HTree, design_htree
-from repro.array.mat import mats_in_bank
-from repro.array.subarray import InfeasibleSubarray, Subarray
 from repro.tech.cells import CellTech
 from repro.tech.nodes import Technology
 
@@ -52,13 +52,6 @@ _COLMUX_FO4 = 3.0
 #: Structural limits on candidate subarrays.
 MIN_ROWS, MAX_ROWS = 8, 16384
 MIN_COLS, MAX_COLS = 16, 65536
-
-#: The DRAM technologies declare ``max_bitline_cells = 512`` in their
-#: traits: beyond that, charge-share signal margins against noise,
-#: offset, and cell-capacitance variation make sensing unreliable, which
-#: is why commodity parts stop there.  Kept as a named constant for
-#: reference and tests; the model reads the trait.
-MAX_DRAM_ROWS = 512
 
 
 class InfeasibleOrganization(ValueError):
@@ -189,103 +182,6 @@ class ArrayMetrics:
         return self.e_activate + self.e_write_column + self.e_precharge
 
 
-def derive_geometry(spec: ArraySpec, org: OrgParams) -> OrgGeometry:
-    """Derive the subarray geometry of ``(spec, org)`` from arithmetic alone.
-
-    Performs every structural feasibility check that does not require a
-    technology object -- integral rows/cols, row/col ranges, the cell
-    traits' bitline sensing limit, mux divisibility, active-subarray and
-    way-select counts, and page-size matching -- and raises
-    :class:`InfeasibleOrganization` on the first violation.  This is the
-    scalar statement of the optimizer's cheap pre-filter, which rejects
-    the vast majority of candidate tuples without building any circuit
-    objects; :func:`survivor_arrays` evaluates the same checks over the
-    whole grid at once.
-    """
-    traits = spec.cell_tech.traits
-    if org.ndcm != 1 and not traits.column_mux_allowed:
-        raise InfeasibleOrganization(
-            f"{spec.cell_tech} senses every bitline; column muxing before "
-            "the sense amps (ndcm > 1) is not possible"
-        )
-    rows_f = spec.sets_per_bank / (org.ndbl * org.nspd)
-    cols_f = spec.output_bits * spec.assoc * org.nspd / org.ndwl
-    if rows_f != int(rows_f) or cols_f != int(cols_f):
-        raise InfeasibleOrganization(
-            f"non-integral subarray ({rows_f} x {cols_f})"
-        )
-    rows, cols = int(rows_f), int(cols_f)
-    if not MIN_ROWS <= rows <= MAX_ROWS:
-        raise InfeasibleOrganization(f"rows {rows} out of range")
-    max_cells = traits.max_bitline_cells
-    if max_cells is not None and rows > max_cells:
-        raise InfeasibleOrganization(
-            f"{rows} cells per bitline exceeds {spec.cell_tech}'s "
-            f"{max_cells}-cell sensing limit"
-        )
-    if not MIN_COLS <= cols <= MAX_COLS:
-        raise InfeasibleOrganization(f"cols {cols} out of range")
-    if cols % (org.ndcm * org.ndsam):
-        raise InfeasibleOrganization("mux degrees must divide columns")
-
-    # Output bits produced by one activated subarray.  Non-power-of-two
-    # associativities leave the last active subarray partially used, so
-    # the count rounds up rather than requiring exact tiling.
-    out_per_sub = cols // (org.ndcm * org.ndsam)
-    if out_per_sub == 0:
-        raise InfeasibleOrganization("mux degree consumes all columns")
-    nact = math.ceil(spec.output_bits / out_per_sub)
-    if nact > org.ndwl:
-        raise InfeasibleOrganization(
-            f"access needs {nact} active subarrays, bank has "
-            f"{org.ndwl} per row"
-        )
-    # A set-associative array must be able to mux down to one way.
-    if spec.assoc > 1 and org.ndcm * org.ndsam < spec.assoc:
-        raise InfeasibleOrganization(
-            "mux degree cannot select one way out of the set"
-        )
-
-    # Where column muxing is disallowed ndcm is already forced to 1, so
-    # every bitline is sensed either way.
-    sensed_per_sub = cols // org.ndcm
-    sensed_bits = nact * sensed_per_sub
-
-    if spec.page_bits is not None:
-        if not traits.supports_page_mode:
-            raise InfeasibleOrganization(
-                f"page size applies to page-mode technologies only, "
-                f"not {spec.cell_tech}"
-            )
-        if sensed_bits != spec.page_bits:
-            raise InfeasibleOrganization(
-                f"activation senses {sensed_bits} bits, page is "
-                f"{spec.page_bits}"
-            )
-
-    return OrgGeometry(
-        rows=rows,
-        cols=cols,
-        nact=nact,
-        sensed_bits=sensed_bits,
-        sense_amps_per_sub=sensed_per_sub,
-    )
-
-
-def prefilter_org(spec: ArraySpec, org: OrgParams) -> OrgGeometry | None:
-    """Cheap structural feasibility check: geometry, or None if infeasible.
-
-    Candidates rejected here would also be rejected by
-    :func:`build_organization`; passing is necessary but not sufficient
-    (electrical checks such as the DRAM sense-signal margin still run at
-    build time).
-    """
-    try:
-        return derive_geometry(spec, org)
-    except InfeasibleOrganization:
-        return None
-
-
 class EvalCache:
     """Cross-candidate memoization for one technology node.
 
@@ -414,285 +310,32 @@ class EvalCache:
         return _np.array([memo[pair] for pair in pairs])
 
 
-def build_organization(
-    tech: Technology,
-    spec: ArraySpec,
-    org: OrgParams,
-    geometry: OrgGeometry | None = None,
-) -> ArrayMetrics:
-    """Evaluate one partitioning tuple; raises InfeasibleOrganization.
-
-    The scalar reference for one design point: the optimizer reads its
-    designs from :mod:`repro.array.kernels` arrays, which reproduce
-    this composition bit for bit.  ``geometry`` skips re-deriving a
-    pre-filtered geometry and changes none of the returned numbers.
-    """
-    return _Builder(tech, spec, org, geometry=geometry).metrics()
-
-
-class _Builder:
-    """Derives and composes all metrics for one design point."""
-
-    def __init__(
-        self,
-        tech: Technology,
-        spec: ArraySpec,
-        org: OrgParams,
-        geometry: OrgGeometry | None = None,
-    ):
-        self.tech = tech
-        self.spec = spec
-        self.org = org
-        self.periph = tech.device(spec.periph_device_type)
-        self.cell = tech.cell(spec.cell_tech, spec.periph_device_type)
-        self.traits = spec.cell_tech.traits
-        if geometry is None:
-            geometry = derive_geometry(spec, org)
-        self.rows = geometry.rows
-        self.cols = geometry.cols
-        self.nact = geometry.nact
-        self.sensed_bits = geometry.sensed_bits
-        self.sense_amps_per_sub = geometry.sense_amps_per_sub
-
-        self.subarray = Subarray(
-            tech=self.tech,
-            cell=self.cell,
-            periph=self.periph,
-            rows=self.rows,
-            cols=self.cols,
-        )
-        self.subarray.check_sense_feasible()
-
-        self.num_mats = mats_in_bank(org.ndwl, org.ndbl)
-        self.bank_width = org.ndwl * self.subarray.width
-        self.bank_height = org.ndbl * self.subarray.height
-
-    # ------------------------------------------------------------------ #
-
-    @cached_property
-    def _htree_wire(self):
-        # The bank-routing wire plane is a trait: commodity DRAM
-        # processes have few, slow metal layers (the cost structure that
-        # makes them dense), so bank routing runs on the intermediate
-        # plane; logic processes route on fast top metal.
-        return self.tech.htree_wire(self.spec.cell_tech)
-
-    def _design_htree(self, num_wires: int) -> HTree:
-        return design_htree(
-            self.tech,
-            self.periph,
-            self.bank_width,
-            self.bank_height,
-            num_wires=num_wires,
-            num_mats=self.num_mats,
-            max_repeater_delay_penalty=self.spec.max_repeater_delay_penalty,
-            wire=self._htree_wire,
-        )
-
-    @cached_property
-    def htree_in(self) -> HTree:
-        # Global circuitry uses the same device family as the periphery
-        # (paper Table 1: long-channel HP for SRAM/LP-DRAM, LSTP for
-        # COMM-DRAM).
-        return self._design_htree(self.spec.address_bits + _CONTROL_WIRES)
-
-    @cached_property
-    def htree_out(self) -> HTree:
-        return self._design_htree(self.spec.output_bits)
-
-    # ------------------------------------------------------------------ #
-
-    def metrics(self) -> ArrayMetrics:
-        sub = self.subarray
-        spec, org = self.spec, self.org
-
-        t_colmux = _COLMUX_FO4 * self.periph.fo4
-        t_access = (
-            self.htree_in.delay
-            + sub.decoder.delay
-            + sub.t_bitline
-            + sub.t_sense
-            + t_colmux
-            + self.htree_out.delay
-        )
-        t_random_cycle = (
-            sub.decoder.wordline_delay
-            + sub.t_bitline
-            + sub.t_sense
-            + sub.t_writeback
-            + sub.t_precharge
-        )
-        t_interleave = max(
-            self.htree_in.occupancy,
-            self.htree_out.occupancy,
-            t_colmux,
-        )
-
-        # --- energies ---------------------------------------------------
-        e_wordlines = self.nact * sub.e_wordline
-        e_sense = sub.e_read_bitlines(self.sensed_bits)
-        e_activate = e_wordlines + e_sense + self.htree_in.energy()
-        e_colmux = (
-            spec.output_bits
-            * self.periph.c_gate
-            * 8.0
-            * self.tech.feature_size
-            * self.periph.vdd**2
-        )
-        e_read_column = e_colmux + self.htree_out.energy()
-        e_write_column = (
-            e_colmux
-            + self.htree_out.energy()
-            + sub.e_write_bitlines(spec.output_bits)
-        )
-        # Precharge dissipates roughly the sense-restore charge again for
-        # half-VDD-equalized technologies; otherwise it restores only the
-        # small read swing.  The fraction is a trait.
-        swing_fraction = self.traits.precharge_swing_fraction
-        e_precharge = (
-            self.sensed_bits
-            * sub.bitline_capacitance
-            * self.cell.vdd_cell**2
-            * swing_fraction
-            * 0.5
-        )
-        scale = 1.0 + _CONTROL_ENERGY_FRACTION
-        e_activate *= scale
-        e_read_column *= scale
-        e_write_column *= scale
-        e_precharge *= scale
-
-        # --- leakage ------------------------------------------------------
-        num_subs = org.ndwl * org.ndbl
-        leak_per_sub = sub.leakage(self.sense_amps_per_sub)
-        if spec.sleep_transistors:
-            active_fraction = self.nact / num_subs
-            leak_array = leak_per_sub * num_subs * (
-                active_fraction + 0.5 * (1.0 - active_fraction)
-            )
-        else:
-            leak_array = leak_per_sub * num_subs
-        leak_bank = (
-            leak_array + self.htree_in.leakage + self.htree_out.leakage
-        ) * (1.0 + _CONTROL_LEAKAGE_FRACTION)
-        p_leakage = leak_bank * spec.nbanks
-
-        # --- refresh ------------------------------------------------------
-        p_refresh = 0.0
-        if self.traits.needs_refresh:
-            assert self.cell.retention_time is not None
-            refresh_ops_per_bank = self.rows * org.ndbl * org.ndwl / self.nact
-            e_refresh_op = (e_activate + e_precharge)
-            p_refresh = (
-                spec.nbanks
-                * refresh_ops_per_bank
-                * e_refresh_op
-                / self.cell.retention_time
-            )
-
-        # --- area -----------------------------------------------------------
-        subarrays_area = num_subs * sub.area * 1.02  # mat control strips
-        wiring = self.htree_in.wiring_area + self.htree_out.wiring_area
-        bank_area = (subarrays_area + 0.5 * wiring) * (1 + _BANK_AREA_OVERHEAD)
-        total_area = bank_area * spec.nbanks
-        cell_area = num_subs * sub.cell_area * spec.nbanks
-
-        return ArrayMetrics(
-            spec=spec,
-            org=org,
-            rows=self.rows,
-            cols=self.cols,
-            nact=self.nact,
-            sensed_bits=self.sensed_bits,
-            t_access=t_access,
-            t_random_cycle=t_random_cycle,
-            t_interleave=t_interleave,
-            t_decode=sub.decoder.delay,
-            t_wordline=sub.decoder.wordline_delay,
-            t_bitline=sub.t_bitline,
-            t_sense=sub.t_sense,
-            t_writeback=sub.t_writeback,
-            t_precharge=sub.t_precharge,
-            t_htree_in=self.htree_in.delay,
-            t_htree_out=self.htree_out.delay,
-            e_activate=e_activate,
-            e_read_column=e_read_column,
-            e_write_column=e_write_column,
-            e_precharge=e_precharge,
-            p_leakage=p_leakage,
-            p_refresh=p_refresh,
-            area=total_area,
-            bank_width=self.bank_width,
-            bank_height=self.bank_height,
-            area_efficiency=cell_area / total_area,
-        )
-
-
-def _org_grid(
-    spec: ArraySpec,
-    max_ndwl: int = 64,
-    max_ndbl: int = 64,
-    nspd_values: tuple[float, ...] | None = None,
-    max_mux: int | None = None,
-) -> tuple[tuple, tuple, tuple, tuple, tuple]:
+def _org_grid(spec: ArraySpec) -> tuple[tuple, tuple, tuple, tuple, tuple]:
     """The (ndwl, ndbl, nspd, ndcm, ndsam) axes of the candidate grid.
 
     Wide-page main-memory parts (page_bits set) need far more row
     widening (nspd) and output muxing than caches, because a whole page
     is sensed but only a few dozen bits leave the chip per column access.
     """
-    traits = spec.cell_tech.traits
-    if nspd_values is None:
-        nspd_values = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
-        if spec.page_bits is not None:
-            # Row widening must reach page/output (a whole page on one
-            # subarray row) and beyond: large chips also need wide rows
-            # just to keep bitlines under the bitline sensing limit.
-            widening = max(2, spec.page_bits // spec.output_bits) * 16
-            nspd_values += tuple(
-                float(2**k) for k in range(4, widening.bit_length())
-            )
-    if max_mux is None:
-        max_mux = 64
-        if spec.page_bits is not None:
-            max_mux = max(64, spec.page_bits // spec.output_bits * 2)
-    ndcms = _powers_up_to(max_mux) if traits.column_mux_allowed else (1,)
+    nspd_values = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+    max_mux = 64
+    if spec.page_bits is not None:
+        # Row widening must reach page/output (a whole page on one
+        # subarray row) and beyond: large chips also need wide rows
+        # just to keep bitlines under the bitline sensing limit.
+        widening = max(2, spec.page_bits // spec.output_bits) * 16
+        nspd_values += tuple(
+            float(2**k) for k in range(4, widening.bit_length())
+        )
+        max_mux = max(64, spec.page_bits // spec.output_bits * 2)
+    muxes = _powers_up_to(max_mux)
     return (
-        _powers_up_to(max_ndwl),
-        _powers_up_to(max_ndbl),
-        tuple(nspd_values),
-        ndcms,
-        _powers_up_to(max_mux),
+        _powers_up_to(64),
+        _powers_up_to(64),
+        nspd_values,
+        muxes if spec.cell_tech.traits.column_mux_allowed else (1,),
+        muxes,
     )
-
-
-def enumerate_orgs(
-    spec: ArraySpec,
-    max_ndwl: int = 64,
-    max_ndbl: int = 64,
-    nspd_values: tuple[float, ...] | None = None,
-    max_mux: int | None = None,
-) -> list[OrgParams]:
-    """All structurally plausible partitioning tuples for ``spec``.
-
-    Infeasible tuples are cheap to reject later; this enumeration only
-    enforces the power-of-two structure and mux applicability.  Sweeps
-    use :func:`survivor_arrays`, which applies the structural pre-filter
-    to the whole grid at once.
-    """
-    ndwls, ndbls, nspds, ndcms, ndsams = _org_grid(
-        spec, max_ndwl, max_ndbl, nspd_values, max_mux
-    )
-    candidates = []
-    for ndwl in ndwls:
-        for ndbl in ndbls:
-            for nspd in nspds:
-                for ndcm in ndcms:
-                    for ndsam in ndsams:
-                        candidates.append(
-                            OrgParams(ndwl, ndbl, nspd, ndcm, ndsam)
-                        )
-    return candidates
 
 
 def prefilter_key(spec: ArraySpec) -> tuple:
@@ -726,8 +369,8 @@ def _split_subarray_keys(keys):
 def survivor_arrays(spec: ArraySpec, axes: tuple | None = None):
     """Raw survivor arrays of the vectorized structural pre-filter.
 
-    Evaluates every feasibility expression of :func:`derive_geometry` --
-    integral rows/columns, row/column ranges, the cell traits' bitline
+    Evaluates every structural feasibility check -- integral
+    rows/columns, row/column ranges, the cell traits' bitline
     sensing limit, mux divisibility, active-subarray and way-select
     counts, page matching -- over the (ndwl, ndbl, nspd, ndcm, ndsam)
     grid ``axes`` (by default the spec's own grid) and returns the
@@ -739,9 +382,9 @@ def survivor_arrays(spec: ArraySpec, axes: tuple | None = None):
     on (ndbl, nspd), columns on (ndwl, nspd), and the mux, active
     subarray and page checks on (ndwl, nspd, ndcm, ndsam).  The masks
     then broadcast to the full grid for one ``nonzero``.  The
-    arithmetic is float64/int64, the same IEEE-754 operations
-    :func:`derive_geometry` performs, so the integrality tests agree bit
-    for bit.
+    arithmetic is float64/int64, the same IEEE-754 operations the
+    reference oracle's one-tuple ``derive_geometry`` performs, so the
+    integrality tests agree bit for bit.
     """
     if axes is None:
         axes = _org_grid(spec)

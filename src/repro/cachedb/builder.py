@@ -25,12 +25,7 @@ import os
 import time
 from dataclasses import asdict, dataclass
 
-from repro.core.cacti import (
-    _solve_keys,
-    data_array_spec,
-    solve_batch,
-    tag_array_spec,
-)
+from repro.core.cacti import data_array_spec, solve_batch, tag_array_spec
 from repro.core.config import OptimizationTarget
 from repro.core.resilience import ResiliencePolicy
 from repro.core.solvecache import SolveCache
@@ -97,12 +92,6 @@ def build_cachedb(
         keys.append(key)
         specs.append(spec)
 
-    cell_keys = _solve_keys(resilience, specs, [target] * len(specs))
-    restored = [
-        i for i, key in enumerate(cell_keys or ())
-        if key in resilience.journal
-    ]
-
     store = SolveCache(path)
     try:
         store.store.put_meta(META_KEY, None)
@@ -116,7 +105,7 @@ def build_cachedb(
         )
         # A cell restored from the journal was not solved this run, so
         # the store may lack its records (the journal can outlive it).
-        for i in restored:
+        for i in outcomes.restored:
             solution = outcomes[i]
             if solution is not None:
                 spec = solution.spec
@@ -146,6 +135,6 @@ def build_cachedb(
         grid_points=len(grid),
         solved=solved,
         holes=len(holes),
-        restored=len(restored),
+        restored=len(outcomes.restored),
         wall_time_s=time.perf_counter() - t0,
     )

@@ -1,8 +1,7 @@
-"""Circuit models: logical effort, gates, decoders, sensing, wires."""
+"""Circuit models: logical effort, gates, driver chains, sensing, wires."""
 
 from repro.circuits.comparator import Comparator, way_select_delay
 from repro.circuits.crossbar import CrossbarMetrics, design_crossbar
-from repro.circuits.decoder import DecoderMetrics, WordlineLoad, design_decoder
 from repro.circuits.drivers import ChainMetrics, WireLoad, build_chain
 from repro.circuits.gates import Gate, folded_strip_area, horowitz, inverter, nand, nor
 from repro.circuits.logical_effort import SizedPath, optimal_stages, size_path
@@ -17,17 +16,14 @@ __all__ = [
     "ChainMetrics",
     "Comparator",
     "CrossbarMetrics",
-    "DecoderMetrics",
     "Gate",
     "RepeatedWireDesign",
     "SenseAmp",
     "SizedPath",
     "WireLoad",
-    "WordlineLoad",
     "build_chain",
     "charge_share_signal",
     "design_crossbar",
-    "design_decoder",
     "folded_strip_area",
     "horowitz",
     "inverter",

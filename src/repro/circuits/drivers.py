@@ -36,11 +36,6 @@ class WireLoad:
     resistance: float  #: total wire resistance (ohm)
     capacitance: float  #: total wire capacitance (F)
 
-    @property
-    def elmore(self) -> float:
-        """Distributed-RC 50% delay contribution of the wire itself (s)."""
-        return 0.38 * self.resistance * self.capacitance
-
 
 def _widths_from_cap(device: DeviceParams, c_in: float) -> float:
     """NMOS width of an inverter whose total input cap is ``c_in``."""

@@ -11,9 +11,7 @@ restore the *full bitline* (and thereby the cell -- this is the writeback
 of the destructive readout) to full swing, so its time constant is set by
 the bitline capacitance and its latching time by ``ln(VDD / dV)``.
 
-The methods are named for the scheme (``latch_*`` / ``restore_*``); the
-pre-registry technology-named spellings (``sram_*`` / ``dram_*``) remain
-as aliases.
+The methods are named for the scheme (``latch_*`` / ``restore_*``).
 """
 
 from __future__ import annotations
@@ -36,10 +34,7 @@ SRAM_SENSE_SWING = 0.10
 
 #: Minimum usable charge-share sense signal (V): latch offset plus noise
 #: margin.
-DRAM_MIN_SENSE_SIGNAL = 0.06
-
-#: Scheme-named alias for :data:`DRAM_MIN_SENSE_SIGNAL`.
-MIN_CHARGE_SHARE_SIGNAL = DRAM_MIN_SENSE_SIGNAL
+MIN_CHARGE_SHARE_SIGNAL = 0.06
 
 #: Multiplier on r_eff/width for the latch's regeneration resistance; the
 #: cross-coupled pair is weaker than a full inverter drive.
@@ -111,12 +106,6 @@ class SenseAmp:
         pair = 2.0 * c_bitline * vdd_cell * (vdd_cell / 2.0)
         latch = self.c_internal * vdd_cell * vdd_cell
         return pair + latch
-
-    # Pre-registry technology-named aliases.
-    sram_delay = latch_delay
-    sram_energy = latch_energy
-    dram_delay = restore_delay
-    dram_energy = restore_energy
 
     def area(self) -> float:
         """Layout area of one amp, folded to its share of bitline pitch (m^2)."""

@@ -198,17 +198,19 @@ class BatchOutcome(list):
     """A ``list`` of solutions that also carries partial-failure facts.
 
     What :func:`solve_batch` returns at every job count.  Behaves
-    exactly like a plain list (indexing, iteration, equality), with one
-    addition: under
-    a skip/retry resilience policy, slots whose solves failed
-    terminally hold ``None`` and the corresponding
+    exactly like a plain list (indexing, iteration, equality), with two
+    additions: under a skip/retry resilience policy, slots whose solves
+    failed terminally hold ``None`` and the corresponding
     :class:`~repro.core.resilience.TaskFailure` records live in
-    ``failed`` (empty on a fully successful batch).
+    ``failed`` (empty on a fully successful batch); and ``restored``
+    holds the indices of the slots restored from a resume journal
+    rather than solved in this run, in order (empty without a journal).
     """
 
-    def __init__(self, solutions, failed=()):
+    def __init__(self, solutions, failed=(), restored=()):
         super().__init__(solutions)
         self.failed: tuple[TaskFailure, ...] = tuple(failed)
+        self.restored: tuple[int, ...] = tuple(restored)
 
 
 def _solve_task(payload: tuple, infeasible=()) -> tuple:
@@ -251,7 +253,7 @@ def _solve_keys(resilience, specs, targets, stage="batch.solve"):
 def _run_batch(
     task, stage, specs, targets, *, eval_cache, solve_cache, jobs, obs,
     resilience,
-) -> tuple[list, list[TaskFailure]]:
+) -> BatchOutcome:
     """The one batch path of :func:`solve_batch` and sensitivity sweeps.
 
     ``task`` (:func:`_solve_task` or a wrapper) runs once per spec with
@@ -261,7 +263,8 @@ def _run_batch(
     process solve on ``eval_cache`` (fresh when None) and the
     ``solve_cache`` instance, held open so the store flushes once per
     batch, in one batch scope on the EvalCache.  Returns the solutions
-    in spec order (None at failed slots) and the failures.
+    in spec order (None at failed slots) with the failures and the
+    journal-restored indices.
     """
     if eval_cache is None:
         eval_cache = EvalCache()
@@ -317,7 +320,7 @@ def _run_batch(
                 "parallel.worker_utilization",
                 (stats.worker_time_s - worker_wall) / (elapsed * jobs),
             )
-    return solutions, failures
+    return BatchOutcome(solutions, failures, sorted(restored))
 
 
 def solve_batch(
@@ -350,7 +353,8 @@ def solve_batch(
     a journal checkpoints each completed spec (resume re-solves only
     the unfinished ones), and in skip/retry mode the returned
     :class:`BatchOutcome` carries ``None`` at failed slots plus the
-    failures in ``.failed``.
+    failures in ``.failed``; ``.restored`` lists the specs a journal
+    restored.
     """
     specs = list(specs)
     if target is None or isinstance(target, OptimizationTarget):
@@ -365,7 +369,7 @@ def solve_batch(
     # specs (and more than one core) to be worth a pool.
     jobs = parallel.effective_jobs(jobs, len(specs))
     with obs_phase("batch", obs, specs=len(specs), jobs=jobs):
-        solutions, failures = _run_batch(
+        return _run_batch(
             _solve_task,
             "batch.solve",
             specs,
@@ -376,7 +380,6 @@ def solve_batch(
             obs=obs,
             resilience=resilience,
         )
-    return BatchOutcome(solutions, failures)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.array.organization import ArrayMetrics, _Builder
+from repro.array import kernels
+from repro.array.organization import ArrayMetrics
 from repro.tech.nodes import Technology
 
 
@@ -49,18 +50,33 @@ class AreaBreakdown:
 
 
 def area_breakdown(tech: Technology, metrics: ArrayMetrics) -> AreaBreakdown:
-    """Recompute the component areas of a solved design point."""
-    builder = _Builder(tech, metrics.spec, metrics.org)
-    sub = builder.subarray
-    nsubs = metrics.org.ndwl * metrics.org.ndbl * metrics.spec.nbanks
+    """Recompute the component areas of a solved design point.
 
-    cells = nsubs * sub.cell_area
-    decode = nsubs * sub.decoder.area
+    Reads the winner's subarray terms off a one-row
+    :func:`~repro.array.kernels.subarray_terms` table and its H-tree
+    metal off :func:`~repro.array.kernels.htree_wiring_area`, the
+    arithmetic the sweep itself composed the design's area from.
+    """
+    spec, org = metrics.spec, metrics.org
+    row = kernels.subarray_terms(
+        tech, spec.cell_tech, spec.periph_device_type,
+        [metrics.rows], [metrics.cols],
+    )[0]
+    sub = dict(zip(kernels.SUBARRAY_TERMS, row.tolist()))
+    cell_array_height = metrics.rows * tech.cell(
+        spec.cell_tech, spec.periph_device_type
+    ).height
+    nsubs = org.ndwl * org.ndbl * spec.nbanks
+
+    cells = nsubs * sub["cell_area"]
+    decode = nsubs * sub["decoder_area"]
     # Sense strip: the height overhead times the array width.
-    sense = nsubs * (sub.height - sub.cell_array_height) * sub.width
-    routing = (
-        builder.htree_in.wiring_area + builder.htree_out.wiring_area
-    ) * 0.5 * metrics.spec.nbanks
+    sense = nsubs * (sub["height"] - cell_array_height) * sub["width"]
+    design, path = kernels.htree_route(
+        tech, spec, metrics.bank_width, metrics.bank_height
+    )
+    wiring_in, wiring_out = kernels.htree_wiring_area(design, spec, path)
+    routing = (wiring_in + wiring_out) * 0.5 * spec.nbanks
     accounted = cells + decode + sense + routing
     overhead = max(metrics.area - accounted, 0.0)
     return AreaBreakdown(

@@ -63,7 +63,6 @@ class MemoryStats:
     reads: int = 0
     writes: int = 0
     row_hits: int = 0
-    refreshes: int = 0
 
 
 class MemoryController:
@@ -77,28 +76,19 @@ class MemoryController:
         row_bytes: int = 1024,
         line_bytes: int = 64,
         policy: PagePolicy | None = None,
-        refresh_interval: float = 0.0,
     ):
-        """``refresh_interval`` > 0 injects per-bank REFRESH operations at
-        that pitch (in CPU cycles, the tREFI analogue), stealing bank time
-        from demand requests as real controllers do."""
         self.timing = timing
         self.num_channels = num_channels
         self.banks_per_channel = banks_per_channel
         self.row_bytes = row_bytes
         self.line_bytes = line_bytes
         self.policy = policy or ClosedPagePolicy()
-        self.refresh_interval = refresh_interval
         chip = timing.to_chip_timing()
         self.banks = [
             [DramBank(timing=chip) for _ in range(banks_per_channel)]
             for _ in range(num_channels)
         ]
         self._bus_ready = [0.0] * num_channels
-        self._next_refresh = [
-            [refresh_interval] * banks_per_channel
-            for _ in range(num_channels)
-        ]
         self.stats = MemoryStats()
 
     # ------------------------------------------------------------------ #
@@ -118,13 +108,6 @@ class MemoryController:
         (CPU cycles, request to first data)."""
         channel, bank_idx, row = self._map(address)
         bank = self.banks[channel][bank_idx]
-        if self.refresh_interval > 0.0:
-            while self._next_refresh[channel][bank_idx] <= now:
-                bank.refresh(self._next_refresh[channel][bank_idx])
-                self._next_refresh[channel][bank_idx] += (
-                    self.refresh_interval
-                )
-                self.stats.refreshes += 1
         close = self.policy.close_after_access(0.0)
         result = bank.access(now, row, is_write, close_after=close)
 

@@ -200,7 +200,7 @@ def sweep(
     with maybe_span(
         obs, "sweep", parameter=parameter, points=len(specs), jobs=jobs
     ):
-        solved, failures = _run_batch(
+        solved = _run_batch(
             _sweep_point_task,
             "sweep.point",
             live,
@@ -230,7 +230,7 @@ def sweep(
             f"no feasible point in the {parameter} sweep"
         )
     return SensitivityResult(
-        parameter=parameter, points=points, failed=tuple(failures)
+        parameter=parameter, points=points, failed=solved.failed
     )
 
 

@@ -68,10 +68,6 @@ class CellParams:
         return self.tech.traits
 
     @property
-    def is_dram(self) -> bool:
-        return self.tech.is_dram
-
-    @property
     def area(self) -> float:
         """Physical cell area (m^2)."""
         return self.area_f2 * self.feature_size**2

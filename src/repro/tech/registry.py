@@ -204,15 +204,6 @@ class CellTech(metaclass=_CellTechMeta):
     def traits(self) -> CellTraits:
         return _TECHNOLOGIES[self._name].traits
 
-    @property
-    def is_dram(self) -> bool:
-        """Legacy alias: destructive charge-share (DRAM-style) readout.
-
-        Kept for the ``repro.tech`` layer and tests; model code outside
-        ``repro/tech/`` must consult ``.traits`` instead (linted).
-        """
-        return self.traits.sensing is SensingScheme.CHARGE_SHARE
-
     def __repr__(self) -> str:
         return f"CellTech({self._name!r})"
 

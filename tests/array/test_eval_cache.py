@@ -13,24 +13,26 @@ from hypothesis import given, settings, strategies as st
 
 import repro.circuits
 from repro.array import kernels
-from repro.array.htree import HTree
 from repro.array.organization import (
     MIN_COLS,
     MIN_ROWS,
     ArraySpec,
     EvalCache,
     OrgParams,
-    build_organization,
     subarray_keys,
 )
-from repro.array.subarray import Subarray
-from repro.circuits.decoder import DecoderMetrics
 from repro.circuits.drivers import ChainMetrics
 from repro.core.cacti import solve
 from repro.core.config import MemorySpec, OptimizationTarget
 from repro.core.optimizer import feasible_designs, pareto_solutions
 from repro.tech.nodes import technology
 from repro.tech.registry import registered_names
+from tests.reference_array import (
+    DecoderMetrics,
+    HTree,
+    Subarray,
+    build_organization,
+)
 
 NODES = (32.0, 78.0)
 PERIPHERIES = tuple(technology(32).devices)

@@ -1,9 +1,9 @@
-"""Unit tests for the H-tree distribution network."""
+"""Unit tests for the reference oracle's H-tree distribution network."""
 
 import pytest
 
-from repro.array.htree import design_htree
 from repro.tech.nodes import technology
+from tests.reference_array import design_htree
 
 TECH = technology(32)
 HP = TECH.device("hp-long-channel")

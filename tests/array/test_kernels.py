@@ -1,7 +1,8 @@
 """Vectorized-kernel equivalence: arrays vs. the reference oracle.
 
 The kernels in :mod:`repro.array.kernels` promise bit-identity with the
-per-candidate composition in ``organization._Builder``.  These tests
+per-candidate composition of the reference oracle
+(``tests/reference_array``).  These tests
 enforce the promise property-style: for every registered memory
 technology (SRAM, LP-DRAM, COMM-DRAM, STT-RAM), over data arrays, tag
 arrays, and a paged commodity-DRAM part, randomized survivor samples
@@ -32,6 +33,7 @@ from repro.obs import Obs
 from repro.tech.cells import CellTech
 from repro.tech.nodes import technology
 from repro.tech.registry import registered_names
+from tests.reference_array import build_organization
 from tests.reference_sweep import (
     reference_candidates,
     reference_feasible,
@@ -116,8 +118,6 @@ class TestKernelScalarEquivalence:
             assert batch.candidates() == reference_candidates(spec)
 
     def test_random_survivors_match_scalar_build_exactly(self, name):
-        from repro.array.organization import build_organization
-
         rng = random.Random(0xC0FFEE)
         for spec in specs_for(name):
             ev = evaluated(spec)

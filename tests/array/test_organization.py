@@ -1,4 +1,4 @@
-"""Unit tests for the bank organization builder."""
+"""Unit tests for the reference oracle's bank organization builder."""
 
 import pytest
 
@@ -6,11 +6,10 @@ from repro.array.organization import (
     ArraySpec,
     InfeasibleOrganization,
     OrgParams,
-    build_organization,
-    enumerate_orgs,
 )
 from repro.tech.cells import CellTech
 from repro.tech.nodes import technology
+from tests.reference_array import build_organization, enumerate_orgs
 
 TECH = technology(32)
 

@@ -6,12 +6,11 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from repro.array.organization import (
     ArraySpec,
     InfeasibleOrganization,
-    InfeasibleSubarray,
     OrgParams,
-    build_organization,
 )
 from repro.tech.cells import CellTech
 from repro.tech.nodes import technology
+from tests.reference_array import InfeasibleSubarray, build_organization
 
 TECH = technology(32)
 

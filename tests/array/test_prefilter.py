@@ -18,7 +18,6 @@ from repro.array.mainmem import MainMemorySpec
 from repro.array.organization import (
     ArraySpec,
     EvalCache,
-    enumerate_orgs,
     prefilter_key,
     survivor_arrays,
 )
@@ -27,6 +26,7 @@ from repro.cachedb.schema import grid_spec_for
 from repro.core.cacti import data_array_spec, tag_array_spec
 from repro.core.config import MemorySpec
 from repro.tech.cells import CellTech
+from tests.reference_array import enumerate_orgs
 from tests.reference_sweep import (
     reference_candidates,
     reference_survivor_arrays,

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.array.organization import ArraySpec, OrgParams, build_organization
+from repro.array.organization import ArraySpec, OrgParams
 from repro.array.stacking import StackedBank, stacking_sweep
 from repro.tech.cells import CellTech
 from repro.tech.nodes import technology
+from tests.reference_array import build_organization
 
 TECH = technology(32)
 

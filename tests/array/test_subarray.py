@@ -1,11 +1,11 @@
-"""Unit tests for the subarray model."""
+"""Unit tests for the reference oracle's subarray model."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.array.subarray import InfeasibleSubarray, Subarray
 from repro.tech.cells import CellTech
 from repro.tech.nodes import technology
+from tests.reference_array import InfeasibleSubarray, Subarray
 
 TECH = technology(32)
 
@@ -101,7 +101,7 @@ class TestTiming:
         """Extremely long bitlines starve the sense signal."""
         sub = make(CellTech.LP_DRAM, rows=16384)
         with pytest.raises(InfeasibleSubarray):
-            sub.check_dram_feasible()
+            sub.check_sense_feasible()
 
 
 class TestEnergyAndLeakage:

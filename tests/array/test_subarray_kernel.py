@@ -2,7 +2,7 @@
 
 :func:`repro.array.kernels.subarray_terms` computes every circuit term
 of many subarrays as arrays.  Its contract is bit identity with the
-scalar :class:`~repro.array.subarray.Subarray` model, so every column is
+scalar :class:`~tests.reference_array.subarray.Subarray` oracle, so every column is
 compared with exact ``==`` -- no tolerances -- for every registered
 technology, every periphery device and five nodes (78 nm is
 interpolated), over a (rows, cols) grid that reaches past the
@@ -23,10 +23,10 @@ import pytest
 
 from repro.array import kernels
 from repro.array.organization import MAX_ROWS
-from repro.array.subarray import InfeasibleSubarray, Subarray
 from repro.tech.cells import CellTech
 from repro.tech.nodes import technology
 from repro.tech.registry import SensingScheme, registered_names
+from tests.reference_array import InfeasibleSubarray, Subarray
 
 NODES = (32.0, 45.0, 65.0, 78.0, 90.0)
 PERIPHERIES = tuple(technology(32).devices)

@@ -21,6 +21,7 @@ from repro.cli import main
 from repro.core import parallel
 from repro.core.cacti import CactiD, data_array_spec, solve, tag_array_spec
 from repro.core.config import OptimizationTarget
+from repro.core import resilience
 from repro.core.resilience import Journal, ResiliencePolicy
 from repro.core import solvecache
 from repro.core.solvecache import CACHE_VERSION, SolveCache, metrics_to_dict
@@ -210,6 +211,28 @@ class TestBuilder:
         spec = grid_spec_for("sram", 32.0, CAPS[0], 64, 8)
         assert db.lookup_exact(spec) == solve(spec)
 
+    def test_journal_keys_hashed_once_per_cell(self, tmp_path, monkeypatch):
+        """A journaled build hashes each cell's journal key once: the
+        restored cells come from the batch, not a second hashing pass."""
+        grid = GridSpec(capacities_bytes=CAPS, technologies=("sram",))
+        calls = []
+        task_key = resilience.task_key
+
+        def counting(stage, description):
+            calls.append(stage)
+            return task_key(stage, description)
+
+        monkeypatch.setattr(resilience, "task_key", counting)
+        journal = tmp_path / "build.journal"
+        for restored in (0, len(grid)):
+            calls.clear()
+            report = build_cachedb(
+                tmp_path / "db.db", grid, jobs=1,
+                resilience=journaled(journal),
+            )
+            assert report.restored == restored
+            assert len(calls) == len(grid)
+
 
 class TestReader:
     def test_exact_hit_counts_and_flags(self, db):
@@ -375,6 +398,17 @@ class TestCli:
 
         assert main(["cachedb", "info", str(path)]) == 0
         assert "points        : 2" in capsys.readouterr().out
+
+    def test_resumed_build_reports_restored_cells(self, tmp_path, capsys):
+        argv = [
+            "cachedb", "build", str(tmp_path / "db.db"),
+            "--capacities", "64K,128K", "--techs", "sram", "--jobs", "1",
+            "--resume", str(tmp_path / "build.journal"),
+        ]
+        assert main(argv) == 0
+        assert "restored        : 0" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "restored        : 2" in capsys.readouterr().out
 
     def test_build_takes_no_cache_flag(self, tmp_path, capsys):
         """The cachedb is its own store: there is no second one."""

@@ -1,10 +1,10 @@
-"""Unit tests for the row decoder model."""
+"""Unit tests for the reference oracle's row decoder model."""
 
 import pytest
 
-from repro.circuits.decoder import WordlineLoad, design_decoder
 from repro.circuits.drivers import WireLoad
 from repro.tech.devices import device
+from tests.reference_array import WordlineLoad, design_decoder
 
 HP32 = device("hp-long-channel", 32)
 F32 = 32e-9

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.circuits.senseamp import (
-    DRAM_MIN_SENSE_SIGNAL,
+    MIN_CHARGE_SHARE_SIGNAL,
     SenseAmp,
     charge_share_signal,
 )
@@ -37,35 +37,35 @@ class TestChargeShare:
 class TestSenseAmp:
     def test_sram_delay_independent_of_bitline(self):
         sa = SenseAmp(LSTP32, F32)
-        assert sa.sram_delay() > 0
+        assert sa.latch_delay() > 0
 
     def test_dram_delay_grows_with_bitline_cap(self):
         sa = SenseAmp(LSTP32, F32)
-        d1 = sa.dram_delay(20e-15, 0.2, 1.0)
-        d2 = sa.dram_delay(80e-15, 0.2, 1.0)
+        d1 = sa.restore_delay(20e-15, 0.2, 1.0)
+        d2 = sa.restore_delay(80e-15, 0.2, 1.0)
         assert d2 > d1
 
     def test_dram_delay_grows_with_weaker_signal(self):
         sa = SenseAmp(LSTP32, F32)
-        strong = sa.dram_delay(40e-15, 0.3, 1.0)
-        weak = sa.dram_delay(40e-15, 0.1, 1.0)
+        strong = sa.restore_delay(40e-15, 0.3, 1.0)
+        weak = sa.restore_delay(40e-15, 0.1, 1.0)
         assert weak > strong
 
     def test_signal_below_limit_rejected(self):
         sa = SenseAmp(LSTP32, F32)
         with pytest.raises(ValueError, match="below the"):
-            sa.dram_delay(40e-15, DRAM_MIN_SENSE_SIGNAL * 0.9, 1.0)
+            sa.restore_delay(40e-15, MIN_CHARGE_SHARE_SIGNAL * 0.9, 1.0)
 
     def test_dram_energy_exceeds_sram_energy(self):
         """Full-rail restore of both bitlines costs far more than the
         limited-swing SRAM sense -- a core SRAM/DRAM asymmetry."""
         sa = SenseAmp(LSTP32, F32)
         cbl = 50e-15
-        assert sa.dram_energy(cbl, 1.0) > 3 * sa.sram_energy(cbl)
+        assert sa.restore_energy(cbl, 1.0) > 3 * sa.latch_energy(cbl)
 
     def test_energy_scales_with_bitline(self):
         sa = SenseAmp(LSTP32, F32)
-        assert sa.dram_energy(80e-15, 1.0) > sa.dram_energy(20e-15, 1.0)
+        assert sa.restore_energy(80e-15, 1.0) > sa.restore_energy(20e-15, 1.0)
 
     def test_area_and_leakage_positive(self):
         sa = SenseAmp(LSTP32, F32)

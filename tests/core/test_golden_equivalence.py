@@ -14,7 +14,7 @@ import dataclasses
 
 import pytest
 
-from repro.array.organization import ArraySpec, EvalCache, derive_geometry
+from repro.array.organization import ArraySpec, EvalCache
 from repro.array.kernels import survivor_batch
 from repro.core.config import DENSITY_OPTIMIZED, MemorySpec, OptimizationTarget
 from repro.core.optimizer import SweepStats, feasible_designs, optimize
@@ -24,6 +24,7 @@ from repro.obs import Obs
 from repro.tech.cells import CellTech
 from repro.tech.nodes import technology
 from repro.tech.registry import registered_names
+from tests.reference_array import derive_geometry
 from tests.reference_sweep import reference_candidates, reference_feasible
 
 

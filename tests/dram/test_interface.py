@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.array.organization import ArraySpec, OrgParams, build_organization
+from repro.array.organization import ArraySpec, OrgParams
 from repro.dram.interface import (
     LineMapping,
     interleaving_speedup,
@@ -14,6 +14,7 @@ from repro.dram.interface import (
 from repro.dram.page_policy import ClosedPagePolicy, OpenPagePolicy
 from repro.tech.cells import CellTech
 from repro.tech.nodes import technology
+from tests.reference_array import build_organization
 
 TECH = technology(32)
 

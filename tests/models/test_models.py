@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.array.organization import ArraySpec, OrgParams, build_organization
+from repro.array.organization import ArraySpec, OrgParams
 from repro.models.area import area_breakdown
 from repro.models.delay import delay_breakdown
 from repro.models.energy import dynamic_power, energy_breakdown
@@ -21,6 +21,7 @@ from repro.models.timing_dram import (
 from repro.array.mainmem import MainMemoryTiming
 from repro.tech.cells import CellTech
 from repro.tech.nodes import technology
+from tests.reference_array import build_organization
 
 TECH = technology(32)
 

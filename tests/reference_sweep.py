@@ -2,10 +2,11 @@
 
 The sweep one object at a time: enumerates every candidate tuple,
 pre-filters each with ``prefilter_org``, builds each survivor with
-``build_organization``, then applies the staged constraints
-and the weighted ranking to the objects.  It shares no code with the
-vectorized production sweep past the per-candidate model itself, so the
-production path must reproduce its designs, counts and order exactly.
+``build_organization`` (the array oracle, ``tests/reference_array``),
+then applies the staged constraints and the weighted ranking to the
+objects.  It shares no code with the vectorized production sweep past
+the model constants and the ranking, so the production path must
+reproduce its designs, counts and order exactly.
 
 The pre-filter over the full grid: :func:`reference_survivor_arrays`
 evaluates every feasibility expression on the whole flattened
@@ -23,13 +24,15 @@ from repro.array.organization import (
     MIN_COLS,
     MIN_ROWS,
     InfeasibleOrganization,
-    InfeasibleSubarray,
     _org_grid,
+)
+from repro.core.optimizer import filter_constraints, rank
+from tests.reference_array import (
+    InfeasibleSubarray,
     build_organization,
     enumerate_orgs,
     prefilter_org,
 )
-from repro.core.optimizer import filter_constraints, rank
 
 
 def reference_candidates(spec):

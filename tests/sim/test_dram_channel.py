@@ -73,25 +73,3 @@ class TestStats:
         assert mc.stats.reads == 1
         assert mc.stats.writes == 1
         assert mc.stats.activates == 2
-
-
-class TestRefreshInjection:
-    def test_refresh_steals_bank_time(self):
-        quiet = make()
-        busy = make(refresh_interval=200.0)
-        base = quiet.access(10_000.0, 0, False)
-        delayed = busy.access(10_000.0, 0, False)
-        # 50 refreshes were owed at t=10000; the bank must catch up.
-        assert busy.stats.refreshes > 0
-        assert delayed >= base
-
-    def test_no_refresh_by_default(self):
-        mc = make()
-        mc.access(1e6, 0, False)
-        assert mc.stats.refreshes == 0
-
-    def test_refresh_pitch(self):
-        mc = make(refresh_interval=1000.0)
-        mc.access(5000.0, 0, False)
-        # Refreshes owed at t=1000..5000 on this bank: 5.
-        assert mc.stats.refreshes == 5

@@ -9,6 +9,7 @@ from repro.tech.cells import (
     lp_dram_cell,
     sram_cell,
 )
+from repro.tech.registry import SensingScheme
 
 
 class TestTable1:
@@ -59,9 +60,10 @@ class TestGeometry:
 
 class TestElectricals:
     def test_dram_flags(self):
-        assert not sram_cell(32, 0.9).is_dram
-        assert lp_dram_cell(32).is_dram
-        assert comm_dram_cell(32).is_dram
+        charge_share = SensingScheme.CHARGE_SHARE
+        assert sram_cell(32, 0.9).traits.sensing is not charge_share
+        assert lp_dram_cell(32).traits.sensing is charge_share
+        assert comm_dram_cell(32).traits.sensing is charge_share
 
     def test_comm_access_device_slowest_least_leaky(self):
         lp = lp_dram_cell(32)

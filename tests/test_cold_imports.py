@@ -8,8 +8,13 @@ a pool -- never at ``jobs=1``, study and cachedb build included) and
 ``numpy.ma`` (which numpy 2's plain ``np.unique``
 imports).  Each test runs in a fresh interpreter, because this test
 process has long since imported all of them.
+
+Production never reaches the test suite's reference oracles: no module
+under ``src/repro`` imports from ``tests``, and a plain CLI call loads
+no ``tests.*`` module.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -41,7 +46,11 @@ for argv in (
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         assert repro.cli.main(argv) == 0, argv
-print(json.dumps(sorted(m for m in {deny!r} if m in sys.modules)))
+print(json.dumps({{
+    "deny": sorted(m for m in {deny!r} if m in sys.modules),
+    "tests": sorted(m for m in sys.modules
+                    if m == "tests" or m.startswith("tests.")),
+}}))
 """
 
 _STORE = """
@@ -96,7 +105,30 @@ def _run(script: str):
 
 
 def test_plain_cli_calls_load_no_deferred_module():
-    assert _run(_PLAIN.format(deny=DENY)) == []
+    assert _run(_PLAIN.format(deny=DENY)) == {"deny": [], "tests": []}
+
+
+def _imports_tests(node) -> bool:
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        names = [node.module or ""]
+    else:
+        return False
+    return any(n == "tests" or n.startswith("tests.") for n in names)
+
+
+def test_src_never_imports_the_test_suite():
+    """The reference oracles live under ``tests``; nothing in
+    ``src/repro`` may import them, at module level or inside a
+    function."""
+    offenders = [
+        f"{path.relative_to(_SRC)}:{node.lineno}"
+        for path in sorted((_SRC / "repro").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if _imports_tests(node)
+    ]
+    assert offenders == []
 
 
 def test_sqlite_store_loads_sqlite_on_first_open(tmp_path):

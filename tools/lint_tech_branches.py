@@ -17,7 +17,9 @@ Flagged outside ``src/repro/tech/``:
 Plain *uses* of a ``CellTech`` attribute (constructing a spec with
 ``cell_tech=CellTech.SRAM``) are fine -- naming a technology is not
 branching on one.  Tests are also exempt: they pin specific
-technologies to assert specific numbers.
+technologies to assert specific numbers.  The array model's reference
+oracle under ``tests/reference_array`` is model code, so CI names it as
+a root beside ``src/repro``.
 
 Usage::
 
