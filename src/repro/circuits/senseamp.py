@@ -11,7 +11,10 @@ restore the *full bitline* (and thereby the cell -- this is the writeback
 of the destructive readout) to full swing, so its time constant is set by
 the bitline capacitance and its latching time by ``ln(VDD / dV)``.
 
-The methods are named for the scheme (``latch_*`` / ``restore_*``).
+The methods are named for the scheme (``latch_*`` / ``restore_*``).  The
+charge-share regeneration time is computed over whole candidate arrays
+in :func:`repro.array.kernels.subarray_terms`, from :attr:`SenseAmp.r_latch`
+and :attr:`SenseAmp.c_internal`.
 """
 
 from __future__ import annotations
@@ -78,23 +81,6 @@ class SenseAmp:
         bitline = c_bitline * vdd * (SRAM_SENSE_SWING * vdd)
         latch = self.c_internal * vdd * vdd
         return bitline + latch
-
-    def restore_delay(
-        self, c_bitline: float, signal: float, vdd_cell: float
-    ) -> float:
-        """Regeneration time from ``signal`` to full rail on the bitline (s).
-
-        Raises ValueError if the available signal is below the usable
-        minimum -- the candidate organization is infeasible (too many cells
-        per bitline for the storage capacitor).
-        """
-        if signal < MIN_CHARGE_SHARE_SIGNAL:
-            raise ValueError(
-                f"charge-share sense signal {signal * 1e3:.1f} mV below the "
-                f"{MIN_CHARGE_SHARE_SIGNAL * 1e3:.0f} mV sensing limit"
-            )
-        tau = self.r_latch * (c_bitline + self.c_internal)
-        return tau * math.log(vdd_cell / signal)
 
     def restore_energy(self, c_bitline: float, vdd_cell: float) -> float:
         """Energy of one charge-share sense+restore: half-swing on both

@@ -1,4 +1,4 @@
-"""DRAM operational models: commands, page policies, interfaces."""
+"""DRAM operational models: page policies and interfaces."""
 
 from repro.dram.interface import (
     InterfaceKind,
@@ -10,7 +10,6 @@ from repro.dram.interface import (
     page_hit_ratio,
     sram_like,
 )
-from repro.dram.operations import AccessResult, BankState, Command, DramBank
 from repro.dram.page_policy import (
     ClosedPagePolicy,
     OpenPagePolicy,
@@ -20,11 +19,7 @@ from repro.dram.page_policy import (
 )
 
 __all__ = [
-    "AccessResult",
-    "BankState",
     "ClosedPagePolicy",
-    "Command",
-    "DramBank",
     "InterfaceKind",
     "LineMapping",
     "MainMemoryLikeInterface",

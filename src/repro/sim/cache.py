@@ -4,10 +4,15 @@ A functional cache with LRU replacement, used for every level of the
 simulated hierarchy.  Lines carry MESI states so the coherence protocol in
 :mod:`repro.sim.coherence` can track sharing across the private L2s.
 
-Each set is a ``dict`` from tag to :class:`MesiState` whose insertion
-order is the recency order: a hit or a fill moves its tag to the end
-(most recently used), and an eviction takes the first key.  No per-line
-object is allocated.
+Every method takes the line's *block number* (``address //
+block_bytes``), which :class:`repro.sim.system.System` computes once per
+reference and hands to every level.  Each set is a ``dict`` keyed by the
+block number itself, mapping to its :class:`MesiState`; the dict's
+insertion order is the recency order: a hit or a fill moves its block to
+the end (most recently used), and an eviction takes the first key, which
+``fill`` returns as the victim's block as is.  No per-line object is
+allocated, and the L1, L2, L3 and the directory can share one int per
+line.
 """
 
 from __future__ import annotations
@@ -59,11 +64,10 @@ class CacheConfig:
 
 
 class Cache:
-    """One set-associative LRU cache instance."""
+    """One set-associative LRU cache instance, addressed by block number."""
 
     def __init__(self, config: CacheConfig):
         self.config = config
-        self._block = config.block_bytes
         self._nsets = config.num_sets
         self._assoc = config.associativity
         self._sets: list[dict[int, MesiState]] = [
@@ -74,13 +78,12 @@ class Cache:
 
     # ------------------------------------------------------------------ #
 
-    def lookup(self, address: int) -> MesiState | None:
+    def lookup(self, block: int) -> MesiState | None:
         """The line's state, or None; never updates recency (for
         coherence snoops)."""
-        block = address // self._block
-        return self._sets[block % self._nsets].get(block // self._nsets)
+        return self._sets[block % self._nsets].get(block)
 
-    def access(self, address: int, is_write: bool) -> MesiState | None:
+    def access(self, block: int, is_write: bool) -> MesiState | None:
         """Probe and update recency; returns the line's state on a hit,
         else None.
 
@@ -89,49 +92,38 @@ class Cache:
         must invalidate other sharers first and then call
         :meth:`set_state`.
         """
-        block = address // self._block
-        nsets = self._nsets
-        ways = self._sets[block % nsets]
-        tag = block // nsets
-        state = ways.pop(tag, None)
+        ways = self._sets[block % self._nsets]
+        state = ways.pop(block, None)
         if state is None:
             self.misses += 1
             return None
         self.hits += 1
         if is_write and state is _EXCLUSIVE:
             state = _MODIFIED
-        ways[tag] = state
+        ways[block] = state
         return state
 
-    def fill(self, address: int, state: MesiState) -> tuple[int, bool] | None:
+    def fill(self, block: int, state: MesiState) -> tuple[int, bool] | None:
         """Install a line as most recently used; returns
-        (victim_address, was_dirty) if one was evicted, else None."""
-        block = address // self._block
-        nsets = self._nsets
-        index = block % nsets
-        ways = self._sets[index]
-        tag = block // nsets
-        if ways.pop(tag, None) is None and len(ways) >= self._assoc:
-            lru_tag = next(iter(ways))
-            dirty = ways.pop(lru_tag) is _MODIFIED
-            ways[tag] = state
-            return (lru_tag * nsets + index) * self._block, dirty
-        ways[tag] = state
+        (victim_block, was_dirty) if one was evicted, else None."""
+        ways = self._sets[block % self._nsets]
+        if ways.pop(block, None) is None and len(ways) >= self._assoc:
+            victim = next(iter(ways))
+            dirty = ways.pop(victim) is _MODIFIED
+            ways[block] = state
+            return victim, dirty
+        ways[block] = state
         return None
 
-    def invalidate(self, address: int) -> bool:
+    def invalidate(self, block: int) -> bool:
         """Drop a line (coherence); returns True if it was dirty."""
-        block = address // self._block
-        ways = self._sets[block % self._nsets]
-        return ways.pop(block // self._nsets, None) is _MODIFIED
+        return self._sets[block % self._nsets].pop(block, None) is _MODIFIED
 
-    def set_state(self, address: int, state: MesiState) -> None:
+    def set_state(self, block: int, state: MesiState) -> None:
         """Change a resident line's state without touching recency."""
-        block = address // self._block
         ways = self._sets[block % self._nsets]
-        tag = block // self._nsets
-        if tag in ways:
-            ways[tag] = state
+        if block in ways:
+            ways[block] = state
 
     # ------------------------------------------------------------------ #
 

@@ -41,42 +41,40 @@ def _cores(mask: int) -> Iterator[int]:
 class MesiDirectory:
     """Directory-style MESI over the private L2s.
 
-    Tracks a sharer bitmask per block address.  The caches themselves hold
-    the authoritative line states; the directory avoids snooping every L2
-    on every access.
+    Tracks a sharer bitmask per block number (the same int the caches key
+    their lines by).  The caches themselves hold the authoritative line
+    states; the directory avoids snooping every L2 on every access.
     """
 
-    def __init__(self, l2s: list[Cache], block_bytes: int):
+    def __init__(self, l2s: list[Cache]):
         self._l2s = l2s
-        self._block = block_bytes
         self._sharers: dict[int, int] = {}
 
-    def sharers(self, address: int, exclude: int | None = None) -> list[int]:
-        """The cores the directory records as holding ``address``.
+    def sharers(self, block: int, exclude: int | None = None) -> list[int]:
+        """The cores the directory records as holding ``block``.
 
         An introspection API for tests: the simulator's requests work on
         the sharer mask directly and never call this.
         """
-        mask = self._sharers.get(address // self._block, 0)
+        mask = self._sharers.get(block, 0)
         if exclude is not None:
             mask &= ~(1 << exclude)
         return list(_cores(mask))
 
     # ------------------------------------------------------------------ #
 
-    def read(self, core: int, address: int) -> CoherenceOutcome:
+    def read(self, core: int, block: int) -> CoherenceOutcome:
         """Core ``core`` misses its L2 on a read; resolve against peers."""
-        key = address // self._block
-        mask = self._sharers.get(key, 0)
+        mask = self._sharers.get(block, 0)
         others = mask & ~(1 << core)
         if not others:
-            self._sharers[key] = mask | (1 << core)
+            self._sharers[block] = mask | (1 << core)
             return _NO_PEERS
         source_core = None
         writeback = False
         for peer in _cores(others):
             l2 = self._l2s[peer]
-            state = l2.lookup(address)
+            state = l2.lookup(block)
             if state is None:
                 mask &= ~(1 << peer)  # stale entry: the peer lost the line
                 continue
@@ -84,17 +82,16 @@ class MesiDirectory:
                 # Dirty data supplied cache-to-cache; both become SHARED.
                 writeback = True
             if state is not _SHARED:
-                l2.set_state(address, _SHARED)
+                l2.set_state(block, _SHARED)
             if source_core is None:
                 source_core = peer
-        self._sharers[key] = mask | (1 << core)
+        self._sharers[block] = mask | (1 << core)
         return CoherenceOutcome(source_core, 0, writeback)
 
-    def write(self, core: int, address: int) -> CoherenceOutcome:
+    def write(self, core: int, block: int) -> CoherenceOutcome:
         """Core ``core`` wants exclusive ownership; invalidate peers."""
-        key = address // self._block
-        others = self._sharers.get(key, 0) & ~(1 << core)
-        self._sharers[key] = 1 << core
+        others = self._sharers.get(block, 0) & ~(1 << core)
+        self._sharers[block] = 1 << core
         if not others:
             return _NO_PEERS
         source_core = None
@@ -102,32 +99,31 @@ class MesiDirectory:
         invalidated = 0
         for peer in _cores(others):
             l2 = self._l2s[peer]
-            state = l2.lookup(address)
+            state = l2.lookup(block)
             if state is None:
                 continue
             if state is _MODIFIED:
                 source_core = peer
                 writeback = True
-            l2.invalidate(address)
+            l2.invalidate(block)
             invalidated += 1
         return CoherenceOutcome(source_core, invalidated, writeback)
 
-    def evicted(self, core: int, address: int) -> None:
-        key = address // self._block
-        mask = self._sharers.get(key, 0) & ~(1 << core)
+    def evicted(self, core: int, block: int) -> None:
+        mask = self._sharers.get(block, 0) & ~(1 << core)
         if mask:
-            self._sharers[key] = mask
+            self._sharers[block] = mask
         else:
-            self._sharers.pop(key, None)
+            self._sharers.pop(block, None)
 
-    def forget(self, address: int) -> None:
+    def forget(self, block: int) -> None:
         """No core holds the block any more (inclusive-L3 eviction)."""
-        self._sharers.pop(address // self._block, None)
+        self._sharers.pop(block, None)
 
-    def state_for_fill(self, core: int, address: int, is_write: bool
+    def state_for_fill(self, core: int, block: int, is_write: bool
                        ) -> MesiState:
         """MESI state for a newly filled line."""
         if is_write:
             return _MODIFIED
-        others = self._sharers.get(address // self._block, 0) & ~(1 << core)
+        others = self._sharers.get(block, 0) & ~(1 << core)
         return _SHARED if others else MesiState.EXCLUSIVE

@@ -3,9 +3,10 @@
 The target system has two memory channels, each with a single-ranked DIMM
 of x8 devices (paper section 3.1).  Requests interleave across channels on
 cache-line granularity and across the 8 banks of each rank on row
-granularity.  Banks follow the command protocol of
-:mod:`repro.dram.operations`; the controller adds queueing at the channel
-data bus.
+granularity.  Each bank runs the ACTIVATE/READ-WRITE/PRECHARGE protocol
+of paper section 2.3.5 on flat per-bank state (when it is next ready, its
+open row, when that row was activated), and the controller adds queueing
+at the channel data bus.
 
 All times are in CPU cycles (the simulator's unit).
 """
@@ -15,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.array.mainmem import MainMemoryTiming
-from repro.dram.operations import DramBank
 from repro.dram.page_policy import ClosedPagePolicy, PagePolicy
 
 
@@ -45,17 +45,6 @@ class MemoryTimingCycles:
             t_burst=timing.t_burst * s,
         )
 
-    def to_chip_timing(self) -> MainMemoryTiming:
-        return MainMemoryTiming(
-            t_rcd=self.t_rcd,
-            t_cas=self.t_cas,
-            t_rp=self.t_rp,
-            t_ras=self.t_ras,
-            t_rc=self.t_rc,
-            t_rrd=self.t_rrd,
-            t_burst=self.t_burst,
-        )
-
 
 @dataclass
 class MemoryStats:
@@ -65,8 +54,18 @@ class MemoryStats:
     row_hits: int = 0
 
 
+#: ``open_row`` of a precharged bank; rows are never negative.
+_CLOSED = -1
+
+
 class MemoryController:
-    """Two-channel, multi-bank main memory with a page policy."""
+    """Two-channel, multi-bank main memory with a page policy.
+
+    The state is flat: per channel, one ``ready_at``, ``open_row`` and
+    ``active_since`` entry per bank, and the data bus's ready time.  The
+    page policy is read once here, so an access is a few float
+    operations and one row compare.
+    """
 
     def __init__(
         self,
@@ -83,12 +82,15 @@ class MemoryController:
         self.row_bytes = row_bytes
         self.line_bytes = line_bytes
         self.policy = policy or ClosedPagePolicy()
-        chip = timing.to_chip_timing()
-        self.banks = [
-            [DramBank(timing=chip) for _ in range(banks_per_channel)]
-            for _ in range(num_channels)
-        ]
+        self._close = self.policy.close_after_access(0.0)
+        self._ready_at = [[0.0] * banks_per_channel
+                          for _ in range(num_channels)]
+        self._open_row = [[_CLOSED] * banks_per_channel
+                          for _ in range(num_channels)]
+        self._active_since = [[0.0] * banks_per_channel
+                              for _ in range(num_channels)]
         self._bus_ready = [0.0] * num_channels
+        self._channel_bytes = row_bytes * num_channels
         self.stats = MemoryStats()
 
     # ------------------------------------------------------------------ #
@@ -96,27 +98,59 @@ class MemoryController:
     def _map(self, address: int) -> tuple[int, int, int]:
         """Address to (channel, bank, row): lines interleave channels,
         rows interleave banks."""
-        line = address // self.line_bytes
-        channel = line % self.num_channels
-        row_global = address // (self.row_bytes * self.num_channels)
+        channel = address // self.line_bytes % self.num_channels
+        row_global = address // self._channel_bytes
         bank = row_global % self.banks_per_channel
-        row = row_global // self.banks_per_channel
-        return channel, bank, row
+        return channel, bank, row_global // self.banks_per_channel
 
     def access(self, now: float, address: int, is_write: bool) -> float:
         """Service one cache-line request; returns its total latency
-        (CPU cycles, request to first data)."""
-        channel, bank_idx, row = self._map(address)
-        bank = self.banks[channel][bank_idx]
-        close = self.policy.close_after_access(0.0)
-        result = bank.access(now, row, is_write, close_after=close)
+        (CPU cycles, request to first data).
+
+        A row conflict precharges (once tRAS has passed since the
+        activate) and activates; a closed bank activates; a row hit
+        issues the column command at once.  Under the closed-page policy
+        the bank precharges right after the burst, so every access
+        activates.  Reads and writes share this timing.
+        """
+        t = self.timing
+        channel, bank, row = self._map(address)
+        ready_at = self._ready_at[channel]
+        open_row = self._open_row[channel]
+        active_since = self._active_since[channel]
+        stats = self.stats
+
+        start = ready_at[bank]
+        if now > start:
+            start = now
+        current = open_row[bank]
+        if current == row:
+            stats.row_hits += 1
+        else:
+            if current != _CLOSED:
+                # Row conflict: precharge (respecting tRAS) first.
+                pre_ok = active_since[bank] + t.t_ras
+                start = (start if start >= pre_ok else pre_ok) + t.t_rp
+            stats.activates += 1
+            open_row[bank] = row
+            active_since[bank] = start
+            start += t.t_rcd
+        data = start + t.t_cas
+        burst_done = data + t.t_burst
+        if self._close:
+            pre_at = active_since[bank] + t.t_ras
+            ready_at[bank] = (burst_done if burst_done >= pre_at
+                              else pre_at) + t.t_rp
+            open_row[bank] = _CLOSED
+        else:
+            ready_at[bank] = burst_done
 
         # Channel data bus: one burst occupies it; serialize bursts.
-        data_start = max(result.data_time, self._bus_ready[channel])
-        self._bus_ready[channel] = data_start + self.timing.t_burst
-
-        self.stats.reads += 0 if is_write else 1
-        self.stats.writes += 1 if is_write else 0
-        self.stats.activates += 1 if result.activated else 0
-        self.stats.row_hits += 1 if result.row_hit else 0
-        return data_start + self.timing.t_burst - now
+        bus = self._bus_ready[channel]
+        data_start = data if data >= bus else bus
+        self._bus_ready[channel] = data_start + t.t_burst
+        if is_write:
+            stats.writes += 1
+        else:
+            stats.reads += 1
+        return data_start + t.t_burst - now

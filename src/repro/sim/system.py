@@ -76,6 +76,24 @@ class SystemConfig:
         return self.num_cores * self.threads_per_core
 
 
+def _common_line_bytes(config: SystemConfig, memory_line_bytes: int) -> int:
+    """The one line size every level shares; raises ValueError naming the
+    sizes when the levels disagree.
+
+    The walk computes one block number per reference for every level, and
+    a back-invalidation by block is only exact when the lines coincide.
+    """
+    sizes = {"L1": config.l1.block_bytes, "L2": config.l2.block_bytes}
+    if config.l3 is not None:
+        sizes["L3"] = config.l3.block_bytes
+    sizes["memory"] = memory_line_bytes
+    if len(set(sizes.values())) > 1:
+        listed = ", ".join(f"{level} {size} B"
+                           for level, size in sizes.items())
+        raise ValueError(f"hierarchy levels disagree on line size: {listed}")
+    return memory_line_bytes
+
+
 class System:
     """One simulated machine executing one multithreaded workload."""
 
@@ -83,7 +101,7 @@ class System:
         self.config = config
         self.l1s = [Cache(config.l1) for _ in range(config.num_cores)]
         self.l2s = [Cache(config.l2) for _ in range(config.num_cores)]
-        self.directory = MesiDirectory(self.l2s, config.l2.block_bytes)
+        self.directory = MesiDirectory(self.l2s)
         self.l3: Cache | None = None
         self._l3_bank_ready: list[float] = []
         self._l3_subbank_ready: list[list[float]] = []
@@ -105,6 +123,7 @@ class System:
         self.crossbar = Crossbar(traverse_cycles=config.crossbar_cycles)
         self.memory = MemoryController(config.memory,
                                        policy=config.page_policy)
+        self._line_bytes = _common_line_bytes(config, self.memory.line_bytes)
         self.counters = AccessCounters()
         self._locks: dict[int, float] = {}
         self._barrier_arrivals: list[ThreadContext] = []
@@ -115,6 +134,10 @@ class System:
 
     # ------------------------------------------------------------------ #
     # Memory hierarchy walk
+    #
+    # ``service_memory_request`` turns the address into its block number
+    # once; every cache, the directory and the L3 bank choice take that
+    # int, and evictions hand back the victim's block.
 
     def bind_components(self) -> None:
         """Look up the per-core cache methods every reference calls once,
@@ -128,12 +151,12 @@ class System:
         self._l1_fill = [c.fill for c in self.l1s]
         self._l2_access = [c.access for c in self.l2s]
 
-    def _access_l3(self, now: float, address: int, is_write: bool
+    def _access_l3(self, now: float, block: int, is_write: bool
                    ) -> tuple[float, bool]:
         """Crossbar + L3 bank access; returns (latency, hit)."""
         assert self.l3 is not None and self.config.l3 is not None
         cfg = self.config.l3
-        bank = address // cfg.block_bytes % cfg.nbanks
+        bank = block % cfg.nbanks
         arrive = self.crossbar.traverse(now, bank)
         self.counters.crossbar_transfers += 1
         start = max(arrive, self._l3_bank_ready[bank])
@@ -141,12 +164,12 @@ class System:
             # Multisubbank interleaving: the shared bus pitches at the
             # interleave cycle, but a busy subbank (mid row-cycle) stalls
             # the request for the remainder of its random cycle.
-            sub = address // cfg.block_bytes // cfg.nbanks % cfg.subbanks
+            sub = block // cfg.nbanks % cfg.subbanks
             ready = self._l3_subbank_ready[bank]
             start = max(start, ready[sub])
             ready[sub] = start + cfg.subbank_cycle
         self._l3_bank_ready[bank] = start + cfg.bank_cycle
-        hit = self.l3.access(address, is_write) is not None
+        hit = self.l3.access(block, is_write) is not None
         if is_write:
             self.counters.l3_writes += 1
         else:
@@ -154,56 +177,59 @@ class System:
         finish = start + cfg.access_cycles
         return finish + self.config.crossbar_cycles - now, hit
 
-    def _fill_l3(self, address: int) -> None:
+    def _fill_l3(self, block: int) -> None:
         assert self.l3 is not None
-        victim = self.l3.fill(address, _EXCLUSIVE)
+        victim = self.l3.fill(block, _EXCLUSIVE)
         if victim is not None:
-            victim_addr, dirty = victim
+            victim_block, dirty = victim
             # Inclusive L3: back-invalidate the private caches.
             for l1, l2 in zip(self.l1s, self.l2s):
-                if l2.invalidate(victim_addr):
+                if l2.invalidate(victim_block):
                     dirty = True
-                l1.invalidate(victim_addr)
-            self.directory.forget(victim_addr)
+                l1.invalidate(victim_block)
+            self.directory.forget(victim_block)
             if dirty:
-                self.memory.access(0.0, victim_addr, True)
+                self.memory.access(0.0, victim_block * self._line_bytes,
+                                   True)
 
-    def _fill_l2(self, core: int, address: int, state: MesiState) -> None:
-        victim = self.l2s[core].fill(address, state)
+    def _fill_l2(self, core: int, block: int, state: MesiState) -> None:
+        victim = self.l2s[core].fill(block, state)
         if victim is not None:
-            victim_addr, dirty = victim
-            self.directory.evicted(core, victim_addr)
-            self.l1s[core].invalidate(victim_addr)
+            victim_block, dirty = victim
+            self.directory.evicted(core, victim_block)
+            self.l1s[core].invalidate(victim_block)
             if dirty:
                 l3 = self.l3
-                if l3 is not None and l3.lookup(victim_addr) is not None:
-                    l3.set_state(victim_addr, _MODIFIED)
+                if l3 is not None and l3.lookup(victim_block) is not None:
+                    l3.set_state(victim_block, _MODIFIED)
                     self.counters.l3_writes += 1
                 else:
-                    self.memory.access(0.0, victim_addr, True)
+                    self.memory.access(0.0, victim_block * self._line_bytes,
+                                       True)
 
     def service_memory_request(
         self, thread: ThreadContext, address: int, is_write: bool
     ) -> None:
         """Walk the hierarchy for one reference, charging the thread."""
+        block = address // self._line_bytes
         core = thread.core_id
-        state = self._l1_access[core](address, is_write)
+        state = self._l1_access[core](block, is_write)
         if is_write:
             self.counters.l1_writes += 1
             if state is None or state is _SHARED:
-                self._service_l1_miss(thread, core, address, True)
+                self._service_l1_miss(thread, core, block, True)
             return
         self.counters.l1_reads += 1
         # An L1 hit's stall is hidden by the pipeline, but it still
         # counts toward the average read latency of Figure 4(a).
         self._lat_sum += (
             self._l1_cycles if state is not None
-            else self._service_l1_miss(thread, core, address, False)
+            else self._service_l1_miss(thread, core, block, False)
         )
         self._lat_count += 1
 
     def _service_l1_miss(self, thread: ThreadContext, core: int,
-                         address: int, is_write: bool) -> float:
+                         block: int, is_write: bool) -> float:
         """Service an L1 miss (or write upgrade) from the private L2, a
         peer L2, the L3 or memory, charging ``thread``; returns the
         reference's latency."""
@@ -214,30 +240,30 @@ class System:
             counters.l2_writes += 1
         else:
             counters.l2_reads += 1
-        state = self._l2_access[core](address, is_write)
+        state = self._l2_access[core](block, is_write)
         upgrade_needed = is_write and state is _SHARED
         if state is not None and not upgrade_needed:
             latency += l2_cycles
             thread.breakdown.l2 += latency
             thread.time += latency
-            self._l1_fill[core](address, state)
+            self._l1_fill[core](block, state)
             return latency
 
         latency += l2_cycles  # miss detection
         directory = self.directory
         if upgrade_needed:
-            outcome = directory.write(core, address)
+            outcome = directory.write(core, block)
             counters.coherence_invalidations += outcome.invalidated
-            self.l2s[core].set_state(address, _MODIFIED)
+            self.l2s[core].set_state(block, _MODIFIED)
             latency += _C2C_EXTRA_CYCLES
             thread.breakdown.l2 += latency
             thread.time += latency
-            self._l1_fill[core](address, _MODIFIED)
+            self._l1_fill[core](block, _MODIFIED)
             return latency
 
         # True L2 miss: resolve coherence among peers.
-        outcome = (directory.write(core, address) if is_write
-                   else directory.read(core, address))
+        outcome = (directory.write(core, block) if is_write
+                   else directory.read(core, block))
         counters.coherence_invalidations += outcome.invalidated
         if outcome.source_core is not None:
             # Cache-to-cache transfer between private L2s.
@@ -245,32 +271,33 @@ class System:
             thread.breakdown.l2 += latency
             thread.time += latency
             state = _MODIFIED if is_write else _SHARED
-            self._fill_l2(core, address, state)
-            self._l1_fill[core](address, state)
+            self._fill_l2(core, block, state)
+            self._l1_fill[core](block, state)
             return latency
 
         # Go to the L3 (or straight to memory).
         if self.l3 is not None:
-            l3_latency, hit = self._access_l3(thread.time + latency, address,
+            l3_latency, hit = self._access_l3(thread.time + latency, block,
                                               is_write)
             latency += l3_latency
             if hit:
                 thread.breakdown.l3 += latency
             else:
-                mem_latency = self.memory.access(thread.time + latency,
-                                                 address, is_write)
+                mem_latency = self.memory.access(
+                    thread.time + latency, block * self._line_bytes,
+                    is_write)
                 latency += mem_latency + self.config.crossbar_cycles
                 thread.breakdown.memory += latency
-                self._fill_l3(address)
+                self._fill_l3(block)
         else:
-            latency += self.memory.access(thread.time + latency, address,
-                                          is_write)
+            latency += self.memory.access(thread.time + latency,
+                                          block * self._line_bytes, is_write)
             thread.breakdown.memory += latency
 
         thread.time += latency
-        state = directory.state_for_fill(core, address, is_write)
-        self._fill_l2(core, address, state)
-        self._l1_fill[core](address, state)
+        state = directory.state_for_fill(core, block, is_write)
+        self._fill_l2(core, block, state)
+        self._l1_fill[core](block, state)
         return latency
 
     # ------------------------------------------------------------------ #

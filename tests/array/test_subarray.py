@@ -3,9 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.circuits.senseamp import MIN_CHARGE_SHARE_SIGNAL, SenseAmp
 from repro.tech.cells import CellTech
 from repro.tech.nodes import technology
 from tests.reference_array import InfeasibleSubarray, Subarray
+from tests.reference_array.subarray import restore_delay
 
 TECH = technology(32)
 
@@ -134,3 +136,25 @@ class TestEnergyAndLeakage:
     def test_leakage_monotone_in_sense_amps(self, n):
         sub = make()
         assert sub.leakage(n + 1) >= sub.leakage(n)
+
+
+class TestRestoreDelay:
+    """The oracle's charge-share regeneration time (``Subarray.t_sense``
+    of the DRAMs)."""
+
+    amp = SenseAmp(TECH.device("lstp"), 32e-9)
+
+    def test_dram_delay_grows_with_bitline_cap(self):
+        d1 = restore_delay(self.amp, 20e-15, 0.2, 1.0)
+        d2 = restore_delay(self.amp, 80e-15, 0.2, 1.0)
+        assert d2 > d1
+
+    def test_dram_delay_grows_with_weaker_signal(self):
+        strong = restore_delay(self.amp, 40e-15, 0.3, 1.0)
+        weak = restore_delay(self.amp, 40e-15, 0.1, 1.0)
+        assert weak > strong
+
+    def test_signal_below_limit_rejected(self):
+        with pytest.raises(ValueError, match="below the"):
+            restore_delay(self.amp, 40e-15, MIN_CHARGE_SHARE_SIGNAL * 0.9,
+                          1.0)

@@ -1,9 +1,10 @@
-"""Unit tests for the DRAM command/state model."""
+"""Unit tests for the DRAM command/state model, the test oracle of the
+memory controller."""
 
 import pytest
 
 from repro.array.mainmem import MainMemoryTiming
-from repro.dram.operations import BankState, DramBank
+from tests.sim.reference_dram import BankState, DramBank
 
 TIMING = MainMemoryTiming(
     t_rcd=13e-9,
@@ -76,21 +77,6 @@ class TestClosedPage:
                              close_after=True)
         latency = second.data_time - second.issue_time
         assert latency == pytest.approx(TIMING.t_rcd + TIMING.t_cas)
-
-
-class TestRefresh:
-    def test_refresh_occupies_trc(self):
-        bank = make_bank()
-        done = bank.refresh(0.0)
-        assert done == pytest.approx(TIMING.t_rc)
-        assert not bank.state.is_open
-
-    def test_refresh_closes_open_row(self):
-        bank = make_bank()
-        bank.access(0.0, row=3, is_write=False, close_after=False)
-        assert bank.state.is_open
-        bank.refresh(100e-9)
-        assert not bank.state.is_open
 
 
 class TestBankState:

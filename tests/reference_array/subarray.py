@@ -22,6 +22,7 @@ without modification.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,7 +34,11 @@ from repro.array.kernels import (
     _T_SETTLE_PRECISE,
 )
 from repro.circuits.drivers import WireLoad
-from repro.circuits.senseamp import SenseAmp, charge_share_signal
+from repro.circuits.senseamp import (
+    MIN_CHARGE_SHARE_SIGNAL,
+    SenseAmp,
+    charge_share_signal,
+)
 from repro.tech.cells import CellParams
 from repro.tech.devices import TEMPERATURE_LEAKAGE_FACTOR, DeviceParams
 from repro.tech.nodes import Technology
@@ -47,6 +52,24 @@ from tests.reference_array.decoder import (
 
 class InfeasibleSubarray(ValueError):
     """Raised when a candidate subarray violates an electrical constraint."""
+
+
+def restore_delay(amp: SenseAmp, c_bitline: float, signal: float,
+                  vdd_cell: float) -> float:
+    """Charge-share regeneration time from ``signal`` to full rail on the
+    bitline (s).
+
+    Raises ValueError if the available signal is below the usable
+    minimum -- the candidate organization is infeasible (too many cells
+    per bitline for the storage capacitor).
+    """
+    if signal < MIN_CHARGE_SHARE_SIGNAL:
+        raise ValueError(
+            f"charge-share sense signal {signal * 1e3:.1f} mV below the "
+            f"{MIN_CHARGE_SHARE_SIGNAL * 1e3:.0f} mV sensing limit"
+        )
+    tau = amp.r_latch * (c_bitline + amp.c_internal)
+    return tau * math.log(vdd_cell / signal)
 
 
 @dataclass(frozen=True)
@@ -202,7 +225,8 @@ class Subarray:
         """Sense-amp latching (and, if restoring, regeneration) time (s)."""
         if self.traits.sensing is SensingScheme.CHARGE_SHARE:
             try:
-                return self.sense_amp.restore_delay(
+                return restore_delay(
+                    self.sense_amp,
                     self.bitline_capacitance,
                     self.sense_signal,
                     self.cell.vdd_cell,

@@ -1,4 +1,8 @@
-"""Unit tests for the set-associative MESI cache model."""
+"""Unit tests for the set-associative MESI cache model.
+
+The cache is addressed by block number (``address // block_bytes``);
+the simulator's walk computes it once per reference.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,15 +18,19 @@ def make(capacity=8192, block=64, assoc=4):
 class TestBasics:
     def test_miss_then_hit(self):
         c = make()
-        assert c.access(0x1000, False) is None
-        c.fill(0x1000, MesiState.EXCLUSIVE)
-        assert c.access(0x1000, False) is not None
+        assert c.access(0x40, False) is None
+        c.fill(0x40, MesiState.EXCLUSIVE)
+        assert c.access(0x40, False) is not None
 
     def test_block_granularity(self):
-        c = make()
-        c.fill(0x1000, MesiState.EXCLUSIVE)
-        assert c.access(0x1000 + 63, False) is not None
-        assert c.access(0x1000 + 64, False) is None
+        """One key per block: a neighbouring block misses, and a block
+        one set-count away lands in the same set."""
+        c = make(capacity=2 * 64 * 2, assoc=2)  # two sets of two ways
+        c.fill(4, MesiState.EXCLUSIVE)
+        assert c.access(4, False) is not None
+        assert c.access(5, False) is None
+        c.fill(6, MesiState.EXCLUSIVE)
+        assert c.fill(8, MesiState.EXCLUSIVE) == (4, False)
 
     def test_invalid_geometry(self):
         with pytest.raises(ValueError):
@@ -73,49 +81,50 @@ class TestBasics:
 class TestLru:
     def test_lru_eviction(self):
         c = make(capacity=2 * 64, block=64, assoc=2)  # one set, 2 ways
-        c.fill(0 * 64, MesiState.EXCLUSIVE)
-        c.fill(1 * 64, MesiState.EXCLUSIVE)
-        c.access(0 * 64, False)  # make way 0 MRU
-        victim = c.fill(2 * 64, MesiState.EXCLUSIVE)
+        c.fill(0, MesiState.EXCLUSIVE)
+        c.fill(1, MesiState.EXCLUSIVE)
+        c.access(0, False)  # make way 0 MRU
+        victim = c.fill(2, MesiState.EXCLUSIVE)
         assert victim is not None
-        victim_addr, dirty = victim
-        assert victim_addr == 1 * 64
+        victim_block, dirty = victim
+        assert victim_block == 1
         assert not dirty
 
     def test_refill_of_resident_line_makes_it_mru(self):
         c = make(capacity=2 * 64, block=64, assoc=2)
         c.fill(0, MesiState.EXCLUSIVE)
-        c.fill(64, MesiState.EXCLUSIVE)
+        c.fill(1, MesiState.EXCLUSIVE)
         assert c.fill(0, MesiState.SHARED) is None  # no eviction
         assert c.lookup(0) is MesiState.SHARED
-        assert c.fill(128, MesiState.EXCLUSIVE) == (64, False)
+        assert c.fill(2, MesiState.EXCLUSIVE) == (1, False)
 
     def test_lookup_and_set_state_keep_recency(self):
         c = make(capacity=2 * 64, block=64, assoc=2)
         c.fill(0, MesiState.EXCLUSIVE)
-        c.fill(64, MesiState.EXCLUSIVE)
+        c.fill(1, MesiState.EXCLUSIVE)
         c.lookup(0)
         c.set_state(0, MesiState.MODIFIED)
-        assert c.fill(128, MesiState.EXCLUSIVE) == (0, True)
+        assert c.fill(2, MesiState.EXCLUSIVE) == (0, True)
 
     def test_dirty_eviction_flagged(self):
         c = make(capacity=2 * 64, block=64, assoc=2)
         c.fill(0, MesiState.MODIFIED)
-        c.fill(64, MesiState.EXCLUSIVE)
-        c.access(64, False)
-        __, dirty = c.fill(128, MesiState.EXCLUSIVE)
+        c.fill(1, MesiState.EXCLUSIVE)
+        c.access(1, False)
+        __, dirty = c.fill(2, MesiState.EXCLUSIVE)
         assert dirty
 
     def test_victim_address_reconstruction(self):
+        """The victim comes back as its block number, the key it was
+        filled under, with no address arithmetic."""
         c = make(capacity=64 * 64, block=64, assoc=2)
-        addr = 0x12340
-        c.fill(addr, MesiState.EXCLUSIVE)
+        block = 0x12340 // 64
+        c.fill(block, MesiState.EXCLUSIVE)
         sets = c.config.num_sets
-        conflicting = addr + sets * 64
+        conflicting = block + sets
         c.fill(conflicting, MesiState.EXCLUSIVE)
-        victim = c.fill(conflicting + sets * 64, MesiState.EXCLUSIVE)
-        block = addr // 64
-        assert victim[0] // 64 in (block, conflicting // 64)
+        victim = c.fill(conflicting + sets, MesiState.EXCLUSIVE)
+        assert victim == (block, False)
 
 
 class TestInvalidation:
@@ -133,21 +142,21 @@ class TestInvalidation:
 class TestCapacity:
     def test_occupancy_bounded(self):
         c = make(capacity=4096, block=64, assoc=4)
-        for i in range(1000):
-            c.fill(i * 64, MesiState.EXCLUSIVE)
+        for block in range(1000):
+            c.fill(block, MesiState.EXCLUSIVE)
         assert c.occupancy() <= 4096 // 64
 
-    @given(st.lists(st.integers(min_value=0, max_value=1 << 20), min_size=1,
+    @given(st.lists(st.integers(min_value=0, max_value=1 << 14), min_size=1,
                     max_size=300))
     @settings(max_examples=25, deadline=None)
-    def test_occupancy_invariant_under_random_traffic(self, addresses):
+    def test_occupancy_invariant_under_random_traffic(self, blocks):
         c = make(capacity=2048, block=64, assoc=2)
-        for a in addresses:
-            if c.access(a, False) is None:
-                c.fill(a, MesiState.EXCLUSIVE)
+        for b in blocks:
+            if c.access(b, False) is None:
+                c.fill(b, MesiState.EXCLUSIVE)
         assert c.occupancy() <= 2048 // 64
         # Every filled line is findable.
-        assert c.lookup(addresses[-1]) is not None
+        assert c.lookup(blocks[-1]) is not None
 
     def test_miss_rate_tracks(self):
         c = make()
@@ -159,7 +168,7 @@ class TestCapacity:
     def test_working_set_fit_gives_high_hit_rate(self):
         """A working set within capacity converges to ~100 % hits."""
         c = make(capacity=64 * 1024, block=64, assoc=8)
-        lines = [(i * 64) for i in range(512)]  # 32 KB working set
+        lines = list(range(512))  # 32 KB working set
         for _ in range(4):
             for a in lines:
                 if c.access(a, False) is None:

@@ -1,4 +1,7 @@
-"""Unit tests for the MESI directory."""
+"""Unit tests for the MESI directory.
+
+The directory and the caches are keyed by block number.
+"""
 
 from repro.sim.cache import Cache, CacheConfig, MesiState
 from repro.sim.coherence import MesiDirectory
@@ -8,7 +11,7 @@ def setup():
     cfg = CacheConfig(capacity_bytes=8192, block_bytes=64, associativity=4,
                       access_cycles=3)
     l2s = [Cache(cfg) for _ in range(4)]
-    return l2s, MesiDirectory(l2s, 64)
+    return l2s, MesiDirectory(l2s)
 
 
 class TestRead:

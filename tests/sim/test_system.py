@@ -1,10 +1,16 @@
 """Integration tests for the full-system simulator."""
 
+import dataclasses
+import random
+
 import pytest
 
-from repro.sim.cache import CacheConfig, MesiState
+from repro.dram.page_policy import OpenPagePolicy
+from repro.sim.cache import Cache, CacheConfig, MesiState
+from repro.sim.coherence import MesiDirectory
 from repro.sim.core import ThreadContext
-from repro.sim.dram_channel import MemoryTimingCycles
+from repro.sim.dram_channel import MemoryController, MemoryTimingCycles
+from repro.sim.interconnect import Crossbar
 from repro.sim.system import L3Config, System, SystemConfig, run_workload
 
 MEM = MemoryTimingCycles(
@@ -156,14 +162,24 @@ class TestServiceMemoryRequest:
         t0, t1 = thread_on(0), thread_on(1)
         system.service_memory_request(t0, 0x80, False)
         system.service_memory_request(t1, 0x80, False)  # peer supplies it
-        assert system.l2s[1].lookup(0x80) is MesiState.SHARED
+        block = 0x80 // 64
+        assert system.l2s[1].lookup(block) is MesiState.SHARED
         before = t1.time
         system.service_memory_request(t1, 0x80, True)
         # L1 + L2 miss detection + the invalidation round.
         assert t1.time - before == 2 + 3 + 8
         assert system.counters.coherence_invalidations == 1
-        assert system.l2s[0].lookup(0x80) is None
-        assert system.l2s[1].lookup(0x80) is MesiState.MODIFIED
+        assert system.l2s[0].lookup(block) is None
+        assert system.l2s[1].lookup(block) is MesiState.MODIFIED
+
+    def test_bytes_of_one_line_share_a_block(self):
+        system = System(config(cores=1, threads=1))
+        thread = thread_on(0)
+        system.service_memory_request(thread, 0x1000, False)
+        system.service_memory_request(thread, 0x1000 + 63, False)
+        assert system.counters.l2_reads == 1  # the second byte hit the L1
+        system.service_memory_request(thread, 0x1000 + 64, False)
+        assert system.counters.l2_reads == 2
 
     def test_run_calls_methods_replaced_after_construction(self):
         system = System(config(cores=1, threads=1))
@@ -177,4 +193,111 @@ class TestServiceMemoryRequest:
 
         l1.access = counted
         system.run([iter([("mem", 0x40, False), ("mem", 0x40, True)])])
-        assert calls == [(0x40, False), (0x40, True)]
+        assert calls == [(1, False), (1, True)]  # block 0x40 // 64
+
+
+class TestLineSize:
+    """Every level must use one line size: the walk computes one block
+    number per reference and back-invalidates by it."""
+
+    @pytest.mark.parametrize("level", ["l1", "l2"])
+    def test_private_level_of_another_size_rejected(self, level):
+        other = CacheConfig(capacity_bytes=2048, block_bytes=32,
+                            associativity=2, access_cycles=2)
+        cfg = dataclasses.replace(config(), **{level: other})
+        with pytest.raises(ValueError, match="line size") as err:
+            System(cfg)
+        assert "32 B" in str(err.value) and "64 B" in str(err.value)
+
+    def test_l3_of_another_size_rejected(self):
+        cfg = config()
+        cfg = dataclasses.replace(
+            cfg, l3=dataclasses.replace(cfg.l3, block_bytes=128))
+        with pytest.raises(ValueError,
+                           match="L1 64 B, L2 64 B, L3 128 B, memory 64 B"):
+            System(cfg)
+
+
+#: The methods ``bench/suite.py`` shadows on a live system, by owner.
+INSTRUMENTED = [
+    (Cache, "access"), (Cache, "fill"), (Cache, "invalidate"),
+    (MesiDirectory, "read"), (MesiDirectory, "write"),
+    (MemoryController, "access"), (Crossbar, "traverse"),
+]
+
+
+def shared_traffic(num_threads, seed=7, refs=400):
+    """Reads and writes over a footprint well past the L3, with every
+    thread touching the same lines: misses, evictions, dirty writebacks,
+    coherence upgrades and invalidations all happen."""
+    rng = random.Random(seed)
+    return [
+        [("step", 2, 4.0, rng.randrange(1 << 17), rng.random() < 0.3)
+         for _ in range(refs)]
+        for _ in range(num_threads)
+    ]
+
+
+class TestInstrumentation:
+    """``bind_components`` promises that methods replaced on a live
+    system's components are the ones ``run`` calls.  An instance-level
+    counter on each must see as many calls as a class-level one, which
+    sees every call whatever path makes it, and wrapping must not change
+    the result."""
+
+    @staticmethod
+    def instrumented_config():
+        cfg = config(cores=2, threads=2)
+        return dataclasses.replace(
+            cfg, page_policy=OpenPagePolicy(),
+            l3=L3Config(capacity_bytes=16 << 10, associativity=4,
+                        access_cycles=5, bank_cycle=2, subbanks=2,
+                        subbank_cycle=6))
+
+    @staticmethod
+    def counting(inner, counts, key):
+        def wrapper(*args, **kwargs):
+            counts[key] = counts.get(key, 0) + 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    def test_instance_wrappers_see_every_call(self, monkeypatch):
+        cfg = self.instrumented_config()
+        plain = System(cfg).run(shared_traffic(cfg.num_threads))
+
+        by_class: dict = {}
+        with monkeypatch.context() as patch:
+            for owner, name in INSTRUMENTED:
+                key = f"{owner.__name__}.{name}"
+                patch.setattr(owner, name, self.counting(
+                    getattr(owner, name), by_class, key))
+            class_stats = System(cfg).run(shared_traffic(cfg.num_threads))
+
+        system = System(cfg)
+        by_instance: dict = {}
+        components = [*system.l1s, *system.l2s, system.l3, system.directory,
+                      system.memory, system.crossbar]
+        for owner, name in INSTRUMENTED:
+            key = f"{owner.__name__}.{name}"
+            for obj in components:
+                if isinstance(obj, owner):
+                    setattr(obj, name, self.counting(
+                        getattr(obj, name), by_instance, key))
+        wrapped = system.run(shared_traffic(cfg.num_threads))
+
+        assert by_instance == by_class
+        assert set(by_instance) == {f"{o.__name__}.{n}"
+                                    for o, n in INSTRUMENTED}
+        assert dataclasses.asdict(wrapped) == dataclasses.asdict(plain)
+        assert dataclasses.asdict(class_stats) == dataclasses.asdict(plain)
+
+        # The wrapped methods are the only paths to their counters.
+        caches = [*system.l1s, *system.l2s, system.l3]
+        assert by_instance["Cache.access"] == sum(
+            c.hits + c.misses for c in caches)
+        memory = system.memory.stats
+        assert by_instance["MemoryController.access"] == (
+            memory.reads + memory.writes)
+        assert by_instance["Crossbar.traverse"] == system.crossbar.transfers
+        assert wrapped.counters.coherence_invalidations > 0
+        assert memory.writes > 0
