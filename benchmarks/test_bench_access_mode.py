@@ -20,7 +20,7 @@ from repro.core.config import (
     MemorySpec,
 )
 from repro.models.refresh import refresh_schedule
-from repro.study.table3 import solve_l3
+from repro.study.table3 import solve_table3
 from repro.tech.cells import CellTech
 
 
@@ -70,7 +70,7 @@ def test_refresh_availability(benchmark):
     def schedules():
         out = []
         for name in ("lp_dram_ed", "lp_dram_c", "cm_dram_ed", "cm_dram_c"):
-            row = solve_l3(name)
+            row = solve_table3()[name]
             cell = (CellTech.LP_DRAM if name.startswith("lp")
                     else CellTech.COMM_DRAM)
             retention = 0.12e-3 if cell is CellTech.LP_DRAM else 64e-3

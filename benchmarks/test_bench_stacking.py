@@ -9,7 +9,7 @@ bank folds onto 1/2/4/8 layers with sub-FO4 TSVs.
 from conftest import print_table
 
 from repro.array.stacking import stacking_sweep
-from repro.study.table3 import NODE_NM, solve_l3
+from repro.study.table3 import NODE_NM
 from repro.core.cacti import solve
 from repro.core.config import DENSITY_OPTIMIZED, MemorySpec
 from repro.tech.cells import CellTech

@@ -11,7 +11,7 @@ steady-state model.
 from conftest import print_table
 
 from repro.power.thermal import ThermalEstimate, temperature_spread
-from repro.study.table3 import solve_l3
+from repro.study.table3 import solve_table3
 
 BANK_AREA = 6.2e-6  # m^2, the per-bank stacking budget
 
@@ -20,7 +20,7 @@ def estimates():
     result = []
     for name in ("sram", "lp_dram_ed", "lp_dram_c", "cm_dram_ed",
                  "cm_dram_c"):
-        row = solve_l3(name)
+        row = solve_table3()[name]
         # Per-bank: leakage + refresh share plus a dynamic allowance of
         # one access per 16 CPU cycles (a busy LLC bank), which lands the
         # SRAM bank near the paper's ~450 mW worst case.

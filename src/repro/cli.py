@@ -471,17 +471,9 @@ def _run_table3(args: argparse.Namespace) -> int:
     from repro.study.table3 import solve_table3
 
     solve_cache, obs = _solver_knobs(args)
-    resilience = _resilience_policy(args)
-    # Pass only the live knobs: a knob-free call keeps table3's memo of
-    # already-solved rows (and a second `repro table3` stays fast).
-    knobs = {}
-    if solve_cache is not None:
-        knobs["solve_cache"] = solve_cache
-    if obs is not None:
-        knobs["obs"] = obs
-    if resilience is not None:
-        knobs["resilience"] = resilience
-    for name, row in solve_table3(**knobs).items():
+    rows = solve_table3(solve_cache=solve_cache, obs=obs,
+                        resilience=_resilience_policy(args))
+    for name, row in rows.items():
         cap = row.capacity_bytes
         cap_str = (f"{cap >> 20}MB" if cap >= 1 << 20 else f"{cap >> 10}KB")
         print(

@@ -524,8 +524,8 @@ class CactiD:
 
     ``cachedb`` -- a :class:`~repro.cachedb.CacheDB` or a cachedb
     path -- puts a precomputed design-space database in front of the
-    solver: every solve issued through the facade checks it for an
-    exact (bit-identical) hit first.  ``resilience`` -- a
+    solver: :meth:`solve` checks it for an exact (bit-identical) hit
+    first; :meth:`solve_batch` does not consult it.  ``resilience`` -- a
     :class:`~repro.core.resilience.ResiliencePolicy` -- governs the
     facade's :meth:`solve_batch` calls.
     """

@@ -40,8 +40,6 @@ class CacheConfig:
     block_bytes: int
     associativity: int
     access_cycles: int  #: hit latency contribution (CPU cycles)
-    cycle_time: int = 1  #: issue pitch (CPU cycles) for bank occupancy
-    nbanks: int = 1
 
     def __post_init__(self) -> None:
         for name in ("capacity_bytes", "block_bytes", "associativity"):

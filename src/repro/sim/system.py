@@ -112,7 +112,6 @@ class System:
                     block_bytes=config.l3.block_bytes,
                     associativity=config.l3.associativity,
                     access_cycles=config.l3.access_cycles,
-                    cycle_time=config.l3.bank_cycle,
                 )
             )
             self._l3_bank_ready = [0.0] * config.l3.nbanks

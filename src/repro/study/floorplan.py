@@ -76,11 +76,12 @@ class Floorplan:
 @lru_cache(maxsize=None)
 def derive_floorplan(node_nm: float = 32.0, num_cores: int = 8) -> Floorplan:
     """Reproduce the paper's bottom-die derivation at ``node_nm``."""
-    from repro.study.table3 import solve_l1, solve_l2
+    from repro.study.table3 import solve_table3
 
     scale = (node_nm / 90.0) ** 2
-    l1 = solve_l1().area_mm2 * 1e-6
-    l2 = solve_l2().area_mm2 * 1e-6
+    rows = solve_table3()
+    l1 = rows["L1"].area_mm2 * 1e-6
+    l2 = rows["L2"].area_mm2 * 1e-6
     return Floorplan(
         num_cores=num_cores,
         core_logic_area=NIAGARA_CORE_AREA_90NM * scale,

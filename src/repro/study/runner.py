@@ -108,22 +108,18 @@ def run_one(
     source: str = "paper",
     scale: int = DEFAULT_SCALE,
     seed: int = 1234,
-    config=None,
-    energy_model=None,
     cachedb=None,
 ) -> RunResult:
     """Simulate one application on one configuration.
 
-    ``config`` and ``energy_model`` accept pre-built objects so a study
-    matrix builds each configuration once, not once per application.
     ``cachedb`` (a :class:`~repro.cachedb.CacheDB`) serves the
     ``source="cacti"`` solves from the precomputed database when they
-    are on its grid.
+    are on its grid.  The solved Table 3 is memoized per process, so a
+    study matrix solves it once, not once per cell.
     """
-    if config is None:
-        config = build_system_config(
-            config_name, source=source, scale=scale, cachedb=cachedb
-        )
+    config = build_system_config(
+        config_name, source=source, scale=scale, cachedb=cachedb
+    )
     scaled_profile = profile.scaled(scale)
     stats = run_workload(
         config,
@@ -135,10 +131,9 @@ def run_one(
         ),
     )
     duration = stats.cycles / CPU_HZ
-    if energy_model is None:
-        energy_model = build_energy_model(
-            config_name, source=source, cachedb=cachedb
-        )
+    energy_model = build_energy_model(
+        config_name, source=source, cachedb=cachedb
+    )
     breakdown = hierarchy_power(energy_model, stats, duration)
     system = SystemPower(
         core=scaled_core_power(),
@@ -166,13 +161,6 @@ def publish_sim_counters(obs: Obs, stats: SimStats) -> None:
     obs.inc("sim.lock_cycles", stats.breakdown.lock)
 
 
-#: Per-process memo of built configurations and energy models, so a
-#: worker builds each configuration once no matter how many apps it
-#: simulates (the serial path gets the same reuse via the dicts below).
-_TASK_CONFIGS: dict = {}
-_TASK_ENERGY_MODELS: dict = {}
-
-
 def _run_one_task(payload: tuple) -> RunResult:
     """Worker task: one (application, configuration) cell of the matrix.
 
@@ -187,28 +175,13 @@ def _run_one_task(payload: tuple) -> RunResult:
         from repro.cachedb import open_cachedb
 
         cachedb = open_cachedb(cachedb_path)
-    config_key = (config_name, source, scale, cachedb_path)
-    config = _TASK_CONFIGS.get(config_key)
-    if config is None:
-        config = build_system_config(
-            config_name, source=source, scale=scale, cachedb=cachedb
-        )
-        _TASK_CONFIGS[config_key] = config
-    energy_key = (config_name, source, cachedb_path)
-    energy_model = _TASK_ENERGY_MODELS.get(energy_key)
-    if energy_model is None:
-        energy_model = build_energy_model(
-            config_name, source=source, cachedb=cachedb
-        )
-        _TASK_ENERGY_MODELS[energy_key] = energy_model
     return run_one(
         profile,
         config_name,
         source=source,
         scale=scale,
         seed=seed,
-        config=config,
-        energy_model=energy_model,
+        cachedb=cachedb,
     )
 
 
@@ -226,9 +199,9 @@ def run_study(
 ) -> StudyResult:
     """Run the full study matrix.
 
-    Each configuration (and its energy model, which may invoke the
-    CACTI-D solver when ``source="cacti"``) is built once per process
-    and shared across all applications.  ``jobs > 1`` runs the
+    With ``source="cacti"`` each process solves Table 3 once (the
+    memo of :func:`~repro.study.table3.solve_table3`) and builds every
+    cell's configuration and energy model from it.  ``jobs > 1`` runs the
     app x config cells concurrently in worker processes; every cell's
     simulation is seeded, so the matrix is identical at any job count.
     ``obs`` traces the matrix (one ``study.cell`` span, with the cell's

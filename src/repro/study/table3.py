@@ -19,11 +19,12 @@ section 3.1); capacities per technology come from what fits that budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 
 from repro.array.mainmem import MainMemorySpec
 from repro.circuits.crossbar import design_crossbar
+from repro.core import parallel
 from repro.core.cacti import solve, solve_main_memory
 from repro.core.config import (
     DENSITY_OPTIMIZED,
@@ -84,14 +85,48 @@ class Table3Row:
     rows_per_subarray: int = 0  #: physical rows per subarray (0 = n/a)
 
 
-#: L3 design points: (name, capacity, associativity, cell tech, optimizer).
-_L3_POINTS = {
-    "sram": (24 << 20, 12, CellTech.SRAM, OptimizationTarget()),
-    "lp_dram_ed": (48 << 20, 12, CellTech.LP_DRAM, ENERGY_DELAY_OPTIMIZED),
-    "lp_dram_c": (72 << 20, 18, CellTech.LP_DRAM, DENSITY_OPTIMIZED),
-    "cm_dram_ed": (96 << 20, 12, CellTech.COMM_DRAM, ENERGY_DELAY_OPTIMIZED),
-    "cm_dram_c": (192 << 20, 24, CellTech.COMM_DRAM, DENSITY_OPTIMIZED),
+def _l3_spec(capacity: int, associativity: int, cell_tech: CellTech
+             ) -> MemorySpec:
+    return MemorySpec(
+        capacity_bytes=capacity,
+        block_bytes=64,
+        associativity=associativity,
+        nbanks=8,
+        node_nm=NODE_NM,
+        cell_tech=cell_tech,
+        sleep_transistors=cell_tech.traits.sleep_transistors_effective,
+    )
+
+
+#: Every cache row of Table 3: name -> (spec, optimizer target, banks).
+_CACHE_ROWS = {
+    "L1": (MemorySpec(capacity_bytes=32 << 10, block_bytes=64,
+                      associativity=8, node_nm=NODE_NM),
+           OptimizationTarget(), 1),
+    "L2": (MemorySpec(capacity_bytes=1 << 20, block_bytes=64,
+                      associativity=8, node_nm=NODE_NM),
+           OptimizationTarget(), 1),
+    "sram": (_l3_spec(24 << 20, 12, CellTech.SRAM), OptimizationTarget(), 8),
+    "lp_dram_ed": (_l3_spec(48 << 20, 12, CellTech.LP_DRAM),
+                   ENERGY_DELAY_OPTIMIZED, 8),
+    "lp_dram_c": (_l3_spec(72 << 20, 18, CellTech.LP_DRAM),
+                  DENSITY_OPTIMIZED, 8),
+    "cm_dram_ed": (_l3_spec(96 << 20, 12, CellTech.COMM_DRAM),
+                   ENERGY_DELAY_OPTIMIZED, 8),
+    "cm_dram_c": (_l3_spec(192 << 20, 24, CellTech.COMM_DRAM),
+                  DENSITY_OPTIMIZED, 8),
 }
+
+#: The 8 Gb DDR4-3200 x8 main-memory device.
+_MAIN_CHIP = MainMemorySpec(capacity_bits=8 * 2**30, page_bits=8192)
+
+#: Table 3's rows in order: the caches, then main memory.
+_ROW_NAMES = (*_CACHE_ROWS, "main")
+
+#: The per-process memo of sink-free solves: ``"rows"`` (the table) and
+#: ``"chip"`` (the main-memory device).  A call with a sink solves live,
+#: so the sink sees the work and no caller's handle leaks into the memo.
+_MEMO: dict = {}
 
 
 def _cycles(t_seconds: float, divider: int = 1) -> int:
@@ -140,94 +175,25 @@ def _cache_row(name: str, solution, nbanks: int) -> Table3Row:
     )
 
 
-#: Memo of knob-free row solves (the lru_cache equivalent).  Knobbed
-#: calls bypass it: a caller passing ``obs``/``solve_cache``
-#: expects a live solve feeding those sinks, not a silent memo hit --
-#: and a memoized knobbed result would leak one caller's cache handle
-#: into the next caller's run.
-_ROW_MEMO: dict[str, object] = {}
-
-
-def _memoized(key: str, build):
-    row = _ROW_MEMO.get(key)
-    if row is None:
-        row = _ROW_MEMO[key] = build()
-    return row
-
-
-def _l1_row(**knobs) -> Table3Row:
-    s = solve(MemorySpec(capacity_bytes=32 << 10, block_bytes=64,
-                         associativity=8, node_nm=NODE_NM), **knobs)
-    return _cache_row("L1", s, nbanks=1)
-
-
-def solve_l1(**knobs) -> Table3Row:
-    if knobs:
-        return _l1_row(**knobs)
-    return _memoized("L1", _l1_row)
-
-
-def _l2_row(**knobs) -> Table3Row:
-    s = solve(MemorySpec(capacity_bytes=1 << 20, block_bytes=64,
-                         associativity=8, node_nm=NODE_NM), **knobs)
-    return _cache_row("L2", s, nbanks=1)
-
-
-def solve_l2(**knobs) -> Table3Row:
-    if knobs:
-        return _l2_row(**knobs)
-    return _memoized("L2", _l2_row)
-
-
-def _l3_row(name: str, **knobs) -> Table3Row:
-    capacity, assoc, cell_tech, target = _L3_POINTS[name]
-    s = solve(
-        MemorySpec(
-            capacity_bytes=capacity,
-            block_bytes=64,
-            associativity=assoc,
-            nbanks=8,
-            node_nm=NODE_NM,
-            cell_tech=cell_tech,
-            sleep_transistors=cell_tech.traits.sleep_transistors_effective,
-        ),
-        target,
-        **knobs,
+def solve_main_memory_chip(*, solve_cache=None, obs=None):
+    """The 8 Gb DDR4-3200 x8 device at 32 nm; memoized when sink-free."""
+    if solve_cache is None and obs is None:
+        if "chip" not in _MEMO:
+            _MEMO["chip"] = solve_main_memory(_MAIN_CHIP, node_nm=NODE_NM)
+        return _MEMO["chip"]
+    return solve_main_memory(
+        _MAIN_CHIP, node_nm=NODE_NM, solve_cache=solve_cache, obs=obs
     )
-    return _cache_row(name, s, nbanks=8)
 
 
-def solve_l3(name: str, **knobs) -> Table3Row:
-    if knobs:
-        return _l3_row(name, **knobs)
-    return _memoized(name, lambda: _l3_row(name))
+def _chip_timing(mm):
+    """The device's timing at DDR4-3200 speed-bin values, burst 8."""
+    return to_main_memory_timing(quantize(mm.timing, DDR4_3200),
+                                 burst_length=8)
 
 
-def solve_main_memory_chip(**knobs):
-    """The 8 Gb DDR4-3200 x8 device at 32 nm."""
-    if knobs:
-        return _main_memory_chip(**knobs)
-    return _memoized("main_chip", _main_memory_chip)
-
-
-def _main_memory_chip(**knobs):
-    spec = MainMemorySpec(capacity_bits=8 * 2**30, page_bits=8192)
-    # The cachedb grid only covers cache/RAM specs, not the main-memory
-    # interface derivation, so that knob stops here.
-    knobs = {k: v for k, v in knobs.items() if k != "cachedb"}
-    return solve_main_memory(spec, node_nm=NODE_NM, **knobs)
-
-
-def main_memory_row(**knobs) -> Table3Row:
-    if knobs:
-        return _main_row(**knobs)
-    return _memoized("main", _main_row)
-
-
-def _main_row(**knobs) -> Table3Row:
-    mm = solve_main_memory_chip(**knobs)
-    sheet = quantize(mm.timing, DDR4_3200)
-    timing = to_main_memory_timing(sheet, burst_length=8)
+def _main_row(mm) -> Table3Row:
+    timing = _chip_timing(mm)
     return Table3Row(
         name="main",
         capacity_bytes=2**30,  # 8 Gb
@@ -246,51 +212,58 @@ def _main_row(**knobs) -> Table3Row:
     )
 
 
-def solve_table3(**knobs) -> dict[str, Table3Row]:
+def _build_row(name: str, *, solve_cache=None, obs=None, cachedb=None
+               ) -> Table3Row:
+    """Solve and derive one Table 3 row (``"main"``: the DDR4 chip)."""
+    if name == "main":
+        return _main_row(
+            solve_main_memory_chip(solve_cache=solve_cache, obs=obs)
+        )
+    spec, target, nbanks = _CACHE_ROWS[name]
+    solution = solve(spec, target, solve_cache=solve_cache, obs=obs,
+                     cachedb=cachedb)
+    return _cache_row(name, solution, nbanks)
+
+
+def solve_table3(*, solve_cache=None, obs=None, cachedb=None,
+                 resilience=None) -> dict[str, Table3Row]:
     """All Table 3 columns from the live CACTI-D model.
 
-    Keyword knobs (``solve_cache``, ``obs``, ``cachedb``)
-    pass through to every underlying cache solve (``cachedb`` stops
-    before the main-memory chip, whose interface derivation the grid
-    does not cover); knob-free calls are memoized.
+    A call without a sink (``solve_cache``, ``obs``) or a policy reads
+    the per-process memo, solving the table on first use.  ``cachedb``
+    serves the cache rows' exact hits, bit-identical to solving live,
+    so it is no reason to bypass the memo; the main-memory chip is off
+    its grid.  A call with a sink or a policy solves live.
 
-    ``resilience`` applies to the table, not to the solves: a policy
-    carrying a journal checkpoints the table at
-    row granularity (stage ``"table3.row"``): each solved row is
-    recorded as it completes, and a re-run against the same journal
-    restores the finished rows without re-solving them -- an
-    interrupted table resumes where it stopped.  The policy's fault
-    plan fires at each row boundary (in the parent, so an injected
-    ``kill`` degrades to an exception), which is how the test harness
-    interrupts a table mid-build deterministically.
+    The rows run through :func:`~repro.core.parallel.parallel_map` as
+    stage ``"table3.row"``, one task per row in this process.  A policy
+    carrying a journal records each row as it completes, and a re-run
+    against the same journal restores the finished rows without
+    re-solving them; its fault plan fires at each row (in the parent,
+    so an injected ``kill`` degrades to an exception).  A failed row
+    raises whatever the policy's ``on_error``: a table has no holes.
     """
-    resilience = knobs.pop("resilience", None)
-    journal = resilience.journal if resilience is not None else None
-    builders = [
-        ("L1", lambda: solve_l1(**knobs)),
-        ("L2", lambda: solve_l2(**knobs)),
-        *[
-            (name, lambda name=name: solve_l3(name, **knobs))
-            for name in _L3_POINTS
-        ],
-        ("main", lambda: main_memory_row(**knobs)),
-    ]
-    keys = journal_keys(
-        resilience,
-        "table3.row",
-        [{"row": name, "node_nm": NODE_NM} for name, _ in builders],
-    )
-    rows: dict[str, Table3Row] = {}
-    for index, (name, build) in enumerate(builders):
-        if keys is not None and keys[index] in journal:
-            rows[name] = journal.result(keys[index])
-            continue
-        if resilience is not None and resilience.fault_plan is not None:
-            resilience.fault_plan.fire("table3.row", index, attempt=1)
-        row = build()
-        if keys is not None:
-            journal.record(keys[index], "table3.row", row)
-        rows[name] = row
+    live = (solve_cache is not None or obs is not None
+            or resilience is not None)
+    if not live and "rows" in _MEMO:
+        return dict(_MEMO["rows"])
+    if resilience is not None:
+        resilience = replace(resilience, on_error="raise")
+    rows = dict(zip(_ROW_NAMES, parallel.parallel_map(
+        partial(_build_row, solve_cache=solve_cache, obs=obs,
+                cachedb=cachedb),
+        _ROW_NAMES,
+        1,
+        span_name="table3.row",
+        resilience=resilience,
+        keys=journal_keys(
+            resilience,
+            "table3.row",
+            [{"row": name, "node_nm": NODE_NM} for name in _ROW_NAMES],
+        ),
+    )))
+    if not live:
+        _MEMO["rows"] = dict(rows)
     return rows
 
 
@@ -323,10 +296,9 @@ def paper_table3() -> dict[str, Table3Row]:
 
 def _memory_timing_cycles(source: str) -> MemoryTimingCycles:
     if source == "cacti":
-        mm = solve_main_memory_chip()
-        sheet = quantize(mm.timing, DDR4_3200)
-        timing = to_main_memory_timing(sheet, burst_length=8)
-        return MemoryTimingCycles.from_chip(timing, CPU_HZ)
+        return MemoryTimingCycles.from_chip(
+            _chip_timing(solve_main_memory_chip()), CPU_HZ
+        )
     # Paper values: access = tRCD + CL = 61 CPU cycles, tRC = 98 cycles.
     return MemoryTimingCycles(
         t_rcd=30.0,
@@ -337,6 +309,14 @@ def _memory_timing_cycles(source: str) -> MemoryTimingCycles:
         t_rrd=15.0,
         t_burst=5.0,
     )
+
+
+def _study_rows(source: str, cachedb) -> dict[str, Table3Row]:
+    """The Table 3 a configuration is built from: the published one
+    (``source="paper"``) or the memoized solve."""
+    if source == "paper":
+        return paper_table3()
+    return solve_table3(cachedb=cachedb)
 
 
 def check_scale(scale: int) -> None:
@@ -357,12 +337,7 @@ def build_system_config(
     precomputed solves instead of solving live.
     """
     check_scale(scale)
-    if source == "paper":
-        rows = paper_table3()
-    elif cachedb is not None:
-        rows = solve_table3(cachedb=cachedb)
-    else:
-        rows = solve_table3()
+    rows = _study_rows(source, cachedb)
     l1r, l2r = rows["L1"], rows["L2"]
     l1 = CacheConfig(
         capacity_bytes=max(l1r.capacity_bytes // scale, 1024),
@@ -422,12 +397,7 @@ def _crossbar_metrics():
 def build_energy_model(name: str, source: str = "paper", cachedb=None
                        ) -> HierarchyEnergyModel:
     """The Figure 5(a) energy model for one configuration."""
-    if source == "paper":
-        rows = paper_table3()
-    elif cachedb is not None:
-        rows = solve_table3(cachedb=cachedb)
-    else:
-        rows = solve_table3()
+    rows = _study_rows(source, cachedb)
     l1r, l2r = rows["L1"], rows["L2"]
 
     def level(row: Table3Row, instances: int) -> LevelEnergy:

@@ -479,7 +479,7 @@ class TestForkedWorkers:
         self, tmp_path, monkeypatch
     ):
         from repro.cachedb import open_cachedb, reader
-        from repro.study import runner
+        from repro.study import runner, table3
         from repro.workloads.npb import UA_C
 
         path = tmp_path / "l1-l2.db"
@@ -493,10 +493,9 @@ class TestForkedWorkers:
                       cachedb=path)
         runs = {}
         for jobs in (1, 2):
-            # Configurations memoized by an earlier run would spare the
+            # A table memoized by an earlier run would spare the
             # workers their cachedb lookups.
-            monkeypatch.setattr(runner, "_TASK_CONFIGS", {})
-            monkeypatch.setattr(runner, "_TASK_ENERGY_MODELS", {})
+            monkeypatch.setattr(table3, "_MEMO", {})
             runs[jobs] = runner.run_study(jobs=jobs, **kwargs)
         assert parent.hits > 0  # the serial run was served by it
         assert runs[2].results == runs[1].results

@@ -239,10 +239,17 @@ class TestObservabilityFlags:
         # --stats, --trace and --metrics read the one telemetry sink.
         assert isinstance(seen["obs"], Obs)
         assert seen["obs"].tracer is not None
-        assert set(seen) == {"solve_cache", "obs"}
+        # The CLI passes every knob; no --resume means no policy.
+        assert set(seen) == {"solve_cache", "obs", "resilience"}
+        assert seen["resilience"] is None
         assert "L1" in capsys.readouterr().out
         json.loads(trace.read_text())
         json.loads(metrics.read_text())
+        seen.clear()
+        journal = tmp_path / "t3.journal"
+        assert main(["table3", "--resume", str(journal)]) == 0
+        assert (seen["solve_cache"], seen["obs"]) == (None, None)
+        assert seen["resilience"].journal.path == journal
 
     def test_validate_zero_target_is_a_clean_error(self, capsys,
                                                    monkeypatch):
@@ -367,18 +374,11 @@ class TestResilienceFlags:
 
         built = []
 
-        def fake_row(name):
+        def fake_row(name, **knobs):
             built.append(name)
             return table3.paper_table3()[name]
 
-        monkeypatch.setattr(table3, "solve_l1", lambda **k: fake_row("L1"))
-        monkeypatch.setattr(table3, "solve_l2", lambda **k: fake_row("L2"))
-        monkeypatch.setattr(
-            table3, "solve_l3", lambda name, **k: fake_row(name)
-        )
-        monkeypatch.setattr(
-            table3, "main_memory_row", lambda **k: fake_row("main")
-        )
+        monkeypatch.setattr(table3, "_build_row", fake_row)
         argv = ["table3", "--resume", str(tmp_path / "table3.journal")]
         assert main(argv) == 0
         first = capsys.readouterr().out
