@@ -24,6 +24,7 @@ from repro.study.table3 import (
     build_energy_model,
     build_system_config,
     check_scale,
+    check_source,
 )
 from repro.workloads.npb import NPB_PROFILES
 from repro.workloads.synthetic import WorkloadProfile, event_stream
@@ -222,9 +223,11 @@ def run_study(
 
     Duplicate profile names or repeated configuration names would
     silently overwrite each other's matrix cells, so both raise, as does
-    a ``scale`` below 1 (before any cell runs, whatever the policy).
+    a ``scale`` below 1 or a ``source`` other than ``"paper"`` and
+    ``"cacti"`` (before any cell runs, whatever the policy).
     """
     check_scale(scale)
+    check_source(source)
     if instructions_per_thread is not None:
         profiles = tuple(
             p.with_instructions(instructions_per_thread) for p in profiles

@@ -311,9 +311,19 @@ def _memory_timing_cycles(source: str) -> MemoryTimingCycles:
     )
 
 
+def check_source(source: str) -> None:
+    """Reject a latency/energy source other than ``"paper"`` (the
+    published Table 3) or ``"cacti"`` (this reproduction's solver)."""
+    if source not in ("paper", "cacti"):
+        raise ValueError(
+            f"source must be 'paper' or 'cacti', got {source!r}"
+        )
+
+
 def _study_rows(source: str, cachedb) -> dict[str, Table3Row]:
     """The Table 3 a configuration is built from: the published one
     (``source="paper"``) or the memoized solve."""
+    check_source(source)
     if source == "paper":
         return paper_table3()
     return solve_table3(cachedb=cachedb)

@@ -4,9 +4,14 @@ The cache is addressed by block number (``address // block_bytes``);
 the simulator's walk computes it once per reference.
 """
 
+import random
+import sys
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.sim import cache as cache_module
 from repro.sim.cache import Cache, CacheConfig, MesiState
 
 
@@ -106,6 +111,18 @@ class TestLru:
         c.set_state(0, MesiState.MODIFIED)
         assert c.fill(2, MesiState.EXCLUSIVE) == (0, True)
 
+    def test_hit_deep_in_a_long_set_moves_to_mru(self):
+        """In one 24-way set, a hit on the 21st line makes it the last
+        to go: the next 23 fills evict every other line, oldest first."""
+        c = make(capacity=24 * 64, block=64, assoc=24)
+        for block in range(24):
+            c.fill(block, MesiState.EXCLUSIVE)
+        c.access(20, True)
+        victims = [c.fill(block, MesiState.EXCLUSIVE)
+                   for block in range(100, 123)]
+        assert victims == [(b, False) for b in range(24) if b != 20]
+        assert c.fill(123, MesiState.EXCLUSIVE) == (20, True)
+
     def test_dirty_eviction_flagged(self):
         c = make(capacity=2 * 64, block=64, assoc=2)
         c.fill(0, MesiState.MODIFIED)
@@ -177,3 +194,52 @@ class TestCapacity:
         for a in lines:
             c.access(a, False)
         assert c.miss_rate == 0.0
+
+
+class TestFootprint:
+    def test_churn_does_not_grow_a_full_set(self):
+        """A full 24-way set keeps its footprint through ~10k
+        access/fill calls on its blocks.
+
+        A set that keeps LRU order by popping and re-inserting dict keys
+        ends up sized for three times its lines (1,168 B full, 2,264 B
+        churned).  Counted are the bytes allocated by the cache module;
+        the blocks exist beforehand, and a first churn of another cache
+        lets the interpreter settle its own per-code caches.  The hit
+        and miss counters outgrow the small-int cache on the way, so
+        their two ints are allowed on top.
+        """
+        ways = 24
+        pool = [1000 + k for k in range(2 * ways)]  # one set: num_sets == 1
+        rng = random.Random(7)
+        order = [rng.choice(pool) for _ in range(6500)]
+
+        def filled_set():
+            c = make(capacity=ways * 64, block=64, assoc=ways)
+            for block in pool[:ways]:
+                c.fill(block, MesiState.EXCLUSIVE)
+            return c
+
+        def churn(c):
+            for block in order:
+                if c.access(block, False) is None:
+                    c.fill(block, MesiState.SHARED)
+
+        def cache_bytes():
+            snapshot = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, cache_module.__file__)])
+            return sum(trace.size for trace in snapshot.traces)
+
+        churn(filled_set())
+        tracemalloc.start()
+        try:
+            c = filled_set()
+            filled = cache_bytes()
+            churn(c)
+            churned = cache_bytes()
+        finally:
+            tracemalloc.stop()
+        assert c.occupancy() == ways
+        assert c.misses > 1000 and c.hits > 1000
+        counters = sys.getsizeof(c.hits) + sys.getsizeof(c.misses)
+        assert churned <= 1.1 * filled + counters, (filled, churned)

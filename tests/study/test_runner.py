@@ -15,7 +15,7 @@ from repro.core.resilience import (
 from repro.obs import Obs
 from repro.sim.stats import AccessCounters
 from repro.study.runner import run_one, run_study
-from repro.study.table3 import build_system_config
+from repro.study.table3 import build_energy_model, build_system_config
 from repro.workloads.npb import CG_C, FT_B, UA_C
 
 INSTR = 30_000  # small but long enough to warm the scaled caches
@@ -261,6 +261,28 @@ class TestScaleValidation:
         with pytest.raises(ValueError, match="scale must be at least 1"):
             run_study(
                 profiles=(UA_C,), configs=("nol3",), scale=scale,
+                instructions_per_thread=FAST_INSTR,
+                resilience=ResiliencePolicy(on_error="skip"),
+            )
+
+
+class TestSourceValidation:
+    """An unknown ``source`` is refused, not built as a hybrid of solved
+    rows and the paper's DDR4 timing."""
+
+    def test_build_system_config_rejects(self):
+        with pytest.raises(ValueError, match="'paper' or 'cacti'.*'foo'"):
+            build_system_config("sram", source="foo")
+
+    def test_build_energy_model_rejects(self):
+        with pytest.raises(ValueError, match="'paper' or 'cacti'.*'foo'"):
+            build_energy_model("sram", source="foo")
+
+    def test_run_study_rejects_before_any_cell(self):
+        # Under skip a bad source must not turn into one failure a cell.
+        with pytest.raises(ValueError, match="'paper' or 'cacti'"):
+            run_study(
+                profiles=(UA_C,), configs=("nol3", "sram"), source="foo",
                 instructions_per_thread=FAST_INSTR,
                 resilience=ResiliencePolicy(on_error="skip"),
             )
