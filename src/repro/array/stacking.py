@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from repro.array.organization import ArrayMetrics
 from repro.tech.devices import DeviceParams
 
-#: TSV electrical parameters for face-to-face microbump stacks.
-TSV_CAPACITANCE = 20e-15  #: F per crossing
-TSV_RESISTANCE = 0.5  #: ohm per crossing
+#: TSV capacitance per crossing of a face-to-face microbump stack (F).
+TSV_CAPACITANCE = 20e-15
 
 #: Delay of one TSV crossing as a fraction of an FO4 (sub-FO4 per paper).
 TSV_DELAY_FO4_FRACTION = 0.5

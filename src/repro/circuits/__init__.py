@@ -3,7 +3,7 @@
 from repro.circuits.comparator import Comparator, way_select_delay
 from repro.circuits.crossbar import CrossbarMetrics, design_crossbar
 from repro.circuits.drivers import ChainMetrics, WireLoad, build_chain
-from repro.circuits.gates import Gate, folded_strip_area, horowitz, inverter, nand, nor
+from repro.circuits.gates import Gate, folded_strip_area, horowitz, inverter, nand
 from repro.circuits.logical_effort import SizedPath, optimal_stages, size_path
 from repro.circuits.repeaters import (
     RepeatedWireDesign,
@@ -28,7 +28,6 @@ __all__ = [
     "horowitz",
     "inverter",
     "nand",
-    "nor",
     "optimal_repeated_wire",
     "optimal_stages",
     "repeated_wire",

@@ -145,17 +145,6 @@ def nand(device: DeviceParams, num_inputs: int, w_n: float) -> Gate:
     )
 
 
-def nor(device: DeviceParams, num_inputs: int, w_n: float) -> Gate:
-    """NOR gate; PMOS stack upsized to preserve pull-up drive."""
-    return Gate(
-        device,
-        num_inputs=num_inputs,
-        w_n=w_n,
-        w_p=w_n * device.n_to_p_ratio * num_inputs,
-        stack=1,
-    )
-
-
 def min_width(device: DeviceParams, feature_size: float) -> float:
     """Minimum usable transistor width in this technology (m)."""
     del device  # width floor is lithographic, not electrical

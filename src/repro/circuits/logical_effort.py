@@ -24,11 +24,6 @@ def le_nand(num_inputs: int) -> float:
     return (num_inputs + 2.0) / 3.0
 
 
-def le_nor(num_inputs: int) -> float:
-    """Logical effort of an n-input NOR gate."""
-    return (2.0 * num_inputs + 1.0) / 3.0
-
-
 def optimal_stages(path_effort: float) -> int:
     """Number of stages minimizing delay for a given path effort."""
     if path_effort <= 1.0:

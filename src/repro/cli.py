@@ -29,6 +29,7 @@ and ``--resume PATH`` (checkpoint journal) fault-tolerance knobs;
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.array.mainmem import MainMemorySpec
@@ -382,7 +383,11 @@ def _write_obs(args: argparse.Namespace, obs: Obs | None) -> None:
 def _run_cache_store(args: argparse.Namespace) -> int:
     """Store maintenance: ``repro cache {info,gc}``."""
     from repro.core.solvecache import open_solve_store
+    from repro.store import parse_store_url
 
+    path, _ = parse_store_url(args.store)
+    if not os.path.exists(path):
+        raise ValueError(f"no solve store at {path}")
     store = open_solve_store(args.store)
     try:
         report = (store.info() if args.cache_command == "info"

@@ -11,11 +11,9 @@ constraint).
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 
-from repro.tech import registry as _registry
 from repro.tech.cells import CellTech
 
 
@@ -30,31 +28,6 @@ class AccessMode(Enum):
     NORMAL = "normal"
     SEQUENTIAL = "sequential"
 
-
-class _DefaultPeriphery(Mapping):
-    """Live view of each registered technology's default periphery trait.
-
-    Replaces the former hardcoded triad dict (which raised a bare
-    ``KeyError`` for any technology outside it): lookups now come from
-    the registry, cover every registered technology automatically, and
-    unknown keys raise a ``ValueError`` naming the registered
-    technologies (via ``CellTech``'s name resolution).
-    """
-
-    def __getitem__(self, cell_tech: CellTech) -> str:
-        return CellTech(cell_tech).traits.default_periphery
-
-    def __iter__(self):
-        return iter(CellTech)
-
-    def __len__(self) -> int:
-        return len(_registry.registered_names())
-
-
-#: Default peripheral/global circuitry per cell technology (paper Table 1):
-#: SRAM and LP-DRAM use long-channel ITRS HP devices, COMM-DRAM uses LSTP.
-#: Backed by the technology registry's ``default_periphery`` trait.
-DEFAULT_PERIPHERY = _DefaultPeriphery()
 
 #: Physical address width assumed when sizing tag arrays.
 PHYSICAL_ADDRESS_BITS = 40

@@ -1,7 +1,6 @@
 """DRAM operational models: page policies and interfaces."""
 
 from repro.dram.interface import (
-    InterfaceKind,
     LineMapping,
     MainMemoryLikeInterface,
     SramLikeInterface,
@@ -20,7 +19,6 @@ from repro.dram.page_policy import (
 
 __all__ = [
     "ClosedPagePolicy",
-    "InterfaceKind",
     "LineMapping",
     "MainMemoryLikeInterface",
     "OpenPagePolicy",

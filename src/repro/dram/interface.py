@@ -18,17 +18,11 @@ expected page-hit ratio it yields.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 from repro.array.organization import ArrayMetrics
 from repro.dram.page_policy import PagePolicy, expected_access_latency
-
-
-class InterfaceKind(Enum):
-    SRAM_LIKE = "sram-like"
-    MAIN_MEMORY_LIKE = "main-memory-like"
 
 
 class LineMapping(Enum):
@@ -157,14 +151,3 @@ def interleaving_speedup(
     pitched = 1.0 / max(interleave_cycle, random_cycle / num_subbanks)
     return pitched / base
 
-
-def subbank_conflict_ratio(num_subbanks: int, outstanding: int) -> float:
-    """Probability a random access hits a busy subbank (birthday bound)."""
-    if num_subbanks <= 1:
-        return 1.0
-    busy = min(outstanding, num_subbanks)
-    return busy / num_subbanks
-
-
-def pages_per_bank(capacity_bits: int, nbanks: int, page_bits: int) -> int:
-    return math.ceil(capacity_bits / (nbanks * page_bits))

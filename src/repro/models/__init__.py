@@ -6,14 +6,11 @@ from repro.models.energy import EnergyBreakdown, dynamic_power, energy_breakdown
 from repro.models.leakage import (
     OPERATING_TEMPERATURE,
     rescale_leakage,
-    sleep_transistor_leakage,
     temperature_factor,
 )
-from repro.models.refresh import RefreshSchedule, refresh_power, refresh_schedule
+from repro.models.refresh import RefreshSchedule, refresh_schedule
 from repro.models.timing_dram import (
     DDR3_1066,
-    DDR3_1333,
-    DDR4_2400,
     DDR4_3200,
     DatasheetTiming,
     SpeedGrade,
@@ -24,8 +21,6 @@ from repro.models.timing_dram import (
 __all__ = [
     "AreaBreakdown",
     "DDR3_1066",
-    "DDR3_1333",
-    "DDR4_2400",
     "DDR4_3200",
     "DatasheetTiming",
     "DelayBreakdown",
@@ -38,10 +33,8 @@ __all__ = [
     "dynamic_power",
     "energy_breakdown",
     "quantize",
-    "refresh_power",
     "refresh_schedule",
     "rescale_leakage",
-    "sleep_transistor_leakage",
     "temperature_factor",
     "to_main_memory_timing",
 ]

@@ -3,8 +3,9 @@
 CACTI 4/5 adopted eCACTI's leakage methodology; CACTI-D adds the sleep-
 transistor option used to match the 65 nm Xeon L3 (inactive mats' leakage
 halved) and evaluates subthreshold leakage at operating temperature.
-This module exposes the temperature scaling and sleep accounting as
-standalone utilities for studies that post-process solved designs.
+The array model applies the sleep-transistor cut itself; this module
+exposes the temperature scaling as a standalone utility for studies that
+post-process solved designs.
 """
 
 from __future__ import annotations
@@ -42,15 +43,3 @@ def rescale_leakage(
         / TEMPERATURE_LEAKAGE_FACTOR
     )
 
-
-def sleep_transistor_leakage(
-    p_active_fraction: float, p_leakage_raw: float, sleep_factor: float = 0.5
-) -> float:
-    """Leakage with sleep transistors on inactive mats.
-
-    ``p_active_fraction`` is the fraction of mats awake during an access;
-    sleeping mats leak ``sleep_factor`` of their nominal value (the paper
-    models the Xeon's mechanism as cutting leakage in half).
-    """
-    awake = p_active_fraction
-    return p_leakage_raw * (awake + sleep_factor * (1.0 - awake))

@@ -62,9 +62,3 @@ def refresh_schedule(
         nbanks=nbanks,
     )
 
-
-def refresh_power(
-    ops_per_period: float, energy_per_op: float, retention_time: float
-) -> float:
-    """Average refresh power (W): the paper's refresh-power model."""
-    return ops_per_period * energy_per_op / retention_time

@@ -40,8 +40,6 @@ class SpeedGrade:
 
 
 DDR3_1066 = SpeedGrade("DDR3-1066", 1066e6)
-DDR3_1333 = SpeedGrade("DDR3-1333", 1333e6)
-DDR4_2400 = SpeedGrade("DDR4-2400", 2400e6)
 DDR4_3200 = SpeedGrade("DDR4-3200", 3200e6)
 
 

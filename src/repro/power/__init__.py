@@ -15,12 +15,7 @@ from repro.power.powerdown import (
     evaluate_policy,
     idle_intervals_from_rate,
 )
-from repro.power.system import (
-    PAPER_CORE_POWER_W,
-    SystemPower,
-    energy_delay_ratio,
-    scaled_core_power,
-)
+from repro.power.system import SystemPower, scaled_core_power
 from repro.power.thermal import ThermalEstimate, temperature_spread
 
 __all__ = [
@@ -28,14 +23,12 @@ __all__ = [
     "HierarchyEnergyModel",
     "LevelEnergy",
     "MainMemoryEnergy",
-    "PAPER_CORE_POWER_W",
     "PowerBreakdown",
     "PowerDownOutcome",
     "PowerDownPolicy",
     "PowerState",
     "SystemPower",
     "ThermalEstimate",
-    "energy_delay_ratio",
     "evaluate_policy",
     "hierarchy_power",
     "idle_intervals_from_rate",

@@ -50,10 +50,6 @@ def scaled_core_power(
     return dynamic_scaled + leakage_scaled + NUM_FPUS * FPU_POWER_32NM
 
 
-#: The paper's quoted bottom-die core power (W).
-PAPER_CORE_POWER_W = 22.3
-
-
 @dataclass(frozen=True)
 class SystemPower:
     """Figure 5(b): core vs memory-hierarchy power and energy-delay."""
@@ -74,8 +70,3 @@ class SystemPower:
     def energy_delay(self) -> float:
         """Energy-delay product (J*s)."""
         return self.energy * self.execution_time
-
-
-def energy_delay_ratio(config: SystemPower, baseline: SystemPower) -> float:
-    """Normalized system energy-delay (paper Figure 5(b), nol3 = 1.0)."""
-    return config.energy_delay / baseline.energy_delay

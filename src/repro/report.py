@@ -7,7 +7,7 @@ of Figure 4(a)/5(b) is visible directly in the bench output.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 
 _BLOCKS = " ▏▎▍▌▋▊▉█"
 
@@ -53,12 +53,3 @@ def grouped_bar_chart(
             )
     return "\n".join(line for line in lines if line != "")
 
-
-def comparison_line(
-    label: str, measured: float, paper: float, fmt: str = "{:+.1%}"
-) -> str:
-    """One-line measured-vs-paper comparison."""
-    return (
-        f"{label}: {fmt.format(measured)} "
-        f"(paper: {fmt.format(paper)})"
-    )

@@ -100,6 +100,12 @@ def open_store(
     ``version`` stamps every record written and selects the records
     served; ``validate`` screens structurally corrupt records.
     """
+    path, options = parse_store_url(spec)
+    return SqliteStore(path, version=version, validate=validate, **options)
+
+
+def parse_store_url(spec: str | os.PathLike) -> tuple[str, dict[str, int]]:
+    """The database path and the options named by a store ``spec``."""
     text = os.fspath(spec)
     path, options = text, {}
     if text.startswith("json:"):
@@ -125,7 +131,7 @@ def open_store(
                     ) from exc
     if not path:
         raise ValueError(f"no path in store url {text!r}")
-    return SqliteStore(path, version=version, validate=validate, **options)
+    return path, options
 
 
 class SqliteStore:

@@ -1,7 +1,5 @@
 """The stacked last-level-cache study (paper sections 3-4)."""
 
-from repro.study.floorplan import Floorplan, derive_floorplan
-from repro.study.replication import Replicated, replicate, speedup_interval
 from repro.study.sensitivity import (
     SensitivityResult,
     SweepPoint,
@@ -30,9 +28,7 @@ __all__ = [
     "CONFIG_NAMES",
     "CPU_HZ",
     "DEFAULT_SCALE",
-    "Floorplan",
     "NODE_NM",
-    "Replicated",
     "RunResult",
     "SensitivityResult",
     "StudyResult",

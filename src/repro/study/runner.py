@@ -47,10 +47,6 @@ class RunResult:
     def ipc(self) -> float:
         return self.stats.ipc
 
-    @property
-    def execution_seconds(self) -> float:
-        return self.stats.cycles / CPU_HZ
-
 
 @dataclass(frozen=True)
 class StudyResult:

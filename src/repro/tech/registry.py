@@ -132,11 +132,6 @@ class CellTraits:
         if self.htree_wire not in ("global", "semi-global"):
             raise ValueError(f"unknown htree wire {self.htree_wire!r}")
 
-    @property
-    def write_back_required(self) -> bool:
-        """Sensing must restore the cell after every read."""
-        return self.destructive_read
-
     def as_dict(self) -> dict:
         """JSON-safe view of the traits (for reports and tooling)."""
         d = dataclasses.asdict(self)

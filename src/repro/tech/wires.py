@@ -122,49 +122,6 @@ def local_wire(node_nm: int, tungsten: bool = False) -> WireParams:
     )
 
 
-@dataclass(frozen=True)
-class LowSwingWire:
-    """A low-swing differential interconnect alternative.
-
-    CACTI 6.0 (developed concurrently with CACTI-D, see the paper's
-    related work) explored interconnect alternatives for large caches;
-    low-swing differential signaling is the canonical one: the wire is
-    driven to a reduced swing and sensed differentially, trading a slower,
-    unrepeated (or lightly repeated) link for a large energy saving
-    proportional to ``swing / VDD``.
-    """
-
-    wire: WireParams
-    swing: float  #: differential swing (V)
-    vdd: float  #: driver supply (V)
-
-    #: Differential receiver (sense-amp) delay and energy.
-    RECEIVER_DELAY = 100e-12
-    RECEIVER_ENERGY = 30e-15
-
-    def delay(self, length: float) -> float:
-        """Unrepeated distributed RC plus the receiver (s); quadratic in
-        length, so only attractive below the repeated-wire crossover."""
-        return self.wire.elmore_delay(length) + self.RECEIVER_DELAY
-
-    def energy(self, length: float) -> float:
-        """Per-transition energy: reduced-swing charge on both lines (J)."""
-        c = self.wire.c_per_m * length
-        return 2.0 * c * self.swing * self.vdd + self.RECEIVER_ENERGY
-
-    def energy_saving_vs_full_swing(self, length: float) -> float:
-        """Fractional energy saving against a full-swing wire of the same
-        geometry (ignoring repeater overheads, so a lower bound)."""
-        full = self.wire.c_per_m * length * self.vdd * self.vdd
-        return 1.0 - self.energy(length) / full if full > 0 else 0.0
-
-
-def low_swing_wire(node_nm: float, vdd: float, swing: float = 0.1
-                   ) -> LowSwingWire:
-    """Low-swing differential link on the global plane at ``node_nm``."""
-    return LowSwingWire(wire=global_wire(node_nm), swing=swing, vdd=vdd)
-
-
 def _loglin(table: dict[int, float], node_nm: float) -> float:
     """Log-linear interpolation of a per-node table in feature size."""
     nodes = sorted(table)

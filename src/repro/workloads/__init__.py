@@ -20,15 +20,7 @@ from repro.workloads.micro import (
     STREAM,
     WRITE_SHARED,
 )
-from repro.workloads.profiles_io import load_profiles, save_profiles
 from repro.workloads.synthetic import LINE_BYTES, WorkloadProfile, event_stream
-from repro.workloads.trace import (
-    TraceFormatError,
-    load_trace,
-    load_traces,
-    save_trace,
-    save_traces,
-)
 
 __all__ = [
     "BT_C",
@@ -47,14 +39,7 @@ __all__ = [
     "STREAM",
     "WRITE_SHARED",
     "SP_C",
-    "TraceFormatError",
     "UA_C",
     "WorkloadProfile",
     "event_stream",
-    "load_profiles",
-    "load_trace",
-    "load_traces",
-    "save_profiles",
-    "save_trace",
-    "save_traces",
 ]

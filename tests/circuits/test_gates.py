@@ -9,7 +9,6 @@ from repro.circuits.gates import (
     inverter,
     min_width,
     nand,
-    nor,
 )
 from repro.tech.devices import device
 
@@ -55,10 +54,6 @@ class TestGateElectricals:
 
     def test_nand_costs_more_input_cap(self):
         assert nand(HP32, 3, 1e-6).c_in > inverter(HP32, 1e-6).c_in
-
-    def test_nor_pmos_stack_upsized(self):
-        g = nor(HP32, 2, 1e-6)
-        assert g.w_p == pytest.approx(2 * HP32.n_to_p_ratio * 1e-6)
 
     def test_delay_increases_with_load(self):
         g = inverter(HP32, 1e-6)

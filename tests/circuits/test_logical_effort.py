@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from repro.circuits.logical_effort import (
     le_nand,
-    le_nor,
     optimal_stages,
     size_path,
 )
@@ -15,10 +14,6 @@ class TestLogicalEfforts:
     def test_nand_efforts(self):
         assert le_nand(2) == pytest.approx(4 / 3)
         assert le_nand(3) == pytest.approx(5 / 3)
-
-    def test_nor_worse_than_nand(self):
-        for n in (2, 3, 4):
-            assert le_nor(n) > le_nand(n)
 
 
 class TestOptimalStages:

@@ -450,6 +450,17 @@ class TestCacheStoreCli:
         assert main(["cache", "info", str(path)]) == 0
         assert "{'repro-solve-cache-v3': 2}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["info", "gc"])
+    @pytest.mark.parametrize("url", ["{path}", "sqlite:{path}?max_records=8"])
+    def test_missing_store_is_refused_not_created(
+        self, command, url, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        spec = url.format(path="missing.db")
+        assert main(["cache", command, spec]) == 2
+        assert "no solve store at missing.db" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_cache_migrate_is_not_a_command(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["cache", "migrate", str(tmp_path / "a"),

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.config import (
-    DEFAULT_PERIPHERY,
     DENSITY_OPTIMIZED,
     ENERGY_DELAY_OPTIMIZED,
     AccessMode,
@@ -11,6 +10,7 @@ from repro.core.config import (
     OptimizationTarget,
 )
 from repro.tech.cells import CellTech
+from repro.tech.nodes import technology
 
 
 class TestMemorySpec:
@@ -72,7 +72,9 @@ class TestMemorySpec:
         assert spec.tag_technology is CellTech.SRAM
 
     def test_all_cell_techs_have_default_periphery(self):
-        assert set(DEFAULT_PERIPHERY) == set(CellTech)
+        tech32 = technology(32)
+        for tech in CellTech:
+            assert tech32.device(tech.traits.default_periphery).vdd > 0
 
 
 class TestOptimizationTarget:

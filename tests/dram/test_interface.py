@@ -9,7 +9,6 @@ from repro.dram.interface import (
     main_memory_like,
     page_hit_ratio,
     sram_like,
-    subbank_conflict_ratio,
 )
 from repro.dram.page_policy import ClosedPagePolicy, OpenPagePolicy
 from repro.tech.cells import CellTech
@@ -77,11 +76,6 @@ class TestInterleaving:
 
     def test_single_subbank_no_speedup(self):
         assert interleaving_speedup(10e-9, 1e-9, 1) == pytest.approx(1.0)
-
-    def test_conflict_ratio_bounds(self):
-        assert subbank_conflict_ratio(1, 4) == 1.0
-        assert 0 < subbank_conflict_ratio(32, 4) < 1
-        assert subbank_conflict_ratio(32, 64) == 1.0
 
 
 class TestLineMapping:

@@ -8,10 +8,9 @@ from repro.models.delay import delay_breakdown
 from repro.models.energy import dynamic_power, energy_breakdown
 from repro.models.leakage import (
     rescale_leakage,
-    sleep_transistor_leakage,
     temperature_factor,
 )
-from repro.models.refresh import refresh_power, refresh_schedule
+from repro.models.refresh import refresh_schedule
 from repro.models.timing_dram import (
     DDR3_1066,
     DDR4_3200,
@@ -79,11 +78,6 @@ class TestLeakageUtilities:
         assert rescale_leakage(2.0, 360.0) == pytest.approx(2.0)
         assert rescale_leakage(2.0, 300.0) == pytest.approx(0.5)
 
-    def test_sleep_transistors(self):
-        # All mats awake: no savings; none awake: halved.
-        assert sleep_transistor_leakage(1.0, 4.0) == pytest.approx(4.0)
-        assert sleep_transistor_leakage(0.0, 4.0) == pytest.approx(2.0)
-
 
 class TestRefreshUtilities:
     def test_schedule_interval(self):
@@ -98,11 +92,6 @@ class TestRefreshUtilities:
         lp = refresh_schedule(8192, 1, 0.12e-3, 20e-9, 8)
         comm = refresh_schedule(8192, 1, 64e-3, 50e-9, 8)
         assert lp.refresh_rate > 100 * comm.refresh_rate
-
-    def test_refresh_power_formula(self):
-        assert refresh_power(1000, 1e-9, 64e-3) == pytest.approx(
-            1000 * 1e-9 / 64e-3
-        )
 
 
 class TestSpeedGrades:

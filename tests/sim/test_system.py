@@ -12,6 +12,8 @@ from repro.sim.core import ThreadContext
 from repro.sim.dram_channel import MemoryController, MemoryTimingCycles
 from repro.sim.interconnect import Crossbar
 from repro.sim.system import L3Config, System, SystemConfig, run_workload
+from repro.workloads.npb import FT_B
+from repro.workloads.synthetic import event_stream
 
 MEM = MemoryTimingCycles(
     t_rcd=30, t_cas=31, t_rp=28, t_ras=70, t_rc=98, t_rrd=15, t_burst=5
@@ -85,6 +87,23 @@ class TestExecution:
     def test_unknown_event_raises(self):
         with pytest.raises(ValueError, match="unknown workload event"):
             run_workload(config(), lambda tid: iter([("jump", 1)]))
+
+    @pytest.mark.parametrize("l3", [False, True])
+    def test_live_streams_match_their_lists(self, l3):
+        """The study feeds live generators and the bench's replay feeds
+        materialised lists; both runs must give the same statistics."""
+        profile = FT_B.with_instructions(2000).scaled(16)
+        cfg = config(l3=l3)
+        threads = cfg.num_threads
+        live = System(cfg).run(
+            [event_stream(profile, tid, threads) for tid in range(threads)]
+        )
+        lists = System(cfg).run(
+            [list(event_stream(profile, tid, threads))
+             for tid in range(threads)]
+        )
+        assert live.counters.mem_reads > 0
+        assert dataclasses.asdict(live) == dataclasses.asdict(lists)
 
 
 class TestSynchronization:

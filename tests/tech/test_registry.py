@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from repro.core.config import DEFAULT_PERIPHERY
+from repro.core.config import MemorySpec
 from repro.tech.cells import SRAM_TRAITS, sram_cell
 from repro.tech.registry import (
     CellTech,
@@ -166,16 +166,15 @@ class TestCellTraits:
 
 class TestDefaultPeriphery:
     def test_tracks_registry(self):
-        assert set(DEFAULT_PERIPHERY) == set(CellTech)
+        """A spec's default periphery is its technology's registered trait."""
         for tech in CellTech:
-            assert (
-                DEFAULT_PERIPHERY[tech] == tech.traits.default_periphery
-            )
+            spec = MemorySpec(capacity_bytes=1 << 20, cell_tech=tech)
+            assert spec.periphery == tech.traits.default_periphery
 
     def test_accepts_names(self):
-        assert DEFAULT_PERIPHERY["comm-dram"] == "lstp"
+        assert CellTech("comm-dram").traits.default_periphery == "lstp"
 
     def test_unknown_name_is_descriptive(self):
         # Regression: this used to be a bare KeyError naming nothing.
         with pytest.raises(ValueError, match="registered technologies"):
-            DEFAULT_PERIPHERY["tape-drive"]
+            CellTech("tape-drive").traits

@@ -1,8 +1,6 @@
 """Tests for the text/ASCII reporting helpers."""
 
-import pytest
-
-from repro.report import bar, comparison_line, grouped_bar_chart
+from repro.report import bar, grouped_bar_chart
 
 
 class TestBar:
@@ -47,8 +45,3 @@ class TestGroupedChart:
     def test_empty_data(self):
         assert grouped_bar_chart({}) == ""
 
-
-class TestComparisonLine:
-    def test_format(self):
-        line = comparison_line("EDP improvement", 0.52, 0.40)
-        assert "+52.0%" in line and "+40.0%" in line
