@@ -114,11 +114,6 @@ class MainMemoryTiming:
     t_rrd: float  #: ACTIVATE to ACTIVATE, different banks
     t_burst: float  #: data burst duration on the pins
 
-    @property
-    def random_access(self) -> float:
-        """Latency of a row-miss access: tRCD + CAS (paper Table 3 note)."""
-        return self.t_rcd + self.t_cas
-
 
 @dataclass(frozen=True)
 class MainMemoryEnergies:

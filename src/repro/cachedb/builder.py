@@ -5,8 +5,9 @@ cells into a :class:`~repro.core.solvecache.SolveCache` at the
 cachedb's path, so it inherits parallel workers (``jobs``), sweep
 statistics, observability spans, and -- through a
 :class:`~repro.core.resilience.ResiliencePolicy` -- skip/retry
-semantics plus JSONL journal checkpoint/resume; a rebuild into the same
-path is served the records it already holds.  The ``meta`` row
+semantics.  The store is the build's checkpoint: a rebuild into the
+same path is served the records it already holds, so an interrupted
+build resumes by running again.  The ``meta`` row
 (:data:`~repro.cachedb.schema.META_KEY`: grid axes, target, holes) is
 dropped when a build starts and written last, so a killed build leaves
 a store the reader refuses as incomplete, never a torn cachedb.
@@ -25,7 +26,7 @@ import os
 import time
 from dataclasses import asdict, dataclass
 
-from repro.core.cacti import data_array_spec, solve_batch, tag_array_spec
+from repro.core.cacti import refuse_journal, solve_batch
 from repro.core.config import OptimizationTarget
 from repro.core.resilience import ResiliencePolicy
 from repro.core.solvecache import SolveCache
@@ -40,7 +41,6 @@ class BuildReport:
     grid_points: int  #: total cells in the grid
     solved: int  #: cells with a stored design point
     holes: int  #: infeasible/failed cells recorded as holes
-    restored: int  #: cells restored from the resume journal
     wall_time_s: float
 
     def summary(self) -> str:
@@ -49,7 +49,6 @@ class BuildReport:
             f"grid points     : {self.grid_points}",
             f"solved          : {self.solved}",
             f"holes           : {self.holes}",
-            f"restored        : {self.restored} (from resume journal)",
             f"build wall time : {self.wall_time_s:.2f} s",
         ]
         return "\n".join(lines)
@@ -69,13 +68,14 @@ def build_cachedb(
     ``target`` steers every solve (one target per cachedb -- it
     answers queries for exactly one optimization preset).  ``jobs``
     fans the grid out over worker processes.  ``resilience`` overrides
-    the default skip-and-record policy; one carrying a journal enables
-    checkpoint/resume -- re-running an interrupted build against the
-    same journal restores completed cells instead of re-solving them.
+    the default skip-and-record policy; one carrying a journal raises
+    ValueError, since re-running an interrupted build into the same
+    ``path`` already serves the cells it solved from the store.
 
     A file at ``path`` that is not a sqlite database (a JSON cachedb
     written by an older build, say) is refused untouched.
     """
+    refuse_journal(resilience)
     t0 = time.perf_counter()
     target = target or OptimizationTarget()
     resilience = resilience or ResiliencePolicy(on_error="skip")
@@ -103,17 +103,6 @@ def build_cachedb(
             obs=obs,
             resilience=resilience,
         )
-        # A cell restored from the journal was not solved this run, so
-        # the store may lack its records (the journal can outlive it).
-        for i in outcomes.restored:
-            solution = outcomes[i]
-            if solution is not None:
-                spec = solution.spec
-                store.put(data_array_spec(spec), target, spec.node_nm,
-                          solution.data)
-                if solution.tag is not None:
-                    store.put(tag_array_spec(spec), target, spec.node_nm,
-                              solution.tag)
         for failure in outcomes.failed:
             holes[keys[failure.index]] = (
                 f"{failure.error_type}: {failure.message}"
@@ -135,6 +124,5 @@ def build_cachedb(
         grid_points=len(grid),
         solved=solved,
         holes=len(holes),
-        restored=len(outcomes.restored),
         wall_time_s=time.perf_counter() - t0,
     )

@@ -79,11 +79,6 @@ class Gate:
         d = horowitz(t_ramp, tau)
         return d, 2.0 * d
 
-    def switch_energy(self, c_load: float) -> float:
-        """Dynamic energy of one output transition (J)."""
-        vdd = self.device.vdd
-        return (self.c_out + self.c_in + c_load) * vdd * vdd
-
     def leakage(self) -> float:
         """Average static leakage power (W).
 

@@ -10,20 +10,22 @@ Usage::
     python -m repro cache gc solves.db
     python -m repro main-memory --capacity 1G --node 78 --pins 8
     python -m repro validate-ddr3
-    python -m repro table3 --resume table3.journal
-    python -m repro study --configs nol3,sram --on-error retry
+    python -m repro table3 --cache table3.db
+    python -m repro study --configs nol3,sram --resume study.journal
     python -m repro sweep --capacity 2M --parameter capacity_bytes \
-        --values 1M,2M,4M,8M
+        --values 1M,2M,4M,8M --cache sweep.db
     python -m repro cachedb build grid.db --capacities 64K,256K,1M \
-        --nodes 32,45 --resume build.journal
+        --nodes 32,45
     python -m repro cachedb query grid.db --capacity 96K --node 38
     python -m repro cachedb info grid.db
 
 Sizes accept K/M/G suffixes (powers of two).  The multi-task runs
 (``study``, ``sweep``, ``cachedb build``) take ``--jobs N`` and the
-``--on-error {raise,skip,retry}``, ``--retries``, ``--task-timeout``
-and ``--resume PATH`` (checkpoint journal) fault-tolerance knobs;
-``table3`` takes ``--resume``.
+``--on-error {raise,skip,retry}``, ``--retries`` and ``--task-timeout``
+fault-tolerance knobs.  A solve's checkpoint is its store: rerun
+``table3`` or ``sweep`` with the same ``--cache``, or a ``cachedb
+build`` into the same path, to resume.  Only ``study``, whose cells are
+simulations no store holds, takes ``--resume PATH`` (a journal).
 """
 
 from __future__ import annotations
@@ -89,10 +91,9 @@ def _size_arg(text: str) -> int:
 def _jobs_arg(text: str) -> int | str:
     """argparse ``type=`` wrapper for ``--jobs``: an integer or ``auto``.
 
-    ``auto`` defers the worker-count decision to
-    :func:`repro.core.parallel.effective_jobs`, which weighs the
-    machine and the task count (serial on one core or a single task,
-    where process fan-out costs more than it saves).
+    ``auto``, like ``0``, means all cores
+    (:func:`repro.core.parallel.resolve_jobs`); a run never starts more
+    workers than it has tasks.
     """
     if text.strip().lower() == "auto":
         return "auto"
@@ -175,8 +176,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "table3", help="solve the LLC study's Table 3 columns"
     )
 
+    # No abbreviations: a study takes no --cache, which must not pass
+    # for a prefix of --cachedb.
     study = sub.add_parser(
-        "study", help="run the LLC study matrix (apps x configurations)"
+        "study", help="run the LLC study matrix (apps x configurations)",
+        allow_abbrev=False,
     )
     study.add_argument("--apps", default=None, metavar="A,B,...",
                        help="comma-separated app subset (default: all)")
@@ -239,9 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "(default: every registered technology)")
     cdb_build.add_argument("--optimize", default="balanced",
                            choices=sorted(_PRESETS))
-    # Dense grids always contain infeasible corners; record them as
-    # holes and keep building rather than failing the whole build.
-    cdb_build.set_defaults(on_error="skip")
 
     cdb_query = cdb_sub.add_parser(
         "query", help="answer one design query from a cachedb"
@@ -267,8 +268,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # Every subcommand ultimately runs the same solver, so every
     # subcommand gets the same solver knobs and observability outputs;
-    # a cachedb build writes into its own store, so it takes no --cache.
-    for solver in (cache, mm, validate, table3, study, sweep):
+    # a cachedb build writes into its own store, and a study's solves
+    # are one memoized Table 3, so neither takes --cache.
+    for solver in (cache, mm, validate, table3, sweep):
         solver.add_argument(
             "--cache", metavar="STORE", default=None, dest="cache_path",
             help="persistent solve store (a WAL-mode sqlite database); "
@@ -299,13 +301,15 @@ def _build_parser() -> argparse.ArgumentParser:
         solver.add_argument(
             "--jobs", type=_jobs_arg, default="auto", metavar="N",
             help="worker processes for the run's tasks (1 = serial, "
-                 "0 = all cores, 'auto' = serial or all cores by machine "
-                 "and task count; default auto); results are "
-                 "bit-identical at any setting",
+                 "0 or 'auto' = all cores, never more than the tasks; "
+                 "default auto); results are bit-identical at any "
+                 "setting",
         )
+        # Dense grids always contain infeasible corners; a build
+        # records them as holes and keeps going.
         solver.add_argument(
-            "--on-error", default="raise", choices=ON_ERROR_POLICIES,
-            dest="on_error",
+            "--on-error", choices=ON_ERROR_POLICIES, dest="on_error",
+            default="skip" if solver is cdb_build else "raise",
             help="task-failure policy: fail fast, skip the task "
                  "(recorded, run continues), or retry with backoff",
         )
@@ -319,13 +323,13 @@ def _build_parser() -> argparse.ArgumentParser:
             help="per-task wall-clock budget; overdue tasks are "
                  "cancelled (parallel runs only)",
         )
-    # table3 checkpoints at row granularity.
-    for solver in (table3, study, sweep, cdb_build):
-        solver.add_argument(
-            "--resume", metavar="PATH", default=None,
-            help="checkpoint journal: completed work is recorded here "
-                 "and restored on the next run with the same --resume",
-        )
+    # Solves checkpoint in their store; only the study's simulated
+    # cells need a journal.
+    study.add_argument(
+        "--resume", metavar="PATH", default=None,
+        help="checkpoint journal: finished cells are recorded here "
+             "and restored on the next run with the same --resume",
+    )
     return parser
 
 
@@ -351,15 +355,14 @@ def _solver_knobs(args: argparse.Namespace) -> tuple:
 def _resilience_policy(args: argparse.Namespace) -> ResiliencePolicy | None:
     """A policy from the CLI flags, or None when every flag is default
     (the plain fail-fast engine, no journal)."""
-    on_error = getattr(args, "on_error", "raise")
-    timeout = getattr(args, "task_timeout", None)
     resume = getattr(args, "resume", None)
-    if on_error == "raise" and timeout is None and resume is None:
+    if (args.on_error == "raise" and args.task_timeout is None
+            and resume is None):
         return None
     return ResiliencePolicy(
-        on_error=on_error,
-        max_retries=getattr(args, "retries", 2),
-        timeout_s=timeout,
+        on_error=args.on_error,
+        max_retries=args.retries,
+        timeout_s=args.task_timeout,
         journal=Journal(resume) if resume is not None else None,
     )
 
@@ -476,8 +479,7 @@ def _run_table3(args: argparse.Namespace) -> int:
     from repro.study.table3 import solve_table3
 
     solve_cache, obs = _solver_knobs(args)
-    rows = solve_table3(solve_cache=solve_cache, obs=obs,
-                        resilience=_resilience_policy(args))
+    rows = solve_table3(solve_cache=solve_cache, obs=obs)
     for name, row in rows.items():
         cap = row.capacity_bytes
         cap_str = (f"{cap >> 20}MB" if cap >= 1 << 20 else f"{cap >> 10}KB")
@@ -525,7 +527,7 @@ def _run_study(args: argparse.Namespace) -> int:
                 f"unknown configuration(s) {unknown}; "
                 f"choose from {list(CONFIG_NAMES)}"
             )
-    _solve_cache, obs = _solver_knobs(args)
+    obs = _run_obs(args)
     result = run_study(
         profiles=profiles,
         configs=configs,

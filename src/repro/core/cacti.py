@@ -17,10 +17,14 @@ One solve runs in-process: its candidate sweep is vectorized and takes
 milliseconds.  Parallelism lives at the batch level: :func:`solve_batch`
 takes ``jobs`` -- ``1`` (the default) solves every spec in this
 process on the caller's caches, ``N > 1`` fans specs out over ``N``
-worker processes, ``<= 0`` means all available cores, and ``"auto"``
-picks serial or all cores from the machine and the batch size.  Every
+worker processes, and ``<= 0`` or ``"auto"`` means all available
+cores; a batch never starts more workers than it has specs.  Every
 job count runs the same batch path, and results are bit-identical at
 any job count -- parallelism only changes wall time.
+
+A batch's checkpoint is its solve store: a rerun against the same
+``solve_cache`` solves only the specs it lacks, so the batch entry
+points refuse a journal-bearing policy.
 
 Telemetry has one sink: every entry point takes an optional ``obs``
 (:class:`~repro.obs.Obs`), worker payloads merge into it through
@@ -51,7 +55,7 @@ from repro.core.config import (
 )
 from repro.core import parallel
 from repro.core.optimizer import SweepStats, optimize
-from repro.core.resilience import ResiliencePolicy, TaskFailure, journal_keys
+from repro.core.resilience import ResiliencePolicy, TaskFailure
 from repro.core.results import Solution
 from repro.core.solvecache import SolveCache, account_store as _account_store
 from repro.obs import Obs, maybe_span
@@ -198,19 +202,16 @@ class BatchOutcome(list):
     """A ``list`` of solutions that also carries partial-failure facts.
 
     What :func:`solve_batch` returns at every job count.  Behaves
-    exactly like a plain list (indexing, iteration, equality), with two
-    additions: under a skip/retry resilience policy, slots whose solves
+    exactly like a plain list (indexing, iteration, equality), with one
+    addition: under a skip/retry resilience policy, slots whose solves
     failed terminally hold ``None`` and the corresponding
     :class:`~repro.core.resilience.TaskFailure` records live in
-    ``failed`` (empty on a fully successful batch); and ``restored``
-    holds the indices of the slots restored from a resume journal
-    rather than solved in this run, in order (empty without a journal).
+    ``failed`` (empty on a fully successful batch).
     """
 
-    def __init__(self, solutions, failed=(), restored=()):
+    def __init__(self, solutions, failed=()):
         super().__init__(solutions)
         self.failed: tuple[TaskFailure, ...] = tuple(failed)
-        self.restored: tuple[int, ...] = tuple(restored)
 
 
 def _solve_task(payload: tuple, infeasible=()) -> tuple:
@@ -237,17 +238,17 @@ def _solve_task(payload: tuple, infeasible=()) -> tuple:
     return solution, parallel.obs_payload(obs)
 
 
-def _solve_keys(resilience, specs, targets, stage="batch.solve"):
-    """Journal keys of solve tasks (None without a journal): the spec
-    and its target, default target spelled out."""
-    return journal_keys(
-        resilience,
-        stage,
-        [
-            {"spec": spec, "target": tgt or OptimizationTarget()}
-            for spec, tgt in zip(specs, targets)
-        ],
-    )
+def refuse_journal(resilience: ResiliencePolicy | None) -> None:
+    """Raise ValueError when ``resilience`` carries a journal.
+
+    A solve's checkpoint is its solve store: rerun against the same
+    ``solve_cache=`` (a cachedb build: into the same path) to resume.
+    """
+    if resilience is not None and resilience.journal is not None:
+        raise ValueError(
+            "solves take no journal: their checkpoint is the solve "
+            "store, so rerun against the same solve_cache= to resume"
+        )
 
 
 def _run_batch(
@@ -257,15 +258,14 @@ def _run_batch(
     """The one batch path of :func:`solve_batch` and sensitivity sweeps.
 
     ``task`` (:func:`_solve_task` or a wrapper) runs once per spec with
-    the same payload at every job count, so a journal written by a
-    parallel run resumes a serial one and vice versa; ``stage`` names
-    its spans, fault-plan stage and journal keys.  Tasks run in this
-    process solve on ``eval_cache`` (fresh when None) and the
-    ``solve_cache`` instance, held open so the store flushes once per
-    batch, in one batch scope on the EvalCache.  Returns the solutions
-    in spec order (None at failed slots) with the failures and the
-    journal-restored indices.
+    the same payload at every job count; ``stage`` names its spans and
+    fault-plan stage.  Tasks run in this process solve on
+    ``eval_cache`` (fresh when None) and the ``solve_cache`` instance,
+    held open so the store flushes once per batch, in one batch scope
+    on the EvalCache.  Returns the solutions in spec order (None at
+    failed slots) with the failures.
     """
+    refuse_journal(resilience)
     if eval_cache is None:
         eval_cache = EvalCache()
 
@@ -278,13 +278,8 @@ def _run_batch(
 
     cache_url = solve_cache.url if solve_cache is not None else None
     kind = parallel.obs_kind(obs)
-    keys = _solve_keys(resilience, specs, targets, stage)
-    # A restored task's recorded telemetry is not this run's work.
-    restored = {
-        i for i, key in enumerate(keys or ()) if key in resilience.journal
-    }
-    # The map runs in this process unless two or more specs remain.
-    pooled = min(jobs, len(specs) - len(restored)) > 1
+    # The map runs in this process unless it has two or more specs.
+    pooled = min(jobs, len(specs)) > 1
     stats = SweepStats(obs.metrics) if obs is not None else None
     worker_wall = stats.worker_time_s if stats is not None else 0.0
     t0 = time.perf_counter()
@@ -295,19 +290,18 @@ def _run_batch(
         obs=obs,
         span_name=stage,
         resilience=resilience,
-        keys=keys,
         scope=in_process,
     )
     solutions = []
     failures = []
-    for index, outcome in enumerate(outcomes):
+    for outcome in outcomes:
         if isinstance(outcome, TaskFailure):
             failures.append(outcome)
             solutions.append(None)
             continue
         solution, payload = outcome
         solutions.append(solution)
-        if obs is not None and index not in restored:
+        if obs is not None:
             obs.absorb_worker(payload)
     # Drain the batch-boundary flush into the run's sink; worker
     # counter deltas arrived in their payloads, so this refreshes the
@@ -320,7 +314,7 @@ def _run_batch(
                 "parallel.worker_utilization",
                 (stats.worker_time_s - worker_wall) / (elapsed * jobs),
             )
-    return BatchOutcome(solutions, failures, sorted(restored))
+    return BatchOutcome(solutions, failures)
 
 
 def solve_batch(
@@ -350,11 +344,11 @@ def solve_batch(
 
     ``resilience`` (default: raise the first error) sets the fault
     tolerance: failed solves are retried/skipped/raised per the policy,
-    a journal checkpoints each completed spec (resume re-solves only
-    the unfinished ones), and in skip/retry mode the returned
-    :class:`BatchOutcome` carries ``None`` at failed slots plus the
-    failures in ``.failed``; ``.restored`` lists the specs a journal
-    restored.
+    and in skip/retry mode the returned :class:`BatchOutcome` carries
+    ``None`` at failed slots plus the failures in ``.failed``.  A
+    policy carrying a journal raises ValueError: the checkpoint of a
+    batch is ``solve_cache``, and a rerun against it re-solves only the
+    specs it lacks.
     """
     specs = list(specs)
     if target is None or isinstance(target, OptimizationTarget):
@@ -365,9 +359,7 @@ def solve_batch(
             raise ValueError(
                 f"{len(specs)} specs but {len(targets)} targets"
             )
-    # Spec-level parallelism is coarse, so ``auto`` only needs two
-    # specs (and more than one core) to be worth a pool.
-    jobs = parallel.effective_jobs(jobs, len(specs))
+    jobs = parallel.resolve_jobs(jobs)
     with obs_phase("batch", obs, specs=len(specs), jobs=jobs):
         return _run_batch(
             _solve_task,
@@ -526,8 +518,9 @@ class CactiD:
     path -- puts a precomputed design-space database in front of the
     solver: :meth:`solve` checks it for an exact (bit-identical) hit
     first; :meth:`solve_batch` does not consult it.  ``resilience`` -- a
-    :class:`~repro.core.resilience.ResiliencePolicy` -- governs the
-    facade's :meth:`solve_batch` calls.
+    :class:`~repro.core.resilience.ResiliencePolicy` without a journal
+    (``cache_path`` is the checkpoint) -- governs the facade's
+    :meth:`solve_batch` calls.
     """
 
     def __init__(

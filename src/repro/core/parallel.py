@@ -23,7 +23,8 @@ journal.  A skip/retry policy returns failed payloads as
 poisoning the pool, with bounded retries, per-task wall-clock timeouts
 (cancelled by rebuilding the pool), ``BrokenProcessPool`` recovery
 (rebuild + serial re-run of the in-flight tasks in the parent), and
-checkpoint/resume through the policy's journal.
+checkpoint/resume through the policy's journal for a map that keys its
+tasks (the study matrix; solves resume from their solve store).
 
 A task run in this process records into the map's own
 :class:`~repro.obs.Obs` and, under :func:`in_parent`, solves on the
@@ -68,21 +69,16 @@ _INHERITED_DBS: list = []
 _PARENT_OBS = None
 
 
-#: Sentinel worker-count request: let the engine decide (see
-#: :func:`effective_jobs`).  The CLI default.
-AUTO_JOBS = "auto"
-
-
 def resolve_jobs(jobs: int | str | None) -> int:
     """Normalize a worker-count request.
 
-    ``None``, a non-positive count, or :data:`AUTO_JOBS` means "all
-    available cores" (respecting CPU affinity where the platform
-    exposes it); any positive count is taken literally.  Callers that
-    know their task count should prefer :func:`effective_jobs`, which
-    gives ``"auto"`` its serial-fallback heuristic.
+    ``None``, a non-positive count, or ``"auto"`` means "all available
+    cores" (respecting CPU affinity where the platform exposes it): one
+    on a one-core machine.  Any positive count is taken literally.  A
+    map never starts more workers than it has tasks to run, so a map of
+    one task runs serially whatever the request.
     """
-    if jobs == AUTO_JOBS:
+    if jobs == "auto":
         jobs = None
     if jobs is None or jobs <= 0:
         try:
@@ -90,27 +86,6 @@ def resolve_jobs(jobs: int | str | None) -> int:
         except AttributeError:  # pragma: no cover - non-Linux
             return max(1, os.cpu_count() or 1)
     return int(jobs)
-
-
-def effective_jobs(jobs: int | str | None, n_tasks: int | None = None) -> int:
-    """Resolve a jobs request, giving ``"auto"`` its heuristic.
-
-    Explicit requests are honored as :func:`resolve_jobs` always has
-    (``1`` serial, ``N`` literal, ``None``/``<= 0`` all cores).
-    ``"auto"`` picks all cores only when that can plausibly win: it
-    falls back to serial when the machine has a single usable core
-    (workers would just add fork and pickling overhead) or when there
-    are fewer than two tasks -- ``n_tasks``, if the caller knows it --
-    to spread.
-    """
-    if jobs != AUTO_JOBS:
-        return resolve_jobs(jobs)
-    cores = resolve_jobs(None)
-    if cores <= 1:
-        return 1
-    if n_tasks is not None and n_tasks < 2:
-        return 1
-    return cores
 
 
 def _init_worker() -> None:

@@ -16,9 +16,12 @@ the resilience layer the parallel engine
   tasks keyed by content hash (:func:`task_key`, the same
   canonical-JSON/sha256 scheme as
   :func:`repro.core.solvecache.solve_key`).  Records are written
-  atomically at task boundaries, so an interrupted ``table3``,
-  ``run_study``, or sensitivity sweep resumed against the same journal
-  re-executes only the unfinished tasks.
+  atomically at task boundaries, so an interrupted ``run_study``
+  resumed against the same journal re-runs only the unfinished cells.
+  Only the study matrix journals: its cells are simulations that no
+  store holds.  Solves checkpoint in their solve store instead (a
+  rerun against the same ``solve_cache=`` solves nothing it holds),
+  and the solve stages refuse a journal.
 * :class:`FaultPlan` -- a deterministic fault-injection harness for
   tests and smoke jobs: raise/delay/kill the Nth task of a named
   stage, for the first ``trips`` attempts only, so a retried task
@@ -44,8 +47,9 @@ from pathlib import Path
 
 #: Journal file format / key-scheme version.  Bump whenever the record
 #: layout or the task_key canonicalization changes; mismatched lines
-#: are skipped on load rather than served.
-JOURNAL_VERSION = "repro-journal-v1"
+#: are skipped on load rather than served (v2: keys fold in the
+#: simulator's ``SIM_VERSION``).
+JOURNAL_VERSION = "repro-journal-v2"
 
 #: The error policies a :class:`ResiliencePolicy` accepts.
 ON_ERROR_POLICIES = ("raise", "skip", "retry")
@@ -73,10 +77,6 @@ class TaskFailure:
     error_type: str  #: exception class name (``"TaskTimeout"`` for hangs)
     message: str
     attempts: int  #: total attempts made, including the first
-
-    @property
-    def timed_out(self) -> bool:
-        return self.error_type == "TaskTimeout"
 
     def __str__(self) -> str:  # pragma: no cover - repr convenience
         return (
@@ -181,33 +181,24 @@ def task_key(stage: str, description) -> str:
 
     Numeric leaves are normalized (``32`` and ``32.0`` hash equally),
     exactly as the persistent solve cache hashes its requests.  The
-    model's ``CACHE_VERSION`` is folded in, so a journal written by an
-    older model never satisfies a resume after the numbers changed.
+    solver's ``CACHE_VERSION`` and the simulator's ``SIM_VERSION`` are
+    folded in, so a journaled study cell never satisfies a resume after
+    either model's numbers changed.
     """
     import hashlib
 
     from repro.core.solvecache import CACHE_VERSION, _normalize_numbers
+    from repro.sim import SIM_VERSION
 
     payload = _normalize_numbers({
         "version": JOURNAL_VERSION,
         "model": CACHE_VERSION,
+        "sim": SIM_VERSION,
         "stage": stage,
         "task": _jsonable(description),
     })
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def journal_keys(policy, stage: str, tasks) -> list[str] | None:
-    """The journal key of each task description under ``policy``.
-
-    The one place journal keys are built: a :func:`task_key` per task
-    of ``stage``, or None when there is no journal to key (no policy,
-    or a policy without one).
-    """
-    if policy is None or policy.journal is None:
-        return None
-    return [task_key(stage, task) for task in tasks]
 
 
 # --------------------------------------------------------------------- #
@@ -229,7 +220,6 @@ class Journal:
     def __init__(self, path: str | os.PathLike):
         self.path = Path(path)
         self._records: dict[str, str] = {}
-        self._stages: dict[str, str] = {}
         self._fh = None
         self._load()
 
@@ -254,20 +244,12 @@ class Journal:
             ):
                 continue
             self._records[rec["key"]] = rec["data"]
-            self._stages[rec["key"]] = rec.get("stage", "")
 
     def __len__(self) -> int:
         return len(self._records)
 
     def __contains__(self, key: str) -> bool:
         return key in self._records
-
-    def stages(self) -> dict[str, int]:
-        """Completed-entry counts per stage (for resume reporting)."""
-        counts: dict[str, int] = {}
-        for stage in self._stages.values():
-            counts[stage] = counts.get(stage, 0) + 1
-        return counts
 
     def result(self, key: str):
         """The recorded result for ``key`` (raises KeyError if absent)."""
@@ -288,7 +270,6 @@ class Journal:
         self._fh.write(line + "\n")
         self._fh.flush()
         self._records[key] = data
-        self._stages[key] = stage
 
     def close(self) -> None:
         if self._fh is not None:
@@ -311,8 +292,9 @@ class ResiliencePolicy:
     bounds each task's wall clock in parallel runs: an overdue task is
     cancelled by rebuilding the worker pool (in-flight siblings are
     re-queued without being charged an attempt).  ``journal``
-    checkpoints completed tasks; ``fault_plan`` injects deterministic
-    test faults.
+    checkpoints the completed tasks of a map that keys them (the study
+    matrix; the solve stages refuse one); ``fault_plan`` injects
+    deterministic test faults.
 
     The policy itself never crosses a process boundary -- only the
     (pure-data) fault plan ships with each task -- so journals with

@@ -47,12 +47,6 @@ class SramLikeInterface:
     interleave_cycle: float
     num_subbanks: int
 
-    @property
-    def peak_bandwidth_accesses(self) -> float:
-        """Peak accesses/s with perfect subbank interleaving."""
-        return 1.0 / max(self.interleave_cycle, self.random_cycle /
-                         self.num_subbanks)
-
     def effective_cycle(self, conflict_ratio: float) -> float:
         """Mean issue pitch when ``conflict_ratio`` of consecutive accesses
         land in a busy subbank and must wait the full random cycle."""

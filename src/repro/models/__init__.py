@@ -2,7 +2,7 @@
 
 from repro.models.area import AreaBreakdown, area_breakdown
 from repro.models.delay import DelayBreakdown, delay_breakdown
-from repro.models.energy import EnergyBreakdown, dynamic_power, energy_breakdown
+from repro.models.energy import EnergyBreakdown, energy_breakdown
 from repro.models.leakage import (
     OPERATING_TEMPERATURE,
     rescale_leakage,
@@ -30,7 +30,6 @@ __all__ = [
     "SpeedGrade",
     "area_breakdown",
     "delay_breakdown",
-    "dynamic_power",
     "energy_breakdown",
     "quantize",
     "refresh_schedule",

@@ -38,8 +38,3 @@ def energy_breakdown(metrics: ArrayMetrics) -> EnergyBreakdown:
         total_read=metrics.e_read_access,
         total_write=metrics.e_write_access,
     )
-
-
-def dynamic_power(metrics: ArrayMetrics, access_rate: float) -> float:
-    """Average dynamic power at ``access_rate`` accesses per second (W)."""
-    return metrics.e_read_access * access_rate

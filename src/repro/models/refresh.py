@@ -36,11 +36,6 @@ class RefreshSchedule:
         """Fraction of array time consumed by refresh."""
         return min(1.0, self.row_cycle_time / self.refresh_interval)
 
-    @property
-    def refresh_rate(self) -> float:
-        """Refresh operations per second, whole structure."""
-        return self.rows_to_refresh / self.retention_time
-
 
 def refresh_schedule(
     total_rows: int,

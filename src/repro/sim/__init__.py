@@ -13,6 +13,11 @@ from repro.sim.stats import (
 )
 from repro.sim.system import L3Config, System, SystemConfig, run_workload
 
+#: Bump by hand on any simulator change that alters a ``SimStats``
+#: (like :data:`repro.core.solvecache.CACHE_VERSION` for solves), so a
+#: study journal written by an older simulator restores nothing.
+SIM_VERSION = "repro-sim-v1"
+
 __all__ = [
     "AccessCounters",
     "BREAKDOWN_CATEGORIES",
@@ -25,6 +30,7 @@ __all__ = [
     "MemoryTimingCycles",
     "MesiDirectory",
     "MesiState",
+    "SIM_VERSION",
     "SimStats",
     "System",
     "SystemConfig",

@@ -167,11 +167,6 @@ class Cache:
 
     # ------------------------------------------------------------------ #
 
-    @property
-    def miss_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.misses / total if total else 0.0
-
     def occupancy(self) -> int:
         """Number of resident lines (for capacity tests)."""
         return sum(map(len, self._blocks))

@@ -33,8 +33,3 @@ class Crossbar:
         self._port_ready[port] = start + self.port_occupancy
         self.transfers += 1
         return start + self.traverse_cycles
-
-    def round_trip(self, now: float, port: int) -> float:
-        """Request + response traverse; returns total added latency."""
-        arrival = self.traverse(now, port)
-        return arrival + self.traverse_cycles - now

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 from functools import partial
 
 from repro.core import parallel
-from repro.core.resilience import ResiliencePolicy, TaskFailure, journal_keys
+from repro.core.resilience import ResiliencePolicy, TaskFailure, task_key
 from repro.obs import Obs, maybe_span
 from repro.power.hierarchy import PowerBreakdown, hierarchy_power
 from repro.power.system import SystemPower, scaled_core_power
@@ -241,26 +241,22 @@ def run_study(
         for profile in profiles
         for config_name in configs
     ]
-    # Cell-level parallelism is coarse: ``auto`` only needs two cells
-    # (and more than one core) to be worth a pool.
-    jobs = parallel.effective_jobs(jobs, len(payloads))
+    jobs = parallel.resolve_jobs(jobs)
     # The cachedb serves bit-identical results, so it is not part of a
     # cell's identity: journals written without one resume runs that
     # use one, and vice versa.
-    keys = journal_keys(
-        resilience,
-        "study.cell",
-        [
-            {
+    keys = None
+    if resilience is not None and resilience.journal is not None:
+        keys = [
+            task_key("study.cell", {
                 "profile": profile,
                 "config": config_name,
                 "source": source,
                 "scale": scale,
                 "seed": seed,
-            }
+            })
             for profile, config_name, source, scale, seed, _ in payloads
-        ],
-    )
+        ]
     with maybe_span(
         obs,
         "study",

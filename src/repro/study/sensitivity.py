@@ -176,10 +176,11 @@ def sweep(
 
     ``resilience`` (default: raise the first error) makes the sweep
     fault tolerant: failed points are retried/skipped/raised per the
-    policy, a journal checkpoints each completed point (resuming
-    re-solves only the unfinished ones), and terminal failures land in
-    the result's ``failed`` list with ``solution=None`` at the
-    corresponding point.
+    policy, and terminal failures land in the result's ``failed`` list
+    with ``solution=None`` at the corresponding point.  A policy
+    carrying a journal raises ValueError: ``solve_cache`` is the
+    sweep's checkpoint, and a rerun against it re-solves only the
+    points it lacks.
     """
     if parameter not in SWEEPABLE:
         raise ValueError(
@@ -194,9 +195,7 @@ def sweep(
         except ValueError:
             specs.append(None)
     live = [s for s in specs if s is not None]
-    # Point-level parallelism is coarse: ``auto`` only needs two live
-    # points (and more than one core) to be worth a pool.
-    jobs = parallel.effective_jobs(jobs, len(live))
+    jobs = parallel.resolve_jobs(jobs)
     with maybe_span(
         obs, "sweep", parameter=parameter, points=len(specs), jobs=jobs
     ):

@@ -8,7 +8,8 @@ cm_dram_c (192 MB) -- in two ways:
   structure (L1, L2, the five L3 options, the 8 Gb DDR4-3200 chip) and
   derives the architectural parameters exactly as the paper does: cache
   clocks limited to at most 6 pipeline stages, access/cycle times
-  quantized to CPU cycles.
+  quantized to CPU cycles.  Given a ``solve_cache``, a rerun against
+  the same store solves only the rows an interrupted run left.
 * ``paper_table3()`` returns the values printed in the paper, for
   side-by-side comparison and as a fast path for the simulator.
 
@@ -19,12 +20,11 @@ section 3.1); capacities per technology come from what fits that budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.array.mainmem import MainMemorySpec
 from repro.circuits.crossbar import design_crossbar
-from repro.core import parallel
 from repro.core.cacti import solve, solve_main_memory
 from repro.core.config import (
     DENSITY_OPTIMIZED,
@@ -32,7 +32,6 @@ from repro.core.config import (
     MemorySpec,
     OptimizationTarget,
 )
-from repro.core.resilience import journal_keys
 from repro.models.timing_dram import DDR4_3200, quantize, to_main_memory_timing
 from repro.power.hierarchy import (
     HierarchyEnergyModel,
@@ -225,43 +224,28 @@ def _build_row(name: str, *, solve_cache=None, obs=None, cachedb=None
     return _cache_row(name, solution, nbanks)
 
 
-def solve_table3(*, solve_cache=None, obs=None, cachedb=None,
-                 resilience=None) -> dict[str, Table3Row]:
+def solve_table3(*, solve_cache=None, obs=None, cachedb=None
+                 ) -> dict[str, Table3Row]:
     """All Table 3 columns from the live CACTI-D model.
 
-    A call without a sink (``solve_cache``, ``obs``) or a policy reads
-    the per-process memo, solving the table on first use.  ``cachedb``
+    A call without a sink (``solve_cache``, ``obs``) reads the
+    per-process memo, solving the table on first use.  ``cachedb``
     serves the cache rows' exact hits, bit-identical to solving live,
     so it is no reason to bypass the memo; the main-memory chip is off
-    its grid.  A call with a sink or a policy solves live.
+    its grid.  A call with a sink solves live.
 
-    The rows run through :func:`~repro.core.parallel.parallel_map` as
-    stage ``"table3.row"``, one task per row in this process.  A policy
-    carrying a journal records each row as it completes, and a re-run
-    against the same journal restores the finished rows without
-    re-solving them; its fault plan fires at each row (in the parent,
-    so an injected ``kill`` degrades to an exception).  A failed row
-    raises whatever the policy's ``on_error``: a table has no holes.
+    ``solve_cache`` is the table's checkpoint: each row's solve writes
+    it when the row is done, so a rerun of an interrupted table against
+    the same store solves only the rows it lacks.
     """
-    live = (solve_cache is not None or obs is not None
-            or resilience is not None)
+    live = solve_cache is not None or obs is not None
     if not live and "rows" in _MEMO:
         return dict(_MEMO["rows"])
-    if resilience is not None:
-        resilience = replace(resilience, on_error="raise")
-    rows = dict(zip(_ROW_NAMES, parallel.parallel_map(
-        partial(_build_row, solve_cache=solve_cache, obs=obs,
-                cachedb=cachedb),
-        _ROW_NAMES,
-        1,
-        span_name="table3.row",
-        resilience=resilience,
-        keys=journal_keys(
-            resilience,
-            "table3.row",
-            [{"row": name, "node_nm": NODE_NM} for name in _ROW_NAMES],
-        ),
-    )))
+    rows = {
+        name: _build_row(name, solve_cache=solve_cache, obs=obs,
+                         cachedb=cachedb)
+        for name in _ROW_NAMES
+    }
     if not live:
         _MEMO["rows"] = dict(rows)
     return rows

@@ -103,18 +103,6 @@ class CellParams:
         """Voltage swung on the wordline when selecting this cell (V)."""
         return self.vpp if self.vpp is not None else self.vdd_cell
 
-    def retention_leakage_budget(self) -> float | None:
-        """Maximum cell leakage current compatible with the retention spec (A).
-
-        A refreshed cell must retain > ~half its stored charge over a
-        retention period: I_max = Cs * (VDD/2) / t_ret.  Returns None for
-        technologies that do not need refresh.
-        """
-        if not self.tech.traits.needs_refresh:
-            return None
-        assert self.storage_cap is not None and self.retention_time is not None
-        return self.storage_cap * (self.vdd_cell / 2.0) / self.retention_time
-
 
 def _f(node_nm: float) -> float:
     return node_nm * 1e-9

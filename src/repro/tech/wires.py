@@ -65,14 +65,6 @@ class WireParams:
         sidewall = self.thickness / spacing
         return 2.0 * EPS0 * self.k_ild * (sidewall + plate) + _C_FRINGE
 
-    def rc_per_m2(self) -> float:
-        """Distributed RC product per metre squared (s/m^2)."""
-        return self.r_per_m * self.c_per_m
-
-    def elmore_delay(self, length: float) -> float:
-        """Unrepeated distributed-RC delay of a wire of ``length`` (s)."""
-        return 0.38 * self.r_per_m * self.c_per_m * length * length
-
 
 #: Effective copper resistivity per node (ohm*m): bulk copper plus a growing
 #: size-effect penalty as line widths approach the electron mean free path.

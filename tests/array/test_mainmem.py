@@ -55,10 +55,6 @@ class TestTiming:
         t = solved.timing
         assert t.t_rrd < t.t_rc / 4
 
-    def test_random_access_is_rcd_plus_cas(self, solved):
-        t = solved.timing
-        assert t.random_access == pytest.approx(t.t_rcd + t.t_cas)
-
     def test_clock_quantization(self):
         spec = MainMemorySpec(capacity_bits=2**30)
         raw = solve_main_memory(spec, node_nm=78.0)

@@ -21,8 +21,7 @@ from repro.cli import main
 from repro.core import parallel
 from repro.core.cacti import CactiD, data_array_spec, solve, tag_array_spec
 from repro.core.config import OptimizationTarget
-from repro.core import resilience
-from repro.core.resilience import Journal, ResiliencePolicy
+from repro.core.optimizer import SweepStats
 from repro.core import solvecache
 from repro.core.solvecache import CACHE_VERSION, SolveCache, metrics_to_dict
 from repro.obs import Obs
@@ -46,11 +45,6 @@ def db_path(tmp_path_factory):
 @pytest.fixture()
 def db(db_path):
     return CacheDB(db_path)
-
-
-def journaled(path) -> ResiliencePolicy:
-    """The build's default policy, checkpointing into ``path``."""
-    return ResiliencePolicy(on_error="skip", journal=Journal(path))
 
 
 def put_args():
@@ -185,53 +179,16 @@ class TestBuilder:
         assert parallel._WORKER_EVAL_CACHE is None
 
     def test_resumed_build_restores_solved_cells(self, tmp_path):
+        """The store is the build's checkpoint: a rebuild into the same
+        path serves every cell it holds and solves nothing."""
         grid = GridSpec(capacities_bytes=CAPS, technologies=("sram",))
-        journal = tmp_path / "build.journal"
-        first = build_cachedb(
-            tmp_path / "db.json", grid, jobs=1, resilience=journaled(journal)
-        )
-        assert first.restored == 0 and first.solved == 2
-        again = build_cachedb(
-            tmp_path / "db.json", grid, jobs=1, resilience=journaled(journal)
-        )
-        assert again.restored == 2 and again.solved == 2
-
-    def test_restored_cells_land_in_a_fresh_store(self, tmp_path):
-        """A journal can outlive the store it was built into: cells it
-        restores are written into the new store all the same."""
-        grid = GridSpec(capacities_bytes=CAPS, technologies=("sram",))
-        journal = tmp_path / "build.journal"
-        build_cachedb(tmp_path / "a.db", grid, jobs=1,
-                      resilience=journaled(journal))
-        report = build_cachedb(
-            tmp_path / "b.db", grid, jobs=1, resilience=journaled(journal)
-        )
-        assert report.restored == 2
-        db = CacheDB(tmp_path / "b.db")
-        spec = grid_spec_for("sram", 32.0, CAPS[0], 64, 8)
-        assert db.lookup_exact(spec) == solve(spec)
-
-    def test_journal_keys_hashed_once_per_cell(self, tmp_path, monkeypatch):
-        """A journaled build hashes each cell's journal key once: the
-        restored cells come from the batch, not a second hashing pass."""
-        grid = GridSpec(capacities_bytes=CAPS, technologies=("sram",))
-        calls = []
-        task_key = resilience.task_key
-
-        def counting(stage, description):
-            calls.append(stage)
-            return task_key(stage, description)
-
-        monkeypatch.setattr(resilience, "task_key", counting)
-        journal = tmp_path / "build.journal"
-        for restored in (0, len(grid)):
-            calls.clear()
-            report = build_cachedb(
-                tmp_path / "db.db", grid, jobs=1,
-                resilience=journaled(journal),
-            )
-            assert report.restored == restored
-            assert len(calls) == len(grid)
+        first = build_cachedb(tmp_path / "db.db", grid, jobs=1)
+        assert first.solved == 2
+        obs = Obs(trace=False)
+        again = build_cachedb(tmp_path / "db.db", grid, jobs=1, obs=obs)
+        assert again.solved == 2
+        stats = SweepStats(obs.metrics)
+        assert (stats.solve_cache_hits, stats.enumerated) == (4, 0)
 
 
 class TestReader:
@@ -399,16 +356,35 @@ class TestCli:
         assert main(["cachedb", "info", str(path)]) == 0
         assert "points        : 2" in capsys.readouterr().out
 
-    def test_resumed_build_reports_restored_cells(self, tmp_path, capsys):
+    def test_rebuild_into_the_same_path_solves_nothing(
+        self, tmp_path, capsys
+    ):
         argv = [
             "cachedb", "build", str(tmp_path / "db.db"),
             "--capacities", "64K,128K", "--techs", "sram", "--jobs", "1",
-            "--resume", str(tmp_path / "build.journal"),
+            "--stats",
         ]
         assert main(argv) == 0
-        assert "restored        : 0" in capsys.readouterr().out
+        assert "candidates enumerated : 0" not in capsys.readouterr().out
         assert main(argv) == 0
-        assert "restored        : 2" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "solved          : 2" in out
+        assert "candidates enumerated : 0" in out
+
+    def test_build_records_holes_under_a_task_timeout(
+        self, tmp_path, capsys
+    ):
+        """``--on-error`` defaults to skip on a build, so a flag that
+        builds a policy keeps infeasible cells as holes."""
+        argv = [
+            "cachedb", "build", str(tmp_path / "m.db"),
+            "--capacities", "64K,128M", "--techs", "stt-ram",
+            "--nodes", "32", "--assocs", "4", "--blocks", "32",
+            "--jobs", "1",
+        ]
+        for extra in ([], ["--task-timeout", "60"]):
+            assert main(argv + extra) == 0
+            assert "holes           : 1" in capsys.readouterr().out
 
     def test_build_takes_no_cache_flag(self, tmp_path, capsys):
         """The cachedb is its own store: there is no second one."""

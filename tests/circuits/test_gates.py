@@ -68,10 +68,6 @@ class TestGateElectricals:
         d, _ = g.delay(load)
         assert d == pytest.approx(HP32.fo4, rel=0.35)
 
-    def test_switch_energy_scales_with_load(self):
-        g = inverter(HP32, 1e-6)
-        assert g.switch_energy(10e-15) > g.switch_energy(1e-15)
-
     def test_leakage_positive(self):
         assert inverter(HP32, 1e-6).leakage() > 0
 

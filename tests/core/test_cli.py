@@ -239,17 +239,11 @@ class TestObservabilityFlags:
         # --stats, --trace and --metrics read the one telemetry sink.
         assert isinstance(seen["obs"], Obs)
         assert seen["obs"].tracer is not None
-        # The CLI passes every knob; no --resume means no policy.
-        assert set(seen) == {"solve_cache", "obs", "resilience"}
-        assert seen["resilience"] is None
+        # The CLI passes every knob.
+        assert set(seen) == {"solve_cache", "obs"}
         assert "L1" in capsys.readouterr().out
         json.loads(trace.read_text())
         json.loads(metrics.read_text())
-        seen.clear()
-        journal = tmp_path / "t3.journal"
-        assert main(["table3", "--resume", str(journal)]) == 0
-        assert (seen["solve_cache"], seen["obs"]) == (None, None)
-        assert seen["resilience"].journal.path == journal
 
     def test_validate_zero_target_is_a_clean_error(self, capsys,
                                                    monkeypatch):
@@ -328,25 +322,19 @@ class TestResilienceFlags:
         assert rc == 2
         assert "unknown app" in capsys.readouterr().err
 
-    def test_resume_flag_writes_and_restores_journal(
-        self, tmp_path, capsys
-    ):
-        journal = tmp_path / "sweep.journal"
+    def test_sweep_resumes_from_its_store(self, tmp_path, capsys):
         argv = [
             "sweep", "--capacity", "256K", "--parameter", "capacity_bytes",
-            "--values", "128K,256K", "--resume", str(journal),
+            "--values", "128K,256K", "--cache", str(tmp_path / "sw.db"),
+            "--stats",
         ]
         assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert journal.exists()
-        from repro.core.resilience import Journal
-
-        assert len(Journal(journal)) == 2
-
-        # Second run restores both points: same output, no growth.
+        first = capsys.readouterr().out.split("\n\n")[0]
+        # Second run is served both points: same output, nothing solved.
         assert main(argv) == 0
-        assert capsys.readouterr().out == first
-        assert len(Journal(journal)) == 2
+        out = capsys.readouterr().out
+        assert out.split("\n\n")[0] == first
+        assert "candidates enumerated : 0" in out
 
     def test_on_error_skip_reports_failures(self, capsys):
         # An impossible per-task timeout is the simplest way to make
@@ -367,31 +355,24 @@ class TestResilienceFlags:
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
-    def test_table3_resume_restores_finished_rows(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        import repro.study.table3 as table3
-
-        built = []
-
-        def fake_row(name, **knobs):
-            built.append(name)
-            return table3.paper_table3()[name]
-
-        monkeypatch.setattr(table3, "_build_row", fake_row)
-        argv = ["table3", "--resume", str(tmp_path / "table3.journal")]
+    def test_table3_resume_restores_finished_rows(self, tmp_path, capsys):
+        """Rerun against the same --cache, every row comes back from the
+        store: the same table, and no candidate enumerated."""
+        argv = ["table3", "--cache", str(tmp_path / "t3.db"), "--stats"]
         assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert len(built) == 8
-        built.clear()
+        first = capsys.readouterr().out.split("\n\n")[0]
         assert main(argv) == 0
-        assert capsys.readouterr().out == first
-        assert built == []  # every row came back from the journal
+        out = capsys.readouterr().out
+        assert out.split("\n\n")[0] == first
+        assert "candidates enumerated : 0" in out
 
 
 class TestSingleSolveFlags:
     """A single solve runs in-process: the worker-pool and per-task
-    fault-tolerance flags exist only on the multi-task subcommands."""
+    fault-tolerance flags exist only on the multi-task subcommands.
+    Solves resume from their store, so only ``study`` takes
+    ``--resume``, and a study, whose one Table 3 is memoized, takes no
+    ``--cache``."""
 
     @pytest.mark.parametrize("argv", [
         ["cache", "--capacity", "256K", "--jobs", "2"],
@@ -403,6 +384,12 @@ class TestSingleSolveFlags:
         ["table3", "--task-timeout", "5"],
         ["cache", "--capacity", "256K", "--resume", "j.journal"],
         ["main-memory", "--capacity", "1G", "--resume", "j.journal"],
+        ["table3", "--resume", "j.journal"],
+        ["sweep", "--capacity", "256K", "--parameter", "capacity_bytes",
+         "--values", "128K", "--resume", "j.journal"],
+        ["cachedb", "build", "g.db", "--capacities", "64K",
+         "--resume", "j.journal"],
+        ["study", "--apps", "ft.B", "--cache", "s.db"],
     ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
     def test_flag_is_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

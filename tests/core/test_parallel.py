@@ -7,7 +7,13 @@ from repro.core.cacti import solve, solve_batch, CactiD
 from repro.core.config import MemorySpec, OptimizationTarget
 from repro.core.optimizer import SweepStats
 from repro.core.parallel import parallel_map, resolve_jobs
-from repro.core.resilience import ResiliencePolicy
+from repro.core.resilience import (
+    FaultInjected,
+    FaultPlan,
+    FaultSpec,
+    Journal,
+    ResiliencePolicy,
+)
 from repro.core.solvecache import SolveCache
 from repro.obs import Obs
 from repro.study.sensitivity import capacity_sweep, sweep
@@ -35,34 +41,26 @@ class TestResolveJobs:
 
 
 class TestEffectiveJobs:
-    def test_explicit_requests_bypass_the_heuristic(self):
-        # A literal count is honored even for tiny workloads -- only
-        # "auto" second-guesses the caller.
-        assert parallel.effective_jobs(1, n_tasks=10_000_000) == 1
-        assert parallel.effective_jobs(7, n_tasks=1) == 7
-        assert parallel.effective_jobs(0, n_tasks=1) == resolve_jobs(None)
+    """The workers a map starts: ``"auto"`` means all cores, and a map
+    never starts more workers than it has tasks."""
 
-    def test_auto_goes_serial_below_min_tasks(self):
-        # One task has nothing to spread across workers.
-        assert parallel.effective_jobs("auto", n_tasks=1) == 1
-        assert parallel.effective_jobs("auto", n_tasks=0) == 1
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        def run_parallel(self):
+            raise AssertionError("started a worker pool")
 
-    def test_auto_goes_wide_at_or_above_min_tasks(self):
-        for n_tasks in (2, 10, 10_000_000):
-            assert (
-                parallel.effective_jobs("auto", n_tasks=n_tasks)
-                == resolve_jobs(None)
-            )
+        monkeypatch.setattr(parallel._ResilientMap, "_run_parallel",
+                            run_parallel)
 
-    def test_auto_without_task_count_goes_wide(self):
-        assert parallel.effective_jobs("auto") == resolve_jobs(None)
+    def test_auto_goes_serial_below_min_tasks(self, no_pool):
+        assert parallel_map(_double, [3], "auto") == [6]
 
-    def test_auto_goes_serial_on_one_core(self, monkeypatch):
+    def test_auto_goes_serial_on_one_core(self, no_pool, monkeypatch):
         monkeypatch.setattr(
             parallel.os, "sched_getaffinity", lambda pid: {0},
             raising=False,
         )
-        assert parallel.effective_jobs("auto", n_tasks=10_000_000) == 1
+        assert parallel_map(_double, [1, 2, 3], "auto") == [2, 4, 6]
 
 
 def _double(x):
@@ -154,6 +152,44 @@ class TestInProcessCaches:
         assert (cache.hits, cache.misses) == (plain.hits, plain.misses)
         assert (cache.hits, cache.misses) == (0, 2 * len(self.SIX))
         assert len(cache) == 2 * len(self.SIX)
+
+    def test_interrupted_serial_batch_resumes_from_the_store(
+        self, tmp_path
+    ):
+        """The store is a batch's checkpoint: a serial batch that raises
+        at its third spec keeps the first two specs' records, and the
+        rerun is served them."""
+        cache = SolveCache(tmp_path / "batch.db")
+        interrupted = ResiliencePolicy(fault_plan=FaultPlan(
+            (FaultSpec("batch.solve", 2, "raise", trips=99),)
+        ))
+        with pytest.raises(FaultInjected):
+            solve_batch(BATCH, solve_cache=cache, jobs=1,
+                        resilience=interrupted)
+        assert len(cache) == 4  # a data and a tag record per spec
+        obs = Obs(trace=False)
+        again = solve_batch(BATCH, solve_cache=cache, jobs=1, obs=obs)
+        assert SweepStats(obs.metrics).solve_cache_hits == 4
+        assert list(again) == [solve(spec) for spec in BATCH]
+
+    @pytest.mark.parametrize("entry", ["solve_batch", "facade", "sweep",
+                                       "build_cachedb"])
+    def test_solve_stages_refuse_a_journal(self, tmp_path, entry):
+        from repro.cachedb import GridSpec, build_cachedb
+
+        policy = ResiliencePolicy(journal=Journal(tmp_path / "j"))
+        calls = {
+            "solve_batch": lambda: solve_batch(BATCH, resilience=policy),
+            "facade": lambda: CactiD(resilience=policy).solve_batch(BATCH),
+            "sweep": lambda: capacity_sweep(BATCH[0], resilience=policy),
+            "build_cachedb": lambda: build_cachedb(
+                tmp_path / "db.db", GridSpec(capacities_bytes=(64 << 10,)),
+                resilience=policy,
+            ),
+        }
+        with pytest.raises(ValueError, match="solve_cache="):
+            calls[entry]()
+        assert not (tmp_path / "db.db").exists()
 
     def test_serial_sweep_uses_the_callers_eval_cache(self):
         from repro.array.organization import EvalCache

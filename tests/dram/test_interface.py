@@ -48,10 +48,6 @@ class TestSramLikeInterface:
         assert none == pytest.approx(iface.interleave_cycle)
         assert all_ == pytest.approx(iface.random_cycle)
 
-    def test_peak_bandwidth_positive(self, lp_metrics):
-        iface = sram_like(lp_metrics, num_subbanks=32)
-        assert iface.peak_bandwidth_accesses > 1.0 / iface.random_cycle
-
 
 class TestMainMemoryLikeInterface:
     def test_open_page_hit_faster_than_miss(self, lp_metrics):

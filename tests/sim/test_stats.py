@@ -98,10 +98,6 @@ class TestCrossbar:
         b = xb.traverse(0.0, port=7)
         assert a == b  # no interference across output ports
 
-    def test_round_trip(self):
-        xb = Crossbar(traverse_cycles=3)
-        assert xb.round_trip(5.0, port=2) == pytest.approx(6.0)
-
     def test_transfer_count(self):
         xb = Crossbar(traverse_cycles=1)
         xb.traverse(0.0, 0)

@@ -202,6 +202,53 @@ class TestStudyResilience:
         assert set(again.results) == set(result.results)
 
 
+class TestJournalVersions:
+    """Study journal keys fold in both model versions: a simulator
+    change invalidates journaled cells but not solve-store records, and
+    a solver change invalidates both."""
+
+    KWARGS = dict(
+        profiles=(FT_B,), configs=("nol3",), instructions_per_thread=500,
+        jobs=1,
+    )
+
+    def restored(self, path):
+        obs = Obs(trace=False)
+        policy = ResiliencePolicy(journal=Journal(path))
+        run_study(obs=obs, resilience=policy, **self.KWARGS)
+        policy.journal.close()
+        return obs.metrics.counter("resilience.journal_restored").value
+
+    @staticmethod
+    def store_hits(store):
+        from repro.core.cacti import solve
+        from repro.core.config import MemorySpec
+        from repro.core.optimizer import SweepStats
+
+        obs = Obs(trace=False)
+        solve(MemorySpec(capacity_bytes=64 << 10), solve_cache=store,
+              obs=obs)
+        return SweepStats(obs.metrics).solve_cache_hits
+
+    @pytest.mark.parametrize("module,name,store_hit", [
+        ("repro.sim", "SIM_VERSION", True),
+        ("repro.core.solvecache", "CACHE_VERSION", False),
+    ])
+    def test_version_bump(self, tmp_path, monkeypatch, module, name,
+                          store_hit):
+        import importlib
+
+        from repro.core.solvecache import SolveCache
+
+        path = tmp_path / "study.journal"
+        store = SolveCache(tmp_path / "solves.db")
+        assert (self.restored(path), self.store_hits(store)) == (0, 0)
+        assert (self.restored(path), self.store_hits(store)) == (1, 2)
+        monkeypatch.setattr(importlib.import_module(module), name, "bumped")
+        assert self.restored(path) == 0
+        assert self.store_hits(store) == (2 if store_hit else 0)
+
+
 class TestSerialCellSpans:
     """A serial study records one ``study.cell`` span per cell it runs,
     under any policy; the study bench reads its per-cell latencies from

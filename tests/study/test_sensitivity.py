@@ -106,33 +106,36 @@ class TestSweepResilience:
         assert result.failed[0].stage == "sweep.point"
 
     def test_resumed_sweep_matches_plain_sweep(self, tmp_path):
+        """The solve store is a sweep's checkpoint: an interrupted
+        serial sweep keeps its finished points, and the rerun against
+        the same store is served them."""
         import dataclasses
 
+        from repro.core.optimizer import SweepStats
         from repro.core.resilience import (
             FaultInjected,
             FaultPlan,
             FaultSpec,
-            Journal,
             ResiliencePolicy,
         )
+        from repro.core.solvecache import SolveCache
+        from repro.obs import Obs
 
         values = [128 << 10, 256 << 10]
-        path = tmp_path / "sweep.journal"
-        interrupted = ResiliencePolicy(
-            journal=Journal(path),
-            fault_plan=FaultPlan(
-                (FaultSpec("sweep.point", 1, "raise", trips=99),)
-            ),
-        )
+        store = SolveCache(tmp_path / "sweep.db")
+        interrupted = ResiliencePolicy(fault_plan=FaultPlan(
+            (FaultSpec("sweep.point", 1, "raise", trips=99),)
+        ))
         with pytest.raises(FaultInjected):
-            sweep(BASE, "capacity_bytes", values, resilience=interrupted)
-        interrupted.journal.close()
-        assert len(Journal(path)) == 1
+            sweep(BASE, "capacity_bytes", values, solve_cache=store,
+                  jobs=1, resilience=interrupted)
+        assert len(store) == 2  # point 0's data and tag records
 
-        resumed = ResiliencePolicy(journal=Journal(path))
-        result = sweep(BASE, "capacity_bytes", values, resilience=resumed)
-        resumed.journal.close()
-        assert len(Journal(path)) == 2
+        obs = Obs(trace=False)
+        result = sweep(BASE, "capacity_bytes", values, solve_cache=store,
+                       jobs=1, obs=obs)
+        assert SweepStats(obs.metrics).solve_cache_hits == 2
+        assert len(store) == 4
 
         plain = sweep(BASE, "capacity_bytes", values)
         for restored, direct in zip(result.points, plain.points):

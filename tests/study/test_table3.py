@@ -109,59 +109,36 @@ class TestEnergyModels:
 
 
 class TestTable3Resume:
-    """Row-level checkpointing in solve_table3 (stubbed row builders --
-    the live solves are exercised elsewhere; this tests the journal)."""
-
-    @pytest.fixture
-    def stubbed_builders(self, monkeypatch):
-        import repro.study.table3 as table3
-
-        calls = []
-
-        def fake_row(name, **knobs):
-            calls.append(name)
-            return paper_table3()[name]
-
-        monkeypatch.setattr(table3, "_build_row", fake_row)
-        return calls
+    """The solve store is the table's checkpoint: each row's solve
+    writes it, so a rerun against it solves only the missing rows."""
 
     def test_interrupted_table_resumes_at_unfinished_row(
-        self, stubbed_builders, tmp_path
+        self, tmp_path, monkeypatch
     ):
-        from repro.core.resilience import (
-            FaultInjected,
-            FaultPlan,
-            FaultSpec,
-            Journal,
-            ResiliencePolicy,
-        )
-        from repro.study.table3 import solve_table3
+        import repro.study.table3 as table3
+        from repro.core.optimizer import SweepStats
+        from repro.core.solvecache import SolveCache
+        from repro.obs import Obs
 
-        path = tmp_path / "table3.journal"
-        interrupted = ResiliencePolicy(
-            journal=Journal(path),
-            fault_plan=FaultPlan(
-                (FaultSpec("table3.row", 3, "raise", trips=99),)
-            ),
-        )
-        with pytest.raises(FaultInjected):
-            solve_table3(resilience=interrupted)
-        interrupted.journal.close()
-        assert stubbed_builders == ["L1", "L2", "sram"]
-        assert len(Journal(path)) == 3
+        build_row = table3._build_row
 
-        stubbed_builders.clear()
-        resumed = ResiliencePolicy(journal=Journal(path))
-        rows = solve_table3(resilience=resumed)
-        resumed.journal.close()
-        # Only the five unfinished rows were built; the first three
-        # restored from the journal.
-        assert stubbed_builders == [
-            "lp_dram_ed", "lp_dram_c", "cm_dram_ed", "cm_dram_c", "main"
-        ]
-        assert set(rows) == set(paper_table3())
-        assert rows["sram"] == paper_table3()["sram"]
-        assert len(Journal(path)) == 8
+        def interrupted(name, **knobs):
+            if name == "lp_dram_ed":
+                raise KeyboardInterrupt
+            return build_row(name, **knobs)
+
+        monkeypatch.setattr(table3, "_build_row", interrupted)
+        store = SolveCache(tmp_path / "t3.db")
+        with pytest.raises(KeyboardInterrupt):
+            table3.solve_table3(solve_cache=store)
+        # L1, L2 and sram finished: a data and a tag record each.
+        assert len(store) == 6
+
+        monkeypatch.setattr(table3, "_build_row", build_row)
+        obs = Obs(trace=False)
+        rows = table3.solve_table3(solve_cache=store, obs=obs)
+        assert SweepStats(obs.metrics).solve_cache_hits == 6
+        assert rows == table3.solve_table3()
 
 
 class TestTable3Memo:
@@ -243,13 +220,14 @@ class TestTable3Memo:
         assert solve_table3(cachedb=CountingDB()) == cold
         assert CountingDB.lookups == 0
 
-    def test_a_failed_row_raises_under_a_skip_policy(self, monkeypatch):
+    def test_a_failed_row_raises_and_memoizes_nothing(self, monkeypatch):
         import repro.study.table3 as table3
-        from repro.core.resilience import ResiliencePolicy
 
         def broken_row(name, **knobs):
             raise RuntimeError(f"row {name} failed")
 
+        monkeypatch.setattr(table3, "_MEMO", {})
         monkeypatch.setattr(table3, "_build_row", broken_row)
         with pytest.raises(RuntimeError, match="row L1 failed"):
-            solve_table3(resilience=ResiliencePolicy(on_error="skip"))
+            solve_table3()
+        assert table3._MEMO == {}

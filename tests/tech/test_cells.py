@@ -72,15 +72,17 @@ class TestElectricals:
         assert comm.access_i_off < lp.access_i_off / 1e4
 
     def test_retention_budget_consistent_with_leakage(self):
-        """Each DRAM cell's leakage must fit its retention budget; that is
-        what distinguishes the 0.12 ms LP cell from the 64 ms COMM cell."""
+        """Each DRAM cell's leakage must fit its retention budget: a
+        refreshed cell keeps over half its charge for a retention period,
+        I_max = Cs * (VDD/2) / t_ret.  That is what distinguishes the
+        0.12 ms LP cell from the 64 ms COMM cell."""
         for maker in (lp_dram_cell, comm_dram_cell):
             c = maker(32)
             leak = c.access_i_off * c.access_width
-            assert leak <= c.retention_leakage_budget()
+            assert leak <= c.storage_cap * (c.vdd_cell / 2) / c.retention_time
 
     def test_sram_has_no_retention_budget(self):
-        assert sram_cell(32, 0.9).retention_leakage_budget() is None
+        assert sram_cell(32, 0.9).retention_time is None
 
     def test_wordline_voltage_boosted_only_for_dram(self):
         assert sram_cell(32, 0.9).wordline_voltage == pytest.approx(0.9)

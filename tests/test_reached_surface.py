@@ -1,12 +1,15 @@
 """Unreached library surface does not grow back.
 
 Every public top-level ``def``, ``class`` and UPPER_CASE constant of a
-module under ``src/repro`` must be referenced by code that runs: a
-module under ``src``, ``bench``, ``benchmarks``, ``examples`` or
-``tools``.  Tests do not count, and neither do the name's own
-definition, an ``__init__`` re-export, an ``__all__`` entry, a comment
-or a docstring.  A reference is a name, an attribute, an import or a
-word inside a string literal (so string-keyed dispatch counts).
+module under ``src/repro``, and every public method, property and
+class-level field of a public top-level class (enum members exempt),
+must be referenced by code that runs: a module under ``src``,
+``bench``, ``benchmarks``, ``examples`` or ``tools``.  Tests do not
+count, and neither do the name's own definition, an ``__init__``
+re-export, an ``__all__`` entry, a comment or a docstring.  A reference
+is a name, an attribute, a keyword argument, an import or a word inside
+a string literal (so string-keyed dispatch counts).  A member is
+matched by its bare name, so any attribute of that name reaches it.
 
 ``ALLOWED`` holds the few names that only tests call but that the
 README or ``docs/`` document as API, each with its reason.
@@ -36,30 +39,57 @@ ALLOWED = {
         "the inverse of register, so a plug-in can remove what it added",
     "repro.workloads.micro.MICRO_PROFILES":
         "the set of micro presets DESIGN.md lists",
+    "repro.core.results.Solution.run_report":
+        "a solve's plain-JSON report, documented in README.md",
+    "repro.core.cacti.MainMemorySolution.run_report":
+        "a main-memory solve's plain-JSON report, documented in "
+        "docs/MODELING.md",
+    "repro.core.results.Solution.p_leakage_at":
+        "leakage at any die temperature, listed in DESIGN.md",
+    "repro.obs.trace.Tracer.write_json":
+        "the flat span dump, documented in docs/MODELING.md",
+    "repro.sim.coherence.MesiDirectory.sharers":
+        "kept until ROADMAP item 1 settles the directory's surface",
 }
 
 _UPPER = re.compile(r"[A-Z][A-Z0-9_]*")
 _WORD = re.compile(r"\w+")
+_ENUM_BASES = {"Enum", "IntEnum", "StrEnum", "Flag", "IntFlag"}
+
+
+def _defined_names(node: ast.stmt, field) -> list[str]:
+    """Public names ``node`` defines: a def or class, or the targets of
+    an assignment that ``field`` accepts."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, ast.Assign):
+        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+    elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                        ast.Name):
+        names = [node.target.id]
+    else:
+        return []
+    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+        names = [name for name in names if field(name)]
+    return [name for name in names if not name.startswith("_")]
 
 
 def _public_definitions(tree: ast.Module):
-    """(name, node) for each public top-level def, class and constant."""
+    """(name, node) for each public top-level def, class and constant,
+    and ("Class.member", node) for each public member of a public
+    class."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, ast.Assign):
-            names = [t.id for t in node.targets if isinstance(t, ast.Name)
-                     and _UPPER.fullmatch(t.id)]
-        elif (isinstance(node, ast.AnnAssign)
-              and isinstance(node.target, ast.Name)
-              and _UPPER.fullmatch(node.target.id)):
-            names = [node.target.id]
-        else:
+        for name in _defined_names(node, _UPPER.fullmatch):
+            yield name, node
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
             continue
-        for name in names:
-            if not name.startswith("_"):
-                yield name, node
+        enum = any(isinstance(base, ast.Name) and base.id in _ENUM_BASES
+                   for base in node.bases)
+        for member in node.body:
+            for name in _defined_names(member, lambda name: not enum):
+                yield f"{node.name}.{name}", member
 
 
 def _words(node: ast.AST):
@@ -73,6 +103,8 @@ def _words(node: ast.AST):
             yield sub.id
         elif isinstance(sub, ast.Attribute):
             yield sub.attr
+        elif isinstance(sub, ast.keyword) and sub.arg is not None:
+            yield sub.arg
         elif isinstance(sub, ast.alias):
             yield from _WORD.findall(sub.name)
         elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
@@ -110,8 +142,9 @@ def unreached(root: Path) -> list[str]:
         module = ".".join(path.relative_to(src).with_suffix("").parts)
         module = module.removesuffix(".__init__")
         for name, node in _public_definitions(tree):
-            own = sum(1 for word in _words(node) if word == name)
-            if references[name] <= own:
+            word = name.rpartition(".")[2]
+            own = sum(1 for w in _words(node) if w == word)
+            if references[word] <= own:
                 found.append(f"{module}.{name}")
     return found
 
