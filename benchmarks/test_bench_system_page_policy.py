@@ -18,7 +18,7 @@ from repro.sim.system import run_workload
 from repro.study.table3 import build_system_config
 from repro.workloads.micro import STREAM
 from repro.workloads.npb import CG_C, FT_B
-from repro.workloads.synthetic import event_stream
+from repro.workloads.synthetic import event_batches
 
 INSTR = 25_000
 
@@ -30,7 +30,7 @@ def run_app(profile, policy):
     scaled = profile.scaled(16)
     return run_workload(
         config,
-        lambda tid: event_stream(scaled, tid, config.num_threads),
+        lambda tid: event_batches(scaled, tid, config.num_threads),
     ), config
 
 

@@ -278,8 +278,9 @@ def _run_batch(
 
     cache_url = solve_cache.url if solve_cache is not None else None
     kind = parallel.obs_kind(obs)
-    # The map runs in this process unless it has two or more specs.
-    pooled = min(jobs, len(specs)) > 1
+    # The map starts no more workers than specs, and runs in this
+    # process unless that is two or more.
+    workers = min(jobs, len(specs))
     stats = SweepStats(obs.metrics) if obs is not None else None
     worker_wall = stats.worker_time_s if stats is not None else 0.0
     t0 = time.perf_counter()
@@ -307,12 +308,12 @@ def _run_batch(
     # counter deltas arrived in their payloads, so this refreshes the
     # parent-side records/bytes gauges.
     _account_store(solve_cache, obs)
-    if obs is not None and pooled:
+    if obs is not None and workers > 1:
         elapsed = time.perf_counter() - t0
         if elapsed > 0:
             obs.gauge(
                 "parallel.worker_utilization",
-                (stats.worker_time_s - worker_wall) / (elapsed * jobs),
+                (stats.worker_time_s - worker_wall) / (elapsed * workers),
             )
     return BatchOutcome(solutions, failures)
 

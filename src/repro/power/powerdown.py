@@ -75,7 +75,6 @@ class PowerDownOutcome:
 
     average_standby_power: float  #: W
     average_added_latency: float  #: s per request
-    time_fractions: dict[PowerState, float]
 
     def savings_vs_active(self, active_standby_power: float) -> float:
         """Fractional standby-power saving vs always-active."""
@@ -97,13 +96,11 @@ def evaluate_policy(
         return PowerDownOutcome(
             average_standby_power=active_standby_power,
             average_added_latency=0.0,
-            time_fractions={PowerState.ACTIVE_STANDBY: 1.0},
         )
 
     total_time = 0.0
     weighted_power = 0.0
     added_latency = 0.0
-    time_in_state = {state: 0.0 for state in PowerState}
 
     for idle in idle_intervals:
         boundaries = [(PowerState.ACTIVE_STANDBY, 0.0)]
@@ -120,20 +117,15 @@ def evaluate_policy(
             boundaries, boundaries[1:] + [(None, idle)]
         ):
             span = max(0.0, min(idle, nxt[1]) - start)
-            time_in_state[state] += span
             weighted_power += (
                 span * STATE_POWER_FRACTION[state] * active_standby_power
             )
         total_time += idle
         added_latency += STATE_EXIT_LATENCY[final_state]
 
-    fractions = {
-        state: t / total_time for state, t in time_in_state.items() if t > 0
-    }
     return PowerDownOutcome(
         average_standby_power=weighted_power / total_time,
         average_added_latency=added_latency / len(idle_intervals),
-        time_fractions=fractions,
     )
 
 

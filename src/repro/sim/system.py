@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable
 
 from repro.dram.page_policy import PagePolicy
 from repro.sim.cache import Cache, CacheConfig, MesiState
 from repro.sim.coherence import MesiDirectory
-from repro.sim.core import Event, ThreadContext
+from repro.sim.core import COMPUTE, LOCK, WRITE, ThreadContext, as_batches
 from repro.sim.dram_channel import MemoryController, MemoryTimingCycles
 from repro.sim.interconnect import Crossbar
 from repro.sim.stats import AccessCounters, SimStats
@@ -302,8 +302,13 @@ class System:
     # ------------------------------------------------------------------ #
     # Execution loop
 
-    def run(self, event_streams: list[Iterator[Event]]) -> SimStats:
-        """Execute one event stream per hardware thread to completion."""
+    def run(self, event_streams: list[Iterable]) -> SimStats:
+        """Execute one event stream per hardware thread to completion.
+
+        Each stream yields :class:`~repro.sim.core.EventBatch` objects
+        or event tuples (see :func:`~repro.sim.core.as_batches`).  The
+        thread with the earliest clock executes one row per turn.
+        """
         config = self.config
         if len(event_streams) != config.num_threads:
             raise ValueError(
@@ -314,7 +319,7 @@ class System:
             ThreadContext(
                 thread_id=i,
                 core_id=i // config.threads_per_core,
-                events=iter(stream),
+                batches=as_batches(stream),
             )
             for i, stream in enumerate(event_streams)
         ]
@@ -332,37 +337,37 @@ class System:
         while heap:
             _, tid = heappop(heap)
             thread = threads[tid]
-            event = next(thread.events, None)
-            if event is None:
-                thread.done = True
-                self._maybe_release_barrier(threads, heap)
-                continue
-            kind = event[0]
-            if kind == "step":
-                _, instructions, cycles, address, is_write = event
-                thread.retire(instructions, cycles)
-                service(thread, address, is_write)
-            elif kind == "mem":
-                _, address, is_write = event
-                service(thread, address, is_write)
-            elif kind == "compute":
-                _, instructions, cycles = event
-                thread.retire(instructions, cycles)
-            elif kind == "barrier":
-                thread.waiting_barrier = True
-                self._barrier_arrivals.append(thread)
-                self._maybe_release_barrier(threads, heap)
-                continue
-            elif kind == "lock":
-                _, lock_id, hold = event
-                ready = locks.get(lock_id, 0.0)
+            i = thread.row
+            if i == thread.end:
+                if not thread.next_batch():
+                    thread.done = True
+                    self._maybe_release_barrier(threads, heap)
+                    continue
+                i = 0
+            thread.row = i + 1
+            kinds, gaps, lines, line_bytes, cpi, cycles = thread.batch
+            kind = kinds[i]
+            if kind <= COMPUTE:  # a step or compute row retires
+                n = gaps[i]
+                c = n * cpi if cycles is None else cycles[i]
+                thread.instructions += n
+                thread.time += c
+                thread.breakdown.instruction += c
+                if kind <= WRITE:  # a step references memory
+                    service(thread, lines[i] * line_bytes, kind == WRITE)
+            elif kind == LOCK:
+                hold = gaps[i]
+                ready = locks.get(lines[i], 0.0)
                 wait = max(0.0, ready - thread.time)
                 thread.breakdown.lock += wait
                 thread.time += wait + hold
                 thread.breakdown.instruction += hold
-                locks[lock_id] = thread.time
+                locks[lines[i]] = thread.time
             else:
-                raise ValueError(f"unknown workload event {kind!r}")
+                thread.waiting_barrier = True
+                self._barrier_arrivals.append(thread)
+                self._maybe_release_barrier(threads, heap)
+                continue
             heappush(heap, (thread.time, tid))
 
         return self._collect(threads)
@@ -399,7 +404,7 @@ class System:
 
 def run_workload(
     config: SystemConfig,
-    stream_factory: Callable[[int], Iterator[Event]],
+    stream_factory: Callable[[int], Iterable],
 ) -> SimStats:
     """Convenience: build a system and run one stream per thread."""
     system = System(config)

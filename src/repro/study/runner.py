@@ -27,7 +27,7 @@ from repro.study.table3 import (
     check_source,
 )
 from repro.workloads.npb import NPB_PROFILES
-from repro.workloads.synthetic import WorkloadProfile, event_stream
+from repro.workloads.synthetic import WorkloadProfile, event_batches
 
 #: Default capacity-scaling factor for tractable pure-Python runs.
 DEFAULT_SCALE = 16
@@ -59,7 +59,6 @@ class StudyResult:
     """
 
     results: dict[tuple[str, str], RunResult]
-    config_names: tuple[str, ...]
     app_names: tuple[str, ...]
     failed: tuple[TaskFailure, ...] = ()
 
@@ -121,7 +120,7 @@ def run_one(
     stats = run_workload(
         config,
         partial(
-            event_stream,
+            event_batches,
             scaled_profile,
             num_threads=config.num_threads,
             seed=seed,
@@ -287,7 +286,6 @@ def run_study(
             publish_sim_counters(obs, outcome.stats)
     return StudyResult(
         results=results,
-        config_names=tuple(configs),
         app_names=tuple(p.name for p in profiles),
         failed=tuple(failures),
     )

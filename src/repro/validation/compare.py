@@ -14,7 +14,6 @@ from repro.array.mainmem import MainMemorySpec
 from repro.core.cacti import MainMemorySolution, solve_main_memory
 from repro.core.cacti import solve
 from repro.core.config import MemorySpec, OptimizationTarget
-from repro.core.results import Solution
 from repro.tech.cells import CellTech
 from repro.validation.targets import DDR3_TARGET, Ddr3Target, SramCacheTarget
 
@@ -148,7 +147,6 @@ class SramValidation:
     target: SramCacheTarget
     target_bubbles: tuple[SramBubble, ...]
     solutions: tuple[SramBubble, ...]
-    best_access_solution: Solution
 
     def mean_abs_error(self) -> float:
         """Mean |error| of the best-access-time solution across access
@@ -198,7 +196,6 @@ def validate_sram_cache(
         sleep_transistors=True,
     )
     bubbles = []
-    best_solution: Solution | None = None
     # Activity factor 1.0: one access per cache clock.  Large shared L3s
     # run at half the core clock (the Xeon 7100's L3 pipeline), so that is
     # the reference frequency for the dynamic-power bubbles.
@@ -215,11 +212,6 @@ def validate_sram_cache(
             leakage_power=solution.p_leakage,
         )
         bubbles.append(bubble)
-        if (
-            best_solution is None
-            or solution.access_time < best_solution.access_time
-        ):
-            best_solution = solution
 
     targets = tuple(
         SramBubble(
@@ -231,10 +223,8 @@ def validate_sram_cache(
         )
         for i, p in enumerate(target.dynamic_power)
     )
-    assert best_solution is not None
     return SramValidation(
         target=target,
         target_bubbles=targets,
         solutions=tuple(bubbles),
-        best_access_solution=best_solution,
     )

@@ -20,7 +20,12 @@ from repro.workloads.micro import (
     STREAM,
     WRITE_SHARED,
 )
-from repro.workloads.synthetic import LINE_BYTES, WorkloadProfile, event_stream
+from repro.workloads.synthetic import (
+    LINE_BYTES,
+    WorkloadProfile,
+    event_batches,
+    event_stream,
+)
 
 __all__ = [
     "BT_C",
@@ -41,5 +46,6 @@ __all__ = [
     "SP_C",
     "UA_C",
     "WorkloadProfile",
+    "event_batches",
     "event_stream",
 ]

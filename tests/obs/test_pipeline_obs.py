@@ -8,12 +8,15 @@ contract lives in tests/core/test_golden_equivalence.py.
 
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
 from repro.array.mainmem import MainMemorySpec
+from repro.core import cacti
 from repro.core.cacti import solve, solve_batch, solve_main_memory
 from repro.core.config import MemorySpec
+from repro.core.optimizer import SweepStats
 from repro.obs import Obs
 from repro.study import sensitivity
 
@@ -95,6 +98,21 @@ class TestWorkerStitching:
         assert snap["histograms"]["worker.phase.build_s"]["count"] == 4
         assert "phase.build_s" not in snap["histograms"]
         assert snap["gauges"]["parallel.worker_utilization"] is not None
+
+    def test_worker_utilization_counts_started_workers(self, monkeypatch):
+        """Two specs start two workers however many jobs are allowed, so
+        utilization is worker time over two workers' share of the wall
+        clock (here a fake clock reading 4 s)."""
+        clock = iter([100.0, 104.0])
+        monkeypatch.setattr(cacti, "time",
+                            SimpleNamespace(perf_counter=lambda: next(clock)))
+        obs = Obs()
+        solve_batch(BATCH, obs=obs, jobs=8)
+        worker_s = SweepStats(obs.metrics).worker_time_s
+        assert worker_s > 0
+        assert obs.metrics.snapshot()["gauges"][
+            "parallel.worker_utilization"] == pytest.approx(
+                worker_s / (4.0 * 2))
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_counters_identical_at_any_job_count(self, jobs):

@@ -78,13 +78,6 @@ class TestEvaluate:
         floor = STATE_POWER_FRACTION[PowerState.SELF_REFRESH] * ACTIVE_W
         assert floor - 1e-12 <= outcome.average_standby_power <= ACTIVE_W + 1e-12
 
-    @given(st.lists(st.floats(min_value=1e-9, max_value=1.0), min_size=1,
-                    max_size=50))
-    @settings(max_examples=30, deadline=None)
-    def test_time_fractions_sum_to_one(self, intervals):
-        outcome = evaluate_policy(PowerDownPolicy(), ACTIVE_W, intervals)
-        assert sum(outcome.time_fractions.values()) == pytest.approx(1.0)
-
     def test_deeper_policy_saves_more(self):
         intervals = [5e-6] * 100
         shallow = evaluate_policy(

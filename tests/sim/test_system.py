@@ -8,12 +8,22 @@ import pytest
 from repro.dram.page_policy import OpenPagePolicy
 from repro.sim.cache import Cache, CacheConfig, MesiState
 from repro.sim.coherence import MesiDirectory
-from repro.sim.core import ThreadContext
+from repro.sim.core import (
+    _ADAPTER_ROWS as ADAPTER_ROWS,
+    BARRIER,
+    COMPUTE,
+    LOCK,
+    READ,
+    WRITE,
+    EventBatch,
+    ThreadContext,
+    as_batches,
+)
 from repro.sim.dram_channel import MemoryController, MemoryTimingCycles
 from repro.sim.interconnect import Crossbar
 from repro.sim.system import L3Config, System, SystemConfig, run_workload
-from repro.workloads.npb import FT_B
-from repro.workloads.synthetic import event_stream
+from repro.workloads.npb import UA_C
+from repro.workloads.synthetic import event_batches, event_stream
 
 MEM = MemoryTimingCycles(
     t_rcd=30, t_cas=31, t_rp=28, t_ras=70, t_rc=98, t_rrd=15, t_burst=5
@@ -88,22 +98,84 @@ class TestExecution:
         with pytest.raises(ValueError, match="unknown workload event"):
             run_workload(config(), lambda tid: iter([("jump", 1)]))
 
+
     @pytest.mark.parametrize("l3", [False, True])
     def test_live_streams_match_their_lists(self, l3):
-        """The study feeds live generators and the bench's replay feeds
-        materialised lists; both runs must give the same statistics."""
-        profile = FT_B.with_instructions(2000).scaled(16)
+        """The study feeds drawn batches and the bench's replay feeds
+        materialised tuple lists; both runs, and a run on the live tuple
+        view, must give the same statistics."""
+        profile = UA_C.with_instructions(40_000).scaled(16)
         cfg = config(l3=l3)
         threads = cfg.num_threads
+        batches = System(cfg).run(
+            [event_batches(profile, tid, threads) for tid in range(threads)]
+        )
+        events = [list(event_stream(profile, tid, threads))
+                  for tid in range(threads)]
+        lists = System(cfg).run(events)
         live = System(cfg).run(
             [event_stream(profile, tid, threads) for tid in range(threads)]
         )
-        lists = System(cfg).run(
-            [list(event_stream(profile, tid, threads))
-             for tid in range(threads)]
-        )
-        assert live.counters.mem_reads > 0
+        assert batches.counters.mem_reads > 0
+        assert batches.breakdown.barrier > 0
+        assert any(e[0] == "lock" for stream in events for e in stream)
+        assert dataclasses.asdict(batches) == dataclasses.asdict(lists)
         assert dataclasses.asdict(live) == dataclasses.asdict(lists)
+
+
+class TestEventBatches:
+    """``run`` walks event batches; event tuples reach it through the
+    one adapter, ``as_batches``."""
+
+    def test_adapter_columns(self):
+        events = [("compute", 10, 40.0), ("mem", 0x1040, True),
+                  ("step", 3, 7.5, 0x80, False), ("lock", 9, 50),
+                  ("barrier",), ("mem", 0x41, False)]
+        (batch,) = as_batches(iter(events))
+        assert batch == EventBatch(
+            bytes([COMPUTE, WRITE, READ, LOCK, BARRIER, READ]),
+            [10, 0, 3, 50, 0, 0], [0, 0x1040, 0x80, 9, 0, 0x41], 1, None,
+            [40.0, 0.0, 7.5, 0.0, 0.0, 0.0])
+
+    def test_adapter_batches_long_streams(self):
+        events = [("mem", i * 64, False) for i in range(ADAPTER_ROWS + 5)]
+        sizes = [len(b.kinds) for b in as_batches(events)]
+        assert sizes == [ADAPTER_ROWS, 5]
+        assert list(as_batches([])) == []
+
+    def test_batches_pass_through(self):
+        batch = EventBatch(bytes([READ]), [1], [2], 64, 4.0)
+        assert list(as_batches([batch, batch])) == [batch, batch]
+
+    @pytest.mark.parametrize("l3", [False, True])
+    def test_hand_written_events_match_their_batches(self, l3):
+        """Hand-written mem/compute/lock/barrier tuples and the batches
+        they stand for run to the same statistics."""
+        def stream(tid):
+            return [
+                ("compute", 10 + tid, 40.0 + tid), ("mem", 0x1000, False),
+                ("lock", tid % 2, 30), ("mem", 0x1000 + 64 * tid, True),
+                ("barrier",), ("step", 4, 6.0, 0x2000, tid == 1),
+                ("lock", 0, 20), ("compute", 2, 3.5),
+            ]
+
+        def batch(tid):
+            return EventBatch(
+                bytes([COMPUTE, READ, LOCK, WRITE, BARRIER,
+                       WRITE if tid == 1 else READ, LOCK, COMPUTE]),
+                [10 + tid, 0, 30, 0, 0, 4, 20, 2],
+                [0, 0x1000 // 64, tid % 2, 0x1000 // 64 + tid, 0,
+                 0x2000 // 64, 0, 0],
+                64, None, [40.0 + tid, 0.0, 0.0, 0.0, 0.0, 6.0, 0.0, 3.5])
+
+        cfg = config(l3=l3)
+        tuples = System(cfg).run(
+            [stream(t) for t in range(cfg.num_threads)])
+        batches = System(cfg).run(
+            [iter([batch(t)]) for t in range(cfg.num_threads)])
+        assert tuples.breakdown.lock > 0 and tuples.breakdown.barrier > 0
+        assert tuples.counters.l1_writes == cfg.num_threads + 1
+        assert dataclasses.asdict(tuples) == dataclasses.asdict(batches)
 
 
 class TestSynchronization:
@@ -156,7 +228,7 @@ class TestCoherenceTraffic:
 
 
 def thread_on(core):
-    return ThreadContext(thread_id=core, core_id=core, events=iter([]))
+    return ThreadContext(thread_id=core, core_id=core, batches=iter([]))
 
 
 class TestServiceMemoryRequest:
