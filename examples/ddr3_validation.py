@@ -10,8 +10,8 @@ clocks.
 Run:  python examples/ddr3_validation.py
 """
 
-from repro.models import DDR3_1066, quantize
-from repro.validation import validate_ddr3
+from repro.models.timing_dram import DDR3_1066, quantize
+from repro.validation.compare import validate_ddr3
 
 
 def main() -> None:

@@ -13,8 +13,9 @@ Run:  python examples/design_space_sweep.py
 from repro import CellTech, MemorySpec, OptimizationTarget
 from repro.core.cacti import data_array_spec
 from repro.core.optimizer import feasible_designs, filter_constraints, rank
-from repro.models import delay_breakdown, energy_breakdown
-from repro.tech import technology
+from repro.models.delay import delay_breakdown
+from repro.models.energy import energy_breakdown
+from repro.tech.nodes import technology
 
 
 def main() -> None:

@@ -13,7 +13,8 @@ Run:  python examples/llc_study.py           (~2-4 minutes)
 
 import sys
 
-from repro.study import CONFIG_NAMES, run_study
+from repro.study.runner import run_study
+from repro.study.table3 import CONFIG_NAMES
 from repro.workloads.npb import BT_C, CG_C, FT_B, UA_C
 
 

@@ -1,53 +1,1 @@
 """CACTI-D core: input specs, optimizer, and the public solve API."""
-
-from repro.core.cacti import (
-    CactiD,
-    MainMemorySolution,
-    data_array_spec,
-    solve,
-    solve_batch,
-    solve_main_memory,
-    tag_array_spec,
-)
-from repro.core.config import (
-    DENSITY_OPTIMIZED,
-    ENERGY_DELAY_OPTIMIZED,
-    AccessMode,
-    MemorySpec,
-    OptimizationTarget,
-)
-from repro.core.optimizer import (
-    NoFeasibleSolution,
-    SweepStats,
-    feasible_designs,
-    filter_constraints,
-    optimize,
-    pareto_solutions,
-    rank,
-)
-from repro.core.results import Solution
-from repro.core.solvecache import SolveCache
-
-__all__ = [
-    "AccessMode",
-    "CactiD",
-    "DENSITY_OPTIMIZED",
-    "ENERGY_DELAY_OPTIMIZED",
-    "MainMemorySolution",
-    "MemorySpec",
-    "NoFeasibleSolution",
-    "OptimizationTarget",
-    "Solution",
-    "SolveCache",
-    "SweepStats",
-    "data_array_spec",
-    "feasible_designs",
-    "filter_constraints",
-    "optimize",
-    "pareto_solutions",
-    "rank",
-    "solve",
-    "solve_batch",
-    "solve_main_memory",
-    "tag_array_spec",
-]

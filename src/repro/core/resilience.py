@@ -280,6 +280,11 @@ class Journal:
 # --------------------------------------------------------------------- #
 # The policy
 
+#: Sleep (s) before the first retry of a failed task; each further
+#: retry multiplies it by :data:`BACKOFF_FACTOR`.
+BACKOFF_S = 0.05
+BACKOFF_FACTOR = 2.0
+
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
@@ -287,7 +292,7 @@ class ResiliencePolicy:
 
     ``on_error`` selects the terminal behaviour; ``retry`` re-runs a
     failed task up to ``max_retries`` times with exponential backoff
-    (``backoff_s * backoff_factor**(attempt-1)`` seconds) before
+    (``BACKOFF_S * BACKOFF_FACTOR**(attempt-1)`` seconds) before
     recording a :class:`TaskFailure` like ``skip`` does.  ``timeout_s``
     bounds each task's wall clock in parallel runs: an overdue task is
     cancelled by rebuilding the worker pool (in-flight siblings are
@@ -303,8 +308,6 @@ class ResiliencePolicy:
 
     on_error: str = "raise"
     max_retries: int = 2
-    backoff_s: float = 0.05
-    backoff_factor: float = 2.0
     timeout_s: float | None = None
     journal: Journal | None = field(default=None, compare=False)
     fault_plan: FaultPlan | None = None
@@ -327,4 +330,4 @@ class ResiliencePolicy:
 
     def backoff(self, attempt: int) -> float:
         """Sleep before re-running a task that failed ``attempt`` times."""
-        return self.backoff_s * self.backoff_factor ** (attempt - 1)
+        return BACKOFF_S * BACKOFF_FACTOR ** (attempt - 1)

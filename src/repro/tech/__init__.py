@@ -7,35 +7,4 @@ process -- including optimizer worker processes that unpickle specs --
 resolves the same :class:`CellTech` handles.
 """
 
-from repro.tech.cells import CellParams, CellTech
-from repro.tech.devices import DEVICE_TYPES, NODES_NM, DeviceParams, device
-from repro.tech.nodes import Technology, technology
-from repro.tech.registry import (
-    CellTraits,
-    MemoryTechnology,
-    SensingScheme,
-    register,
-    registered_names,
-)
-from repro.tech.wires import WireParams, global_wire, local_wire, semi_global_wire
 from repro.tech import stt_ram as _stt_ram  # noqa: F401  (registers stt-ram)
-
-__all__ = [
-    "CellParams",
-    "CellTech",
-    "CellTraits",
-    "DEVICE_TYPES",
-    "DeviceParams",
-    "MemoryTechnology",
-    "NODES_NM",
-    "SensingScheme",
-    "Technology",
-    "WireParams",
-    "device",
-    "global_wire",
-    "local_wire",
-    "register",
-    "registered_names",
-    "semi_global_wire",
-    "technology",
-]

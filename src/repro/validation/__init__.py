@@ -1,31 +1,1 @@
 """Validation against published targets (paper section 2.5)."""
-
-from repro.validation.compare import (
-    Ddr3Validation,
-    SramBubble,
-    SramValidation,
-    percent_error,
-    validate_ddr3,
-    validate_sram_cache,
-)
-from repro.validation.targets import (
-    DDR3_TARGET,
-    SPARC_L2,
-    XEON_L3,
-    Ddr3Target,
-    SramCacheTarget,
-)
-
-__all__ = [
-    "DDR3_TARGET",
-    "Ddr3Target",
-    "Ddr3Validation",
-    "SPARC_L2",
-    "SramBubble",
-    "SramCacheTarget",
-    "SramValidation",
-    "XEON_L3",
-    "percent_error",
-    "validate_ddr3",
-    "validate_sram_cache",
-]

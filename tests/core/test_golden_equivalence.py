@@ -295,12 +295,13 @@ def test_tracing_is_invisible_at_any_job_count(jobs):
     assert_solutions_identical(plain, traced)
 
 
-def test_faulted_retry_solve_batch_is_bit_identical():
+def test_faulted_retry_solve_batch_is_bit_identical(monkeypatch):
     """Fault tolerance's determinism contract: a batch whose workers
     crash mid-run under ``on_error="retry"`` -- one solve raising, one
     hard-killing its worker process -- completes with field-for-field
     the solutions of the unfaulted serial batch.  A retried task
     re-solves the same spec, and results stay in spec order."""
+    from repro.core import resilience
     from repro.core.cacti import solve_batch
     from repro.core.resilience import FaultPlan, FaultSpec, ResiliencePolicy
 
@@ -311,9 +312,8 @@ def test_faulted_retry_solve_batch_is_bit_identical():
     ))
     obs = Obs(trace=False)
     stats = SweepStats(obs.metrics)
-    policy = ResiliencePolicy(
-        on_error="retry", max_retries=2, backoff_s=0.01, fault_plan=plan
-    )
+    monkeypatch.setattr(resilience, "BACKOFF_S", 0.01)
+    policy = ResiliencePolicy(on_error="retry", max_retries=2, fault_plan=plan)
     faulted = solve_batch(
         sram_batch(), jobs=2, obs=obs, resilience=policy
     )

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.core import resilience
 from repro.core.optimizer import SweepStats
 from repro.core.parallel import parallel_map
 from repro.core.resilience import (
@@ -216,15 +217,15 @@ def test_raise_mode_propagates(jobs):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_retry_recovers_transient_faults(jobs):
+def test_retry_recovers_transient_faults(jobs, monkeypatch):
     # The fault trips only the first attempt of task 1; the retry runs
     # clean and the map completes with full results.
     obs = Obs(trace=False)
     stats = SweepStats(obs.metrics)
+    monkeypatch.setattr(resilience, "BACKOFF_S", 0.01)
     policy = ResiliencePolicy(
         on_error="retry",
         max_retries=2,
-        backoff_s=0.01,
         fault_plan=FaultPlan((FaultSpec("s", 1, "raise", trips=1),)),
     )
     out = parallel_map(
@@ -237,15 +238,15 @@ def test_retry_recovers_transient_faults(jobs):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_retry_exhaustion_degrades_to_failure(jobs):
+def test_retry_exhaustion_degrades_to_failure(jobs, monkeypatch):
     # trips above max_retries: every attempt fails, the task degrades
     # to a recorded TaskFailure after 1 + max_retries attempts.
     obs = Obs(trace=False)
     stats = SweepStats(obs.metrics)
+    monkeypatch.setattr(resilience, "BACKOFF_S", 0.01)
     policy = ResiliencePolicy(
         on_error="retry",
         max_retries=2,
-        backoff_s=0.01,
         fault_plan=FaultPlan((FaultSpec("s", 0, "raise", trips=99),)),
     )
     out = parallel_map(
@@ -259,16 +260,16 @@ def test_retry_exhaustion_degrades_to_failure(jobs):
     assert stats.tasks_failed == 1
 
 
-def test_kill_fault_triggers_pool_rebuild():
+def test_kill_fault_triggers_pool_rebuild(monkeypatch):
     # Task 1 hard-exits its worker on the first attempt, breaking the
     # pool.  The engine harvests survivors, re-runs the in-flight tasks
     # in the parent, rebuilds the pool, and completes every result.
     obs = Obs(trace=False)
     stats = SweepStats(obs.metrics)
+    monkeypatch.setattr(resilience, "BACKOFF_S", 0.01)
     policy = ResiliencePolicy(
         on_error="retry",
         max_retries=2,
-        backoff_s=0.01,
         fault_plan=FaultPlan((FaultSpec("s", 1, "kill", trips=1),)),
     )
     out = parallel_map(

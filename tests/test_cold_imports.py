@@ -12,6 +12,10 @@ process has long since imported all of them.
 Production never reaches the test suite's reference oracles: no module
 under ``src/repro`` imports from ``tests``, and a plain CLI call loads
 no ``tests.*`` module.
+
+A subpackage's ``__init__`` re-exports nothing (only ``repro``,
+``repro.cachedb`` and ``repro.obs`` have a package API), so importing
+one module of a subpackage loads no sibling it does not use.
 """
 
 import ast
@@ -33,6 +37,7 @@ DENY = (
     "concurrent.futures.process",
     "socket",
     "numpy.ma",
+    "repro.array.stacking",
 )
 
 _PLAIN = """
@@ -91,6 +96,51 @@ print(json.dumps(loaded))
 """
 
 
+#: The library modules the benchmark's set-up children import.
+BENCH_CLOSURE = (
+    "repro.cachedb",
+    "repro.core.cacti",
+    "repro.core.solvecache",
+    "repro.obs",
+    "repro.power.hierarchy",
+    "repro.sim.system",
+    "repro.study.runner",
+    "repro.study.table3",
+    "repro.workloads.npb",
+    "repro.workloads.synthetic",
+)
+
+#: Library modules the benchmark's set-up never runs, so importing
+#: ``BENCH_CLOSURE`` loads none of them.
+UNUSED_BY_BENCH = (
+    "repro.array.stacking",
+    "repro.dram.interface",
+    "repro.models.area",
+    "repro.models.delay",
+    "repro.models.energy",
+    "repro.models.refresh",
+    "repro.power.powerdown",
+    "repro.power.thermal",
+    "repro.study.sensitivity",
+    "repro.workloads.micro",
+)
+
+_CLOSURE = """
+import importlib, json, sys
+for name in {closure!r}:
+    importlib.import_module(name)
+print(json.dumps(sorted(m for m in {unused!r} if m in sys.modules)))
+"""
+
+#: Subpackages whose ``__init__`` holds a docstring and nothing to
+#: import; ``repro.tech``'s one import registers stt-ram.
+PLAIN_PACKAGES = (
+    "array", "circuits", "core", "dram", "models", "power", "sim",
+    "study", "tech", "validation", "workloads",
+)
+_REGISTRATION = "from repro.tech import stt_ram as _stt_ram"
+
+
 def _run(script: str):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.fspath(_SRC)
@@ -143,3 +193,23 @@ def test_serial_maps_load_no_pool_stack(tmp_path):
     """One engine runs every map; at ``jobs=1`` it builds no pool."""
     script = _SERIAL.format(pool=POOL, db=os.fspath(tmp_path / "db.json"))
     assert _run(script) == {"study": [], "cachedb": []}
+
+
+def test_bench_closure_loads_only_what_it_runs():
+    script = _CLOSURE.format(closure=BENCH_CLOSURE, unused=UNUSED_BY_BENCH)
+    assert _run(script) == []
+
+
+def test_subpackages_reexport_nothing():
+    imports = {
+        pkg: [
+            ast.unparse(node)
+            for node in ast.walk(ast.parse(
+                (_SRC / "repro" / pkg / "__init__.py").read_text()))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        ]
+        for pkg in PLAIN_PACKAGES
+    }
+    expected = {pkg: [] for pkg in PLAIN_PACKAGES}
+    expected["tech"] = [_REGISTRATION]
+    assert imports == expected
