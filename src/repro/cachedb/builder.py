@@ -4,10 +4,10 @@ A build is one :func:`~repro.core.cacti.solve_batch` call over the grid
 cells into a :class:`~repro.core.solvecache.SolveCache` at the
 cachedb's path, so it inherits parallel workers (``jobs``), sweep
 statistics, observability spans, and -- through a
-:class:`~repro.core.resilience.ResiliencePolicy` -- skip/retry
-semantics.  The store is the build's checkpoint: a rebuild into the
-same path is served the records it already holds, so an interrupted
-build resumes by running again.  The ``meta`` row
+:class:`~repro.core.resilience.ResiliencePolicy` -- its error policy.
+The store is the build's checkpoint: a rebuild into the same path is
+served the records it already holds, so an interrupted build resumes
+by running again.  The ``meta`` row
 (:data:`~repro.cachedb.schema.META_KEY`: grid axes, target, holes) is
 dropped when a build starts and written last, so a killed build leaves
 a store the reader refuses as incomplete, never a torn cachedb.
@@ -26,10 +26,11 @@ import os
 import time
 from dataclasses import asdict, dataclass
 
-from repro.core.cacti import refuse_journal, solve_batch
+from repro.core.cacti import solve_batch
 from repro.core.config import OptimizationTarget
 from repro.core.resilience import ResiliencePolicy
 from repro.core.solvecache import SolveCache
+from repro.cachedb.reader import forget_cachedb
 from repro.cachedb.schema import META_KEY, GridSpec, grid_spec_for
 
 
@@ -68,14 +69,16 @@ def build_cachedb(
     ``target`` steers every solve (one target per cachedb -- it
     answers queries for exactly one optimization preset).  ``jobs``
     fans the grid out over worker processes.  ``resilience`` overrides
-    the default skip-and-record policy; one carrying a journal raises
-    ValueError, since re-running an interrupted build into the same
-    ``path`` already serves the cells it solved from the store.
+    the default skip-and-record policy.  Re-running an interrupted
+    build into the same ``path`` serves the cells it solved from the
+    store.  This process's memoized reader of ``path``
+    (:func:`~repro.cachedb.reader.open_cachedb`) is dropped and closed
+    first: the rebuild makes it stale.
 
     A file at ``path`` that is not a sqlite database (a JSON cachedb
     written by an older build, say) is refused untouched.
     """
-    refuse_journal(resilience)
+    forget_cachedb(path)
     t0 = time.perf_counter()
     target = target or OptimizationTarget()
     resilience = resilience or ResiliencePolicy(on_error="skip")

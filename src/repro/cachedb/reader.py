@@ -535,9 +535,17 @@ _OPEN_DBS: dict[str, CacheDB] = {}
 
 
 def open_cachedb(path: str | os.PathLike) -> CacheDB:
-    """A memoized :class:`CacheDB` for ``path`` (one open per process)."""
-    key = os.fspath(path)
+    """A memoized :class:`CacheDB` for ``path`` (one open per process;
+    a relative and an absolute spelling of one file share it)."""
+    key = os.path.abspath(path)
     db = _OPEN_DBS.get(key)
     if db is None:
         db = _OPEN_DBS[key] = CacheDB(key)
     return db
+
+
+def forget_cachedb(path: str | os.PathLike) -> None:
+    """Drop and close the memoized reader of ``path``, if any."""
+    db = _OPEN_DBS.pop(os.path.abspath(path), None)
+    if db is not None:
+        db._store.close()

@@ -21,8 +21,8 @@ Usage::
 
 Sizes accept K/M/G suffixes (powers of two).  The multi-task runs
 (``study``, ``sweep``, ``cachedb build``) take ``--jobs N`` and the
-``--on-error {raise,skip,retry}``, ``--retries`` and ``--task-timeout``
-fault-tolerance knobs.  A solve's checkpoint is its store: rerun
+``--on-error {raise,skip}`` task-failure policy; a dead worker is
+recovered under either.  A solve's checkpoint is its store: rerun
 ``table3`` or ``sweep`` with the same ``--cache``, or a ``cachedb
 build`` into the same path, to resume.  Only ``study``, whose cells are
 simulations no store holds, takes ``--resume PATH`` (a journal).
@@ -295,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help="write a JSON metrics snapshot of the run (counters, "
                  "gauges, latency histograms, cache hit rates)",
         )
-    # Worker processes and fault tolerance pay off only where a run is
+    # Worker processes and an error policy pay off only where a run is
     # many independent tasks; a single solve runs in-process.
     for solver in (study, sweep, cdb_build):
         solver.add_argument(
@@ -310,18 +310,9 @@ def _build_parser() -> argparse.ArgumentParser:
         solver.add_argument(
             "--on-error", choices=ON_ERROR_POLICIES, dest="on_error",
             default="skip" if solver is cdb_build else "raise",
-            help="task-failure policy: fail fast, skip the task "
-                 "(recorded, run continues), or retry with backoff",
-        )
-        solver.add_argument(
-            "--retries", type=int, default=2, metavar="N",
-            help="retry attempts per task (with --on-error retry)",
-        )
-        solver.add_argument(
-            "--task-timeout", type=float, default=None, metavar="SECONDS",
-            dest="task_timeout",
-            help="per-task wall-clock budget; overdue tasks are "
-                 "cancelled (parallel runs only)",
+            help="task-failure policy: fail fast, or skip the task "
+                 "(recorded, run continues); tasks are deterministic, "
+                 "so a failed one is never retried",
         )
     # Solves checkpoint in their store; only the study's simulated
     # cells need a journal.
@@ -350,21 +341,6 @@ def _solver_knobs(args: argparse.Namespace) -> tuple:
         SolveCache(args.cache_path) if args.cache_path is not None else None
     )
     return solve_cache, _run_obs(args)
-
-
-def _resilience_policy(args: argparse.Namespace) -> ResiliencePolicy | None:
-    """A policy from the CLI flags, or None when every flag is default
-    (the plain fail-fast engine, no journal)."""
-    resume = getattr(args, "resume", None)
-    if (args.on_error == "raise" and args.task_timeout is None
-            and resume is None):
-        return None
-    return ResiliencePolicy(
-        on_error=args.on_error,
-        max_retries=args.retries,
-        timeout_s=args.task_timeout,
-        journal=Journal(resume) if resume is not None else None,
-    )
 
 
 def _print_stats(args: argparse.Namespace, obs: Obs | None) -> None:
@@ -528,18 +504,24 @@ def _run_study(args: argparse.Namespace) -> int:
                 f"choose from {list(CONFIG_NAMES)}"
             )
     obs = _run_obs(args)
-    result = run_study(
-        profiles=profiles,
-        configs=configs,
-        source=args.source,
-        scale=args.scale,
-        instructions_per_thread=args.instructions,
-        seed=args.seed,
-        jobs=args.jobs,
-        obs=obs,
-        resilience=_resilience_policy(args),
-        cachedb=args.cachedb,
-    )
+    journal = Journal(args.resume) if args.resume is not None else None
+    try:
+        result = run_study(
+            profiles=profiles,
+            configs=configs,
+            source=args.source,
+            scale=args.scale,
+            instructions_per_thread=args.instructions,
+            seed=args.seed,
+            jobs=args.jobs,
+            obs=obs,
+            resilience=ResiliencePolicy(on_error=args.on_error),
+            journal=journal,
+            cachedb=args.cachedb,
+        )
+    finally:
+        if journal is not None:
+            journal.close()
     header = "app".ljust(10) + "".join(c.rjust(12) for c in configs)
     print(header)
     for app in result.app_names:
@@ -607,7 +589,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
         solve_cache=solve_cache,
         jobs=args.jobs,
         obs=obs,
-        resilience=_resilience_policy(args),
+        resilience=ResiliencePolicy(on_error=args.on_error),
     )
     for point in result.points:
         # Numeric sweep values print as numbers; categorical ones
@@ -662,7 +644,7 @@ def _run_cachedb(args: argparse.Namespace) -> int:
             grid,
             target=_PRESETS[args.optimize],
             jobs=args.jobs,
-            resilience=_resilience_policy(args),
+            resilience=ResiliencePolicy(on_error=args.on_error),
             obs=obs,
         )
         print(report.summary())

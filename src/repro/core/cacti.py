@@ -23,8 +23,7 @@ job count runs the same batch path, and results are bit-identical at
 any job count -- parallelism only changes wall time.
 
 A batch's checkpoint is its solve store: a rerun against the same
-``solve_cache`` solves only the specs it lacks, so the batch entry
-points refuse a journal-bearing policy.
+``solve_cache`` solves only the specs it lacks.
 
 Telemetry has one sink: every entry point takes an optional ``obs``
 (:class:`~repro.obs.Obs`), worker payloads merge into it through
@@ -203,8 +202,8 @@ class BatchOutcome(list):
 
     What :func:`solve_batch` returns at every job count.  Behaves
     exactly like a plain list (indexing, iteration, equality), with one
-    addition: under a skip/retry resilience policy, slots whose solves
-    failed terminally hold ``None`` and the corresponding
+    addition: under a skip resilience policy, slots whose solves
+    failed hold ``None`` and the corresponding
     :class:`~repro.core.resilience.TaskFailure` records live in
     ``failed`` (empty on a fully successful batch).
     """
@@ -238,19 +237,6 @@ def _solve_task(payload: tuple, infeasible=()) -> tuple:
     return solution, parallel.obs_payload(obs)
 
 
-def refuse_journal(resilience: ResiliencePolicy | None) -> None:
-    """Raise ValueError when ``resilience`` carries a journal.
-
-    A solve's checkpoint is its solve store: rerun against the same
-    ``solve_cache=`` (a cachedb build: into the same path) to resume.
-    """
-    if resilience is not None and resilience.journal is not None:
-        raise ValueError(
-            "solves take no journal: their checkpoint is the solve "
-            "store, so rerun against the same solve_cache= to resume"
-        )
-
-
 def _run_batch(
     task, stage, specs, targets, *, eval_cache, solve_cache, jobs, obs,
     resilience,
@@ -265,7 +251,6 @@ def _run_batch(
     on the EvalCache.  Returns the solutions in spec order (None at
     failed slots) with the failures.
     """
-    refuse_journal(resilience)
     if eval_cache is None:
         eval_cache = EvalCache()
 
@@ -343,13 +328,11 @@ def solve_batch(
     when ``obs`` traces -- home for absorption into ``obs``.  The
     returned solutions are bit-identical at any job count.
 
-    ``resilience`` (default: raise the first error) sets the fault
-    tolerance: failed solves are retried/skipped/raised per the policy,
-    and in skip/retry mode the returned :class:`BatchOutcome` carries
-    ``None`` at failed slots plus the failures in ``.failed``.  A
-    policy carrying a journal raises ValueError: the checkpoint of a
-    batch is ``solve_cache``, and a rerun against it re-solves only the
-    specs it lacks.
+    ``resilience`` (default: raise the first error) sets the error
+    policy: in skip mode the returned :class:`BatchOutcome` carries
+    ``None`` at failed slots plus the failures in ``.failed``.  The
+    checkpoint of a batch is ``solve_cache``: a rerun against it
+    re-solves only the specs it lacks.
     """
     specs = list(specs)
     if target is None or isinstance(target, OptimizationTarget):
@@ -519,9 +502,9 @@ class CactiD:
     path -- puts a precomputed design-space database in front of the
     solver: :meth:`solve` checks it for an exact (bit-identical) hit
     first; :meth:`solve_batch` does not consult it.  ``resilience`` -- a
-    :class:`~repro.core.resilience.ResiliencePolicy` without a journal
-    (``cache_path`` is the checkpoint) -- governs the facade's
-    :meth:`solve_batch` calls.
+    :class:`~repro.core.resilience.ResiliencePolicy` -- governs the
+    facade's :meth:`solve_batch` calls (``cache_path`` is their
+    checkpoint).
     """
 
     def __init__(

@@ -62,9 +62,7 @@ SWEEP_METRICS = {
     "solve_cache_misses": "solve_cache.misses",
     "store_evictions": "store.evictions",
     "store_flush_writes": "store.flush_writes",
-    "retries": "resilience.retries",
     "pool_rebuilds": "resilience.pool_rebuilds",
-    "timeouts": "resilience.timeouts",
     "tasks_failed": "resilience.tasks_failed",
     "wall_time_s": "optimizer.wall_s",
     "worker_time_s": "worker.optimizer.wall_s",
@@ -143,9 +141,7 @@ class SweepStats:
             "solve_cache_misses": self.solve_cache_misses,
             "store_evictions": self.store_evictions,
             "store_flush_writes": self.store_flush_writes,
-            "retries": self.retries,
             "pool_rebuilds": self.pool_rebuilds,
-            "timeouts": self.timeouts,
             "tasks_failed": self.tasks_failed,
             "prefilter_rate": self.prefilter_rate,
             "subarray_hit_rate": self.subarray_hit_rate,
@@ -178,11 +174,9 @@ class SweepStats:
                 f"solve store           : {self.store_flush_writes} flush "
                 f"writes, {self.store_evictions} evictions",
             )
-        if self.retries or self.timeouts or self.tasks_failed \
-                or self.pool_rebuilds:
+        if self.tasks_failed or self.pool_rebuilds:
             lines.append(
-                f"resilience            : {self.retries} retries, "
-                f"{self.timeouts} timeouts, {self.tasks_failed} failed, "
+                f"resilience            : {self.tasks_failed} failed, "
                 f"{self.pool_rebuilds} pool rebuilds"
             )
         if self.workers_absorbed:

@@ -17,14 +17,14 @@ construction produce the same frozen objects performing the same
 computations.
 
 Every map runs under a :class:`~repro.core.resilience.ResiliencePolicy`
--- the default one raises the first task error, with no retries and no
-journal.  A skip/retry policy returns failed payloads as
-:class:`~repro.core.resilience.TaskFailure` records instead of
-poisoning the pool, with bounded retries, per-task wall-clock timeouts
-(cancelled by rebuilding the pool), ``BrokenProcessPool`` recovery
-(rebuild + serial re-run of the in-flight tasks in the parent), and
-checkpoint/resume through the policy's journal for a map that keys its
-tasks (the study matrix; solves resume from their solve store).
+-- the default one raises the first task error.  A skip policy returns
+failed payloads as :class:`~repro.core.resilience.TaskFailure` records
+instead of poisoning the pool.  A dead worker (``BrokenProcessPool``)
+is recovered at either policy: the parent re-runs the in-flight tasks
+itself and rebuilds the pool.  A map handed a
+:class:`~repro.core.resilience.Journal` and per-task keys checkpoints
+its tasks and restores them on resume (the study matrix; solves resume
+from their solve store).
 
 A task run in this process records into the map's own
 :class:`~repro.obs.Obs` and, under :func:`in_parent`, solves on the
@@ -39,16 +39,11 @@ from __future__ import annotations
 
 import os
 import sys
-import time
 from collections import deque
 from contextlib import contextmanager, nullcontext
 from typing import Callable, Sequence
 
-from repro.core.resilience import (
-    ResiliencePolicy,
-    TaskFailure,
-    TaskTimeout,
-)
+from repro.core.resilience import Journal, ResiliencePolicy, TaskFailure
 from repro.obs import Obs, maybe_span
 
 #: Worker-local cross-candidate cache, created on a worker's first task
@@ -194,6 +189,7 @@ def parallel_map(
     obs: Obs | None = None,
     span_name: str | None = None,
     resilience: ResiliencePolicy | None = None,
+    journal: Journal | None = None,
     keys: Sequence[str] | None = None,
     scope: Callable | None = None,
 ) -> list:
@@ -215,22 +211,21 @@ def parallel_map(
     inside workers are the task function's job to ship home).
 
     ``resilience`` (default: a plain :class:`ResiliencePolicy`, which
-    raises the first task error) sets the fault tolerance: per-task
-    error capture (``on_error`` policy with bounded exponential-backoff
-    retries), per-task wall-clock timeouts with cancellation, pool
-    rebuild + parent-side serial re-run of in-flight tasks on
-    ``BrokenProcessPool``, and -- when the policy carries a journal and
-    ``keys`` names each task -- checkpointed results restored without
-    re-execution.  Failed slots hold
-    :class:`~repro.core.resilience.TaskFailure` records in skip/retry
-    mode.  ``obs`` counts ``resilience.retries``, ``.timeouts``,
-    ``.tasks_failed``, ``.pool_rebuilds`` and ``.journal_restored``.
+    raises the first task error) sets the error policy; failed slots
+    hold :class:`~repro.core.resilience.TaskFailure` records under
+    ``on_error="skip"``.  A worker death rebuilds the pool and re-runs
+    the in-flight tasks in this process at either policy.  ``journal``
+    with ``keys`` (one per payload) restores checkpointed results
+    without re-execution and records each new one.  ``obs`` counts
+    ``resilience.tasks_failed``, ``.pool_rebuilds`` and
+    ``.journal_restored``.
     """
     return _ResilientMap(
         fn,
         list(payloads),
         jobs,
         resilience if resilience is not None else ResiliencePolicy(),
+        journal=journal,
         keys=keys,
         stage=span_name or "parallel_map",
         obs=obs,
@@ -245,25 +240,23 @@ def parallel_map(
 def _policy_task(wrapped: tuple):
     """Worker-side task shim: fire any planned fault, then run the task.
 
-    Ships ``(fn, payload, stage, index, attempt, fault_plan)`` instead
-    of the bare payload so deterministic fault injection happens inside
+    Ships ``(fn, payload, stage, index, fault_plan)`` instead of the
+    bare payload so deterministic fault injection happens inside
     whichever process executes the task.
     """
-    fn, payload, stage, index, attempt, fault_plan = wrapped
+    fn, payload, stage, index, fault_plan = wrapped
     if fault_plan is not None:
-        fault_plan.fire(stage, index, attempt)
+        fault_plan.fire(stage, index)
     return fn(payload)
 
 
 class _ResilientMap:
     """One map execution (see :func:`parallel_map`)."""
 
-    def __init__(self, fn, payloads, jobs, policy, *, keys, stage, obs,
-                 scope):
-        if policy.journal is not None and keys is None:
-            raise ValueError(
-                "a journal-bearing policy needs per-task keys"
-            )
+    def __init__(self, fn, payloads, jobs, policy, *, journal, keys, stage,
+                 obs, scope):
+        if journal is not None and keys is None:
+            raise ValueError("a journaled map needs per-task keys")
         if keys is not None and len(keys) != len(payloads):
             raise ValueError(
                 f"{len(payloads)} payloads but {len(keys)} keys"
@@ -271,6 +264,7 @@ class _ResilientMap:
         self.fn = fn
         self.payloads = payloads
         self.policy = policy
+        self.journal = journal
         self.keys = keys
         self.stage = stage
         self.obs = obs
@@ -288,40 +282,28 @@ class _ResilientMap:
     # -- journal ------------------------------------------------------- #
 
     def _restore_from_journal(self) -> list[int]:
-        journal = self.policy.journal
-        if journal is None:
+        if self.journal is None:
             return list(range(len(self.payloads)))
         todo = []
         for i in range(len(self.payloads)):
-            if self.keys[i] in journal:
-                self.results[i] = journal.result(self.keys[i])
+            if self.keys[i] in self.journal:
+                self.results[i] = self.journal.result(self.keys[i])
             else:
                 todo.append(i)
-        if self.obs is not None and len(todo) < len(self.payloads):
-            self.obs.inc(
-                "resilience.journal_restored",
-                len(self.payloads) - len(todo),
-            )
+        if len(todo) < len(self.payloads):
+            self._count("journal_restored", len(self.payloads) - len(todo))
         return todo
 
     def _success(self, index: int, value) -> None:
         self.results[index] = value
-        journal = self.policy.journal
-        if journal is not None:
-            journal.record(self.keys[index], self.stage, value)
+        if self.journal is not None:
+            self.journal.record(self.keys[index], self.stage, value)
 
     # -- failure policy ------------------------------------------------ #
 
-    def _handle_error(self, index: int, attempt: int, exc) -> bool:
-        """Apply the policy to one failed attempt.
-
-        Returns True when the task should be re-attempted (the caller
-        re-queues it); records a TaskFailure or re-raises otherwise.
-        """
-        if attempt <= self.policy.retries_allowed:
-            self._count("retries")
-            time.sleep(self.policy.backoff(attempt))
-            return True
+    def _fail(self, index: int, exc: Exception) -> None:
+        """Apply the policy to one failed task: re-raise, or record a
+        TaskFailure in its slot."""
         if self.policy.on_error == "raise":
             raise exc
         self._count("tasks_failed")
@@ -330,9 +312,7 @@ class _ResilientMap:
             stage=self.stage,
             error_type=type(exc).__name__,
             message=str(exc),
-            attempts=attempt,
         )
-        return False
 
     # -- execution ----------------------------------------------------- #
 
@@ -352,6 +332,11 @@ class _ResilientMap:
             self._run_parallel()
         return self.results
 
+    def _task(self, index: int) -> tuple:
+        """What :func:`_policy_task` runs for task ``index``."""
+        return (self.fn, self.payloads[index], self.stage, index,
+                self.policy.fault_plan)
+
     @contextmanager
     def _in_process(self, indices: list[int]):
         """The context tasks ``indices`` run in when this process runs
@@ -363,38 +348,23 @@ class _ResilientMap:
             yield
 
     def _run_serial(self) -> None:
-        # In-process execution cannot be preempted, so ``timeout_s`` is
-        # not enforced here -- timeouts need a worker pool to cancel.
         with self._in_process(self.todo):
             for index in self.todo:
                 with maybe_span(self.obs, self.stage, index=index):
-                    self._run_one_serially(index, first_attempt=1)
+                    self._run_one(index)
 
-    def _rerun_in_parent(self, index: int, attempt: int) -> None:
-        """Re-run a task whose worker died, in this process, charged
-        one more attempt."""
+    def _rerun_in_parent(self, index: int) -> None:
+        """Re-run a task whose worker died, in this process."""
         with self._in_process([index]):
-            self._run_one_serially(index, first_attempt=attempt + 1)
+            self._run_one(index)
 
-    def _run_one_serially(self, index: int, first_attempt: int) -> None:
-        attempt = first_attempt
-        while True:
-            try:
-                value = _policy_task((
-                    self.fn,
-                    self.payloads[index],
-                    self.stage,
-                    index,
-                    attempt,
-                    self.policy.fault_plan,
-                ))
-            except Exception as exc:
-                if self._handle_error(index, attempt, exc):
-                    attempt += 1
-                    continue
-                return
+    def _run_one(self, index: int) -> None:
+        try:
+            value = _policy_task(self._task(index))
+        except Exception as exc:
+            self._fail(index, exc)
+        else:
             self._success(index, value)
-            return
 
     def _run_parallel(self) -> None:
         from concurrent.futures import (
@@ -404,8 +374,8 @@ class _ResilientMap:
             wait,
         )
 
-        pending: deque = deque((i, 1) for i in self.todo)
-        inflight: dict = {}  # future -> (index, attempt, submitted_at)
+        pending: deque = deque(self.todo)
+        inflight: dict = {}  # future -> index
         pool = None
         try:
             while pending or inflight:
@@ -414,39 +384,23 @@ class _ResilientMap:
                         max_workers=self.jobs, initializer=_init_worker
                     )
                 # Windowed submission: at most ``jobs`` tasks in flight,
-                # so a submitted task starts (nearly) immediately and
-                # submission-relative deadlines track execution time.
+                # so a broken pool leaves the parent at most ``jobs``
+                # tasks to re-run.
                 while pending and len(inflight) < self.jobs:
-                    index, attempt = pending.popleft()
-                    wrapped = (
-                        self.fn,
-                        self.payloads[index],
-                        self.stage,
-                        index,
-                        attempt,
-                        self.policy.fault_plan,
-                    )
+                    index = pending.popleft()
                     try:
-                        fut = pool.submit(_policy_task, wrapped)
+                        fut = pool.submit(_policy_task, self._task(index))
                     except BrokenExecutor:
-                        pending.appendleft((index, attempt))
-                        pool = self._recover_broken_pool(
-                            pool, inflight, pending
-                        )
+                        pending.appendleft(index)
+                        pool = self._recover_broken_pool(pool, inflight)
                         break
-                    inflight[fut] = (index, attempt, time.monotonic())
+                    inflight[fut] = index
                 if not inflight:
                     continue
-                timeout = self._next_deadline(inflight)
-                done, _ = wait(
-                    inflight, timeout=timeout, return_when=FIRST_COMPLETED
-                )
-                if not done:
-                    pool = self._expire_overdue(pool, inflight, pending)
-                    continue
+                done, _ = wait(inflight, return_when=FIRST_COMPLETED)
                 broken = False
                 for fut in done:
-                    index, attempt, _ = inflight.pop(fut)
+                    index = inflight.pop(fut)
                     try:
                         value = fut.result()
                     except BrokenExecutor:
@@ -454,18 +408,15 @@ class _ResilientMap:
                         # The parent re-runs this task itself: a task
                         # that kills every worker it lands on must not
                         # kill pool after pool.
-                        self._rerun_in_parent(index, attempt)
+                        self._rerun_in_parent(index)
                     except Exception as exc:
-                        if self._handle_error(index, attempt, exc):
-                            pending.append((index, attempt + 1))
+                        self._fail(index, exc)
                     else:
                         self._success(index, value)
                 if broken:
-                    pool = self._recover_broken_pool(
-                        pool, inflight, pending
-                    )
+                    pool = self._recover_broken_pool(pool, inflight)
         except BaseException:
-            # A hung or still-running task must not hold the error up.
+            # Tasks still running must not hold the error up.
             if pool is not None:
                 pool.shutdown(wait=False, cancel_futures=True)
             raise
@@ -474,69 +425,20 @@ class _ResilientMap:
             # interpreter exit to reap.
             pool.shutdown()
 
-    def _next_deadline(self, inflight: dict) -> float | None:
-        """Seconds until the earliest in-flight task goes overdue."""
-        if self.policy.timeout_s is None:
-            return None
-        now = time.monotonic()
-        return max(
-            0.0,
-            min(
-                submitted + self.policy.timeout_s - now
-                for _, _, submitted in inflight.values()
-            ),
-        )
-
-    def _expire_overdue(self, pool, inflight: dict, pending: deque):
-        """Cancel tasks past their wall-clock budget.
-
-        A running task can only be cancelled by tearing its worker
-        down, and the executor cannot kill one worker selectively --
-        so the pool is rebuilt: overdue tasks go through the error
-        policy, in-flight innocents are re-queued without being
-        charged an attempt.
-        """
-        now = time.monotonic()
-        overdue = [
-            (fut, info)
-            for fut, info in inflight.items()
-            if now >= info[2] + self.policy.timeout_s
-        ]
-        if not overdue:
-            return pool  # spurious wakeup; deadlines not reached yet
-        for fut, (index, attempt, _) in overdue:
-            del inflight[fut]
-            self._count("timeouts")
-            exc = TaskTimeout(
-                f"{self.stage}[{index}] exceeded "
-                f"{self.policy.timeout_s:g}s wall clock"
-            )
-            if self._handle_error(index, attempt, exc):
-                pending.append((index, attempt + 1))
-        for fut, (index, attempt, _) in list(inflight.items()):
-            if fut.done() and fut.exception() is None:
-                self._success(index, fut.result())
-            else:
-                pending.append((index, attempt))
-        inflight.clear()
-        self._count("pool_rebuilds")
-        pool.shutdown(wait=False, cancel_futures=True)
-        return None
-
-    def _recover_broken_pool(self, pool, inflight: dict, pending: deque):
+    def _recover_broken_pool(self, pool, inflight: dict):
         """BrokenProcessPool: harvest survivors, re-run the rest serially.
 
         Futures that completed before the crash keep their results; the
         tasks that were in flight when the pool died are re-run in the
-        parent (serially, charged one attempt -- one of them likely
-        killed the worker, and the parent must survive running it).
+        parent, one at a time (one of them likely killed the worker,
+        and the parent must survive running it).
         """
         self._count("pool_rebuilds")
-        for fut, (index, attempt, _) in list(inflight.items()):
+        for fut, index in list(inflight.items()):
             if fut.done() and fut.exception() is None:
                 self._success(index, fut.result())
             else:
-                self._rerun_in_parent(index, attempt)
+                self._rerun_in_parent(index)
         inflight.clear()
         pool.shutdown(wait=False, cancel_futures=True)
         return None

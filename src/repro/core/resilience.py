@@ -1,36 +1,34 @@
 """Fault tolerance for the batch/sweep engine.
 
 A multi-hour design-space sweep must not lose everything to one worker
-exception, one OOM-killed process, or one hung task.  This module is
-the resilience layer the parallel engine
-(:mod:`repro.core.parallel`) executes under:
+exception or one OOM-killed process.  This module is the failure
+handling the parallel engine (:mod:`repro.core.parallel`) executes
+under.  Every task is a deterministic function of its payload, so a
+failed task would fail the same way again: the engine never retries.
 
 * :class:`ResiliencePolicy` -- what to do when a task fails:
-  ``on_error="raise"`` fails fast (the default),
-  ``"skip"`` records a :class:`TaskFailure` in the task's result slot
-  and keeps going, ``"retry"`` re-runs the task with bounded
-  exponential backoff before degrading to a recorded failure.  A
-  per-task wall-clock ``timeout_s`` cancels hung tasks (parallel runs
-  only -- an in-process task cannot be preempted).
+  ``on_error="raise"`` fails fast (the default), ``"skip"`` records a
+  :class:`TaskFailure` in the task's result slot and keeps going.  A
+  worker that dies is not a task failure: the engine re-runs its
+  in-flight tasks in the parent and rebuilds the pool.
 * :class:`Journal` -- an append-only JSONL checkpoint of completed
   tasks keyed by content hash (:func:`task_key`, the same
   canonical-JSON/sha256 scheme as
   :func:`repro.core.solvecache.solve_key`).  Records are written
   atomically at task boundaries, so an interrupted ``run_study``
   resumed against the same journal re-runs only the unfinished cells.
-  Only the study matrix journals: its cells are simulations that no
-  store holds.  Solves checkpoint in their solve store instead (a
-  rerun against the same ``solve_cache=`` solves nothing it holds),
-  and the solve stages refuse a journal.
+  Only the study matrix journals (``run_study(journal=)``): its cells
+  are simulations that no store holds.  Solves checkpoint in their
+  solve store instead (a rerun against the same ``solve_cache=``
+  solves nothing it holds).
 * :class:`FaultPlan` -- a deterministic fault-injection harness for
-  tests and smoke jobs: raise/delay/kill the Nth task of a named
-  stage, for the first ``trips`` attempts only, so a retried task
-  succeeds deterministically.
+  tests and smoke jobs: raise in the Nth task of a named stage, or
+  hard-exit the worker running it.
 
 Failed tasks never poison the pool: the engine captures the exception,
-applies the policy, and counts ``retries`` / ``timeouts`` /
-``tasks_failed`` / ``pool_rebuilds`` into the ``resilience.*`` metrics
-of an :class:`~repro.obs.Obs` (printed by ``--stats`` through
+applies the policy, and counts ``tasks_failed`` / ``pool_rebuilds``
+into the ``resilience.*`` metrics of an :class:`~repro.obs.Obs`
+(printed by ``--stats`` through
 :class:`~repro.core.optimizer.SweepStats`).
 """
 
@@ -41,7 +39,7 @@ import dataclasses
 import json
 import os
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -52,36 +50,32 @@ from pathlib import Path
 JOURNAL_VERSION = "repro-journal-v2"
 
 #: The error policies a :class:`ResiliencePolicy` accepts.
-ON_ERROR_POLICIES = ("raise", "skip", "retry")
+ON_ERROR_POLICIES = ("raise", "skip")
 
 
 class FaultInjected(RuntimeError):
-    """Raised by a :class:`FaultPlan` trip (or a parent-side kill)."""
-
-
-class TaskTimeout(RuntimeError):
-    """A task exceeded its wall-clock budget under ``on_error="raise"``."""
+    """Raised by a :class:`FaultPlan` ``raise`` fault."""
 
 
 @dataclass(frozen=True)
 class TaskFailure:
     """One task's terminal failure, recorded instead of a result.
 
-    In ``skip`` mode (and after ``retry`` exhausts its attempts) the
-    failed task's slot in the result list holds one of these, and the
-    sweep entry points collect them into their ``.failed`` lists.
+    In ``skip`` mode the failed task's slot in the result list holds
+    one of these, and the sweep entry points collect them into their
+    ``.failed`` lists.  A record depends only on the task, never on the
+    job count.
     """
 
     index: int  #: payload index within the map
     stage: str  #: pipeline stage name (e.g. ``study.cell``)
-    error_type: str  #: exception class name (``"TaskTimeout"`` for hangs)
+    error_type: str  #: exception class name
     message: str
-    attempts: int  #: total attempts made, including the first
 
-    def __str__(self) -> str:  # pragma: no cover - repr convenience
+    def __str__(self) -> str:
         return (
-            f"{self.stage}[{self.index}] failed after {self.attempts} "
-            f"attempt(s): {self.error_type}: {self.message}"
+            f"{self.stage}[{self.index}] failed: "
+            f"{self.error_type}: {self.message}"
         )
 
 
@@ -93,19 +87,18 @@ class TaskFailure:
 class FaultSpec:
     """One planned fault: act on the Nth task of a named stage.
 
-    ``trips`` bounds how many *attempts* of that task the fault fires
-    on: with ``trips=1`` the first attempt fails and every retry
-    succeeds, deterministically, in whichever process runs the task.
+    ``"raise"`` raises :class:`FaultInjected` in whichever process runs
+    the task.  ``"kill"`` hard-exits a *worker* process (exercising
+    ``BrokenProcessPool`` recovery) and does nothing in the parent, so
+    the parent's re-run of the task succeeds.
     """
 
     stage: str
     index: int
-    action: str  #: ``"raise"`` | ``"delay"`` | ``"kill"``
-    delay_s: float = 0.0
-    trips: int = 1
+    action: str  #: ``"raise"`` | ``"kill"``
 
     def __post_init__(self) -> None:
-        if self.action not in ("raise", "delay", "kill"):
+        if self.action not in ("raise", "kill"):
             raise ValueError(f"unknown fault action {self.action!r}")
 
 
@@ -113,39 +106,23 @@ class FaultSpec:
 class FaultPlan:
     """A picklable bundle of :class:`FaultSpec` entries.
 
-    Pure data with no shared state: trip bookkeeping derives from the
-    attempt number the engine passes in, so the plan behaves
-    identically in the parent and in any worker process.
+    Pure data with no shared state, so the plan behaves identically in
+    the parent and in any worker process.
     """
 
     faults: tuple[FaultSpec, ...] = ()
 
-    def fire(self, stage: str, index: int, attempt: int) -> None:
-        """Inject the planned fault for (stage, index, attempt), if any.
-
-        ``kill`` hard-exits a *worker* process (exercising
-        ``BrokenProcessPool`` recovery); in the parent process it
-        degrades to a raised :class:`FaultInjected` so the harness can
-        never take the whole run down with it.
-        """
+    def fire(self, stage: str, index: int) -> None:
+        """Inject the planned fault for (stage, index), if any."""
         import multiprocessing
-        import time
 
         for f in self.faults:
-            if f.stage != stage or f.index != index or attempt > f.trips:
+            if f.stage != stage or f.index != index:
                 continue
-            if f.action == "delay":
-                time.sleep(f.delay_s)
-            elif f.action == "kill":
-                if multiprocessing.parent_process() is not None:
-                    os._exit(1)
-                raise FaultInjected(
-                    f"injected kill at {stage}[{index}] attempt {attempt}"
-                )
-            else:
-                raise FaultInjected(
-                    f"injected fault at {stage}[{index}] attempt {attempt}"
-                )
+            if f.action == "raise":
+                raise FaultInjected(f"injected fault at {stage}[{index}]")
+            if multiprocessing.parent_process() is not None:
+                os._exit(1)
 
 
 # --------------------------------------------------------------------- #
@@ -280,36 +257,18 @@ class Journal:
 # --------------------------------------------------------------------- #
 # The policy
 
-#: Sleep (s) before the first retry of a failed task; each further
-#: retry multiplies it by :data:`BACKOFF_FACTOR`.
-BACKOFF_S = 0.05
-BACKOFF_FACTOR = 2.0
-
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
     """How the parallel engine treats task failures.
 
-    ``on_error`` selects the terminal behaviour; ``retry`` re-runs a
-    failed task up to ``max_retries`` times with exponential backoff
-    (``BACKOFF_S * BACKOFF_FACTOR**(attempt-1)`` seconds) before
-    recording a :class:`TaskFailure` like ``skip`` does.  ``timeout_s``
-    bounds each task's wall clock in parallel runs: an overdue task is
-    cancelled by rebuilding the worker pool (in-flight siblings are
-    re-queued without being charged an attempt).  ``journal``
-    checkpoints the completed tasks of a map that keys them (the study
-    matrix; the solve stages refuse one); ``fault_plan`` injects
-    deterministic test faults.
-
-    The policy itself never crosses a process boundary -- only the
-    (pure-data) fault plan ships with each task -- so journals with
-    open file handles are safe to carry here.
+    ``on_error`` selects the behaviour: ``"raise"`` re-raises the first
+    task error, ``"skip"`` records a :class:`TaskFailure` in the task's
+    slot and runs on.  ``fault_plan`` injects deterministic test faults;
+    it is the only part of the policy that ships with each task.
     """
 
     on_error: str = "raise"
-    max_retries: int = 2
-    timeout_s: float | None = None
-    journal: Journal | None = field(default=None, compare=False)
     fault_plan: FaultPlan | None = None
 
     def __post_init__(self) -> None:
@@ -318,16 +277,3 @@ class ResiliencePolicy:
                 f"on_error must be one of {ON_ERROR_POLICIES}, "
                 f"got {self.on_error!r}"
             )
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
-
-    @property
-    def retries_allowed(self) -> int:
-        """Extra attempts after the first (0 unless ``on_error="retry"``)."""
-        return self.max_retries if self.on_error == "retry" else 0
-
-    def backoff(self, attempt: int) -> float:
-        """Sleep before re-running a task that failed ``attempt`` times."""
-        return BACKOFF_S * BACKOFF_FACTOR ** (attempt - 1)

@@ -12,7 +12,12 @@ from dataclasses import asdict, dataclass
 from functools import partial
 
 from repro.core import parallel
-from repro.core.resilience import ResiliencePolicy, TaskFailure, task_key
+from repro.core.resilience import (
+    Journal,
+    ResiliencePolicy,
+    TaskFailure,
+    task_key,
+)
 from repro.obs import Obs, maybe_span
 from repro.power.hierarchy import PowerBreakdown, hierarchy_power
 from repro.power.system import SystemPower, scaled_core_power
@@ -52,9 +57,9 @@ class RunResult:
 class StudyResult:
     """The full app x config matrix.
 
-    Under a skip/retry :class:`~repro.core.resilience.ResiliencePolicy`
-    the matrix may be partial: cells whose tasks failed terminally are
-    absent from ``results`` and recorded as
+    Under a skip :class:`~repro.core.resilience.ResiliencePolicy` the
+    matrix may be partial: cells whose tasks failed are absent from
+    ``results`` and recorded as
     :class:`~repro.core.resilience.TaskFailure` entries in ``failed``.
     """
 
@@ -191,6 +196,7 @@ def run_study(
     jobs: int | str = 1,
     obs: Obs | None = None,
     resilience: ResiliencePolicy | None = None,
+    journal: Journal | None = None,
     cachedb=None,
 ) -> StudyResult:
     """Run the full study matrix.
@@ -206,24 +212,30 @@ def run_study(
     every finished cell's simulator counters into ``sim.*`` counters
     (:func:`publish_sim_counters`).
 
-    ``resilience`` makes the matrix fault tolerant: failed cells are
-    retried/skipped/raised per the policy, a journal checkpoints each
-    completed cell so an interrupted matrix resumed against the same
-    journal re-runs only the unfinished cells, and terminal failures
-    land in ``StudyResult.failed`` instead of aborting the run;
-    ``obs`` counts the ``resilience.*`` events (retries, timeouts,
-    failures, rebuilds).
+    ``resilience`` sets the error policy: under ``on_error="skip"``
+    failed cells land in ``StudyResult.failed`` instead of aborting
+    the run.  ``journal`` checkpoints each completed cell, so an
+    interrupted matrix resumed against the same journal re-runs only
+    the unfinished cells; the caller opens and closes it.  ``obs``
+    counts the ``resilience.*`` events (failures, pool rebuilds,
+    journal restores).
     ``cachedb`` (a cachedb path) serves each worker's
     ``source="cacti"`` solves from the precomputed database.
 
     Duplicate profile names or repeated configuration names would
     silently overwrite each other's matrix cells, so both raise, as does
-    a ``scale`` below 1 or a ``source`` other than ``"paper"`` and
-    ``"cacti"`` (before any cell runs, whatever the policy).
+    a ``scale`` or ``instructions_per_thread`` below 1 or a ``source``
+    other than ``"paper"`` and ``"cacti"`` (before any cell runs,
+    whatever the policy).
     """
     check_scale(scale)
     check_source(source)
     if instructions_per_thread is not None:
+        if instructions_per_thread < 1:
+            raise ValueError(
+                "instructions_per_thread must be at least 1, "
+                f"got {instructions_per_thread}"
+            )
         profiles = tuple(
             p.with_instructions(instructions_per_thread) for p in profiles
         )
@@ -245,7 +257,7 @@ def run_study(
     # cell's identity: journals written without one resume runs that
     # use one, and vice versa.
     keys = None
-    if resilience is not None and resilience.journal is not None:
+    if journal is not None:
         keys = [
             task_key("study.cell", {
                 "profile": profile,
@@ -271,6 +283,7 @@ def run_study(
             obs=obs,
             span_name="study.cell",
             resilience=resilience,
+            journal=journal,
             keys=keys,
         )
     if obs is not None:

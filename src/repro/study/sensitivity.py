@@ -78,9 +78,9 @@ class SweepPoint:
 class SensitivityResult:
     """A full one-dimensional sweep.
 
-    Under a skip/retry :class:`~repro.core.resilience.ResiliencePolicy`
-    the sweep is allowed to finish partially: points whose tasks failed
-    terminally come back with ``solution=None`` and the corresponding
+    Under a skip :class:`~repro.core.resilience.ResiliencePolicy` the
+    sweep is allowed to finish partially: points whose tasks failed
+    come back with ``solution=None`` and the corresponding
     :class:`~repro.core.resilience.TaskFailure` records in ``failed``.
     """
 
@@ -140,7 +140,7 @@ def _sweep_point_task(payload: tuple) -> tuple[Solution | None, dict | None]:
     swallowed -- no feasible organization, or a spec whose geometry
     cannot divide (``InfeasibleOrganization``); any other error is a
     genuine model failure and propagates (to be captured as a
-    ``TaskFailure`` under a skip/retry resilience policy).
+    ``TaskFailure`` under a skip resilience policy).
     """
     return _solve_task(
         payload, infeasible=(NoFeasibleSolution, InfeasibleOrganization)
@@ -174,13 +174,11 @@ def sweep(
     resilience events included; a tracing ``obs`` records one
     ``sweep.point`` span per point solved in this process.
 
-    ``resilience`` (default: raise the first error) makes the sweep
-    fault tolerant: failed points are retried/skipped/raised per the
-    policy, and terminal failures land in the result's ``failed`` list
-    with ``solution=None`` at the corresponding point.  A policy
-    carrying a journal raises ValueError: ``solve_cache`` is the
-    sweep's checkpoint, and a rerun against it re-solves only the
-    points it lacks.
+    ``resilience`` (default: raise the first error) sets the error
+    policy: under skip, failed points land in the result's ``failed``
+    list with ``solution=None`` at the corresponding point.
+    ``solve_cache`` is the sweep's checkpoint: a rerun against it
+    re-solves only the points it lacks.
     """
     if parameter not in SWEEPABLE:
         raise ValueError(

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import sqlite3
 import weakref
 
 import pytest
@@ -105,6 +106,29 @@ class TestBuilder:
         db = CacheDB(tmp_path / "db.json")
         with pytest.raises(CacheDBMiss, match="hole"):
             db.query(256, fallback="error")
+
+    def test_rebuild_drops_the_memoized_reader(self, tmp_path,
+                                               monkeypatch):
+        """A rebuild of a path closes this process's memoized reader of
+        it, so the next open sees the new build, not the old target."""
+        from repro.cachedb import open_cachedb, reader
+        from repro.core.config import DENSITY_OPTIMIZED
+
+        monkeypatch.setattr(reader, "_OPEN_DBS", {})
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "db.db"
+        grid = GridSpec(capacities_bytes=(64 << 10,), technologies=("sram",))
+        build_cachedb(path, grid, jobs=1)
+        first = open_cachedb("db.db")  # the relative spelling
+        assert open_cachedb(path) is first
+        assert first.target == OptimizationTarget()
+        build_cachedb(path, grid, target=DENSITY_OPTIMIZED, jobs=1)
+        assert reader._OPEN_DBS == {}
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            first._store.store._conn.execute("SELECT 1")
+        second = open_cachedb(path)
+        assert second is not first
+        assert second.target == DENSITY_OPTIMIZED
 
     def test_cachedb_is_a_solve_store(self, db_path):
         """Every solved cell's data and tag records sit in the store
@@ -371,20 +395,34 @@ class TestCli:
         assert "solved          : 2" in out
         assert "candidates enumerated : 0" in out
 
-    def test_build_records_holes_under_a_task_timeout(
+    def test_build_records_holes_under_the_skip_policy(
         self, tmp_path, capsys
     ):
-        """``--on-error`` defaults to skip on a build, so a flag that
-        builds a policy keeps infeasible cells as holes."""
+        """``--on-error`` defaults to skip on a build, so infeasible
+        cells are kept as holes whether the flag is given or not."""
         argv = [
             "cachedb", "build", str(tmp_path / "m.db"),
             "--capacities", "64K,128M", "--techs", "stt-ram",
             "--nodes", "32", "--assocs", "4", "--blocks", "32",
             "--jobs", "1",
         ]
-        for extra in ([], ["--task-timeout", "60"]):
+        for extra in ([], ["--on-error", "skip"]):
             assert main(argv + extra) == 0
             assert "holes           : 1" in capsys.readouterr().out
+
+    def test_build_under_raise_stops_at_the_first_hole(
+        self, tmp_path, capsys
+    ):
+        """``--on-error raise`` is honoured on a build: the infeasible
+        cell fails the run with a clean error."""
+        rc = main([
+            "cachedb", "build", str(tmp_path / "m.db"),
+            "--capacities", "64K,128M", "--techs", "stt-ram",
+            "--nodes", "32", "--assocs", "4", "--blocks", "32",
+            "--jobs", "1", "--on-error", "raise",
+        ])
+        assert rc == 2
+        assert "no feasible organization" in capsys.readouterr().err
 
     def test_build_takes_no_cache_flag(self, tmp_path, capsys):
         """The cachedb is its own store: there is no second one."""

@@ -336,18 +336,79 @@ class TestResilienceFlags:
         assert out.split("\n\n")[0] == first
         assert "candidates enumerated : 0" in out
 
-    def test_on_error_skip_reports_failures(self, capsys):
-        # An impossible per-task timeout is the simplest way to make
-        # every parallel task fail from the CLI (two cells, so the map
-        # actually goes parallel -- in-process tasks can't be preempted).
+    def test_on_error_skip_reports_failures(self, capsys, monkeypatch):
+        # The sram cell's task raises; under skip the nol3 cell still
+        # prints, the failure is reported, and the run exits 0.
+        from repro.study import runner
+
+        real_task = runner._run_one_task
+
+        def failing_task(payload):
+            if payload[1] == "sram":
+                raise RuntimeError("cell blew up")
+            return real_task(payload)
+
+        monkeypatch.setattr(runner, "_run_one_task", failing_task)
         rc = main([
             "study", "--apps", "ua.C", "--configs", "nol3,sram",
-            "--instructions", "2000", "--jobs", "2",
-            "--on-error", "skip", "--task-timeout", "0.001",
+            "--instructions", "2000", "--jobs", "1", "--on-error", "skip",
         ])
         assert rc == 0
+        out, err = capsys.readouterr()
+        assert "warning: 1 task(s) failed:" in err
+        assert "study.cell[1] failed: RuntimeError: cell blew up" in err
+        assert out.splitlines()[1].split()[2] == "-"
+
+    @pytest.mark.parametrize("instructions", ["0", "-5"])
+    def test_study_bad_instruction_count_is_a_clean_error(
+        self, capsys, monkeypatch, instructions
+    ):
+        # Refused before any cell runs, even under skip.
+        from repro.study import runner
+
+        ran = []
+        monkeypatch.setattr(runner, "_run_one_task", ran.append)
+        rc = main([
+            "study", "--apps", "ua.C", "--configs", "nol3",
+            "--instructions", instructions, "--on-error", "skip",
+        ])
+        assert rc == 2
         err = capsys.readouterr().err
-        assert "task(s) failed" in err
+        assert err.startswith("error:")
+        assert "instructions_per_thread must be at least 1" in err
+        assert ran == []
+
+    def test_study_closes_its_resume_journal(self, tmp_path, monkeypatch):
+        import gc
+        import sys
+        import warnings
+
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            rc = main([
+                "study", "--apps", "ft.B", "--configs", "nol3",
+                "--instructions", "500", "--jobs", "1",
+                "--resume", str(tmp_path / "j.journal"),
+            ])
+            gc.collect()
+        assert rc == 0
+        assert [repr(u.exc_value) for u in unraisable] == []
+
+    @pytest.mark.parametrize("extra", [
+        ["--on-error", "retry"],
+        ["--retries", "2"],
+        ["--task-timeout", "60"],
+    ], ids=["on-error-retry", "retries", "task-timeout"])
+    def test_removed_failure_knobs_are_rejected(self, extra, capsys):
+        # Tasks are deterministic: a retry repeats the same error, and
+        # a per-task timeout could only be enforced on a worker pool.
+        with pytest.raises(SystemExit) as exc:
+            main(["study", "--apps", "ua.C", "--configs", "nol3",
+                  "--instructions", "500", "--jobs", "1"] + extra)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_bad_on_error_value_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -368,8 +429,9 @@ class TestResilienceFlags:
 
 
 class TestSingleSolveFlags:
-    """A single solve runs in-process: the worker-pool and per-task
-    fault-tolerance flags exist only on the multi-task subcommands.
+    """A single solve runs in-process: the worker-pool and error-policy
+    flags exist only on the multi-task subcommands, and the removed
+    retry and timeout flags exist nowhere.
     Solves resume from their store, so only ``study`` takes
     ``--resume``, and a study, whose one Table 3 is memoized, takes no
     ``--cache``."""

@@ -161,7 +161,7 @@ class TestInProcessCaches:
         rerun is served them."""
         cache = SolveCache(tmp_path / "batch.db")
         interrupted = ResiliencePolicy(fault_plan=FaultPlan(
-            (FaultSpec("batch.solve", 2, "raise", trips=99),)
+            (FaultSpec("batch.solve", 2, "raise"),)
         ))
         with pytest.raises(FaultInjected):
             solve_batch(BATCH, solve_cache=cache, jobs=1,
@@ -175,21 +175,24 @@ class TestInProcessCaches:
     @pytest.mark.parametrize("entry", ["solve_batch", "facade", "sweep",
                                        "build_cachedb"])
     def test_solve_stages_refuse_a_journal(self, tmp_path, entry):
+        """A solve's checkpoint is its store: no solve entry point takes
+        a journal, so none can be handed one."""
         from repro.cachedb import GridSpec, build_cachedb
 
-        policy = ResiliencePolicy(journal=Journal(tmp_path / "j"))
+        journal = Journal(tmp_path / "j")
         calls = {
-            "solve_batch": lambda: solve_batch(BATCH, resilience=policy),
-            "facade": lambda: CactiD(resilience=policy).solve_batch(BATCH),
-            "sweep": lambda: capacity_sweep(BATCH[0], resilience=policy),
+            "solve_batch": lambda: solve_batch(BATCH, journal=journal),
+            "facade": lambda: CactiD(journal=journal),
+            "sweep": lambda: capacity_sweep(BATCH[0], journal=journal),
             "build_cachedb": lambda: build_cachedb(
                 tmp_path / "db.db", GridSpec(capacities_bytes=(64 << 10,)),
-                resilience=policy,
+                journal=journal,
             ),
         }
-        with pytest.raises(ValueError, match="solve_cache="):
+        with pytest.raises(TypeError, match="journal"):
             calls[entry]()
         assert not (tmp_path / "db.db").exists()
+        assert not (tmp_path / "j").exists()
 
     def test_serial_sweep_uses_the_callers_eval_cache(self):
         from repro.array.organization import EvalCache

@@ -3,15 +3,13 @@
 Exercises :mod:`repro.core.resilience` through
 :func:`repro.core.parallel.parallel_map` with cheap picklable tasks --
 no solver involved -- so every failure mode (worker exception, hard
-worker kill, hung task, interrupted run) is fast and deterministic.
+worker kill, interrupted run) is fast and deterministic.
 """
 
 import json
-import time
 
 import pytest
 
-from repro.core import resilience
 from repro.core.optimizer import SweepStats
 from repro.core.parallel import parallel_map
 from repro.core.resilience import (
@@ -48,10 +46,13 @@ def _fail_on_negative(x):
     return x * 2
 
 
-def _sleep_then(payload):
-    delay, value = payload
-    time.sleep(delay)
-    return value
+def _logged_fail_on_negative(payload):
+    """``_fail_on_negative`` that appends one byte per execution to a
+    file named after its payload, so runs in workers can be counted."""
+    directory, x = payload
+    with open(directory / str(x), "a") as fh:
+        fh.write(".")
+    return _fail_on_negative(x)
 
 
 # --------------------------------------------------------------------- #
@@ -132,27 +133,26 @@ def test_journal_appends_across_sessions(tmp_path):
 
 
 def test_fault_plan_fires_deterministically():
-    plan = FaultPlan((FaultSpec("s", 1, "raise", trips=2),))
-    plan.fire("s", 0, attempt=1)  # wrong index: no fire
-    plan.fire("other", 1, attempt=1)  # wrong stage: no fire
-    with pytest.raises(FaultInjected):
-        plan.fire("s", 1, attempt=1)
-    with pytest.raises(FaultInjected):
-        plan.fire("s", 1, attempt=2)
-    plan.fire("s", 1, attempt=3)  # past its trips: no fire
+    plan = FaultPlan((FaultSpec("s", 1, "raise"),))
+    plan.fire("s", 0)  # wrong index: no fire
+    plan.fire("other", 1)  # wrong stage: no fire
+    for _ in range(2):  # the same task fails the same way every time
+        with pytest.raises(FaultInjected, match=r"s\[1\]"):
+            plan.fire("s", 1)
 
 
-def test_kill_fault_degrades_to_exception_in_parent():
+def test_kill_fault_is_a_no_op_in_parent():
     # os._exit in the parent would take the whole run (and the test
-    # runner) down; in-process the kill action must raise instead.
+    # runner) down; in-process the kill action does nothing, so the
+    # parent's re-run of a killed task succeeds.
     plan = FaultPlan((FaultSpec("s", 0, "kill"),))
-    with pytest.raises(FaultInjected):
-        plan.fire("s", 0, attempt=1)
+    plan.fire("s", 0)
 
 
 def test_fault_spec_rejects_unknown_action():
-    with pytest.raises(ValueError):
-        FaultSpec("s", 0, "explode")
+    for action in ("explode", "delay"):
+        with pytest.raises(ValueError):
+            FaultSpec("s", 0, action)
 
 
 # --------------------------------------------------------------------- #
@@ -160,24 +160,15 @@ def test_fault_spec_rejects_unknown_action():
 
 
 def test_policy_validates_inputs():
-    with pytest.raises(ValueError):
-        ResiliencePolicy(on_error="ignore")
-    with pytest.raises(ValueError):
-        ResiliencePolicy(max_retries=-1)
-    with pytest.raises(ValueError):
-        ResiliencePolicy(timeout_s=0.0)
-
-
-def test_retries_only_allowed_in_retry_mode():
-    assert ResiliencePolicy(on_error="retry", max_retries=3).retries_allowed == 3
-    assert ResiliencePolicy(on_error="skip", max_retries=3).retries_allowed == 0
-    assert ResiliencePolicy(on_error="raise", max_retries=3).retries_allowed == 0
+    for on_error in ("ignore", "retry"):
+        with pytest.raises(ValueError):
+            ResiliencePolicy(on_error=on_error)
 
 
 def test_journal_bearing_policy_requires_keys(tmp_path):
-    policy = ResiliencePolicy(journal=Journal(tmp_path / "j"))
-    with pytest.raises(ValueError):
-        parallel_map(_double, [1, 2], 1, resilience=policy)
+    journal = Journal(tmp_path / "j")
+    with pytest.raises(ValueError, match="keys"):
+        parallel_map(_double, [1, 2], 1, journal=journal)
 
 
 # --------------------------------------------------------------------- #
@@ -185,24 +176,26 @@ def test_journal_bearing_policy_requires_keys(tmp_path):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_skip_mode_records_failures_in_place(jobs):
+def test_skip_mode_records_failures_in_place(jobs, tmp_path):
     obs = Obs(trace=False)
     stats = SweepStats(obs.metrics)
     out = parallel_map(
-        _fail_on_negative,
-        [1, -1, 3, -2],
+        _logged_fail_on_negative,
+        [(tmp_path, x) for x in (1, -1, 3, -2)],
         jobs,
         span_name="s",
         resilience=ResiliencePolicy(on_error="skip"),
         obs=obs,
     )
     assert out[0] == 2 and out[2] == 6
-    assert isinstance(out[1], TaskFailure) and isinstance(out[3], TaskFailure)
-    assert out[1].index == 1 and out[1].stage == "s"
-    assert out[1].error_type == "RuntimeError"
-    assert out[1].attempts == 1  # skip mode never retries
+    assert out[1] == TaskFailure(1, "s", "RuntimeError", "bad payload -1")
+    assert out[3] == TaskFailure(3, "s", "RuntimeError", "bad payload -2")
+    assert str(out[1]) == "s[1] failed: RuntimeError: bad payload -1"
     assert stats.tasks_failed == 2
-    assert stats.retries == 0
+    # Tasks are deterministic, so the engine never re-runs a failure:
+    # every task ran exactly once.
+    runs = {p.name: p.read_text() for p in tmp_path.iterdir()}
+    assert runs == {"1": ".", "-1": ".", "3": ".", "-2": "."}
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -216,89 +209,49 @@ def test_raise_mode_propagates(jobs):
         )
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_retry_recovers_transient_faults(jobs, monkeypatch):
-    # The fault trips only the first attempt of task 1; the retry runs
-    # clean and the map completes with full results.
-    obs = Obs(trace=False)
-    stats = SweepStats(obs.metrics)
-    monkeypatch.setattr(resilience, "BACKOFF_S", 0.01)
+def test_kill_fault_triggers_pool_rebuild():
+    # Task 1 hard-exits its worker, breaking the pool.  The engine
+    # harvests survivors, re-runs the in-flight tasks in the parent
+    # (where the kill does nothing), rebuilds the pool, and completes
+    # every result -- under either policy, since a dead worker is not
+    # a task failure.
+    for on_error in ("raise", "skip"):
+        obs = Obs(trace=False)
+        stats = SweepStats(obs.metrics)
+        policy = ResiliencePolicy(
+            on_error=on_error,
+            fault_plan=FaultPlan((FaultSpec("s", 1, "kill"),)),
+        )
+        out = parallel_map(
+            _double, list(range(6)), 2, span_name="s",
+            resilience=policy, obs=obs,
+        )
+        assert out == [0, 2, 4, 6, 8, 10]
+        assert stats.pool_rebuilds >= 1
+        assert stats.tasks_failed == 0
+
+
+def test_failure_records_do_not_depend_on_the_job_count():
+    """A raise fault and a worker-killing fault under skip: the same
+    values and the same TaskFailure records at one job and at two (a
+    pool death changes nothing a caller reads)."""
     policy = ResiliencePolicy(
-        on_error="retry",
-        max_retries=2,
-        fault_plan=FaultPlan((FaultSpec("s", 1, "raise", trips=1),)),
+        on_error="skip",
+        fault_plan=FaultPlan((
+            FaultSpec("s", 1, "raise"),
+            FaultSpec("s", 3, "kill"),
+        )),
     )
-    out = parallel_map(
-        _double, [10, 20, 30], jobs, span_name="s",
-        resilience=policy, obs=obs,
+    runs = {
+        jobs: parallel_map(_double, list(range(6)), jobs, span_name="s",
+                           resilience=policy)
+        for jobs in (1, 2)
+    }
+    assert runs[1] == runs[2]
+    assert runs[1][1] == TaskFailure(
+        1, "s", "FaultInjected", "injected fault at s[1]"
     )
-    assert out == [20, 40, 60]
-    assert stats.retries == 1
-    assert stats.tasks_failed == 0
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_retry_exhaustion_degrades_to_failure(jobs, monkeypatch):
-    # trips above max_retries: every attempt fails, the task degrades
-    # to a recorded TaskFailure after 1 + max_retries attempts.
-    obs = Obs(trace=False)
-    stats = SweepStats(obs.metrics)
-    monkeypatch.setattr(resilience, "BACKOFF_S", 0.01)
-    policy = ResiliencePolicy(
-        on_error="retry",
-        max_retries=2,
-        fault_plan=FaultPlan((FaultSpec("s", 0, "raise", trips=99),)),
-    )
-    out = parallel_map(
-        _double, [10, 20], jobs, span_name="s",
-        resilience=policy, obs=obs,
-    )
-    assert isinstance(out[0], TaskFailure)
-    assert out[0].attempts == 3
-    assert out[1] == 40
-    assert stats.retries == 2
-    assert stats.tasks_failed == 1
-
-
-def test_kill_fault_triggers_pool_rebuild(monkeypatch):
-    # Task 1 hard-exits its worker on the first attempt, breaking the
-    # pool.  The engine harvests survivors, re-runs the in-flight tasks
-    # in the parent, rebuilds the pool, and completes every result.
-    obs = Obs(trace=False)
-    stats = SweepStats(obs.metrics)
-    monkeypatch.setattr(resilience, "BACKOFF_S", 0.01)
-    policy = ResiliencePolicy(
-        on_error="retry",
-        max_retries=2,
-        fault_plan=FaultPlan((FaultSpec("s", 1, "kill", trips=1),)),
-    )
-    out = parallel_map(
-        _double, list(range(6)), 2, span_name="s",
-        resilience=policy, obs=obs,
-    )
-    assert out == [0, 2, 4, 6, 8, 10]
-    assert stats.pool_rebuilds >= 1
-
-
-def test_timeout_cancels_hung_task():
-    # Task 0 sleeps far past the budget; the engine cancels it by pool
-    # rebuild and the innocents complete unscathed.
-    obs = Obs(trace=False)
-    stats = SweepStats(obs.metrics)
-    policy = ResiliencePolicy(on_error="skip", timeout_s=0.4)
-    out = parallel_map(
-        _sleep_then,
-        [(5.0, "hung"), (0.0, "a"), (0.0, "b")],
-        2,
-        span_name="s",
-        resilience=policy,
-        obs=obs,
-    )
-    assert isinstance(out[0], TaskFailure)
-    assert out[0].error_type == "TaskTimeout"
-    assert out[1] == "a" and out[2] == "b"
-    assert stats.timeouts >= 1
-    assert stats.pool_rebuilds >= 1
+    assert [v for i, v in enumerate(runs[1]) if i != 1] == [0, 4, 6, 8, 10]
 
 
 # --------------------------------------------------------------------- #
@@ -312,39 +265,39 @@ def test_resume_executes_only_unfinished_tasks(tmp_path):
 
     # First run completes half the map, then the fault interrupts it.
     _EXECUTIONS.clear()
+    journal = Journal(path)
     policy = ResiliencePolicy(
-        journal=Journal(path),
-        fault_plan=FaultPlan((FaultSpec("s", 2, "raise", trips=99),)),
+        fault_plan=FaultPlan((FaultSpec("s", 2, "raise"),)),
     )
     with pytest.raises(FaultInjected):
         parallel_map(
             _counted_double, payloads, 1, span_name="s",
-            resilience=policy, keys=keys,
+            resilience=policy, journal=journal, keys=keys,
         )
-    policy.journal.close()
+    journal.close()
     assert _EXECUTIONS == [1, 2]  # tasks 0 and 1 ran and were journaled
     assert len(Journal(path)) == 2
 
     # The resumed run restores those results and executes only the rest.
     _EXECUTIONS.clear()
-    resumed = ResiliencePolicy(journal=Journal(path))
+    resumed = Journal(path)
     out = parallel_map(
         _counted_double, payloads, 1, span_name="s",
-        resilience=resumed, keys=keys,
+        journal=resumed, keys=keys,
     )
-    resumed.journal.close()
+    resumed.close()
     assert out == [2, 4, 6, 8]
     assert _EXECUTIONS == [3, 4]  # the journaled half never re-ran
     assert len(Journal(path)) == 4
 
     # A third run is a pure restore: zero executions.
     _EXECUTIONS.clear()
-    final = ResiliencePolicy(journal=Journal(path))
+    final = Journal(path)
     out = parallel_map(
         _counted_double, payloads, 1, span_name="s",
-        resilience=final, keys=keys,
+        journal=final, keys=keys,
     )
-    final.journal.close()
+    final.close()
     assert out == [2, 4, 6, 8]
     assert _EXECUTIONS == []
 
@@ -355,20 +308,20 @@ def test_resume_across_job_counts(tmp_path):
     path = tmp_path / "map.journal"
     payloads = [5, 6, 7]
     keys = [task_key("s", {"x": p}) for p in payloads]
-    policy = ResiliencePolicy(journal=Journal(path))
+    journal = Journal(path)
     out = parallel_map(
         _double, payloads, 2, span_name="s",
-        resilience=policy, keys=keys,
+        journal=journal, keys=keys,
     )
-    policy.journal.close()
+    journal.close()
     assert out == [10, 12, 14]
 
     _EXECUTIONS.clear()
-    resumed = ResiliencePolicy(journal=Journal(path))
+    resumed = Journal(path)
     out = parallel_map(
         _counted_double, payloads, 1, span_name="s",
-        resilience=resumed, keys=keys,
+        journal=resumed, keys=keys,
     )
-    resumed.journal.close()
+    resumed.close()
     assert out == [10, 12, 14]
     assert _EXECUTIONS == []  # fully restored, nothing executed

@@ -13,7 +13,7 @@ import pytest
 
 from repro.cachedb import build_cachedb
 from repro.cli import main
-from repro.core import cacti, optimizer, parallel, resilience
+from repro.core import cacti, optimizer, parallel
 from repro.core.config import MemorySpec
 from repro.core.optimizer import SWEEP_METRICS, SweepStats
 from repro.core.resilience import FaultPlan, FaultSpec, ResiliencePolicy
@@ -91,16 +91,15 @@ def test_stats_agrees_with_metrics(argv, tmp_path, capsys, monkeypatch):
     assert printed.endswith(SweepStats(reloaded).summary() + "\n")
 
 
-def test_resilient_sweep_counts_into_obs(monkeypatch):
+def test_resilient_sweep_counts_into_obs():
     """Regression: the resilient sweep path never handed ``obs`` to the
-    parallel engine, so a retried point was missing from ``obs``."""
+    parallel engine, so a failed point was missing from ``obs``."""
     base = MemorySpec(
         capacity_bytes=32 << 10, block_bytes=64, associativity=8,
         node_nm=32.0,
     )
-    monkeypatch.setattr(resilience, "BACKOFF_S", 0)
     policy = ResiliencePolicy(
-        on_error="retry",
+        on_error="skip",
         fault_plan=FaultPlan((FaultSpec("sweep.point", 0, "raise"),)),
     )
     obs = Obs()
@@ -108,9 +107,9 @@ def test_resilient_sweep_counts_into_obs(monkeypatch):
         base, "capacity_bytes", [32 << 10, 64 << 10],
         jobs=1, resilience=policy, obs=obs,
     )
-    assert not result.failed
-    assert obs.metrics.snapshot()["counters"]["resilience.retries"] == 1
-    assert SweepStats(obs.metrics).retries == 1
+    assert len(result.failed) == 1
+    assert obs.metrics.snapshot()["counters"]["resilience.tasks_failed"] == 1
+    assert SweepStats(obs.metrics).tasks_failed == 1
     # A serial map records one span per point it runs.
     points = [s.attrs["index"] for s in obs.tracer.spans
               if s.name == "sweep.point"]

@@ -129,12 +129,12 @@ class TestStudyResilience:
             )
 
     def test_skip_mode_yields_partial_matrix(self):
-        # Cell 1 (ua.C x sram) fails terminally; the rest of the matrix
+        # Cell 1 (ua.C x sram) fails; the rest of the matrix
         # completes and the failure is recorded, not raised.
         policy = ResiliencePolicy(
             on_error="skip",
             fault_plan=FaultPlan(
-                (FaultSpec("study.cell", 1, "raise", trips=99),)
+                (FaultSpec("study.cell", 1, "raise"),)
             ),
         )
         result = run_study(
@@ -160,22 +160,20 @@ class TestStudyResilience:
 
         # The fault interrupts the matrix after cell 0 completes.
         interrupted = ResiliencePolicy(
-            journal=Journal(path),
             fault_plan=FaultPlan(
-                (FaultSpec("study.cell", 1, "raise", trips=99),)
+                (FaultSpec("study.cell", 1, "raise"),)
             ),
         )
+        journal = Journal(path)
         with pytest.raises(FaultInjected):
-            run_study(resilience=interrupted, **kwargs)
-        interrupted.journal.close()
+            run_study(resilience=interrupted, journal=journal, **kwargs)
+        journal.close()
         assert len(Journal(path)) == 1
 
-        # The resumed run keeps the same fault plan on cell 1's *first*
-        # attempt slot: if cell 0 were re-executed... it isn't -- only
-        # the unfinished cell runs, with a plan that no longer trips it.
-        resumed = ResiliencePolicy(journal=Journal(path))
-        result = run_study(resilience=resumed, **kwargs)
-        resumed.journal.close()
+        # The resumed run executes only the unfinished cell.
+        resumed = Journal(path)
+        result = run_study(journal=resumed, **kwargs)
+        resumed.close()
         assert len(Journal(path)) == 2
         assert set(result.results) == {("ua.C", "nol3"), ("ua.C", "sram")}
         assert result.failed == ()
@@ -191,14 +189,14 @@ class TestStudyResilience:
         # A fully journaled matrix restores without executing any cell:
         # a fault on every index proves nothing runs.
         restored_only = ResiliencePolicy(
-            journal=Journal(path),
             fault_plan=FaultPlan(tuple(
-                FaultSpec("study.cell", i, "raise", trips=99)
+                FaultSpec("study.cell", i, "raise")
                 for i in range(2)
             )),
         )
-        again = run_study(resilience=restored_only, **kwargs)
-        restored_only.journal.close()
+        journal = Journal(path)
+        again = run_study(resilience=restored_only, journal=journal, **kwargs)
+        journal.close()
         assert set(again.results) == set(result.results)
 
 
@@ -214,9 +212,9 @@ class TestJournalVersions:
 
     def restored(self, path):
         obs = Obs(trace=False)
-        policy = ResiliencePolicy(journal=Journal(path))
-        run_study(obs=obs, resilience=policy, **self.KWARGS)
-        policy.journal.close()
+        journal = Journal(path)
+        run_study(obs=obs, journal=journal, **self.KWARGS)
+        journal.close()
         return obs.metrics.counter("resilience.journal_restored").value
 
     @staticmethod
@@ -280,18 +278,20 @@ class TestSerialCellSpans:
     def test_restored_cells_record_no_span(self, tmp_path):
         path = tmp_path / "study.journal"
         interrupted = ResiliencePolicy(
-            journal=Journal(path),
             fault_plan=FaultPlan(
-                (FaultSpec("study.cell", 1, "raise", trips=99),)
+                (FaultSpec("study.cell", 1, "raise"),)
             ),
         )
+        journal = Journal(path)
         with pytest.raises(FaultInjected):
-            run_study(resilience=interrupted, **self.KWARGS)
-        interrupted.journal.close()
+            run_study(resilience=interrupted, journal=journal,
+                      **self.KWARGS)
+        journal.close()
         obs = Obs()
-        resumed = ResiliencePolicy(on_error="skip", journal=Journal(path))
-        result = run_study(obs=obs, resilience=resumed, **self.KWARGS)
-        resumed.journal.close()
+        resumed = Journal(path)
+        result = run_study(obs=obs, resilience=ResiliencePolicy(on_error="skip"),
+                           journal=resumed, **self.KWARGS)
+        resumed.close()
         assert len(result.results) == 2
         assert self.cell_indices(obs) == [1]
 
@@ -311,6 +311,25 @@ class TestScaleValidation:
                 instructions_per_thread=FAST_INSTR,
                 resilience=ResiliencePolicy(on_error="skip"),
             )
+
+
+class TestInstructionValidation:
+    @pytest.mark.parametrize("instructions", [0, -5])
+    def test_run_study_rejects_before_any_cell(self, instructions,
+                                               monkeypatch):
+        # Under skip a bad count must not turn into one failure a cell
+        # (each cell would simulate, then fail in hierarchy_power).
+        from repro.study import runner
+
+        ran = []
+        monkeypatch.setattr(runner, "_run_one_task", ran.append)
+        with pytest.raises(ValueError, match="at least 1, got"):
+            run_study(
+                profiles=(UA_C,), configs=("nol3", "sram"),
+                instructions_per_thread=instructions,
+                resilience=ResiliencePolicy(on_error="skip"),
+            )
+        assert ran == []
 
 
 class TestSourceValidation:

@@ -83,13 +83,13 @@ class TestSweepResilience:
             TaskFailure,
         )
 
-        # Point 1 fails terminally under skip: it lands as an
+        # Point 1 fails under skip: it lands as an
         # infeasible-looking None with a TaskFailure record, and the
         # other points still solve.
         policy = ResiliencePolicy(
             on_error="skip",
             fault_plan=FaultPlan(
-                (FaultSpec("sweep.point", 1, "raise", trips=99),)
+                (FaultSpec("sweep.point", 1, "raise"),)
             ),
         )
         result = sweep(
@@ -124,7 +124,7 @@ class TestSweepResilience:
         values = [128 << 10, 256 << 10]
         store = SolveCache(tmp_path / "sweep.db")
         interrupted = ResiliencePolicy(fault_plan=FaultPlan(
-            (FaultSpec("sweep.point", 1, "raise", trips=99),)
+            (FaultSpec("sweep.point", 1, "raise"),)
         ))
         with pytest.raises(FaultInjected):
             sweep(BASE, "capacity_bytes", values, solve_cache=store,
