@@ -4,14 +4,12 @@ Usage::
 
     python -m repro cache --capacity 2M --assoc 8 --tech lp-dram
     python -m repro cache --capacity 2M --cache solves.db
-    python -m repro cache --capacity 2M \
-        --cache "sqlite:solves.db?max_records=10000"
     python -m repro cache info solves.db
     python -m repro cache gc solves.db
     python -m repro main-memory --capacity 1G --node 78 --pins 8
     python -m repro validate-ddr3
     python -m repro table3 --cache table3.db
-    python -m repro study --configs nol3,sram --resume study.journal
+    python -m repro study --configs nol3,sram --cache study.db
     python -m repro sweep --capacity 2M --parameter capacity_bytes \
         --values 1M,2M,4M,8M --cache sweep.db
     python -m repro cachedb build grid.db --capacities 64K,256K,1M \
@@ -22,10 +20,10 @@ Usage::
 Sizes accept K/M/G suffixes (powers of two).  The multi-task runs
 (``study``, ``sweep``, ``cachedb build``) take ``--jobs N`` and the
 ``--on-error {raise,skip}`` task-failure policy; a dead worker is
-recovered under either.  A solve's checkpoint is its store: rerun
-``table3`` or ``sweep`` with the same ``--cache``, or a ``cachedb
-build`` into the same path, to resume.  Only ``study``, whose cells are
-simulations no store holds, takes ``--resume PATH`` (a journal).
+recovered under either.  Every checkpoint is a record store: rerun
+``table3``, ``sweep`` or ``study`` with the same ``--cache``, or a
+``cachedb build`` into the same path, to resume.  One store file may
+hold solves and study cells alike; ``cache gc`` keeps both.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from repro.core.config import (
     OptimizationTarget,
 )
 from repro.core.optimizer import NoFeasibleSolution, SweepStats
-from repro.core.resilience import ON_ERROR_POLICIES, Journal, ResiliencePolicy
+from repro.core.resilience import ON_ERROR_POLICIES, ResiliencePolicy
 from repro.core.solvecache import SolveCache
 from repro.obs import Obs
 from repro.tech.cells import CellTech
@@ -154,8 +152,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cache_info.add_argument("store", help="store path or sqlite: URL")
     cache_gc = cache_ops.add_parser(
         "gc",
-        help="reclaim a solve store: delete tombstoned records and "
-             "records of other model versions, compact the file",
+        help="reclaim a store: delete tombstoned records and records "
+             "of other model versions (current solves and study cells "
+             "stay), compact the file",
     )
     cache_gc.add_argument("store", help="store path or sqlite: URL")
 
@@ -176,11 +175,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "table3", help="solve the LLC study's Table 3 columns"
     )
 
-    # No abbreviations: a study takes no --cache, which must not pass
-    # for a prefix of --cachedb.
     study = sub.add_parser(
         "study", help="run the LLC study matrix (apps x configurations)",
-        allow_abbrev=False,
     )
     study.add_argument("--apps", default=None, metavar="A,B,...",
                        help="comma-separated app subset (default: all)")
@@ -267,17 +263,16 @@ def _build_parser() -> argparse.ArgumentParser:
     cdb_info.add_argument("path", help="cachedb to inspect")
 
     # Every subcommand ultimately runs the same solver, so every
-    # subcommand gets the same solver knobs and observability outputs;
-    # a cachedb build writes into its own store, and a study's solves
-    # are one memoized Table 3, so neither takes --cache.
-    for solver in (cache, mm, validate, table3, sweep):
+    # subcommand gets the same observability outputs and, but for a
+    # cachedb build (which writes into its own store), the same record
+    # store: a solve's record, or a study's finished cell.
+    for solver in (cache, mm, validate, table3, study, sweep):
         solver.add_argument(
             "--cache", metavar="STORE", default=None, dest="cache_path",
-            help="persistent solve store (a WAL-mode sqlite database); "
-                 "repeated identical solves are served from it.  PATH "
-                 "and 'sqlite:PATH' open the same store; "
-                 "'sqlite:PATH?max_records=N' bounds it with LRU "
-                 "eviction",
+            help="persistent record store (a WAL-mode sqlite database; "
+                 "PATH and 'sqlite:PATH' open the same store): solves, "
+                 "and a study's finished cells, are served from it on "
+                 "a rerun",
         )
     for solver in (cache, mm, validate, table3, study, sweep, cdb_build):
         solver.add_argument(
@@ -314,13 +309,6 @@ def _build_parser() -> argparse.ArgumentParser:
                  "(recorded, run continues); tasks are deterministic, "
                  "so a failed one is never retried",
         )
-    # Solves checkpoint in their store; only the study's simulated
-    # cells need a journal.
-    study.add_argument(
-        "--resume", metavar="PATH", default=None,
-        help="checkpoint journal: finished cells are recorded here "
-             "and restored on the next run with the same --resume",
-    )
     return parser
 
 
@@ -364,13 +352,17 @@ def _run_cache_store(args: argparse.Namespace) -> int:
     from repro.core.solvecache import open_solve_store
     from repro.store import parse_store_url
 
-    path, _ = parse_store_url(args.store)
+    path = parse_store_url(args.store)
     if not os.path.exists(path):
         raise ValueError(f"no solve store at {path}")
     store = open_solve_store(args.store)
     try:
-        report = (store.info() if args.cache_command == "info"
-                  else store.gc())
+        if args.cache_command == "info":
+            report = store.info()
+        else:
+            from repro.study.runner import study_version
+
+            report = store.gc(keep=(study_version(),))
     finally:
         store.close()
     for key, value in report.items():
@@ -504,24 +496,19 @@ def _run_study(args: argparse.Namespace) -> int:
                 f"choose from {list(CONFIG_NAMES)}"
             )
     obs = _run_obs(args)
-    journal = Journal(args.resume) if args.resume is not None else None
-    try:
-        result = run_study(
-            profiles=profiles,
-            configs=configs,
-            source=args.source,
-            scale=args.scale,
-            instructions_per_thread=args.instructions,
-            seed=args.seed,
-            jobs=args.jobs,
-            obs=obs,
-            resilience=ResiliencePolicy(on_error=args.on_error),
-            journal=journal,
-            cachedb=args.cachedb,
-        )
-    finally:
-        if journal is not None:
-            journal.close()
+    result = run_study(
+        profiles=profiles,
+        configs=configs,
+        source=args.source,
+        scale=args.scale,
+        instructions_per_thread=args.instructions,
+        seed=args.seed,
+        jobs=args.jobs,
+        obs=obs,
+        resilience=ResiliencePolicy(on_error=args.on_error),
+        cache=args.cache_path,
+        cachedb=args.cachedb,
+    )
     header = "app".ljust(10) + "".join(c.rjust(12) for c in configs)
     print(header)
     for app in result.app_names:

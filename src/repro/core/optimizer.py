@@ -60,7 +60,6 @@ SWEEP_METRICS = {
     "subarray_misses": "eval_cache.subarray.misses",
     "solve_cache_hits": "solve_cache.hits",
     "solve_cache_misses": "solve_cache.misses",
-    "store_evictions": "store.evictions",
     "store_flush_writes": "store.flush_writes",
     "pool_rebuilds": "resilience.pool_rebuilds",
     "tasks_failed": "resilience.tasks_failed",
@@ -139,7 +138,6 @@ class SweepStats:
             "subarray_misses": self.subarray_misses,
             "solve_cache_hits": self.solve_cache_hits,
             "solve_cache_misses": self.solve_cache_misses,
-            "store_evictions": self.store_evictions,
             "store_flush_writes": self.store_flush_writes,
             "pool_rebuilds": self.pool_rebuilds,
             "tasks_failed": self.tasks_failed,
@@ -168,11 +166,11 @@ class SweepStats:
             f"{self.solve_cache_misses} misses",
             f"wall time             : {self.wall_time_s * 1e3:.1f} ms",
         ]
-        if self.store_flush_writes or self.store_evictions:
+        if self.store_flush_writes:
             lines.insert(
                 -1,
                 f"solve store           : {self.store_flush_writes} flush "
-                f"writes, {self.store_evictions} evictions",
+                "writes",
             )
         if self.tasks_failed or self.pool_rebuilds:
             lines.append(

@@ -21,10 +21,9 @@ Every map runs under a :class:`~repro.core.resilience.ResiliencePolicy`
 failed payloads as :class:`~repro.core.resilience.TaskFailure` records
 instead of poisoning the pool.  A dead worker (``BrokenProcessPool``)
 is recovered at either policy: the parent re-runs the in-flight tasks
-itself and rebuilds the pool.  A map handed a
-:class:`~repro.core.resilience.Journal` and per-task keys checkpoints
-its tasks and restores them on resume (the study matrix; solves resume
-from their solve store).
+itself and rebuilds the pool.  A map checkpoints nothing: a caller
+that resumes maps only the tasks its store does not hold (solves and
+study cells alike).
 
 A task run in this process records into the map's own
 :class:`~repro.obs.Obs` and, under :func:`in_parent`, solves on the
@@ -43,7 +42,7 @@ from collections import deque
 from contextlib import contextmanager, nullcontext
 from typing import Callable, Sequence
 
-from repro.core.resilience import Journal, ResiliencePolicy, TaskFailure
+from repro.core.resilience import ResiliencePolicy, TaskFailure
 from repro.obs import Obs, maybe_span
 
 #: Worker-local cross-candidate cache, created on a worker's first task
@@ -138,12 +137,12 @@ def worker_solve_cache(spec):
 
     ``spec`` is a store URL or path as produced by
     :attr:`~repro.core.solvecache.SolveCache.url` -- parents thread it
-    to workers so every process opens the same database with the same
-    eviction bound.  Worker tasks share one persistent cache instance
-    per store spec for the life of the process, so the database is
-    opened once per worker instead of once per task.  Concurrent
-    writers stay safe: row upserts serialize on the database write lock
-    (see :class:`~repro.core.solvecache.SolveCache`).
+    to workers so every process opens the same database.  Worker tasks
+    share one persistent cache instance per store spec for the life of
+    the process, so the database is opened once per worker instead of
+    once per task.  Concurrent writers stay safe: row upserts serialize
+    on the database write lock (see
+    :class:`~repro.core.solvecache.SolveCache`).
     """
     if spec is None:
         return None
@@ -189,8 +188,6 @@ def parallel_map(
     obs: Obs | None = None,
     span_name: str | None = None,
     resilience: ResiliencePolicy | None = None,
-    journal: Journal | None = None,
-    keys: Sequence[str] | None = None,
     scope: Callable | None = None,
 ) -> list:
     """Order-preserving map over worker processes.
@@ -214,19 +211,14 @@ def parallel_map(
     raises the first task error) sets the error policy; failed slots
     hold :class:`~repro.core.resilience.TaskFailure` records under
     ``on_error="skip"``.  A worker death rebuilds the pool and re-runs
-    the in-flight tasks in this process at either policy.  ``journal``
-    with ``keys`` (one per payload) restores checkpointed results
-    without re-execution and records each new one.  ``obs`` counts
-    ``resilience.tasks_failed``, ``.pool_rebuilds`` and
-    ``.journal_restored``.
+    the in-flight tasks in this process at either policy.  ``obs``
+    counts ``resilience.tasks_failed`` and ``.pool_rebuilds``.
     """
     return _ResilientMap(
         fn,
         list(payloads),
         jobs,
         resilience if resilience is not None else ResiliencePolicy(),
-        journal=journal,
-        keys=keys,
         stage=span_name or "parallel_map",
         obs=obs,
         scope=scope,
@@ -253,51 +245,21 @@ def _policy_task(wrapped: tuple):
 class _ResilientMap:
     """One map execution (see :func:`parallel_map`)."""
 
-    def __init__(self, fn, payloads, jobs, policy, *, journal, keys, stage,
-                 obs, scope):
-        if journal is not None and keys is None:
-            raise ValueError("a journaled map needs per-task keys")
-        if keys is not None and len(keys) != len(payloads):
-            raise ValueError(
-                f"{len(payloads)} payloads but {len(keys)} keys"
-            )
+    def __init__(self, fn, payloads, jobs, policy, *, stage, obs, scope):
         self.fn = fn
         self.payloads = payloads
         self.policy = policy
-        self.journal = journal
-        self.keys = keys
         self.stage = stage
         self.obs = obs
         self.scope = scope
         self.results: list = [None] * len(payloads)
-        self.todo = self._restore_from_journal()
-        self.jobs = min(resolve_jobs(jobs), max(1, len(self.todo)))
+        self.jobs = min(resolve_jobs(jobs), max(1, len(payloads)))
 
     # -- accounting ---------------------------------------------------- #
 
-    def _count(self, what: str, n: int = 1) -> None:
+    def _count(self, what: str) -> None:
         if self.obs is not None:
-            self.obs.inc(f"resilience.{what}", n)
-
-    # -- journal ------------------------------------------------------- #
-
-    def _restore_from_journal(self) -> list[int]:
-        if self.journal is None:
-            return list(range(len(self.payloads)))
-        todo = []
-        for i in range(len(self.payloads)):
-            if self.keys[i] in self.journal:
-                self.results[i] = self.journal.result(self.keys[i])
-            else:
-                todo.append(i)
-        if len(todo) < len(self.payloads):
-            self._count("journal_restored", len(self.payloads) - len(todo))
-        return todo
-
-    def _success(self, index: int, value) -> None:
-        self.results[index] = value
-        if self.journal is not None:
-            self.journal.record(self.keys[index], self.stage, value)
+            self.obs.inc(f"resilience.{what}")
 
     # -- failure policy ------------------------------------------------ #
 
@@ -317,7 +279,7 @@ class _ResilientMap:
     # -- execution ----------------------------------------------------- #
 
     def run(self) -> list:
-        if not self.todo:
+        if not self.payloads:
             return self.results
         if self.jobs <= 1:
             self._run_serial()
@@ -326,8 +288,7 @@ class _ResilientMap:
             self.obs,
             f"{self.stage}.map",
             jobs=self.jobs,
-            tasks=len(self.todo),
-            skipped=len(self.payloads) - len(self.todo),
+            tasks=len(self.payloads),
         ):
             self._run_parallel()
         return self.results
@@ -338,7 +299,7 @@ class _ResilientMap:
                 self.policy.fault_plan)
 
     @contextmanager
-    def _in_process(self, indices: list[int]):
+    def _in_process(self, indices: Sequence[int]):
         """The context tasks ``indices`` run in when this process runs
         them: the map's Obs, fresh worker-side state, and the scope."""
         payloads = [self.payloads[index] for index in indices]
@@ -348,8 +309,9 @@ class _ResilientMap:
             yield
 
     def _run_serial(self) -> None:
-        with self._in_process(self.todo):
-            for index in self.todo:
+        indices = range(len(self.payloads))
+        with self._in_process(indices):
+            for index in indices:
                 with maybe_span(self.obs, self.stage, index=index):
                     self._run_one(index)
 
@@ -364,7 +326,7 @@ class _ResilientMap:
         except Exception as exc:
             self._fail(index, exc)
         else:
-            self._success(index, value)
+            self.results[index] = value
 
     def _run_parallel(self) -> None:
         from concurrent.futures import (
@@ -374,7 +336,7 @@ class _ResilientMap:
             wait,
         )
 
-        pending: deque = deque(self.todo)
+        pending: deque = deque(range(len(self.payloads)))
         inflight: dict = {}  # future -> index
         pool = None
         try:
@@ -412,7 +374,7 @@ class _ResilientMap:
                     except Exception as exc:
                         self._fail(index, exc)
                     else:
-                        self._success(index, value)
+                        self.results[index] = value
                 if broken:
                     pool = self._recover_broken_pool(pool, inflight)
         except BaseException:
@@ -436,7 +398,7 @@ class _ResilientMap:
         self._count("pool_rebuilds")
         for fut, index in list(inflight.items()):
             if fut.done() and fut.exception() is None:
-                self._success(index, fut.result())
+                self.results[index] = fut.result()
             else:
                 self._rerun_in_parent(index)
         inflight.clear()

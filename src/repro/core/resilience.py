@@ -11,19 +11,14 @@ failed task would fail the same way again: the engine never retries.
   :class:`TaskFailure` in the task's result slot and keeps going.  A
   worker that dies is not a task failure: the engine re-runs its
   in-flight tasks in the parent and rebuilds the pool.
-* :class:`Journal` -- an append-only JSONL checkpoint of completed
-  tasks keyed by content hash (:func:`task_key`, the same
-  canonical-JSON/sha256 scheme as
-  :func:`repro.core.solvecache.solve_key`).  Records are written
-  atomically at task boundaries, so an interrupted ``run_study``
-  resumed against the same journal re-runs only the unfinished cells.
-  Only the study matrix journals (``run_study(journal=)``): its cells
-  are simulations that no store holds.  Solves checkpoint in their
-  solve store instead (a rerun against the same ``solve_cache=``
-  solves nothing it holds).
 * :class:`FaultPlan` -- a deterministic fault-injection harness for
   tests and smoke jobs: raise in the Nth task of a named stage, or
   hard-exit the worker running it.
+
+Nothing here checkpoints.  A rerun resumes from the one record store
+(:class:`~repro.store.SqliteStore`): solves from their solve store
+(``solve_cache=``), the study matrix from its cell records
+(``run_study(cache=)``), each served without re-running its task.
 
 Failed tasks never poison the pool: the engine captures the exception,
 applies the policy, and counts ``tasks_failed`` / ``pool_rebuilds``
@@ -34,20 +29,8 @@ into the ``resilience.*`` metrics of an :class:`~repro.obs.Obs`
 
 from __future__ import annotations
 
-import base64
-import dataclasses
-import json
 import os
-import pickle
 from dataclasses import dataclass
-from enum import Enum
-from pathlib import Path
-
-#: Journal file format / key-scheme version.  Bump whenever the record
-#: layout or the task_key canonicalization changes; mismatched lines
-#: are skipped on load rather than served (v2: keys fold in the
-#: simulator's ``SIM_VERSION``).
-JOURNAL_VERSION = "repro-journal-v2"
 
 #: The error policies a :class:`ResiliencePolicy` accepts.
 ON_ERROR_POLICIES = ("raise", "skip")
@@ -123,135 +106,6 @@ class FaultPlan:
                 raise FaultInjected(f"injected fault at {stage}[{index}]")
             if multiprocessing.parent_process() is not None:
                 os._exit(1)
-
-
-# --------------------------------------------------------------------- #
-# Content-hash task keys (the solve_key scheme, generalized)
-
-
-def _jsonable(value):
-    """Canonical JSON-encodable view of a task description.
-
-    Dataclasses become field dicts, enums their values, tuples lists;
-    anything else falls back to ``repr``.  Mirrors the spec/target
-    serialization of :func:`repro.core.solvecache.solve_key` so keys
-    are stable across sessions and processes.
-    """
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: _jsonable(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if value is None or isinstance(value, (str, int, float, bool)):
-        return value
-    return repr(value)
-
-
-def task_key(stage: str, description) -> str:
-    """Stable content hash of one task: sha256 of canonical JSON.
-
-    Numeric leaves are normalized (``32`` and ``32.0`` hash equally),
-    exactly as the persistent solve cache hashes its requests.  The
-    solver's ``CACHE_VERSION`` and the simulator's ``SIM_VERSION`` are
-    folded in, so a journaled study cell never satisfies a resume after
-    either model's numbers changed.
-    """
-    import hashlib
-
-    from repro.core.solvecache import CACHE_VERSION, _normalize_numbers
-    from repro.sim import SIM_VERSION
-
-    payload = _normalize_numbers({
-        "version": JOURNAL_VERSION,
-        "model": CACHE_VERSION,
-        "sim": SIM_VERSION,
-        "stage": stage,
-        "task": _jsonable(description),
-    })
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-# --------------------------------------------------------------------- #
-# Checkpoint journal
-
-
-class Journal:
-    """Append-only JSONL checkpoint of completed task results.
-
-    One line per completed task: ``{"v": ..., "key": ..., "stage": ...,
-    "data": <base64 pickle>}``, written in a single ``write`` + flush at
-    the task boundary, so a killed run leaves at worst one torn final
-    line -- which the loader skips, along with any version-mismatched
-    or hand-mangled line, rather than erroring.  Resuming against the
-    same journal path restores every recorded result without
-    re-executing its task.
-    """
-
-    def __init__(self, path: str | os.PathLike):
-        self.path = Path(path)
-        self._records: dict[str, str] = {}
-        self._fh = None
-        self._load()
-
-    def _load(self) -> None:
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError:
-                continue  # torn tail line from a killed writer
-            if (
-                not isinstance(rec, dict)
-                or rec.get("v") != JOURNAL_VERSION
-                or "key" not in rec
-                or "data" not in rec
-            ):
-                continue
-            self._records[rec["key"]] = rec["data"]
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._records
-
-    def result(self, key: str):
-        """The recorded result for ``key`` (raises KeyError if absent)."""
-        return pickle.loads(base64.b64decode(self._records[key]))
-
-    def record(self, key: str, stage: str, result) -> None:
-        """Append one completed task, atomically at the task boundary."""
-        data = base64.b64encode(
-            pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        ).decode("ascii")
-        line = json.dumps(
-            {"v": JOURNAL_VERSION, "key": key, "stage": stage, "data": data},
-            separators=(",", ":"),
-        )
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = self.path.open("a", encoding="utf-8")
-        self._fh.write(line + "\n")
-        self._fh.flush()
-        self._records[key] = data
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
 
 
 # --------------------------------------------------------------------- #

@@ -9,10 +9,11 @@ costs an indexed-row lookup instead of a sweep.
 
 Persistence is delegated to a :class:`~repro.store.SqliteStore`: a
 WAL-mode sqlite database, opened from a plain path (``"solves.db"``)
-or a ``sqlite:`` URL (``"sqlite:solves.db?max_records=10000"`` bounds
-the record count with LRU eviction).  A path that holds something other
-than a sqlite database -- a JSON cache file written by an older build,
-say -- is refused with a reason and left untouched.
+or a ``sqlite:`` URL (``"sqlite:solves.db"``, the same database).  A
+path that holds something other than a sqlite database -- a JSON cache
+file written by an older build, say -- is refused with a reason and
+left untouched.  The same file may also hold a study's cell records
+(:func:`repro.study.runner.run_study`), each kind at its own version.
 
 Round-trips are bit-identical: records travel as JSON, Python's
 ``json`` emits the shortest ``repr`` of each float (which parses back
@@ -23,7 +24,8 @@ Records are version-stamped.  ``CACHE_VERSION`` must be bumped whenever
 the model changes numbers (any change to the circuit or array models).
 Rows at any other version -- an older build's, or a newer one's -- are
 never served and never overwritten (the version is part of the key
-hash); ``repro cache gc`` deletes them.
+hash); ``repro cache gc`` deletes them, keeping the current solve and
+study rows.
 """
 
 from __future__ import annotations
@@ -183,7 +185,7 @@ class SolveCache:
     @property
     def url(self) -> str:
         """Round-trippable store spec: ``SolveCache(cache.url)`` in any
-        process opens the same store with the same eviction bound."""
+        process opens the same store."""
         return self.store.url
 
     def __len__(self) -> int:
@@ -263,14 +265,13 @@ class SolveCache:
         sinks (worker-local ``Obs`` registries that ship home and merge
         by addition) need per-interval increments instead.  Returns
         ``(deltas, gauges)`` where ``deltas`` covers hits / misses /
-        evictions / flush_writes / corrupt_records and ``gauges``
+        flush_writes / corrupt_records and ``gauges``
         covers records / bytes_on_disk.
         """
         store_stats = self.store.stats()
         current = {
             "hits": self.hits,
             "misses": self.misses,
-            "evictions": store_stats["evictions"],
             "flush_writes": store_stats["flush_writes"],
             "corrupt_records": store_stats["corrupt_records"],
         }
@@ -290,7 +291,7 @@ def account_store(solve_cache, obs) -> None:
     """Drain a solve cache's store events into ``obs``.
 
     Emits the ``store.*`` metric family: counters for hits / misses /
-    evictions / flush_writes / corrupt_records (the hits/misses pair
+    flush_writes / corrupt_records (the hits/misses pair
     yields a derived ``store.hit_rate`` in snapshots) and gauges for
     records / bytes_on_disk.  Safe to call at every solve boundary:
     counts are drained as deltas, never double-counted.

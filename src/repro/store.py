@@ -1,11 +1,11 @@
-"""repro.store: the persistent record store behind the solve cache.
+"""repro.store: the persistent record store behind every checkpoint.
 
 Every persistence layer in the pipeline -- the solve cache, the
-cachedb, worker-local caches -- needs the same small contract: get/put
-JSON records by string key, batch writes into explicit flushes,
-survive concurrent writers, stamp records with a model version so
-stale numbers are never served, and tombstone corrupt records so they
-are neither re-parsed nor re-persisted.
+cachedb, worker-local caches, the study's finished cells -- needs the
+same small contract: get/put JSON records by string key, batch writes
+into explicit flushes, survive concurrent writers, stamp records with
+a model version so stale numbers are never served, and tombstone
+corrupt records so they are neither re-parsed nor re-persisted.
 :class:`SqliteStore` is that contract, over a WAL-mode sqlite database
 with one row per record::
 
@@ -18,22 +18,21 @@ earlier builds open unchanged), plus a ``meta`` table of string rows
 schema version, and in a cachedb the grid row that makes the store one.
 
 * **Flushes are O(dirty records), not O(total records).**  A flush
-  upserts only the staged puts and touch-updates only the keys read
-  since the last flush; unrelated rows are never rewritten
+  upserts only the staged puts and marks only the staged tombstones;
+  reads write nothing, and unrelated rows are never rewritten
   (``benchmarks/test_bench_store.py`` asserts it).
 * **Concurrent writers need no whole-file merge.**  WAL mode lets
   readers proceed under a writer; write transactions (``BEGIN
   IMMEDIATE``) serialize on sqlite's own lock with a generous busy
   timeout.  Two processes upserting distinct keys can never lose each
   other's rows.
-* **The record count can be bounded.**  With ``max_records`` set,
-  every flush evicts least-recently-used rows (by ``last_access_s``,
-  ties by key) down to the bound.  Reads of a bounded store batch their
-  LRU touches in memory and persist them at the next flush; reads of an
-  unbounded store write nothing, since only eviction reads the stamps.
 * **Versions coexist per record.**  Each row carries the model version
-  it was written at; only current-version rows are served, and ``gc``
-  deletes the rest.
+  it was written at, and only rows at the store's version are served.
+  One file may hold several kinds of record -- solves, and a study's
+  cells (:mod:`repro.study.runner`) -- each at its own version; ``gc``
+  deletes the rows at versions it is not told to keep.  (Nothing reads
+  ``last_access_s``; the column and its index stay so databases
+  written by earlier builds open unchanged.)
 
 Determinism contract: the store changes *when* a record is read from
 or written to disk, never *what* the record says.  Records are JSON
@@ -41,9 +40,9 @@ objects whose floats round-trip bit-exactly (shortest-repr encoding),
 so a served record is field-for-field identical to the one that was
 put.
 
-:func:`open_store` opens a store from a plain path or a
-``sqlite:PATH[?max_records=N]`` URL; both spellings name the same
-database.  The ``json:`` scheme of the removed JSON backend is refused.
+:func:`open_store` opens a store from a plain path or a ``sqlite:PATH``
+URL; both spellings name the same database, and a URL takes no
+options.  The ``json:`` scheme of the removed JSON backend is refused.
 """
 
 from __future__ import annotations
@@ -94,20 +93,19 @@ def open_store(
     version: str,
     validate: Validator | None = None,
 ) -> "SqliteStore":
-    """Open the store named by ``spec``: a path, or
-    ``sqlite:PATH[?max_records=N]``.
+    """Open the store named by ``spec``: a path, or ``sqlite:PATH``.
 
     ``version`` stamps every record written and selects the records
     served; ``validate`` screens structurally corrupt records.
     """
-    path, options = parse_store_url(spec)
-    return SqliteStore(path, version=version, validate=validate, **options)
+    return SqliteStore(parse_store_url(spec), version=version,
+                       validate=validate)
 
 
-def parse_store_url(spec: str | os.PathLike) -> tuple[str, dict[str, int]]:
-    """The database path and the options named by a store ``spec``."""
+def parse_store_url(spec: str | os.PathLike) -> str:
+    """The database path named by a store ``spec``."""
     text = os.fspath(spec)
-    path, options = text, {}
+    path = text
     if text.startswith("json:"):
         raise ValueError(
             f"the json: store scheme was removed ({text!r}); solve stores "
@@ -116,26 +114,18 @@ def parse_store_url(spec: str | os.PathLike) -> tuple[str, dict[str, int]]:
     if text.startswith("sqlite:"):
         path, _, query = text[len("sqlite:"):].partition("?")
         if query:
-            for pair in query.split("&"):
-                key, _, value = pair.partition("=")
-                if key != "max_records":
-                    raise ValueError(
-                        f"unknown store option {key!r} in {text!r}; "
-                        "expected max_records"
-                    )
-                try:
-                    options[key] = int(value)
-                except ValueError as exc:
-                    raise ValueError(
-                        f"bad value for store option {key!r} in {text!r}"
-                    ) from exc
+            key = query.partition("=")[0]
+            raise ValueError(
+                f"unknown store option {key!r} in {text!r}; "
+                "a store url takes none"
+            )
     if not path:
         raise ValueError(f"no path in store url {text!r}")
-    return path, options
+    return path
 
 
 class SqliteStore:
-    """WAL-mode sqlite record store with optional LRU-bounded capacity.
+    """WAL-mode sqlite record store.
 
     Writes are batched:
 
@@ -154,26 +144,17 @@ class SqliteStore:
         *,
         version: str,
         validate: Validator | None = None,
-        max_records: int | None = None,
     ):
-        if max_records is not None and max_records <= 0:
-            raise ValueError(
-                f"max_records must be positive, got {max_records}"
-            )
         self.path = Path(path)
         self.version = version
         self.validate = validate
-        self.max_records = max_records
-        #: Cumulative counters (monotonic for the life of the instance).
-        self.evictions = 0
+        #: Flushes that wrote (monotonic for the life of the instance).
         self.flush_writes = 0
         self._tombstoned: set[str] = set()
         self._dirty = False
         self._defer_depth = 0
         #: Staged puts awaiting the next flush (served read-your-writes).
         self._pending: dict[str, dict] = {}
-        #: Keys read since the last flush; their LRU stamps batch into it.
-        self._touched: set[str] = set()
         #: Tombstones not yet persisted to the ``tombstone`` column.
         self._unsaved_tombstones: set[str] = set()
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -195,7 +176,7 @@ class SqliteStore:
             if conn is not None:
                 conn.close()
             raise ValueError(
-                f"cannot use {self.path} as a solve store ({exc}); "
+                f"cannot use {self.path} as a record store ({exc}); "
                 "remove it or choose another path"
             ) from exc
         # WAL lets readers run under a writer; NORMAL sync is durable
@@ -231,11 +212,8 @@ class SqliteStore:
     @property
     def url(self) -> str:
         """Round-trippable store spec: ``open_store(store.url)`` opens
-        the same store with the same eviction bound, in this process or
-        a worker."""
-        if self.max_records is None:
-            return f"sqlite:{self.path}"
-        return f"sqlite:{self.path}?max_records={self.max_records}"
+        the same store, in this process or a worker."""
+        return f"sqlite:{self.path}"
 
     # ------------------------------------------------------------------ #
     # Records
@@ -260,13 +238,7 @@ class SqliteStore:
         except ValueError:
             self.tombstone(key)
             return None
-        record = self._screen_record(key, record)
-        if record is not None and self.max_records is not None:
-            # Batched LRU touch: persisted at the next flush, so reads
-            # between flushes cost no write of their own.
-            self._touched.add(key)
-            self._dirty = True
-        return record
+        return self._screen_record(key, record)
 
     def put(self, key: str, record: dict) -> None:
         """Stage ``record`` at ``key`` (persisted at the next flush)."""
@@ -283,7 +255,6 @@ class SqliteStore:
         self._tombstoned.add(key)
         self._unsaved_tombstones.add(key)
         self._pending.pop(key, None)
-        self._touched.discard(key)
         self._dirty = True
 
     @property
@@ -344,8 +315,8 @@ class SqliteStore:
 
     def _save(self) -> None:
         now = time.time()
-        # BEGIN IMMEDIATE takes the write lock up front so the count-
-        # then-evict step below is atomic against concurrent writers.
+        # BEGIN IMMEDIATE takes the write lock up front, so concurrent
+        # writers queue on the busy timeout instead of failing mid-way.
         self._conn.execute("BEGIN IMMEDIATE")
         try:
             self._conn.executemany(
@@ -367,44 +338,15 @@ class SqliteStore:
                 ],
             )
             self._conn.executemany(
-                "UPDATE records SET last_access_s=? WHERE key=?",
-                [
-                    (now, key)
-                    for key in self._touched
-                    if key not in self._pending
-                ],
-            )
-            self._conn.executemany(
                 "UPDATE records SET tombstone=1 WHERE key=?",
                 [(key,) for key in self._unsaved_tombstones],
             )
-            self._evict_locked()
             self._conn.execute("COMMIT")
         except BaseException:
             self._conn.execute("ROLLBACK")
             raise
         self._pending.clear()
-        self._touched.clear()
         self._unsaved_tombstones.clear()
-
-    def _evict_locked(self) -> None:
-        """Enforce ``max_records`` inside the current write transaction."""
-        if self.max_records is None:
-            return
-        (live,) = self._conn.execute(
-            "SELECT COUNT(*) FROM records WHERE tombstone=0 AND version=?",
-            (self.version,),
-        ).fetchone()
-        excess = live - self.max_records
-        if excess <= 0:
-            return
-        self._conn.execute(
-            "DELETE FROM records WHERE key IN ("
-            "SELECT key FROM records WHERE tombstone=0 AND version=? "
-            "ORDER BY last_access_s ASC, key ASC LIMIT ?)",
-            (self.version, excess),
-        )
-        self.evictions += excess
 
     # ------------------------------------------------------------------ #
     # Inspection and maintenance
@@ -424,7 +366,6 @@ class SqliteStore:
         return {
             "records": len(self),
             "corrupt_records": self.corrupt_records,
-            "evictions": self.evictions,
             "flush_writes": self.flush_writes,
             "bytes_on_disk": self.bytes_on_disk(),
         }
@@ -458,17 +399,21 @@ class SqliteStore:
             )
         )
 
-    def gc(self) -> dict:
+    def gc(self, keep: tuple[str, ...] = ()) -> dict:
         """Delete tombstoned rows and every row at a version other than
-        this store's, then compact.  Returns what was reclaimed."""
+        this store's and those in ``keep``, then compact.  Returns what
+        was reclaimed."""
         before = self.bytes_on_disk()
         self.flush()
+        versions = (self.version, *keep)
         with self._conn:
             purged = self._conn.execute(
                 "DELETE FROM records WHERE tombstone=1"
             ).rowcount
             other = self._conn.execute(
-                "DELETE FROM records WHERE version != ?", (self.version,)
+                "DELETE FROM records WHERE version NOT IN "
+                f"({', '.join('?' * len(versions))})",
+                versions,
             ).rowcount
         # VACUUM rewrites the database through the WAL; the checkpoint
         # after it moves those pages home and truncates the WAL.
@@ -489,6 +434,5 @@ class SqliteStore:
             "version": self.version,
             "records": len(self),
             "bytes_on_disk": self.bytes_on_disk(),
-            "max_records": self.max_records,
             "versions": self.version_counts(),
         }

@@ -3,26 +3,28 @@
 Produces the data behind paper Figures 4(a), 4(b), 5(a), and 5(b): IPC
 and average read latency, normalized execution-cycle breakdowns,
 memory-hierarchy power breakdowns, and normalized system energy-delay.
+
+A study given a record store (``run_study(cache=)``, ``repro study
+--cache``) keeps each finished cell there as one JSON record, so a
+rerun against the same store runs only the cells it does not hold.
 """
 
 from __future__ import annotations
 
+import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 
-from repro.core import parallel
-from repro.core.resilience import (
-    Journal,
-    ResiliencePolicy,
-    TaskFailure,
-    task_key,
-)
+import repro.sim
+from repro.core import parallel, solvecache
+from repro.core.resilience import ResiliencePolicy, TaskFailure
 from repro.obs import Obs, maybe_span
 from repro.power.hierarchy import PowerBreakdown, hierarchy_power
 from repro.power.system import SystemPower, scaled_core_power
-from repro.sim.stats import SimStats
+from repro.sim.stats import AccessCounters, CycleBreakdown, SimStats
 from repro.sim.system import run_workload
+from repro.store import open_store
 from repro.study.table3 import (
     CONFIG_NAMES,
     CPU_HZ,
@@ -36,6 +38,10 @@ from repro.workloads.synthetic import WorkloadProfile, event_batches
 
 #: Default capacity-scaling factor for tractable pure-Python runs.
 DEFAULT_SCALE = 16
+
+#: Layout version of a stored study cell: bump on any change to the
+#: record or its key.  :func:`study_version` folds in both models'.
+STUDY_VERSION = "repro-study-v1"
 
 
 @dataclass(frozen=True)
@@ -162,21 +168,87 @@ def publish_sim_counters(obs: Obs, stats: SimStats) -> None:
     obs.inc("sim.lock_cycles", stats.breakdown.lock)
 
 
+# --------------------------------------------------------------------- #
+# Stored cells
+
+
+def study_version() -> str:
+    """The version a stored cell is stamped with: the record layout,
+    the solver's ``CACHE_VERSION`` and the simulator's ``SIM_VERSION``,
+    so a change to either model makes every stored cell a miss.  Read
+    at call time, not import time."""
+    return (f"{STUDY_VERSION}+{solvecache.CACHE_VERSION}"
+            f"+{repro.sim.SIM_VERSION}")
+
+
+def cell_key(profile: WorkloadProfile, config_name: str, source: str,
+             scale: int, seed: int) -> str:
+    """Content hash of one cell: sha256 of the canonical JSON of what
+    the simulation depends on (numbers normalized as in
+    :func:`~repro.core.solvecache.solve_key`).  The cachedb serves
+    bit-identical solves, so it is not part of a cell's identity."""
+    import hashlib  # OpenSSL: loaded only by a study that stores cells
+
+    payload = solvecache._normalize_numbers({
+        "profile": asdict(profile),
+        "config": config_name,
+        "source": source,
+        "scale": scale,
+        "seed": seed,
+    })
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def cell_from_record(record: dict) -> RunResult:
+    """Rebuild the :class:`RunResult` that ``asdict`` stored, through
+    the dataclasses' own constructors (JSON floats are shortest-repr,
+    so every number comes back bit-exact)."""
+    stats = record["stats"]
+    power = PowerBreakdown(**record["power"])
+    return RunResult(
+        app=record["app"],
+        config=record["config"],
+        stats=SimStats(**{
+            **stats,
+            "breakdown": CycleBreakdown(**stats["breakdown"]),
+            "counters": AccessCounters(**stats["counters"]),
+        }),
+        power=power,
+        system=SystemPower(**{**record["system"],
+                              "memory_hierarchy": power}),
+    )
+
+
+def _decodes(record: dict) -> bool:
+    """Store validator: a record that does not rebuild a RunResult is
+    tombstoned, and its cell runs again."""
+    try:
+        cell_from_record(record)
+    except (KeyError, TypeError, ValueError):
+        return False
+    return True
+
+
 def _run_one_task(payload: tuple) -> RunResult:
     """Worker task: one (application, configuration) cell of the matrix.
 
     Simulation is fully seeded, so the result is identical no matter
     which process runs the cell.  ``cachedb_path`` travels as a path
     (readers are not picklable) and is opened once per process through
-    the reader memo.
+    the reader memo.  With a ``checkpoint`` of ``(store url, version,
+    key)`` the task puts its finished cell into the store, flushed and
+    closed before it returns, so a killed run loses only the cells in
+    flight.
     """
-    profile, config_name, source, scale, seed, cachedb_path = payload
+    (profile, config_name, source, scale, seed, cachedb_path,
+     checkpoint) = payload
     cachedb = None
     if cachedb_path is not None:
         from repro.cachedb import open_cachedb
 
         cachedb = open_cachedb(cachedb_path)
-    return run_one(
+    result = run_one(
         profile,
         config_name,
         source=source,
@@ -184,6 +256,14 @@ def _run_one_task(payload: tuple) -> RunResult:
         seed=seed,
         cachedb=cachedb,
     )
+    if checkpoint is not None:
+        url, version, key = checkpoint
+        store = open_store(url, version=version)
+        try:
+            store.put(key, asdict(result))
+        finally:
+            store.close()
+    return result
 
 
 def run_study(
@@ -196,7 +276,7 @@ def run_study(
     jobs: int | str = 1,
     obs: Obs | None = None,
     resilience: ResiliencePolicy | None = None,
-    journal: Journal | None = None,
+    cache=None,
     cachedb=None,
 ) -> StudyResult:
     """Run the full study matrix.
@@ -206,20 +286,24 @@ def run_study(
     cell's configuration and energy model from it.  ``jobs > 1`` runs the
     app x config cells concurrently in worker processes; every cell's
     simulation is seeded, so the matrix is identical at any job count.
-    ``obs`` traces the matrix (one ``study.cell`` span, with the cell's
-    ``index``, per cell run serially; one enclosing span when parallel;
-    none for cells restored from a journal), counts cells run, and sums
-    every finished cell's simulator counters into ``sim.*`` counters
-    (:func:`publish_sim_counters`).
+    ``obs`` traces the matrix (one ``study.cell`` span per cell run
+    serially, with the cell's ``index`` in the map of cells run; one
+    enclosing span when parallel; none for restored cells), counts the
+    cells run as ``study.cells`` and the restored ones as
+    ``study.cells_restored``, and sums every finished cell's simulator
+    counters into ``sim.*`` counters (:func:`publish_sim_counters`).
 
-    ``resilience`` sets the error policy: under ``on_error="skip"``
-    failed cells land in ``StudyResult.failed`` instead of aborting
-    the run.  ``journal`` checkpoints each completed cell, so an
-    interrupted matrix resumed against the same journal re-runs only
-    the unfinished cells; the caller opens and closes it.  ``obs``
-    counts the ``resilience.*`` events (failures, pool rebuilds,
-    journal restores).
-    ``cachedb`` (a cachedb path) serves each worker's
+    ``cache`` (a record store path or ``sqlite:`` URL, see
+    :mod:`repro.store`) checkpoints the matrix: every cell it holds at
+    :func:`study_version` is restored without running, only the rest
+    are mapped, and each of those puts its record as it finishes, so
+    an interrupted matrix rerun against the same store runs only the
+    unfinished cells.  ``resilience`` sets the error policy: under
+    ``on_error="skip"`` failed cells land in ``StudyResult.failed``
+    (their ``index`` is the cell's position in the full matrix) instead
+    of aborting the run; a ``FaultPlan`` counts the cells mapped.
+    ``obs`` counts the ``resilience.*`` events (failures, pool
+    rebuilds).  ``cachedb`` (a cachedb path) serves each worker's
     ``source="cacti"`` solves from the precomputed database.
 
     Duplicate profile names or repeated configuration names would
@@ -247,50 +331,56 @@ def run_study(
         dupes = sorted({c for c in configs if tuple(configs).count(c) > 1})
         raise ValueError(f"duplicate configurations in study: {dupes}")
     cachedb_path = os.fspath(cachedb) if cachedb is not None else None
+    cells = [(profile, config_name)
+             for profile in profiles for config_name in configs]
+    outcomes: list = [None] * len(cells)
+    checkpoints = [None] * len(cells)
+    if cache is not None:
+        store = open_store(cache, version=study_version(),
+                           validate=_decodes)
+        try:
+            for i, (profile, config_name) in enumerate(cells):
+                key = cell_key(profile, config_name, source, scale, seed)
+                record = store.get(key)
+                if record is not None:
+                    outcomes[i] = cell_from_record(record)
+                else:
+                    checkpoints[i] = (store.url, store.version, key)
+        finally:
+            store.close()
+    todo = [i for i, outcome in enumerate(outcomes) if outcome is None]
     payloads = [
-        (profile, config_name, source, scale, seed, cachedb_path)
-        for profile in profiles
-        for config_name in configs
+        (*cells[i], source, scale, seed, cachedb_path, checkpoints[i])
+        for i in todo
     ]
     jobs = parallel.resolve_jobs(jobs)
-    # The cachedb serves bit-identical results, so it is not part of a
-    # cell's identity: journals written without one resume runs that
-    # use one, and vice versa.
-    keys = None
-    if journal is not None:
-        keys = [
-            task_key("study.cell", {
-                "profile": profile,
-                "config": config_name,
-                "source": source,
-                "scale": scale,
-                "seed": seed,
-            })
-            for profile, config_name, source, scale, seed, _ in payloads
-        ]
     with maybe_span(
         obs,
         "study",
         apps=len(profiles),
         configs=len(configs),
-        cells=len(payloads),
+        cells=len(cells),
         jobs=jobs,
     ):
-        outcomes = parallel.parallel_map(
+        ran = parallel.parallel_map(
             _run_one_task,
             payloads,
             jobs,
             obs=obs,
             span_name="study.cell",
             resilience=resilience,
-            journal=journal,
-            keys=keys,
         )
+    for i, outcome in zip(todo, ran):
+        if isinstance(outcome, TaskFailure):
+            outcome = replace(outcome, index=i)
+        outcomes[i] = outcome
     if obs is not None:
-        obs.inc("study.cells", len(payloads))
+        obs.inc("study.cells", len(todo))
+        if len(todo) < len(cells):
+            obs.inc("study.cells_restored", len(cells) - len(todo))
     results = {}
     failures = []
-    for (profile, config_name, *_), outcome in zip(payloads, outcomes):
+    for (profile, config_name), outcome in zip(cells, outcomes):
         if isinstance(outcome, TaskFailure):
             failures.append(outcome)
             continue

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main, parse_size
@@ -378,7 +380,7 @@ class TestResilienceFlags:
         assert "instructions_per_thread must be at least 1" in err
         assert ran == []
 
-    def test_study_closes_its_resume_journal(self, tmp_path, monkeypatch):
+    def test_study_closes_its_store(self, tmp_path, monkeypatch):
         import gc
         import sys
         import warnings
@@ -390,7 +392,7 @@ class TestResilienceFlags:
             rc = main([
                 "study", "--apps", "ft.B", "--configs", "nol3",
                 "--instructions", "500", "--jobs", "1",
-                "--resume", str(tmp_path / "j.journal"),
+                "--cache", str(tmp_path / "s.db"),
             ])
             gc.collect()
         assert rc == 0
@@ -432,9 +434,8 @@ class TestSingleSolveFlags:
     """A single solve runs in-process: the worker-pool and error-policy
     flags exist only on the multi-task subcommands, and the removed
     retry and timeout flags exist nowhere.
-    Solves resume from their store, so only ``study`` takes
-    ``--resume``, and a study, whose one Table 3 is memoized, takes no
-    ``--cache``."""
+    Every run resumes from its ``--cache`` store, so no command takes
+    ``--resume``."""
 
     @pytest.mark.parametrize("argv", [
         ["cache", "--capacity", "256K", "--jobs", "2"],
@@ -451,7 +452,7 @@ class TestSingleSolveFlags:
          "--values", "128K", "--resume", "j.journal"],
         ["cachedb", "build", "g.db", "--capacities", "64K",
          "--resume", "j.journal"],
-        ["study", "--apps", "ft.B", "--cache", "s.db"],
+        ["study", "--apps", "ft.B", "--resume", "s.journal"],
     ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
     def test_flag_is_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -500,7 +501,7 @@ class TestCacheStoreCli:
         assert "{'repro-solve-cache-v3': 2}" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["info", "gc"])
-    @pytest.mark.parametrize("url", ["{path}", "sqlite:{path}?max_records=8"])
+    @pytest.mark.parametrize("url", ["{path}", "sqlite:{path}"])
     def test_missing_store_is_refused_not_created(
         self, command, url, tmp_path, capsys, monkeypatch
     ):
@@ -520,6 +521,62 @@ class TestCacheStoreCli:
         assert main(["cache"]) == 2
         err = capsys.readouterr().err
         assert "--capacity" in err
+
+    @pytest.mark.parametrize("command", [
+        ["cache", "--capacity", "256K"],
+        ["study", "--apps", "ft.B", "--configs", "nol3",
+         "--instructions", "500", "--jobs", "1"],
+    ], ids=["cache", "study"])
+    def test_removed_lru_bound_is_clean_error(self, command, tmp_path,
+                                              capsys, monkeypatch):
+        """``?max_records=`` named the removed LRU bound: refused with
+        a reason, and no store is created."""
+        monkeypatch.chdir(tmp_path)
+        assert main(command + ["--cache", "sqlite:p.db?max_records=8"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "unknown store option 'max_records'" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_study_refuses_a_file_that_is_not_a_database(self, tmp_path,
+                                                         capsys):
+        path = tmp_path / "notes.txt"
+        path.write_bytes(b"cell notes\n")
+        assert main(["study", "--apps", "ft.B", "--configs", "nol3",
+                     "--instructions", "500", "--jobs", "1",
+                     "--cache", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not a database" in err
+        assert path.read_bytes() == b"cell notes\n"
+
+    def test_gc_keeps_solve_and_study_rows(self, tmp_path, capsys):
+        """One store serves ``table3 --cache`` and ``study --cache``:
+        gc keeps both current kinds of row and drops stale ones."""
+        from repro.core.solvecache import CACHE_VERSION
+        from repro.store import SqliteStore
+        from repro.study.runner import study_version
+
+        path = tmp_path / "both.db"
+        assert main(self._solve(str(path), tmp_path)) == 0
+        assert main(["study", "--apps", "ft.B", "--configs", "nol3,sram",
+                     "--instructions", "500", "--jobs", "1",
+                     "--cache", str(path)]) == 0
+        stale = SqliteStore(path, version="repro-study-v0")
+        stale.put("stale", {"app": "ft.B"})
+        stale.close()
+        capsys.readouterr()
+        assert main(["cache", "gc", str(path)]) == 0
+        assert "purged_other_versions: 1" in capsys.readouterr().out
+        store = SqliteStore(path, version=CACHE_VERSION)
+        assert store.version_counts() == {CACHE_VERSION: 2,
+                                          study_version(): 2}
+        store.close()
+        argv = ["study", "--apps", "ft.B", "--configs", "nol3,sram",
+                "--instructions", "500", "--jobs", "1", "--cache",
+                str(path), "--metrics", str(tmp_path / "m.json")]
+        assert main(argv) == 0
+        metrics = json.loads((tmp_path / "m.json").read_text())
+        assert metrics["counters"]["study.cells_restored"] == 2
 
     def test_bad_store_option_is_clean_error(self, tmp_path, capsys):
         url = f"sqlite:{tmp_path / 'solves.db'}?bogus=1"

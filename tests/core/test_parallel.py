@@ -11,7 +11,6 @@ from repro.core.resilience import (
     FaultInjected,
     FaultPlan,
     FaultSpec,
-    Journal,
     ResiliencePolicy,
 )
 from repro.core.solvecache import SolveCache
@@ -179,7 +178,7 @@ class TestInProcessCaches:
         a journal, so none can be handed one."""
         from repro.cachedb import GridSpec, build_cachedb
 
-        journal = Journal(tmp_path / "j")
+        journal = tmp_path / "j"
         calls = {
             "solve_batch": lambda: solve_batch(BATCH, journal=journal),
             "facade": lambda: CactiD(journal=journal),

@@ -1,26 +1,25 @@
-"""The fault-tolerant execution engine: policies, journal, fault plans.
+"""The fault-tolerant execution engine: policies, fault plans, resume.
 
 Exercises :mod:`repro.core.resilience` through
 :func:`repro.core.parallel.parallel_map` with cheap picklable tasks --
 no solver involved -- so every failure mode (worker exception, hard
-worker kill, interrupted run) is fast and deterministic.
+worker kill) is fast and deterministic.  An interrupted run resumes
+from its record store; the resume tests drive the one stage that
+checkpoints through the engine, a tiny study matrix.
 """
 
-import json
+import dataclasses
 
 import pytest
 
 from repro.core.optimizer import SweepStats
 from repro.core.parallel import parallel_map
 from repro.core.resilience import (
-    JOURNAL_VERSION,
     FaultInjected,
     FaultPlan,
     FaultSpec,
-    Journal,
     ResiliencePolicy,
     TaskFailure,
-    task_key,
 )
 from repro.obs import Obs
 
@@ -53,79 +52,6 @@ def _logged_fail_on_negative(payload):
     with open(directory / str(x), "a") as fh:
         fh.write(".")
     return _fail_on_negative(x)
-
-
-# --------------------------------------------------------------------- #
-# task_key
-
-
-def test_task_key_is_stable_and_normalized():
-    a = task_key("stage", {"node": 32, "cap": 1024})
-    assert a == task_key("stage", {"node": 32, "cap": 1024})
-    # Numeric normalization: 32 and 32.0 describe the same task.
-    assert a == task_key("stage", {"node": 32.0, "cap": 1024.0})
-    # Stage and content both separate keys.
-    assert a != task_key("other", {"node": 32, "cap": 1024})
-    assert a != task_key("stage", {"node": 45, "cap": 1024})
-
-
-def test_task_key_handles_dataclasses_and_enums():
-    from repro.core.config import MemorySpec, OptimizationTarget
-
-    spec = MemorySpec(capacity_bytes=32 << 10, block_bytes=64,
-                      associativity=8, node_nm=32.0)
-    k1 = task_key("s", {"spec": spec, "target": OptimizationTarget()})
-    k2 = task_key("s", {"spec": spec, "target": OptimizationTarget()})
-    assert k1 == k2
-    bigger = MemorySpec(capacity_bytes=64 << 10, block_bytes=64,
-                        associativity=8, node_nm=32.0)
-    assert k1 != task_key(
-        "s", {"spec": bigger, "target": OptimizationTarget()}
-    )
-
-
-# --------------------------------------------------------------------- #
-# Journal
-
-
-def test_journal_round_trip(tmp_path):
-    path = tmp_path / "run.journal"
-    journal = Journal(path)
-    journal.record("k1", "stage.a", {"answer": 42})
-    journal.record("k2", "stage.b", (1, 2.5, "x"))
-    journal.close()
-
-    reloaded = Journal(path)
-    assert len(reloaded) == 2
-    assert "k1" in reloaded and "k2" in reloaded
-    assert reloaded.result("k1") == {"answer": 42}
-    assert reloaded.result("k2") == (1, 2.5, "x")
-
-
-def test_journal_skips_torn_and_mismatched_lines(tmp_path):
-    path = tmp_path / "run.journal"
-    journal = Journal(path)
-    journal.record("good", "s", 7)
-    journal.close()
-    with path.open("a") as fh:
-        fh.write(json.dumps({"v": "other-version", "key": "bad",
-                             "data": "eA=="}) + "\n")
-        fh.write("not json at all\n")
-        fh.write('{"v": "%s", "key": "torn", "da' % JOURNAL_VERSION)
-    reloaded = Journal(path)
-    assert len(reloaded) == 1
-    assert reloaded.result("good") == 7
-
-
-def test_journal_appends_across_sessions(tmp_path):
-    path = tmp_path / "run.journal"
-    first = Journal(path)
-    first.record("k1", "s", "one")
-    first.close()
-    second = Journal(path)
-    second.record("k2", "s", "two")
-    second.close()
-    assert len(Journal(path)) == 2
 
 
 # --------------------------------------------------------------------- #
@@ -163,12 +89,6 @@ def test_policy_validates_inputs():
     for on_error in ("ignore", "retry"):
         with pytest.raises(ValueError):
             ResiliencePolicy(on_error=on_error)
-
-
-def test_journal_bearing_policy_requires_keys(tmp_path):
-    journal = Journal(tmp_path / "j")
-    with pytest.raises(ValueError, match="keys"):
-        parallel_map(_double, [1, 2], 1, journal=journal)
 
 
 # --------------------------------------------------------------------- #
@@ -258,70 +178,66 @@ def test_failure_records_do_not_depend_on_the_job_count():
 # Checkpoint / resume
 
 
-def test_resume_executes_only_unfinished_tasks(tmp_path):
-    path = tmp_path / "map.journal"
-    payloads = [1, 2, 3, 4]
-    keys = [task_key("s", {"x": p}) for p in payloads]
+def _study(**kwargs):
+    from repro.study.runner import run_study
+    from repro.workloads.npb import UA_C
 
-    # First run completes half the map, then the fault interrupts it.
-    _EXECUTIONS.clear()
-    journal = Journal(path)
-    policy = ResiliencePolicy(
-        fault_plan=FaultPlan((FaultSpec("s", 2, "raise"),)),
+    return run_study(profiles=(UA_C,), configs=("nol3", "sram", "cm_dram_c"),
+                     instructions_per_thread=2000, **kwargs)
+
+
+def _cells(obs):
+    counters = obs.metrics.counters
+    return tuple(
+        counters[name].value if name in counters else 0
+        for name in ("study.cells", "study.cells_restored")
+    )
+
+
+def _asdicts(result):
+    return {cell: dataclasses.asdict(run)
+            for cell, run in result.results.items()}
+
+
+def test_resume_executes_only_unfinished_tasks(tmp_path):
+    cache = tmp_path / "study.db"
+
+    # The fault interrupts the matrix at cell 2, after cells 0 and 1
+    # finished and were stored.
+    interrupted = ResiliencePolicy(
+        fault_plan=FaultPlan((FaultSpec("study.cell", 2, "raise"),)),
     )
     with pytest.raises(FaultInjected):
-        parallel_map(
-            _counted_double, payloads, 1, span_name="s",
-            resilience=policy, journal=journal, keys=keys,
-        )
-    journal.close()
-    assert _EXECUTIONS == [1, 2]  # tasks 0 and 1 ran and were journaled
-    assert len(Journal(path)) == 2
+        _study(jobs=1, resilience=interrupted, cache=cache)
 
-    # The resumed run restores those results and executes only the rest.
-    _EXECUTIONS.clear()
-    resumed = Journal(path)
-    out = parallel_map(
-        _counted_double, payloads, 1, span_name="s",
-        journal=resumed, keys=keys,
-    )
-    resumed.close()
-    assert out == [2, 4, 6, 8]
-    assert _EXECUTIONS == [3, 4]  # the journaled half never re-ran
-    assert len(Journal(path)) == 4
+    # The rerun restores those cells and runs only the rest.
+    obs = Obs()
+    resumed = _study(jobs=1, obs=obs, cache=cache)
+    assert _cells(obs) == (1, 2)
+    assert [s.name for s in obs.tracer.spans].count("study.cell") == 1
+    assert len(resumed.results) == 3
 
-    # A third run is a pure restore: zero executions.
-    _EXECUTIONS.clear()
-    final = Journal(path)
-    out = parallel_map(
-        _counted_double, payloads, 1, span_name="s",
-        journal=final, keys=keys,
-    )
-    final.close()
-    assert out == [2, 4, 6, 8]
-    assert _EXECUTIONS == []
+    # A third run is a pure restore: no cell runs.
+    obs = Obs()
+    again = _study(jobs=1, obs=obs, cache=cache)
+    assert _cells(obs) == (0, 3)
+    assert "study.cell" not in [s.name for s in obs.tracer.spans]
+    assert _asdicts(again) == _asdicts(resumed)
 
 
 def test_resume_across_job_counts(tmp_path):
-    # A journal written by a parallel run restores into a serial run
-    # (and vice versa): the task shape is identical in both modes.
-    path = tmp_path / "map.journal"
-    payloads = [5, 6, 7]
-    keys = [task_key("s", {"x": p}) for p in payloads]
-    journal = Journal(path)
-    out = parallel_map(
-        _double, payloads, 2, span_name="s",
-        journal=journal, keys=keys,
-    )
-    journal.close()
-    assert out == [10, 12, 14]
-
-    _EXECUTIONS.clear()
-    resumed = Journal(path)
-    out = parallel_map(
-        _counted_double, payloads, 1, span_name="s",
-        journal=resumed, keys=keys,
-    )
-    resumed.close()
-    assert out == [10, 12, 14]
-    assert _EXECUTIONS == []  # fully restored, nothing executed
+    """A matrix interrupted at any cell resumes at one job or at two,
+    and every restored or rerun cell equals a run without a store."""
+    plain = _asdicts(_study(jobs=1))
+    for k in range(3):
+        for jobs in (1, 2):
+            cache = tmp_path / f"k{k}-j{jobs}.db"
+            interrupted = ResiliencePolicy(
+                fault_plan=FaultPlan((FaultSpec("study.cell", k, "raise"),)),
+            )
+            with pytest.raises(FaultInjected):
+                _study(jobs=1, resilience=interrupted, cache=cache)
+            obs = Obs(trace=False)
+            resumed = _study(jobs=jobs, obs=obs, cache=cache)
+            assert _cells(obs) == (3 - k, k)
+            assert _asdicts(resumed) == plain

@@ -387,10 +387,10 @@ class TestCorruptRecordsDropped:
 
 
 class TestSqliteBackedSolveCache:
-    """The facade over a ``sqlite:`` URL and its options."""
+    """The facade over a ``sqlite:`` URL."""
 
-    def _url(self, tmp_path, options=""):
-        return f"sqlite:{tmp_path / 'c.db'}{options}"
+    def _url(self, tmp_path):
+        return f"sqlite:{tmp_path / 'c.db'}"
 
     def test_put_get_and_persistence(self, tmp_path, best):
         url = self._url(tmp_path)
@@ -407,22 +407,6 @@ class TestSqliteBackedSolveCache:
         plain = SolveCache(tmp_path / "c.db")
         assert plain.get(SPEC, TARGET, 32.0) == best
         plain.close()
-
-    def test_url_round_trip_preserves_options(self, tmp_path):
-        url = self._url(tmp_path, "?max_records=5")
-        cache = SolveCache(url)
-        assert cache.url == url
-        assert cache.store.max_records == 5
-        cache.close()
-
-    def test_eviction_bound_through_facade(self, tmp_path, best):
-        cache = SolveCache(self._url(tmp_path, "?max_records=3"))
-        for node in range(32, 40):
-            cache.put(SPEC, TARGET, float(node), best)
-        cache.flush()
-        assert len(cache) == 3
-        assert cache.stats()["evictions"] == 5
-        cache.close()
 
     def test_older_version_records_are_misses(self, tmp_path, best):
         put_at_version(tmp_path / "c.db", "repro-solve-cache-v2", SPEC,

@@ -4,8 +4,8 @@ Every test in ``TestContract`` runs through both spellings that open a
 store -- a plain path and a ``sqlite:`` URL -- via the ``store``
 fixture: the protocol (put/get/flush/stats, version stamping,
 corrupt-record tombstoning, deferred flushes) must not depend on how
-the store was named.  LRU eviction, gc and the refusal of files that
-are not databases get their own class below.
+the store was named.  Gc and the refusal of files that are not
+databases get their own class below.
 """
 
 import json
@@ -154,7 +154,6 @@ class TestContract:
         stats = store.stats()
         assert stats["records"] == 1
         assert stats["corrupt_records"] == 0
-        assert stats["evictions"] == 0
         assert stats["flush_writes"] == 1
         assert stats["bytes_on_disk"] > 0
 
@@ -202,22 +201,20 @@ class TestParseStoreUrl:
     def test_sqlite_scheme(self, tmp_path):
         s = open_store(f"sqlite:{tmp_path / 's.db'}", version=VERSION)
         assert s.path == tmp_path / "s.db"
-        assert s.max_records is None
         s.close()
 
-    def test_sqlite_options(self, tmp_path):
-        s = open_store(f"sqlite:{tmp_path / 's.db'}?max_records=100",
-                       version=VERSION)
-        assert s.max_records == 100
-        s.close()
+    def test_sqlite_options(self, tmp_path, monkeypatch):
+        """A store url takes no options: the removed LRU bound
+        (``?max_records=``) is refused like any unknown one, and
+        nothing is created."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match="unknown store option"):
+            open_store("sqlite:s.db?max_records=100", version=VERSION)
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_option_rejected(self):
         with pytest.raises(ValueError, match="unknown store option"):
             open_store("sqlite:s.db?shard_prefix=2", version=VERSION)
-
-    def test_bad_option_value_rejected(self):
-        with pytest.raises(ValueError, match="bad value"):
-            open_store("sqlite:s.db?max_records=ten", version=VERSION)
 
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError, match="no path"):
@@ -247,36 +244,9 @@ class TestParseStoreUrl:
 
 
 class TestSqliteBackend:
-    def test_lru_eviction_bounds_records(self, tmp_path):
-        s = SqliteStore(tmp_path / "s.db", version=VERSION, max_records=3)
-        for i in range(5):
-            s.put(f"k{i}", {"n": i})
-        s.flush()
-        assert len(s) == 3
-        assert s.evictions == 2
-        assert s.stats()["evictions"] == 2
-        s.close()
-
-    def test_lru_evicts_least_recently_accessed(self, tmp_path):
-        s = SqliteStore(tmp_path / "s.db", version=VERSION, max_records=2)
-        s.put("a", {"n": 0})
-        s.flush()
-        s.put("b", {"n": 1})
-        s.flush()
-        # Touch "a" so "b" is now the LRU record.
-        assert s.get("a") == {"n": 0}
-        s.flush()
-        s.put("c", {"n": 2})
-        s.flush()
-        assert s.get("b") is None
-        assert s.get("a") == {"n": 0}
-        assert s.get("c") == {"n": 2}
-        s.close()
-
     def test_unbounded_hits_write_nothing(self, tmp_path):
-        """Only eviction reads the LRU stamps, so hits on an unbounded
-        store cost no write transaction and leave ``last_access_s``
-        as the put stamped it."""
+        """Nothing reads the ``last_access_s`` stamps, so hits cost no
+        write transaction and leave the stamp as the put wrote it."""
         s = SqliteStore(tmp_path / "s.db", version=VERSION)
         s.put("k", RECORD)
         s.flush()
@@ -337,6 +307,20 @@ class TestSqliteBackend:
         assert s.get("ours") == RECORD
         s.close()
 
+    def test_gc_keeps_the_versions_it_is_told_to(self, tmp_path):
+        """One file holds several kinds of record, each at its own
+        version: gc keeps this store's rows and those in ``keep``."""
+        for version in ("study-v1", "stale-v0"):
+            s = SqliteStore(tmp_path / "s.db", version=version)
+            s.put(f"at-{version}", RECORD)
+            s.close()
+        s = SqliteStore(tmp_path / "s.db", version=VERSION)
+        s.put("ours", RECORD)
+        report = s.gc(keep=("study-v1",))
+        assert report["purged_other_versions"] == 1
+        assert s.version_counts() == {VERSION: 1, "study-v1": 1}
+        s.close()
+
     def test_corrupt_row_tombstoned_on_read(self, tmp_path):
         """A truncated row is a miss, is tombstoned on disk at the next
         flush (so no instance serves it) and is deleted by gc."""
@@ -384,10 +368,6 @@ class TestSqliteBackend:
         again.put_meta("grid", None)
         assert again.get_meta("grid") is None
         again.close()
-
-    def test_max_records_must_be_positive(self, tmp_path):
-        with pytest.raises(ValueError, match="positive"):
-            SqliteStore(tmp_path / "s.db", version=VERSION, max_records=0)
 
     def test_unrecognized_schema_warns(self, tmp_path):
         path = tmp_path / "s.db"

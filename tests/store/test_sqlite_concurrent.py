@@ -1,6 +1,6 @@
 """Concurrent-writer safety for the sqlite store: N processes
-hammering one database with overlapping keys must lose no records,
-corrupt nothing, and respect the eviction bound.
+hammering one database with overlapping keys must lose no records
+and corrupt nothing.
 
 The processes are real (``multiprocessing`` with the fork context --
 no pickling of test-module functions needed on Linux), the keys
@@ -27,11 +27,9 @@ RECORDS_PER_WRITER = 60
 SHARED_KEYS = 10
 
 
-def _writer(path, writer_id, bound, barrier):
+def _writer(path, writer_id, barrier):
     """One writer process: interleaved puts and frequent flushes."""
-    store = SqliteStore(
-        path, version=VERSION, max_records=bound
-    )
+    store = SqliteStore(path, version=VERSION)
     barrier.wait()  # maximize overlap: all writers start together
     for i in range(RECORDS_PER_WRITER):
         if i < SHARED_KEYS:
@@ -46,11 +44,11 @@ def _writer(path, writer_id, bound, barrier):
     store.close()
 
 
-def _run_writers(path, bound):
+def _run_writers(path):
     ctx = multiprocessing.get_context("fork")
     barrier = ctx.Barrier(WRITERS)
     procs = [
-        ctx.Process(target=_writer, args=(path, writer_id, bound, barrier))
+        ctx.Process(target=_writer, args=(path, writer_id, barrier))
         for writer_id in range(WRITERS)
     ]
     for p in procs:
@@ -73,10 +71,10 @@ def expected_keys():
 @pytest.mark.slow
 class TestConcurrentWriters:
     def test_unbounded_no_lost_records(self, tmp_path):
-        """Without an eviction bound, every record every writer put must
-        be present and intact afterwards."""
+        """Every record every writer put must be present and intact
+        afterwards."""
         path = tmp_path / "s.db"
-        _run_writers(path, bound=None)
+        _run_writers(path)
         store = SqliteStore(path, version=VERSION)
         assert len(store) == len(expected_keys())
         # Every record is intact and self-consistent.
@@ -85,22 +83,9 @@ class TestConcurrentWriters:
         assert store.corrupt_records == 0
         store.close()
 
-    def test_bounded_respects_eviction_bound(self, tmp_path):
-        """With a bound smaller than the total write volume, the store
-        must stay at (or under) the bound -- and every surviving record
-        must still be intact."""
-        bound = 50
-        path = tmp_path / "s.db"
-        _run_writers(path, bound=bound)
-        store = SqliteStore(path, version=VERSION, max_records=bound)
-        assert 0 < len(store) <= bound
-        for (key,) in store._conn.execute("SELECT key FROM records"):
-            assert store.get(key)["key"] == key
-        store.close()
-
     def test_database_integrity_after_contention(self, tmp_path):
         path = tmp_path / "s.db"
-        _run_writers(path, bound=None)
+        _run_writers(path)
         conn = sqlite3.connect(path)
         (verdict,) = conn.execute("PRAGMA integrity_check").fetchone()
         assert verdict == "ok"

@@ -8,13 +8,18 @@ from repro.core.resilience import (
     FaultInjected,
     FaultPlan,
     FaultSpec,
-    Journal,
     ResiliencePolicy,
     TaskFailure,
 )
 from repro.obs import Obs
 from repro.sim.stats import AccessCounters
-from repro.study.runner import run_one, run_study
+from repro.study.runner import (
+    cell_from_record,
+    cell_key,
+    run_one,
+    run_study,
+    study_version,
+)
 from repro.study.table3 import build_energy_model, build_system_config
 from repro.workloads.npb import CG_C, FT_B, UA_C
 
@@ -151,11 +156,12 @@ class TestStudyResilience:
         assert result.failed[0].stage == "study.cell"
 
     def test_interrupted_study_resumes_unfinished_cells(self, tmp_path):
-        path = tmp_path / "study.journal"
+        cache = tmp_path / "study.db"
         kwargs = dict(
             profiles=(UA_C,),
             configs=("nol3", "sram"),
             instructions_per_thread=FAST_INSTR,
+            cache=cache,
         )
 
         # The fault interrupts the matrix after cell 0 completes.
@@ -164,29 +170,26 @@ class TestStudyResilience:
                 (FaultSpec("study.cell", 1, "raise"),)
             ),
         )
-        journal = Journal(path)
         with pytest.raises(FaultInjected):
-            run_study(resilience=interrupted, journal=journal, **kwargs)
-        journal.close()
-        assert len(Journal(path)) == 1
+            run_study(resilience=interrupted, **kwargs)
+        assert stored_cells(cache) == 1
 
         # The resumed run executes only the unfinished cell.
-        resumed = Journal(path)
-        result = run_study(journal=resumed, **kwargs)
-        resumed.close()
-        assert len(Journal(path)) == 2
+        obs = Obs(trace=False)
+        result = run_study(obs=obs, **kwargs)
+        assert cell_counts(obs) == (1, 1)
+        assert stored_cells(cache) == 2
         assert set(result.results) == {("ua.C", "nol3"), ("ua.C", "sram")}
         assert result.failed == ()
 
-        # Resumed results are bit-identical to an unjournaled run.
-        plain = run_study(**kwargs)
+        # Resumed results are bit-identical to a run without a store.
+        plain = run_study(**{**kwargs, "cache": None})
         for cell, run in plain.results.items():
-            restored = result.results[cell]
-            assert dataclasses.asdict(restored.stats) == dataclasses.asdict(
-                run.stats
+            assert dataclasses.asdict(result.results[cell]) == (
+                dataclasses.asdict(run)
             )
 
-        # A fully journaled matrix restores without executing any cell:
+        # A fully stored matrix restores without executing any cell:
         # a fault on every index proves nothing runs.
         restored_only = ResiliencePolicy(
             fault_plan=FaultPlan(tuple(
@@ -194,15 +197,128 @@ class TestStudyResilience:
                 for i in range(2)
             )),
         )
-        journal = Journal(path)
-        again = run_study(resilience=restored_only, journal=journal, **kwargs)
-        journal.close()
+        again = run_study(resilience=restored_only, **kwargs)
         assert set(again.results) == set(result.results)
 
+    def test_failed_indexes_are_matrix_positions_on_resume(self, tmp_path):
+        """A resumed run maps only the unfinished cells, yet a failure
+        names the cell's position in the full matrix."""
+        kwargs = dict(
+            profiles=(UA_C,),
+            configs=("nol3", "sram", "cm_dram_c"),
+            instructions_per_thread=FAST_INSTR,
+            cache=tmp_path / "study.db",
+        )
+        run_study(**{**kwargs, "configs": ("nol3",)})
+        # Cells 1 and 2 are mapped as tasks 0 and 1; task 1 fails.
+        skip = ResiliencePolicy(
+            on_error="skip",
+            fault_plan=FaultPlan((FaultSpec("study.cell", 1, "raise"),)),
+        )
+        result = run_study(resilience=skip, **kwargs)
+        assert [f.index for f in result.failed] == [2]
+        assert set(result.results) == {("ua.C", "nol3"), ("ua.C", "sram")}
 
-class TestJournalVersions:
-    """Study journal keys fold in both model versions: a simulator
-    change invalidates journaled cells but not solve-store records, and
+
+def stored_cells(cache) -> int:
+    from repro.store import SqliteStore
+
+    store = SqliteStore(cache, version=study_version())
+    try:
+        return len(store)
+    finally:
+        store.close()
+
+
+def cell_counts(obs) -> tuple[int, int]:
+    """``(study.cells, study.cells_restored)``: cells run and restored."""
+    counters = obs.metrics.counters
+    return tuple(
+        counters[name].value if name in counters else 0
+        for name in ("study.cells", "study.cells_restored")
+    )
+
+
+class TestCellStore:
+    """Each finished cell is one JSON record in a record store, keyed by
+    the cell's content hash and stamped with :func:`study_version`."""
+
+    KWARGS = dict(
+        profiles=(FT_B,), configs=("nol3", "sram"),
+        instructions_per_thread=500, jobs=1,
+    )
+
+    def test_record_round_trip(self, tmp_path):
+        import json
+
+        run = run_one(FT_B.with_instructions(500), "sram")
+        record = json.loads(json.dumps(dataclasses.asdict(run)))
+        back = cell_from_record(record)
+        assert dataclasses.asdict(back) == dataclasses.asdict(run)
+        assert back.system.memory_hierarchy == back.power
+        assert back.ipc == run.ipc
+
+    def test_cell_key_is_stable_and_normalized(self):
+        profile = FT_B.with_instructions(500)
+        key = cell_key(profile, "sram", "paper", 16, 1234)
+        assert key == cell_key(profile, "sram", "paper", 16.0, 1234.0)
+        assert key != cell_key(profile, "nol3", "paper", 16, 1234)
+        assert key != cell_key(profile, "sram", "cacti", 16, 1234)
+        assert key != cell_key(profile, "sram", "paper", 8, 1234)
+        assert key != cell_key(profile, "sram", "paper", 16, 1)
+        assert key != cell_key(FT_B.with_instructions(600), "sram",
+                               "paper", 16, 1234)
+
+    def test_malformed_record_runs_again(self, tmp_path):
+        """A record that does not rebuild a RunResult is tombstoned, and
+        its cell runs again and is stored afresh."""
+        import sqlite3
+
+        cache = tmp_path / "study.db"
+        first = run_study(cache=cache, **self.KWARGS)
+        conn = sqlite3.connect(cache)
+        (key, value), = conn.execute(
+            "SELECT key, value FROM records ORDER BY key LIMIT 1"
+        ).fetchall()
+        broken = json_without(value, "power")
+        conn.execute("UPDATE records SET value=? WHERE key=?", (broken, key))
+        conn.commit()
+        conn.close()
+        obs = Obs(trace=False)
+        again = run_study(cache=cache, obs=obs, **self.KWARGS)
+        assert cell_counts(obs) == (1, 1)
+        assert {c: dataclasses.asdict(r) for c, r in again.results.items()} \
+            == {c: dataclasses.asdict(r) for c, r in first.results.items()}
+        assert stored_cells(cache) == 2
+
+    def test_cells_count_only_cells_run(self, tmp_path):
+        cache = tmp_path / "study.db"
+        counts = []
+        for _ in range(2):
+            obs = Obs(trace=False)
+            run_study(cache=cache, obs=obs, **self.KWARGS)
+            counts.append(cell_counts(obs))
+        assert counts == [(2, 0), (0, 2)]
+
+    def test_non_database_file_is_refused_untouched(self, tmp_path):
+        path = tmp_path / "notes.txt"
+        path.write_bytes(b"not a database\n")
+        with pytest.raises(ValueError, match="not a database"):
+            run_study(cache=path, **self.KWARGS)
+        assert path.read_bytes() == b"not a database\n"
+
+
+def json_without(value: str, field: str) -> str:
+    import json
+
+    record = json.loads(value)
+    del record[field]
+    return json.dumps(record)
+
+
+class TestStoreVersions:
+    """Stored cells are stamped with both model versions: a simulator
+    change invalidates stored cells but not solve-store records, and
     a solver change invalidates both."""
 
     KWARGS = dict(
@@ -212,10 +328,8 @@ class TestJournalVersions:
 
     def restored(self, path):
         obs = Obs(trace=False)
-        journal = Journal(path)
-        run_study(obs=obs, journal=journal, **self.KWARGS)
-        journal.close()
-        return obs.metrics.counter("resilience.journal_restored").value
+        run_study(obs=obs, cache=path, **self.KWARGS)
+        return cell_counts(obs)[1]
 
     @staticmethod
     def store_hits(store):
@@ -238,7 +352,7 @@ class TestJournalVersions:
 
         from repro.core.solvecache import SolveCache
 
-        path = tmp_path / "study.journal"
+        path = tmp_path / "study.db"
         store = SolveCache(tmp_path / "solves.db")
         assert (self.restored(path), self.store_hits(store)) == (0, 0)
         assert (self.restored(path), self.store_hits(store)) == (1, 2)
@@ -276,24 +390,25 @@ class TestSerialCellSpans:
         assert self.cell_indices(obs) == [0, 1]
 
     def test_restored_cells_record_no_span(self, tmp_path):
-        path = tmp_path / "study.journal"
+        cache = tmp_path / "study.db"
         interrupted = ResiliencePolicy(
             fault_plan=FaultPlan(
                 (FaultSpec("study.cell", 1, "raise"),)
             ),
         )
-        journal = Journal(path)
         with pytest.raises(FaultInjected):
-            run_study(resilience=interrupted, journal=journal,
-                      **self.KWARGS)
-        journal.close()
+            run_study(resilience=interrupted, cache=cache, **self.KWARGS)
+        # The rerun maps only the unfinished cell: one span, the first
+        # (and only) task of its map.
         obs = Obs()
-        resumed = Journal(path)
         result = run_study(obs=obs, resilience=ResiliencePolicy(on_error="skip"),
-                           journal=resumed, **self.KWARGS)
-        resumed.close()
+                           cache=cache, **self.KWARGS)
         assert len(result.results) == 2
-        assert self.cell_indices(obs) == [1]
+        assert self.cell_indices(obs) == [0]
+        # A fully stored matrix runs no cell: no span at all.
+        obs = Obs()
+        run_study(obs=obs, cache=cache, **self.KWARGS)
+        assert self.cell_indices(obs) == []
 
 
 class TestScaleValidation:

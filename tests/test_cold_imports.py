@@ -2,9 +2,10 @@
 
 A CLI process is mostly interpreter start and imports, so modules that
 a plain solve never uses stay out of it: OpenSSL (``hashlib``, needed
-only to hash store and journal keys), ``sqlite3`` (needed only by the
-sqlite store), the process-pool stack (needed only when a map builds
-a pool -- never at ``jobs=1``, study and cachedb build included) and
+only to hash store keys), ``sqlite3`` (needed only by the sqlite
+store, so never by a study without ``--cache``), the process-pool
+stack (needed only when a map builds a pool -- never at ``jobs=1``,
+study and cachedb build included) and
 ``numpy.ma`` (which numpy 2's plain ``np.unique``
 imports).  Each test runs in a fresh interpreter, because this test
 process has long since imported all of them.
@@ -193,6 +194,26 @@ def test_serial_maps_load_no_pool_stack(tmp_path):
     """One engine runs every map; at ``jobs=1`` it builds no pool."""
     script = _SERIAL.format(pool=POOL, db=os.fspath(tmp_path / "db.json"))
     assert _run(script) == {"study": [], "cachedb": []}
+
+
+#: What a study without a store must not load: sqlite and the pool
+#: stack.  (``hashlib`` is left out: ``numpy.random`` imports it.)
+STUDY_DENY = ("sqlite3", "_sqlite3", *POOL)
+
+_STUDY = """
+import contextlib, io, json, sys
+import repro.cli
+
+argv = ["study", "--apps", "ft.B", "--configs", "nol3",
+        "--instructions", "500", "--jobs", "1"]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert repro.cli.main(argv) == 0
+print(json.dumps(sorted(m for m in {deny!r} if m in sys.modules)))
+"""
+
+
+def test_study_without_a_store_loads_no_sqlite_or_pool():
+    assert _run(_STUDY.format(deny=STUDY_DENY)) == []
 
 
 def test_bench_closure_loads_only_what_it_runs():
