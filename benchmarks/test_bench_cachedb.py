@@ -38,7 +38,7 @@ def test_bench_cachedb_lookup_vs_live_solve(tmp_path):
     grid = GridSpec(
         capacities_bytes=CAPS, nodes_nm=NODES, technologies=TECHS
     )
-    path = tmp_path / "bench-db.json"
+    path = tmp_path / "bench-db.db"
     report = build_cachedb(path, grid, jobs="auto")
     assert report.holes == 0
     db = CacheDB(path)
@@ -65,7 +65,7 @@ def test_bench_cachedb_lookup_vs_live_solve(tmp_path):
     # Serving contract: the database answers with the solver's numbers.
     for (tech, node, cap), solution in live.items():
         served = db.query(cap, cell_tech=tech, node_nm=node)
-        assert not served.interpolated
+        assert served.source == "exact"
         assert served.metrics == {
             name: extract(solution)
             for name, extract in DB_METRICS.items()

@@ -55,8 +55,8 @@ class GridSpec:
     ``associativities`` may include ``0``, meaning a plain RAM (no tag
     array), mirroring the CLI's ``--assoc 0`` convention.  An empty
     ``technologies`` tuple means "every registered technology at build
-    time".  Axes are deduplicated and sorted so the reader's bracket
-    search can bisect them.
+    time".  Axes are deduplicated and sorted, so a grid has one
+    spelling and a miss can name an axis's range.
     """
 
     capacities_bytes: tuple[int, ...]

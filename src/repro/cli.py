@@ -14,7 +14,7 @@ Usage::
         --values 1M,2M,4M,8M --cache sweep.db
     python -m repro cachedb build grid.db --capacities 64K,256K,1M \
         --nodes 32,45
-    python -m repro cachedb query grid.db --capacity 96K --node 38
+    python -m repro cachedb query grid.db --capacity 256K --node 45
     python -m repro cachedb info grid.db
 
 Sizes accept K/M/G suffixes (powers of two).  The multi-task runs
@@ -147,7 +147,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="{info,gc}",
     )
     cache_info = cache_ops.add_parser(
-        "info", help="describe a solve store (records, versions, size)"
+        "info", help="describe a record store (solve, study and other "
+                     "rows, versions, size)"
     )
     cache_info.add_argument("store", help="store path or sqlite: URL")
     cache_gc = cache_ops.add_parser(
@@ -252,10 +253,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cdb_query.add_argument("--tech", default="sram",
                            choices=sorted(registered_names()))
     cdb_query.add_argument("--fallback", default="solve",
-                           choices=("solve", "error", "nearest"),
+                           choices=("solve", "error"),
                            help="what to do when the grid cannot answer: "
-                                "solve live, fail, or snap to the nearest "
-                                "grid point")
+                                "solve live, or fail")
 
     cdb_info = cdb_sub.add_parser(
         "info", help="summarize a cachedb (records per model version)"
@@ -348,20 +348,29 @@ def _write_obs(args: argparse.Namespace, obs: Obs | None) -> None:
 
 
 def _run_cache_store(args: argparse.Namespace) -> int:
-    """Store maintenance: ``repro cache {info,gc}``."""
-    from repro.core.solvecache import open_solve_store
+    """Store maintenance: ``repro cache {info,gc}``.  One store may hold
+    solve records and study cells, each kind at its own version; both
+    commands know the two current versions."""
+    from repro.core.solvecache import CACHE_VERSION, open_solve_store
     from repro.store import parse_store_url
+    from repro.study.runner import study_version
 
     path = parse_store_url(args.store)
     if not os.path.exists(path):
-        raise ValueError(f"no solve store at {path}")
+        raise ValueError(f"no store at {path}")
     store = open_solve_store(args.store)
     try:
         if args.cache_command == "info":
             report = store.info()
+            del report["version"], report["records"]
+            other = dict(report["versions"])
+            for kind, version in (("solve", CACHE_VERSION),
+                                  ("study", study_version())):
+                report[f"{kind}_records"] = (
+                    f"{other.pop(version, 0)} at {version}"
+                )
+            report["other_records"] = sum(other.values())
         else:
-            from repro.study.runner import study_version
-
             report = store.gc(keep=(study_version(),))
     finally:
         store.close()

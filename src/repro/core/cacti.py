@@ -323,8 +323,9 @@ def solve_batch(
     open across the batch so the store is rewritten once per batch,
     not once per record.  Only specs solved in workers use worker-local
     caches: one EvalCache per worker, and the ``solve_cache`` store
-    opened by URL once per worker (atomic merge-on-save writes make
-    concurrent writers safe).  Workers ship their metrics -- and spans,
+    opened by URL once per worker (the store is sqlite in WAL mode, and
+    concurrent writers are safe because row upserts serialize on
+    sqlite's write lock).  Workers ship their metrics -- and spans,
     when ``obs`` traces -- home for absorption into ``obs``.  The
     returned solutions are bit-identical at any job count.
 

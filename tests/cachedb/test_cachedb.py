@@ -218,7 +218,9 @@ class TestBuilder:
 class TestReader:
     def test_exact_hit_counts_and_flags(self, db):
         result = db.query(CAPS[0], node_nm=32.0)
-        assert result.source == "exact" and not result.interpolated
+        assert result.source == "exact"
+        assert result.solution.spec == grid_spec_for("sram", 32.0, CAPS[0],
+                                                     64, 8)
         assert db.stats()["hits"] == 1 and len(db) == 4
 
     def test_exact_hit_metrics_are_the_cell_solutions(self, db):
@@ -228,25 +230,14 @@ class TestReader:
             name: extract(solution) for name, extract in DB_METRICS.items()
         }
 
-    def test_interpolated_query_is_flagged(self, db):
-        result = db.query(128 << 10, node_nm=38.0)
-        assert result.interpolated and result.source == "interpolated"
-        assert result.solution is None
-        assert db.stats()["interpolated"] == 1
-
     def test_fallback_error_raises_out_of_range(self, db):
         with pytest.raises(CacheDBMiss, match="outside grid range"):
             db.query(1 << 30, fallback="error")
 
-    def test_fallback_nearest_snaps_to_grid(self, db):
-        result = db.query(1 << 30, fallback="nearest")
-        assert result.source == "nearest"
-        assert result.capacity_bytes == CAPS[-1]
-        assert db.stats()["fallbacks"] == 1
-
     def test_fallback_solve_matches_live_solve(self, db):
         result = db.query(32 << 10, fallback="solve")
-        assert result.source == "solve" and not result.interpolated
+        assert result.source == "solve"
+        assert db.stats()["fallbacks"] == 1
         live = solve(grid_spec_for("sram", 32.0, 32 << 10, 64, 8))
         assert metrics_to_dict(result.solution.data) == metrics_to_dict(
             live.data
@@ -254,6 +245,31 @@ class TestReader:
         assert result.metrics == {
             name: extract(live) for name, extract in DB_METRICS.items()
         }
+
+    def test_fallback_error_names_the_off_grid_axis(self, db):
+        """A query between grid values is a miss like any other: under
+        ``fallback="error"`` it names the axis and the grid's values."""
+        with pytest.raises(CacheDBMiss,
+                           match=r"capacity 131072 not in grid \(65536, "):
+            db.query(128 << 10, node_nm=32.0, fallback="error")
+        with pytest.raises(CacheDBMiss,
+                           match=r"node 38.0 not in grid \(32.0, 45.0\)"):
+            db.query(CAPS[0], node_nm=38.0, fallback="error")
+        assert db.stats() == {"hits": 0, "fallbacks": 0, "misses": 0}
+
+    def test_sqlite_url_opens_the_cachedb(self, db_path, monkeypatch):
+        """``sqlite:PATH`` names a cachedb as it names every store: both
+        spellings open one memoized reader, and either forgets it."""
+        from repro.cachedb import open_cachedb, reader
+
+        monkeypatch.setattr(reader, "_OPEN_DBS", {})
+        url = f"sqlite:{db_path}"
+        assert CacheDB(url).query(CAPS[0]).source == "exact"
+        first = open_cachedb(url)
+        assert open_cachedb(db_path) is first
+        reader.forget_cachedb(url)
+        assert reader._OPEN_DBS == {}
+        assert open_cachedb(db_path) is not first
 
     def test_unknown_fallback_rejected(self, db):
         with pytest.raises(CacheDBError, match="unknown fallback"):
@@ -373,9 +389,8 @@ class TestCli:
 
         assert main([
             "cachedb", "query", str(path), "--capacity", "96K",
-            "--fallback", "error",
         ]) == 0
-        assert "interpolated    : yes" in capsys.readouterr().out
+        assert "source          : solve" in capsys.readouterr().out
 
         assert main(["cachedb", "info", str(path)]) == 0
         assert "points        : 2" in capsys.readouterr().out
@@ -434,6 +449,21 @@ class TestCli:
         assert exc.value.code == 2
         assert "--cache" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_sqlite_url_on_every_cachedb_command(self, tmp_path, capsys):
+        path = tmp_path / "db.db"
+        url = f"sqlite:{path}"
+        assert main([
+            "cachedb", "build", url,
+            "--capacities", "64K", "--techs", "sram", "--jobs", "1",
+        ]) == 0
+        assert path.is_file()
+        assert main(["cachedb", "query", url, "--capacity", "64K"]) == 0
+        assert "source          : exact" in capsys.readouterr().out
+        assert main(["cachedb", "info", url]) == 0
+        assert "points        : 1" in capsys.readouterr().out
+        assert main(["cache", "--capacity", "64K", "--cachedb", url]) == 0
+        assert "64 KB" in capsys.readouterr().out
 
     def test_query_fallback_error_exits_2(self, tmp_path, capsys):
         path = tmp_path / "db.json"

@@ -508,8 +508,30 @@ class TestCacheStoreCli:
         monkeypatch.chdir(tmp_path)
         spec = url.format(path="missing.db")
         assert main(["cache", command, spec]) == 2
-        assert "no solve store at missing.db" in capsys.readouterr().err
+        assert "no store at missing.db" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_cache_info_names_each_kind_of_row(self, tmp_path, capsys):
+        """A store holding only study cells (and one stale row) reports
+        them as study rows and no solve rows, each at its own current
+        version, and the stale row as another version's."""
+        from repro.core.solvecache import CACHE_VERSION
+        from repro.store import SqliteStore
+        from repro.study.runner import study_version
+
+        path = tmp_path / "s.db"
+        assert main(["study", "--apps", "ft.B", "--configs", "nol3,sram",
+                     "--instructions", "500", "--jobs", "1",
+                     "--cache", str(path)]) == 0
+        stale = SqliteStore(path, version="repro-study-v0")
+        stale.put("stale", {"app": "ft.B"})
+        stale.close()
+        capsys.readouterr()
+        assert main(["cache", "info", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert f"solve_records       : 0 at {CACHE_VERSION}\n" in out
+        assert f"study_records       : 2 at {study_version()}\n" in out
+        assert "other_records       : 1\n" in out
 
     def test_cache_migrate_is_not_a_command(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
